@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import CODATA2018, PhysicalConstants, require_non_negative, require_positive
-from .errors import InvalidParameterError
+from .errors import DomainError, InvalidParameterError
 
 # Below roughly this separation the photon thermal wavelength no longer
 # dwarfs the gap and the classical n=0 term stops being the whole
@@ -74,12 +74,22 @@ def casimir_zero_t(
     -------
     float
         Attractive force magnitude, N.
+
+    Raises
+    ------
+    DomainError
+        If d^4 underflows to zero (d below about 1.3e-81 m).
     """
     require_positive("area", area)
     require_positive("separation", separation)
-    return (
-        math.pi**2 * constants.hbar * constants.c / 240.0 * area / separation**4
-    )
+    try:
+        return (
+            math.pi**2 * constants.hbar * constants.c / 240.0 * area / separation**4
+        )
+    except ZeroDivisionError:
+        raise DomainError(
+            f"separation {separation:g} m is too small: d^4 underflows to zero"
+        ) from None
 
 
 def thermal_casimir(

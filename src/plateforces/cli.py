@@ -17,6 +17,8 @@ import argparse
 import math
 import sys
 from collections.abc import Sequence
+from itertools import repeat
+from operator import truediv
 
 from .balance import (
     gap_variation_from_tilt,
@@ -190,23 +192,38 @@ def cmd_exclusion(
     columns = ["thickness_m", "lambda_m", "alpha_1"]
     if prior is not None:
         columns.append("improvement_1")
+        # every curve shares the grid, so the prior is interpolated once
+        prior_alphas = prior.alphas_at(curves[0].lambdas)
     rows = []
     for thickness, curve in zip(thicknesses, curves):
-        for lam, alpha in zip(curve.lambdas, curve.alphas):
-            row = [thickness, lam, alpha]
-            if prior is not None:
-                lo, hi = prior.domain()
-                row.append(
-                    prior.alpha_at(lam) / alpha if lo <= lam <= hi else math.nan
-                )
-            rows.append(tuple(row))
+        row_parts = [repeat(thickness), curve.lambdas, curve.alphas]
+        if prior is not None:
+            row_parts.append(map(truediv, prior_alphas, curve.alphas))
+        rows.extend(zip(*row_parts))
+    warnings = []
+    unbounded = [
+        lam
+        for curve in curves
+        if math.inf in curve.alphas
+        for lam, alpha in zip(curve.lambdas, curve.alphas)
+        if alpha == math.inf
+    ]
+    if unbounded:
+        warnings.append(
+            f"alpha is inf on {len(unbounded)} rows with lambda from "
+            f"{min(unbounded):g} to {max(unbounded):g} m: exp(gap/lambda) "
+            "overflows, so no finite coupling is detectable there"
+        )
     metadata = _metadata("exclusion", config, constants)
     metadata.append(("force_resolution_N", format(config.force_resolution, "g")))
     metadata.append(("gap_m", format(config.gap.separation, "g")))
     if prior is not None:
         metadata.append(("prior_source", prior.source))
     return ResultTable(
-        columns=tuple(columns), rows=tuple(rows), metadata=tuple(metadata)
+        columns=tuple(columns),
+        rows=tuple(rows),
+        metadata=tuple(metadata),
+        warnings=tuple(warnings),
     )
 
 

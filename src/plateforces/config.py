@@ -25,6 +25,7 @@ from __future__ import annotations
 import configparser
 import decimal
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 
@@ -284,10 +285,12 @@ def load_config(path: str) -> ExperimentConfig:
         force_resolution = resolution_reader.number("force_resolution")
         if parser.has_section("yukawa"):
             yukawa_reader = _SectionReader(parser, "yukawa")
-            yukawa = YukawaParams(
-                alpha=yukawa_reader.number("alpha"),
-                lam=yukawa_reader.length("lambda"),
-            )
+            alpha = yukawa_reader.number("alpha")
+            lam = yukawa_reader.length("lambda")
+            for key, value in (("alpha", alpha), ("lambda", lam)):
+                if not math.isfinite(value):
+                    raise ConfigError(f"[yukawa] {key}: must be finite, got {value!r}")
+            yukawa = YukawaParams(alpha=alpha, lam=lam)
         else:
             yukawa = YukawaParams(alpha=1.0, lam=1e-5)
     except InvalidParameterError as exc:

@@ -10,7 +10,10 @@ the curve is an upper bound on allowed couplings.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +66,8 @@ def alpha_bound(
 
     Uses the same cancellation-safe thickness bracket as the force
     expression, so feeding the bound back into the force reproduces
-    the resolution exactly.
+    the resolution exactly.  Where exp(d/lam) overflows (lam far below
+    the gap) no finite coupling is detectable and the bound is inf.
     """
     require_positive("lam", lam)
     denominator = (
@@ -77,31 +81,27 @@ def alpha_bound(
         * yukawa_thickness_bracket(spec.thickness_a, lam)
         * yukawa_thickness_bracket(spec.thickness_b, lam)
     )
-    return spec.force_resolution * math.exp(spec.gap / lam) / denominator
+    try:
+        return spec.force_resolution * math.exp(spec.gap / lam) / denominator
+    except (OverflowError, ZeroDivisionError):
+        # exp(d/lam) overflows, or lam**2 underflows to zero
+        return math.inf
 
 
-def _loglog_interp(lam: float, lambdas: tuple[float, ...], alphas: tuple[float, ...], label: str) -> float:
-    if not lambdas[0] <= lam <= lambdas[-1]:
-        raise DomainError(
-            f"lambda {lam:g} m outside the {label} domain "
-            f"[{lambdas[0]:g}, {lambdas[-1]:g}] m; extrapolation is not supported"
-        )
-    log_alpha = np.interp(
-        math.log(lam), np.log(np.asarray(lambdas)), np.log(np.asarray(alphas))
-    )
-    return float(math.exp(log_alpha))
-
-
-def _check_curve(lambdas: tuple[float, ...], alphas: tuple[float, ...]) -> None:
+def _check_curve(
+    lambdas: tuple[float, ...], alphas: tuple[float, ...], unbounded_ok: bool = False
+) -> None:
     if len(lambdas) != len(alphas):
         raise InvalidParameterError(
             f"{len(lambdas)} lambda values but {len(alphas)} alpha values"
         )
     if len(lambdas) < 2:
         raise InvalidParameterError("a curve needs at least two points")
+    unbounded = math.inf if unbounded_ok else None
     for lam, alpha in zip(lambdas, alphas):
         require_positive("lambda", lam)
-        require_positive("alpha", alpha)
+        if alpha != unbounded:
+            require_positive("alpha", alpha)
     for left, right in zip(lambdas, lambdas[1:]):
         if not right > left:
             raise InvalidParameterError(
@@ -109,9 +109,52 @@ def _check_curve(lambdas: tuple[float, ...], alphas: tuple[float, ...]) -> None:
             )
 
 
+class _LogLogCurve:
+    """alpha interpolated linearly in (log lambda, log alpha) between the
+    knots of a validated curve, from knot logs taken once per curve."""
+
+    @cached_property
+    def _logs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        return tuple(map(math.log, self.lambdas)), tuple(map(math.log, self.alphas))
+
+    def domain(self) -> tuple[float, float]:
+        return self.lambdas[0], self.lambdas[-1]
+
+    def alphas_at(self, grid: Iterable[float]) -> list[float]:
+        """alpha at every lambda of grid in one pass; nan outside the domain."""
+        lo, hi = self.domain()
+        return [self._interp(lam) if lo <= lam <= hi else math.nan for lam in grid]
+
+    def _alpha_at(self, lam: float, label: str) -> float:
+        lo, hi = self.domain()
+        if not lo <= lam <= hi:
+            raise DomainError(
+                f"lambda {lam:g} m outside the {label} domain "
+                f"[{lo:g}, {hi:g}] m; extrapolation is not supported"
+            )
+        return self._interp(lam)
+
+    def _interp(self, lam: float) -> float:
+        # numpy.interp's arithmetic and retries on the logs: bit for bit
+        # numpy.interp(log(lam), log(lambdas), log(alphas))
+        xs, ys = self._logs
+        x = math.log(lam)
+        j = bisect_right(xs, x) - 1
+        if j == len(xs) - 1 or xs[j] == x:
+            return math.exp(ys[j])
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        y = slope * (x - xs[j]) + ys[j]
+        if y != y:  # an infinite knot
+            y = slope * (x - xs[j + 1]) + ys[j + 1]
+            if y != y and ys[j] == ys[j + 1]:
+                y = ys[j]
+        return math.exp(y)
+
+
 @dataclass(frozen=True)
-class ExclusionCurve:
-    """alpha_bound sampled on a strictly increasing lambda grid."""
+class ExclusionCurve(_LogLogCurve):
+    """alpha_bound sampled on a strictly increasing lambda grid; inf
+    marks a lambda where no finite coupling is detectable."""
 
     lambdas: tuple[float, ...]
     alphas: tuple[float, ...]
@@ -120,18 +163,15 @@ class ExclusionCurve:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
         object.__setattr__(self, "alphas", tuple(self.alphas))
-        _check_curve(self.lambdas, self.alphas)
-
-    def domain(self) -> tuple[float, float]:
-        return self.lambdas[0], self.lambdas[-1]
+        _check_curve(self.lambdas, self.alphas, unbounded_ok=True)
 
     def alpha_at(self, lam: float) -> float:
         """Bound at lam by log-log interpolation (exact on power laws)."""
-        return _loglog_interp(lam, self.lambdas, self.alphas, "curve")
+        return self._alpha_at(lam, "curve")
 
 
 @dataclass(frozen=True)
-class PriorBounds:
+class PriorBounds(_LogLogCurve):
     """Previously published bounds on the same lambda axis."""
 
     lambdas: tuple[float, ...]
@@ -143,11 +183,8 @@ class PriorBounds:
         object.__setattr__(self, "alphas", tuple(self.alphas))
         _check_curve(self.lambdas, self.alphas)
 
-    def domain(self) -> tuple[float, float]:
-        return self.lambdas[0], self.lambdas[-1]
-
     def alpha_at(self, lam: float) -> float:
-        return _loglog_interp(lam, self.lambdas, self.alphas, "prior-bounds")
+        return self._alpha_at(lam, "prior-bounds")
 
 
 def exclusion_scan(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.integrate import dblquad, quad
 
 # Beyond this many interaction ranges the integrand has decayed to
@@ -130,3 +131,24 @@ def tilted_casimir_force(
 def central_difference(func, x: float, step: float) -> float:
     """Symmetric finite-difference derivative of func at x."""
     return (func(x + step) - func(x - step)) / (2.0 * step)
+
+
+def loglog_interp(lam: float, lambdas, alphas, knot_log=np.log) -> float:
+    """Log-log interpolation the way the package computed it per query
+    before it cached knot logs: numpy.interp on freshly taken logs, nan
+    outside [lambdas[0], lambdas[-1]].
+
+    knot_log takes the logs of the knot arrays.  numpy.log's vectorised
+    loop (SIMD on AVX512 builds) can round an element one ulp away from
+    libm's log, so passing LIBM_LOG isolates the interpolation
+    arithmetic from that difference.
+    """
+    if not lambdas[0] <= lam <= lambdas[-1]:
+        return math.nan
+    log_alpha = np.interp(
+        math.log(lam), knot_log(np.asarray(lambdas)), knot_log(np.asarray(alphas))
+    )
+    return float(math.exp(log_alpha))
+
+
+LIBM_LOG = np.vectorize(math.log, otypes=[float])

@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+
 import pytest
 
 from plateforces import ResultTable
@@ -135,6 +140,19 @@ class TestExclusionCommand:
         for row in table.rows:
             assert row[-1] == pytest.approx(100.0, rel=1e-9)
 
+    def test_overflowing_alpha_is_inf_with_one_warning(self, tmp_path):
+        code, out = run(
+            ["exclusion", "--config", BASELINE, "--lambda-min", "1e-9", "--points", "5"],
+            tmp_path,
+        )
+        assert code == 0
+        table = ResultTable.from_csv(out.read_text())
+        unbounded = [row for row in table.rows if row[2] == math.inf]
+        assert [row[1] for row in unbounded] == [table.rows[0][1]] * 4
+        assert all(math.isfinite(row[2]) for row in table.rows if row[1] > 1e-9)
+        (warning,) = table.warnings
+        assert "4 rows" in warning and "1e-09" in warning
+
     def test_cli_flags_reach_scan(self, tmp_path):
         code, out = run(
             [
@@ -230,6 +248,27 @@ class TestExitCodes:
             ["budget", "--config", BASELINE, "--out", str(tmp_path / "no" / "dir.csv")]
         )
         assert code == 4
+
+    def test_underflowing_gap_is_a_domain_error(self):
+        # a fresh process, so a traceback would show on its stderr
+        result = subprocess.run(
+            [sys.executable, "-m", "plateforces.cli", "forces", "--config", BASELINE,
+             "--gap", "1e-300"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert "separation 1e-300 m" in result.stderr
+
+    def test_infinite_yukawa_alpha_is_a_config_error(self, tmp_path, capsys):
+        text = BASELINE_CONFIG_PATH.read_text().replace("alpha = 1.0", "alpha = inf")
+        config = tmp_path / "inf.ini"
+        config.write_text(text)
+        code = main(["budget", "--config", str(config)])
+        assert code == 2
+        assert "[yukawa] alpha" in capsys.readouterr().err
 
 
 class TestDeterminism:

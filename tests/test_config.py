@@ -151,6 +151,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, broken))
 
+    @pytest.mark.parametrize("key,text", [("alpha", "inf"), ("alpha", "nan"), ("lambda", "inf um")])
+    def test_non_finite_yukawa_named(self, tmp_path, key, text):
+        yukawa = {"alpha": "1.0", "lambda": "10 um", key: text}
+        extended = GOOD + f"\n[yukawa]\nalpha = {yukawa['alpha']}\nlambda = {yukawa['lambda']}\n"
+        with pytest.raises(ConfigError, match=rf"\[yukawa\] {key}: must be finite"):
+            load_config(write(tmp_path, extended))
+
     def test_layer_numbering_must_be_dense(self, tmp_path):
         broken = GOOD.replace("layer_1 = glass", "layer_2 = glass")
         with pytest.raises(ConfigError, match="without gaps"):

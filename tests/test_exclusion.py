@@ -130,6 +130,14 @@ class TestExclusionScan:
             exclusion_scan(gold_spec(), 1e-6, 1e-2, 10, (-1e-6,))
 
 
+    def test_overflow_below_the_gap_gives_inf(self):
+        # exp(5 um / 1 nm) overflows a double
+        assert alpha_bound(1e-9, gold_spec()) == math.inf
+        (curve,) = exclusion_scan(gold_spec(), 1e-9, 1e-2, 5, (1e-5,))
+        assert curve.alphas[0] == math.inf
+        assert all(math.isfinite(alpha) for alpha in curve.alphas[1:])
+
+
 class TestCurveInterpolation:
     def test_power_law_is_exact(self):
         lambdas = tuple(1e-6 * 10 ** (i / 4) for i in range(17))

@@ -1,0 +1,129 @@
+"""The one-pass log-log interpolation against numpy.interp.
+
+PriorBounds.alphas_at and the scalar alpha_at of both curve types share
+one implementation that caches the knot logs per curve.  The reference
+is the per-query computation it replaced (oracles.loglog_interp).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from oracles import LIBM_LOG, loglog_interp
+from plateforces import DomainError, ExclusionCurve, PriorBounds, ResolutionSpec
+
+SPEC = ResolutionSpec(
+    force_resolution=1e-12,
+    gap=5e-6,
+    density_a=19.3e3,
+    density_b=19.3e3,
+    thickness_a=1e-5,
+    thickness_b=1e-5,
+    area=0.012,
+)
+
+
+@st.composite
+def curves_and_grids(draw):
+    """A strictly increasing prior and an ascending grid that holds every
+    knot (both domain ends included), points between knots and points
+    outside the domain."""
+    lambdas = sorted(
+        draw(
+            st.lists(
+                st.floats(min_value=1e-12, max_value=1e6), min_size=2, max_size=40, unique=True
+            )
+        )
+    )
+    alphas = draw(
+        st.lists(
+            st.floats(min_value=1e-30, max_value=1e30),
+            min_size=len(lambdas),
+            max_size=len(lambdas),
+        )
+    )
+    inside = draw(st.lists(st.floats(min_value=lambdas[0], max_value=lambdas[-1]), max_size=60))
+    outside = [
+        lambdas[0] / 2,
+        math.nextafter(lambdas[0], 0.0),
+        math.nextafter(lambdas[-1], math.inf),
+        lambdas[-1] * 2,
+    ]
+    grid = sorted(set(lambdas + inside + outside))
+    return PriorBounds(lambdas=lambdas, alphas=alphas, source="hypothesis"), grid
+
+
+def same(a: float, b: float) -> bool:
+    """Bit-for-bit equality, nan equal to nan."""
+    return a == b or (a != a and b != b)
+
+
+@given(curves_and_grids())
+def test_pass_matches_numpy_interp_bit_for_bit(case):
+    prior, grid = case
+    got = prior.alphas_at(grid)
+    want = [loglog_interp(lam, prior.lambdas, prior.alphas, LIBM_LOG) for lam in grid]
+    assert all(same(g, w) for g, w in zip(got, want)), list(zip(grid, got, want))
+
+
+@given(curves_and_grids())
+def test_pass_matches_previous_per_query_expression(case):
+    """The verbatim old expression, np.log of the knot arrays included,
+    wherever numpy's vectorised log agrees with libm's on every knot."""
+    prior, grid = case
+    knots = np.asarray(prior.lambdas + prior.alphas)
+    assume(np.array_equal(np.log(knots), LIBM_LOG(knots)))
+    got = prior.alphas_at(grid)
+    want = [loglog_interp(lam, prior.lambdas, prior.alphas) for lam in grid]
+    assert all(same(g, w) for g, w in zip(got, want))
+
+
+@given(curves_and_grids())
+def test_scalar_alpha_at_is_the_same_pass(case):
+    prior, grid = case
+    lo, hi = prior.domain()
+    for lam, alpha in zip(grid, prior.alphas_at(grid)):
+        if lo <= lam <= hi:
+            assert same(prior.alpha_at(lam), alpha)
+        else:
+            assert math.isnan(alpha)
+            with pytest.raises(DomainError):
+                prior.alpha_at(lam)
+
+
+def test_knots_and_both_ends_take_the_knot_value():
+    lambdas = (1e-6, 3e-6, 1e-5, 4e-5)
+    alphas = (1e8, 2.5e6, 7e4, 3.3e3)
+    prior = PriorBounds(lambdas=lambdas, alphas=alphas)
+    got = prior.alphas_at(lambdas)
+    assert got == [math.exp(math.log(alpha)) for alpha in alphas]
+    assert got == [loglog_interp(lam, lambdas, alphas, LIBM_LOG) for lam in lambdas]
+
+
+def test_nan_outside_domain_and_scalar_refuses():
+    prior = PriorBounds(lambdas=(1e-6, 1e-5), alphas=(1e8, 1e4))
+    below, above = math.nextafter(1e-6, 0.0), math.nextafter(1e-5, 1.0)
+    got = prior.alphas_at([1e-7, below, 1e-6, 1e-5, above, 1e-3])
+    assert [math.isnan(value) for value in got] == [True, True, False, False, True, True]
+    for lam in (below, above):
+        with pytest.raises(DomainError):
+            prior.alpha_at(lam)
+
+
+def test_unbounded_knot_interpolates_to_inf_like_numpy():
+    """An exclusion curve may carry inf where exp(gap/lambda) overflowed;
+    between such a knot and a finite one numpy.interp retries from the
+    other end and gives inf, and so does the pass."""
+    lambdas, alphas = (1e-9, 1e-8, 1e-7), (math.inf, math.inf, 1e20)
+    curve = ExclusionCurve(lambdas=lambdas, alphas=alphas, spec=SPEC)
+    for lam in (1e-9, 3e-9, 1e-8, 5e-8):
+        assert curve.alpha_at(lam) == math.inf
+        assert loglog_interp(lam, lambdas, alphas, LIBM_LOG) == math.inf
+    assert curve.alpha_at(1e-7) == loglog_interp(1e-7, lambdas, alphas, LIBM_LOG)
+    # on a knot the knot value is served, even with an infinite neighbour
+    curve = ExclusionCurve(lambdas=lambdas, alphas=alphas[::-1], spec=SPEC)
+    assert curve.alpha_at(1e-9) == loglog_interp(1e-9, lambdas, alphas[::-1], LIBM_LOG)
+    assert math.isfinite(curve.alpha_at(1e-9))
