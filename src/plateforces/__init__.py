@@ -49,8 +49,7 @@ from .core import (
 )
 from .errors import ConfigError, DomainError, InvalidParameterError, PlateForcesError
 from .exclusion import (
-    ExclusionCurve,
-    PriorBounds,
+    Curve,
     ResolutionSpec,
     alpha_bound,
     exclusion_scan,
@@ -75,9 +74,9 @@ __all__ = [
     "BalanceConfig",
     "CODATA2018",
     "ConfigError",
+    "Curve",
     "DomainError",
     "ElectrostaticConfig",
-    "ExclusionCurve",
     "ExperimentConfig",
     "FieldKind",
     "ForceBudget",
@@ -91,7 +90,6 @@ __all__ = [
     "PlatePairConfig",
     "PlateStack",
     "PointMassPair",
-    "PriorBounds",
     "ResolutionSpec",
     "ResultTable",
     "SHEAR_MODULUS",

@@ -105,18 +105,26 @@ def thermal_casimir(
     This is the large-separation limit where the thermal photon
     wavelength is small compared to the gap; see THERMAL_TRUST_MIN_GAP
     for where that assumption starts to strain.  T = 0 returns 0.
+
+    Raises DomainError if d^3 underflows to zero (d below about
+    1.4e-108 m).
     """
     require_positive("area", area)
     require_positive("separation", separation)
     require_non_negative("temperature", temperature)
-    return (
-        constants.zeta3
-        * constants.k_B
-        * temperature
-        / (4.0 * math.pi)
-        * area
-        / separation**3
-    )
+    try:
+        return (
+            constants.zeta3
+            * constants.k_B
+            * temperature
+            / (4.0 * math.pi)
+            * area
+            / separation**3
+        )
+    except ZeroDivisionError:
+        raise DomainError(
+            f"separation {separation:g} m is too small: d^3 underflows to zero"
+        ) from None
 
 
 def total_casimir(

@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 from collections.abc import Sequence
+from dataclasses import replace
 from itertools import repeat
 from operator import truediv
 
@@ -31,7 +32,7 @@ from .casimir import THERMAL_TRUST_MIN_GAP, casimir_zero_t, thermal_casimir, tot
 from .config import ExperimentConfig, ingest_prior_bounds, load_config, parse_length
 from .core import CODATA2018, PhysicalConstants
 from .errors import ConfigError, DomainError, InvalidParameterError
-from .exclusion import PriorBounds, exclusion_scan
+from .exclusion import Curve, exclusion_scan
 from .gravity import stack_newton
 from .tables import ResultTable
 
@@ -173,7 +174,7 @@ def cmd_exclusion(
     lambda_max: float = DEFAULT_SCAN_LAMBDA_MAX,
     n_points: int = DEFAULT_SCAN_POINTS,
     thicknesses: Sequence[float] = DEFAULT_SCAN_THICKNESSES,
-    prior: PriorBounds | None = None,
+    prior: Curve | None = None,
     constants: PhysicalConstants = CODATA2018,
 ) -> ResultTable:
     """Exclusion curves in long format: one row per (thickness, lambda).
@@ -233,9 +234,7 @@ def cmd_sensitivity(
     """Balance sensitivity and tilt effects for the configured setup."""
     kappa_wire = torsion_constant(config.wire)
     balance = config.balance
-    f_min_wire = (
-        kappa_wire * balance.min_displacement / balance.arm_length**2
-    )
+    f_min_wire = min_detectable_force(replace(balance, torque_sensitivity=kappa_wire))
     f_min_balance = min_detectable_force(balance)
     tilt = config.tilt
     gap = config.gap.separation

@@ -34,7 +34,7 @@ from .budget import ElectrostaticConfig
 from .casimir import ThermalModel
 from .core import GapConfig, MaterialLayer, PlateGeometry, PlateStack, YukawaParams
 from .errors import ConfigError, InvalidParameterError
-from .exclusion import PriorBounds, ResolutionSpec
+from .exclusion import Curve, ResolutionSpec
 from .gravity import PlatePairConfig
 
 _LENGTH_UNITS = {
@@ -312,7 +312,7 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
-def ingest_prior_bounds(path: str, source: str = "") -> PriorBounds:
+def ingest_prior_bounds(path: str, source: str = "") -> Curve:
     """Read a prior-bounds CSV: columns lambda_m,alpha, '#' comments.
 
     Lines must come in strictly increasing lambda.  Errors name the
@@ -340,10 +340,12 @@ def ingest_prior_bounds(path: str, source: str = "") -> PriorBounds:
             raise ConfigError(
                 f"{path}: line {line_no}: not numeric: {text!r}"
             ) from None
-        if not lam > 0:
-            raise ConfigError(f"{path}: line {line_no}: lambda must be > 0, got {lam!r}")
-        if not alpha > 0:
-            raise ConfigError(f"{path}: line {line_no}: alpha must be > 0, got {alpha!r}")
+        for name, value in (("lambda", lam), ("alpha", alpha)):
+            if not 0 < value < math.inf:
+                raise ConfigError(
+                    f"{path}: line {line_no}: {name} must be a finite number > 0, "
+                    f"got {value!r}"
+                )
         if lambdas and not lam > lambdas[-1]:
             raise ConfigError(
                 f"{path}: line {line_no}: lambda {lam!r} does not increase "
@@ -353,6 +355,6 @@ def ingest_prior_bounds(path: str, source: str = "") -> PriorBounds:
         alphas.append(alpha)
     if len(lambdas) < 2:
         raise ConfigError(f"{path}: needs at least 2 data rows, found {len(lambdas)}")
-    return PriorBounds(
+    return Curve(
         lambdas=tuple(lambdas), alphas=tuple(alphas), source=source or path
     )

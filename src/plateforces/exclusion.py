@@ -15,8 +15,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-import numpy as np
-
 from .core import CODATA2018, PhysicalConstants, require_positive
 from .errors import DomainError, InvalidParameterError
 from .gravity import yukawa_thickness_bracket
@@ -88,30 +86,39 @@ def alpha_bound(
         return math.inf
 
 
-def _check_curve(
-    lambdas: tuple[float, ...], alphas: tuple[float, ...], unbounded_ok: bool = False
-) -> None:
-    if len(lambdas) != len(alphas):
-        raise InvalidParameterError(
-            f"{len(lambdas)} lambda values but {len(alphas)} alpha values"
-        )
-    if len(lambdas) < 2:
-        raise InvalidParameterError("a curve needs at least two points")
-    unbounded = math.inf if unbounded_ok else None
-    for lam, alpha in zip(lambdas, alphas):
-        require_positive("lambda", lam)
-        if alpha != unbounded:
-            require_positive("alpha", alpha)
-    for left, right in zip(lambdas, lambdas[1:]):
-        if not right > left:
+@dataclass(frozen=True)
+class Curve:
+    """alpha on a strictly increasing lambda grid: an exclusion curve
+    or previously published bounds.
+
+    alpha is positive, or inf where no finite coupling is detectable.
+    Between knots alpha is interpolated linearly in (log lambda,
+    log alpha), exact on power laws, from knot logs taken once per
+    curve.
+    """
+
+    lambdas: tuple[float, ...]
+    alphas: tuple[float, ...]
+    source: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lambdas", tuple(self.lambdas))
+        object.__setattr__(self, "alphas", tuple(self.alphas))
+        if len(self.lambdas) != len(self.alphas):
             raise InvalidParameterError(
-                f"lambda grid must be strictly increasing; {right!r} follows {left!r}"
+                f"{len(self.lambdas)} lambda values but {len(self.alphas)} alpha values"
             )
-
-
-class _LogLogCurve:
-    """alpha interpolated linearly in (log lambda, log alpha) between the
-    knots of a validated curve, from knot logs taken once per curve."""
+        if len(self.lambdas) < 2:
+            raise InvalidParameterError("a curve needs at least two points")
+        for lam, alpha in zip(self.lambdas, self.alphas):
+            require_positive("lambda", lam)
+            if alpha != math.inf:
+                require_positive("alpha", alpha)
+        for left, right in zip(self.lambdas, self.lambdas[1:]):
+            if not right > left:
+                raise InvalidParameterError(
+                    f"lambda grid must be strictly increasing; {right!r} follows {left!r}"
+                )
 
     @cached_property
     def _logs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -125,11 +132,12 @@ class _LogLogCurve:
         lo, hi = self.domain()
         return [self._interp(lam) if lo <= lam <= hi else math.nan for lam in grid]
 
-    def _alpha_at(self, lam: float, label: str) -> float:
+    def alpha_at(self, lam: float) -> float:
+        """alpha at lam; DomainError outside the domain (no extrapolation)."""
         lo, hi = self.domain()
         if not lo <= lam <= hi:
             raise DomainError(
-                f"lambda {lam:g} m outside the {label} domain "
+                f"lambda {lam:g} m outside the curve domain "
                 f"[{lo:g}, {hi:g}] m; extrapolation is not supported"
             )
         return self._interp(lam)
@@ -151,42 +159,6 @@ class _LogLogCurve:
         return math.exp(y)
 
 
-@dataclass(frozen=True)
-class ExclusionCurve(_LogLogCurve):
-    """alpha_bound sampled on a strictly increasing lambda grid; inf
-    marks a lambda where no finite coupling is detectable."""
-
-    lambdas: tuple[float, ...]
-    alphas: tuple[float, ...]
-    spec: ResolutionSpec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambdas", tuple(self.lambdas))
-        object.__setattr__(self, "alphas", tuple(self.alphas))
-        _check_curve(self.lambdas, self.alphas, unbounded_ok=True)
-
-    def alpha_at(self, lam: float) -> float:
-        """Bound at lam by log-log interpolation (exact on power laws)."""
-        return self._alpha_at(lam, "curve")
-
-
-@dataclass(frozen=True)
-class PriorBounds(_LogLogCurve):
-    """Previously published bounds on the same lambda axis."""
-
-    lambdas: tuple[float, ...]
-    alphas: tuple[float, ...]
-    source: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambdas", tuple(self.lambdas))
-        object.__setattr__(self, "alphas", tuple(self.alphas))
-        _check_curve(self.lambdas, self.alphas)
-
-    def alpha_at(self, lam: float) -> float:
-        return self._alpha_at(lam, "prior-bounds")
-
-
 def exclusion_scan(
     spec: ResolutionSpec,
     lambda_min: float,
@@ -194,7 +166,7 @@ def exclusion_scan(
     n_points: int,
     thicknesses: tuple[float, ...],
     constants: PhysicalConstants = CODATA2018,
-) -> list[ExclusionCurve]:
+) -> list[Curve]:
     """One exclusion curve per facing-layer thickness.
 
     The lambda grid is log-spaced with n_points from lambda_min to
@@ -212,20 +184,25 @@ def exclusion_scan(
         raise DomainError(f"degenerate scan: need at least 2 points, got {n_points}")
     if not thicknesses:
         raise InvalidParameterError("thicknesses must not be empty")
-    grid = tuple(
-        float(x)
-        for x in np.logspace(math.log10(lambda_min), math.log10(lambda_max), n_points)
+    # numpy.linspace's arithmetic on the exponents, with the endpoints
+    # pinned so the grid starts and ends at exactly the requested lambdas
+    lo, hi = math.log10(lambda_min), math.log10(lambda_max)
+    step = (hi - lo) / (n_points - 1)
+    grid = (
+        lambda_min,
+        *(10.0 ** (k * step + lo) for k in range(1, n_points - 1)),
+        lambda_max,
     )
     curves = []
     for thickness in thicknesses:
         require_positive("thickness", thickness)
         curve_spec = spec.with_thickness(thickness)
         alphas = tuple(alpha_bound(lam, curve_spec, constants) for lam in grid)
-        curves.append(ExclusionCurve(lambdas=grid, alphas=alphas, spec=curve_spec))
+        curves.append(Curve(lambdas=grid, alphas=alphas))
     return curves
 
 
-def improvement_factor(new: ExclusionCurve, prior: PriorBounds, lam: float) -> float:
+def improvement_factor(new: Curve, prior: Curve, lam: float) -> float:
     """How far the new curve undercuts the prior bound at lam.
 
     Ratio prior/new of interpolated bounds; > 1 means improvement.

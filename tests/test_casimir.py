@@ -4,6 +4,7 @@ import pytest
 
 from plateforces import (
     THERMAL_TRUST_MIN_GAP,
+    DomainError,
     FieldKind,
     InvalidParameterError,
     ThermalModel,
@@ -78,6 +79,13 @@ class TestThermalCasimir:
     def test_small_gap_still_computes(self):
         # below the trust gap the value is flagged downstream, not refused
         assert thermal_casimir(AREA, 1e-6, 300.0) > 0.0
+
+    def test_underflowing_gap_is_a_domain_error(self):
+        # d^3 is 0.0 in double precision; the zero-T force guards d^4 alike
+        with pytest.raises(DomainError, match="separation 1e-110 m"):
+            thermal_casimir(AREA, 1e-110, 300.0)
+        with pytest.raises(DomainError, match="separation 1e-300 m"):
+            casimir_zero_t(AREA, 1e-300)
 
     def test_trust_gap_constant(self):
         assert THERMAL_TRUST_MIN_GAP == 5e-6

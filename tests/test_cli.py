@@ -153,6 +153,21 @@ class TestExclusionCommand:
         (warning,) = table.warnings
         assert "4 rows" in warning and "1e-09" in warning
 
+    def test_prior_knot_on_requested_lambda_min(self, tmp_path):
+        # the grid starts at exactly 5e-6, so the prior's first knot covers it
+        prior = tmp_path / "prior.csv"
+        prior.write_text("5e-6,1e8\n1e-3,1e2\n")
+        code, out = run(
+            ["exclusion", "--config", BASELINE, "--lambda-min", "5 um",
+             "--lambda-max", "1 mm", "--points", "4", "--thickness", "10 um",
+             "--prior", str(prior)],
+            tmp_path,
+        )
+        assert code == 0
+        table = ResultTable.from_csv(out.read_text())
+        assert table.rows[0][1] == 5e-6
+        assert all(math.isfinite(row[-1]) for row in table.rows)
+
     def test_cli_flags_reach_scan(self, tmp_path):
         code, out = run(
             [
@@ -269,6 +284,19 @@ class TestExitCodes:
         code = main(["budget", "--config", str(config)])
         assert code == 2
         assert "[yukawa] alpha" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_cli_import_does_not_load_numpy(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, plateforces.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestDeterminism:

@@ -222,6 +222,15 @@ class TestIngestPriorBounds:
         with pytest.raises(ConfigError, match="line 2"):
             ingest_prior_bounds(path)
 
+    @pytest.mark.parametrize(
+        "row", ["inf,1e4", "1e-5,inf", "nan,1e4", "1e-5,nan"],
+        ids=["lambda-inf", "alpha-inf", "lambda-nan", "alpha-nan"],
+    )
+    def test_non_finite_names_line(self, tmp_path, row):
+        path = write(tmp_path, f"1e-6,1e8\n{row}\n", "prior.csv")
+        with pytest.raises(ConfigError, match="line 2: .* finite"):
+            ingest_prior_bounds(path)
+
     def test_header_only_rejected(self, tmp_path):
         path = write(tmp_path, "lambda_m,alpha\n", "prior.csv")
         with pytest.raises(ConfigError, match="data rows"):

@@ -3,10 +3,9 @@ import math
 import pytest
 
 from plateforces import (
+    Curve,
     DomainError,
-    ExclusionCurve,
     InvalidParameterError,
-    PriorBounds,
     ResolutionSpec,
     YukawaParams,
     alpha_bound,
@@ -93,8 +92,14 @@ class TestExclusionScan:
         curves = exclusion_scan(gold_spec(), 1e-6, 1e-2, 2, (1e-5,))
         (curve,) = curves
         assert len(curve.lambdas) == 2
-        assert curve.alphas[0] == alpha_bound(curve.lambdas[0], curve.spec)
-        assert curve.alphas[1] == alpha_bound(curve.lambdas[1], curve.spec)
+        assert curve.alphas[0] == alpha_bound(curve.lambdas[0], gold_spec())
+        assert curve.alphas[1] == alpha_bound(curve.lambdas[1], gold_spec())
+
+    def test_endpoints_are_the_requested_lambdas(self):
+        # 10 ** log10(5e-6) is 4.9999999999999996e-06, one ulp short
+        (curve,) = exclusion_scan(gold_spec(), 5e-6, 1e-3, 4, (1e-5,))
+        assert curve.lambdas[0] == 5e-6
+        assert curve.lambdas[-1] == 1e-3
 
     def test_monotone_decreasing_over_micron_to_centimeter(self):
         (curve,) = exclusion_scan(gold_spec(), 1e-6, 1e-2, 1000, (1e-5,))
@@ -142,7 +147,7 @@ class TestCurveInterpolation:
     def test_power_law_is_exact(self):
         lambdas = tuple(1e-6 * 10 ** (i / 4) for i in range(17))
         alphas = tuple(2.5 * (lam / 1e-6) ** -1.7 for lam in lambdas)
-        curve = ExclusionCurve(lambdas=lambdas, alphas=alphas, spec=gold_spec())
+        curve = Curve(lambdas=lambdas, alphas=alphas)
         for i in range(len(lambdas) - 1):
             lam = math.sqrt(lambdas[i] * lambdas[i + 1])
             assert curve.alpha_at(lam) == pytest.approx(
@@ -163,25 +168,34 @@ class TestCurveInterpolation:
 
     def test_curve_validation(self):
         with pytest.raises(InvalidParameterError):
-            ExclusionCurve(lambdas=(1e-6, 1e-6), alphas=(1.0, 2.0), spec=gold_spec())
+            Curve(lambdas=(1e-6, 1e-6), alphas=(1.0, 2.0))
         with pytest.raises(InvalidParameterError):
-            ExclusionCurve(lambdas=(1e-6, 1e-5), alphas=(1.0,), spec=gold_spec())
+            Curve(lambdas=(1e-6, 1e-5), alphas=(1.0,))
         with pytest.raises(InvalidParameterError):
-            ExclusionCurve(lambdas=(1e-6, 1e-5), alphas=(1.0, -2.0), spec=gold_spec())
+            Curve(lambdas=(1e-6, 1e-5), alphas=(1.0, -2.0))
         with pytest.raises(InvalidParameterError):
-            ExclusionCurve(lambdas=(1e-6,), alphas=(1.0,), spec=gold_spec())
+            Curve(lambdas=(1e-6,), alphas=(1.0,))
+        # alpha may be inf, lambda may not, and nothing may be nan
+        for lambdas, alphas in (
+            ((1e-6, math.inf), (1.0, 2.0)),
+            ((1e-6, 1e-5), (math.nan, 2.0)),
+            ((1e-6, 1e-5), (-math.inf, 2.0)),
+        ):
+            with pytest.raises(InvalidParameterError):
+                Curve(lambdas=lambdas, alphas=alphas)
+        assert Curve(lambdas=(1e-9, 1e-6), alphas=(math.inf, 1.0)).alphas[0] == math.inf
 
 
 class TestImprovementFactor:
     def test_identical_curves_give_exactly_one(self):
         (curve,) = exclusion_scan(gold_spec(), 1e-6, 1e-2, 100, (1e-5,))
-        prior = PriorBounds(lambdas=curve.lambdas, alphas=curve.alphas, source="self")
+        prior = Curve(lambdas=curve.lambdas, alphas=curve.alphas, source="self")
         for lam in (1e-6, 1e-4, 1e-2, 3.3e-5):
             assert improvement_factor(curve, prior, lam) == 1.0
 
     def test_hundredfold_prior(self):
         (curve,) = exclusion_scan(gold_spec(), 1e-6, 1e-2, 100, (1e-5,))
-        prior = PriorBounds(
+        prior = Curve(
             lambdas=curve.lambdas,
             alphas=tuple(100.0 * a for a in curve.alphas),
             source="synthetic",
@@ -193,7 +207,7 @@ class TestImprovementFactor:
 
     def test_outside_either_domain_refused(self):
         (curve,) = exclusion_scan(gold_spec(), 1e-6, 1e-2, 100, (1e-5,))
-        prior = PriorBounds(lambdas=(1e-5, 1e-4), alphas=(1e3, 1e2), source="narrow")
+        prior = Curve(lambdas=(1e-5, 1e-4), alphas=(1e3, 1e2), source="narrow")
         with pytest.raises(DomainError) as err:
             improvement_factor(curve, prior, 1e-6)
         # the message should report both domains so the caller can fix the query
@@ -201,6 +215,6 @@ class TestImprovementFactor:
 
     def test_prior_bounds_validation(self):
         with pytest.raises(InvalidParameterError):
-            PriorBounds(lambdas=(1e-5, 1e-6), alphas=(1.0, 2.0))
+            Curve(lambdas=(1e-5, 1e-6), alphas=(1.0, 2.0))
         with pytest.raises(InvalidParameterError):
-            PriorBounds(lambdas=(1e-6, 1e-5), alphas=(0.0, 2.0))
+            Curve(lambdas=(1e-6, 1e-5), alphas=(0.0, 2.0))

@@ -1,8 +1,8 @@
 """The one-pass log-log interpolation against numpy.interp.
 
-PriorBounds.alphas_at and the scalar alpha_at of both curve types share
-one implementation that caches the knot logs per curve.  The reference
-is the per-query computation it replaced (oracles.loglog_interp).
+Curve.alphas_at and the scalar Curve.alpha_at share one implementation
+that caches the knot logs per curve.  The reference is the per-query
+computation it replaced (oracles.loglog_interp).
 """
 
 import math
@@ -13,18 +13,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import LIBM_LOG, loglog_interp
-from plateforces import DomainError, ExclusionCurve, PriorBounds, ResolutionSpec
-
-SPEC = ResolutionSpec(
-    force_resolution=1e-12,
-    gap=5e-6,
-    density_a=19.3e3,
-    density_b=19.3e3,
-    thickness_a=1e-5,
-    thickness_b=1e-5,
-    area=0.012,
-)
-
+from plateforces import Curve, DomainError
 
 @st.composite
 def curves_and_grids(draw):
@@ -53,7 +42,7 @@ def curves_and_grids(draw):
         lambdas[-1] * 2,
     ]
     grid = sorted(set(lambdas + inside + outside))
-    return PriorBounds(lambdas=lambdas, alphas=alphas, source="hypothesis"), grid
+    return Curve(lambdas=lambdas, alphas=alphas, source="hypothesis"), grid
 
 
 def same(a: float, b: float) -> bool:
@@ -97,14 +86,14 @@ def test_scalar_alpha_at_is_the_same_pass(case):
 def test_knots_and_both_ends_take_the_knot_value():
     lambdas = (1e-6, 3e-6, 1e-5, 4e-5)
     alphas = (1e8, 2.5e6, 7e4, 3.3e3)
-    prior = PriorBounds(lambdas=lambdas, alphas=alphas)
+    prior = Curve(lambdas=lambdas, alphas=alphas)
     got = prior.alphas_at(lambdas)
     assert got == [math.exp(math.log(alpha)) for alpha in alphas]
     assert got == [loglog_interp(lam, lambdas, alphas, LIBM_LOG) for lam in lambdas]
 
 
 def test_nan_outside_domain_and_scalar_refuses():
-    prior = PriorBounds(lambdas=(1e-6, 1e-5), alphas=(1e8, 1e4))
+    prior = Curve(lambdas=(1e-6, 1e-5), alphas=(1e8, 1e4))
     below, above = math.nextafter(1e-6, 0.0), math.nextafter(1e-5, 1.0)
     got = prior.alphas_at([1e-7, below, 1e-6, 1e-5, above, 1e-3])
     assert [math.isnan(value) for value in got] == [True, True, False, False, True, True]
@@ -118,12 +107,12 @@ def test_unbounded_knot_interpolates_to_inf_like_numpy():
     between such a knot and a finite one numpy.interp retries from the
     other end and gives inf, and so does the pass."""
     lambdas, alphas = (1e-9, 1e-8, 1e-7), (math.inf, math.inf, 1e20)
-    curve = ExclusionCurve(lambdas=lambdas, alphas=alphas, spec=SPEC)
+    curve = Curve(lambdas=lambdas, alphas=alphas)
     for lam in (1e-9, 3e-9, 1e-8, 5e-8):
         assert curve.alpha_at(lam) == math.inf
         assert loglog_interp(lam, lambdas, alphas, LIBM_LOG) == math.inf
     assert curve.alpha_at(1e-7) == loglog_interp(1e-7, lambdas, alphas, LIBM_LOG)
     # on a knot the knot value is served, even with an infinite neighbour
-    curve = ExclusionCurve(lambdas=lambdas, alphas=alphas[::-1], spec=SPEC)
+    curve = Curve(lambdas=lambdas, alphas=alphas[::-1])
     assert curve.alpha_at(1e-9) == loglog_interp(1e-9, lambdas, alphas[::-1], LIBM_LOG)
     assert math.isfinite(curve.alpha_at(1e-9))
