@@ -34,6 +34,10 @@ CASES = {
     "exclusion": ["exclusion", "--config", CONFIG],
     "exclusion_prior": ["exclusion", "--config", CONFIG,
                         "--prior", str(GOLDEN_DIR / "prior_fixture.csv")],
+    # inf alpha rows, nan improvement_1 rows and the overflow warning line
+    "exclusion_edge": ["exclusion", "--config", CONFIG, "--lambda-min", "1 nm",
+                       "--points", "60",
+                       "--prior", str(GOLDEN_DIR / "prior_fixture.csv")],
 }
 
 
