@@ -14,10 +14,16 @@ from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
+from operator import lt
 
 from .core import CODATA2018, PhysicalConstants, require_positive
 from .errors import DomainError, InvalidParameterError
 from .gravity import yukawa_thickness_bracket
+
+# ten times the 100 000-point stress scan; a larger one is refused before
+# its grid is built
+MAX_SCAN_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -68,22 +74,34 @@ def alpha_bound(
     the gap) no finite coupling is detectable and the bound is inf.
     """
     require_positive("lam", lam)
-    denominator = (
-        2.0
-        * math.pi
-        * constants.G
-        * spec.density_a
-        * spec.density_b
-        * spec.area
-        * lam**2
-        * yukawa_thickness_bracket(spec.thickness_a, lam)
-        * yukawa_thickness_bracket(spec.thickness_b, lam)
+    return _alpha_bounds((lam,), spec, constants)[0]
+
+
+def _alpha_bounds(
+    grid: Iterable[float], spec: ResolutionSpec, constants: PhysicalConstants
+) -> tuple[float, ...]:
+    """alpha_bound at every lambda of grid, unchecked.
+
+    The lambda-independent factor is taken once; Python multiplies left
+    to right, so every alpha is the same double as the full product.
+    """
+    prefactor = (
+        2.0 * math.pi * constants.G * spec.density_a * spec.density_b * spec.area
     )
-    try:
-        return spec.force_resolution * math.exp(spec.gap / lam) / denominator
-    except (OverflowError, ZeroDivisionError):
-        # exp(d/lam) overflows, or lam**2 underflows to zero
-        return math.inf
+    resolution, gap = spec.force_resolution, spec.gap
+    thickness_a, thickness_b = spec.thickness_a, spec.thickness_b
+    exp, bracket = math.exp, yukawa_thickness_bracket
+    alphas = []
+    for lam in grid:
+        denominator = (
+            prefactor * lam**2 * bracket(thickness_a, lam) * bracket(thickness_b, lam)
+        )
+        try:
+            alphas.append(resolution * exp(gap / lam) / denominator)
+        except (OverflowError, ZeroDivisionError):
+            # exp(d/lam) overflows, or lam**2 underflows to zero
+            alphas.append(math.inf)
+    return tuple(alphas)
 
 
 @dataclass(frozen=True)
@@ -110,6 +128,17 @@ class Curve:
             )
         if len(self.lambdas) < 2:
             raise InvalidParameterError("a curve needs at least two points")
+        # one pass in C: a strictly increasing grid from > 0 to < inf is
+        # finite and positive throughout (any comparison with nan fails)
+        lams, alphas = self.lambdas, self.alphas
+        if (
+            all(map(lt, repeat(0.0), alphas))
+            and 0.0 < lams[0]
+            and lams[-1] < math.inf
+            and all(map(lt, lams, lams[1:]))
+        ):
+            return
+        # the checks again, one value at a time, to name the offending one
         for lam, alpha in zip(self.lambdas, self.alphas):
             require_positive("lambda", lam)
             if alpha != math.inf:
@@ -170,8 +199,8 @@ def exclusion_scan(
     """One exclusion curve per facing-layer thickness.
 
     The lambda grid is log-spaced with n_points from lambda_min to
-    lambda_max inclusive; every curve shares it.  Output order follows
-    the thicknesses argument.
+    lambda_max inclusive; every curve shares it, and n_points is at most
+    MAX_SCAN_POINTS.  Output order follows the thicknesses argument.
     """
     require_positive("lambda_min", lambda_min)
     require_positive("lambda_max", lambda_max)
@@ -182,6 +211,10 @@ def exclusion_scan(
         )
     if n_points < 2:
         raise DomainError(f"degenerate scan: need at least 2 points, got {n_points}")
+    if n_points > MAX_SCAN_POINTS:
+        raise DomainError(
+            f"scan too large: at most {MAX_SCAN_POINTS} points, got {n_points}"
+        )
     if not thicknesses:
         raise InvalidParameterError("thicknesses must not be empty")
     # numpy.linspace's arithmetic on the exponents, with the endpoints
@@ -196,8 +229,7 @@ def exclusion_scan(
     curves = []
     for thickness in thicknesses:
         require_positive("thickness", thickness)
-        curve_spec = spec.with_thickness(thickness)
-        alphas = tuple(alpha_bound(lam, curve_spec, constants) for lam in grid)
+        alphas = _alpha_bounds(grid, spec.with_thickness(thickness), constants)
         curves.append(Curve(lambdas=grid, alphas=alphas))
     return curves
 

@@ -16,11 +16,12 @@ from .errors import InvalidParameterError
 
 _METADATA_PREFIX = "# "
 _WARNING_KEY = "warning"
+_FLOAT_FORMAT = "%.17g"
 
 
 def format_float(value: float) -> str:
     """17 significant digits: enough to reproduce any double exactly."""
-    return format(value, ".17g")
+    return _FLOAT_FORMAT % value
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,15 @@ class ResultTable:
                 )
 
     def to_csv(self) -> str:
-        lines = []
-        for key, value in self.metadata:
-            lines.append(f"{_METADATA_PREFIX}{key} = {value}")
-        for warning in self.warnings:
-            lines.append(f"{_METADATA_PREFIX}{_WARNING_KEY}: {warning}")
-        lines.append(",".join(self.columns))
-        for row in self.rows:
-            lines.append(",".join(format_float(value) for value in row))
-        return "\n".join(lines) + "\n"
+        lines = [f"{_METADATA_PREFIX}{key} = {value}\n" for key, value in self.metadata]
+        lines.extend(
+            f"{_METADATA_PREFIX}{_WARNING_KEY}: {warning}\n" for warning in self.warnings
+        )
+        lines.append(",".join(self.columns) + "\n")
+        # one % call per row formats every value as format_float does
+        row_format = ",".join([_FLOAT_FORMAT] * len(self.columns)) + "\n"
+        lines.extend(map(row_format.__mod__, self.rows))
+        return "".join(lines)
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":

@@ -12,6 +12,9 @@ import math
 import numpy as np
 from scipy.integrate import dblquad, quad
 
+from plateforces.core import CODATA2018, require_positive
+from plateforces.gravity import yukawa_thickness_bracket
+
 # Beyond this many interaction ranges the integrand has decayed to
 # ~1e-27 of its surface value; truncating there keeps the adaptive
 # quadrature honest on centimeter-thick substrates probed at micron
@@ -152,3 +155,27 @@ def loglog_interp(lam: float, lambdas, alphas, knot_log=np.log) -> float:
 
 
 LIBM_LOG = np.vectorize(math.log, otypes=[float])
+
+
+def alpha_bound_reference(lam: float, spec, constants=CODATA2018) -> float:
+    """The Yukawa inversion as alpha_bound computed it one lambda at a
+    time, before the scan took the lambda-independent factor out of its
+    loop: the whole denominator as one left-to-right product.
+    """
+    require_positive("lam", lam)
+    denominator = (
+        2.0
+        * math.pi
+        * constants.G
+        * spec.density_a
+        * spec.density_b
+        * spec.area
+        * lam**2
+        * yukawa_thickness_bracket(spec.thickness_a, lam)
+        * yukawa_thickness_bracket(spec.thickness_b, lam)
+    )
+    try:
+        return spec.force_resolution * math.exp(spec.gap / lam) / denominator
+    except (OverflowError, ZeroDivisionError):
+        # exp(d/lam) overflows, or lam**2 underflows to zero
+        return math.inf

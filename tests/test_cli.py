@@ -7,6 +7,7 @@ import pytest
 
 from plateforces import ResultTable
 from plateforces.cli import cmd_exclusion, cmd_forces, main
+from plateforces.exclusion import MAX_SCAN_POINTS
 from plateforces import (
     alpha_bound,
     casimir_zero_t,
@@ -249,6 +250,13 @@ class TestExitCodes:
             ]
         )
         assert code == 3
+
+    def test_too_many_points(self, capsys):
+        code = main(
+            ["exclusion", "--config", BASELINE, "--points", str(MAX_SCAN_POINTS + 1)]
+        )
+        assert code == 3
+        assert f"at most {MAX_SCAN_POINTS} points" in capsys.readouterr().err
 
     def test_bad_prior_file(self, tmp_path, capsys):
         prior = tmp_path / "prior.csv"

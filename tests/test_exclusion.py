@@ -1,7 +1,12 @@
 import math
+import re
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from oracles import alpha_bound_reference
 from plateforces import (
     Curve,
     DomainError,
@@ -13,6 +18,7 @@ from plateforces import (
     improvement_factor,
     plate_yukawa,
 )
+from plateforces.exclusion import MAX_SCAN_POINTS
 
 GOLD = 19.3e3
 
@@ -128,6 +134,10 @@ class TestExclusionScan:
         with pytest.raises(DomainError):
             exclusion_scan(gold_spec(), 1e-6, 1e-2, 1, (1e-5,))
 
+    def test_rejects_more_than_max_points(self):
+        with pytest.raises(DomainError, match=f"at most {MAX_SCAN_POINTS} points"):
+            exclusion_scan(gold_spec(), 1e-6, 1e-2, MAX_SCAN_POINTS + 1, (1e-5,))
+
     def test_rejects_bad_thicknesses(self):
         with pytest.raises(InvalidParameterError):
             exclusion_scan(gold_spec(), 1e-6, 1e-2, 10, ())
@@ -141,6 +151,40 @@ class TestExclusionScan:
         (curve,) = exclusion_scan(gold_spec(), 1e-9, 1e-2, 5, (1e-5,))
         assert curve.alphas[0] == math.inf
         assert all(math.isfinite(alpha) for alpha in curve.alphas[1:])
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda exponent: 10.0**exponent)
+
+
+@example(resolution=1e-12, gap=5e-6, thicknesses=[1e-5], lambda_min=1e-9,
+         decades=7.0, n_points=60)
+@given(
+    resolution=_log_uniform(-16, -8),
+    gap=_log_uniform(-7, -4),
+    thicknesses=st.lists(_log_uniform(-8, -1), min_size=1, max_size=3),
+    lambda_min=_log_uniform(-9, -5),
+    decades=st.floats(0.1, 7.0),
+    n_points=st.integers(2, 60),
+)
+def test_scan_alpha_equals_reference_bit_for_bit(
+    resolution, gap, thicknesses, lambda_min, decades, n_points
+):
+    # lambda_min reaches 1 nm, below which exp(gap/lambda) overflows
+    spec = replace(gold_spec(resolution=resolution), gap=gap)
+    lambda_max = lambda_min * 10.0**decades
+    curves = exclusion_scan(spec, lambda_min, lambda_max, n_points, tuple(thicknesses))
+    for thickness, curve in zip(thicknesses, curves):
+        curve_spec = spec.with_thickness(thickness)
+        expected = [alpha_bound_reference(lam, curve_spec) for lam in curve.lambdas]
+        assert list(curve.alphas) == expected
+
+
+def test_reference_oracle_reaches_the_overflow_region():
+    (curve,) = exclusion_scan(gold_spec(), 1e-9, 1e-2, 60, (1e-5,))
+    expected = [alpha_bound_reference(lam, gold_spec()) for lam in curve.lambdas]
+    assert list(curve.alphas) == expected
+    assert expected.count(math.inf) == 8
 
 
 class TestCurveInterpolation:
@@ -167,21 +211,34 @@ class TestCurveInterpolation:
             curve.alpha_at(1.1e-2)
 
     def test_curve_validation(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="1e-06 follows 1e-06"):
             Curve(lambdas=(1e-6, 1e-6), alphas=(1.0, 2.0))
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="2 lambda values but 1 alpha"):
             Curve(lambdas=(1e-6, 1e-5), alphas=(1.0,))
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=r"alpha .* got -2\.0$"):
             Curve(lambdas=(1e-6, 1e-5), alphas=(1.0, -2.0))
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="at least two points"):
             Curve(lambdas=(1e-6,), alphas=(1.0,))
-        # alpha may be inf, lambda may not, and nothing may be nan
-        for lambdas, alphas in (
-            ((1e-6, math.inf), (1.0, 2.0)),
-            ((1e-6, 1e-5), (math.nan, 2.0)),
-            ((1e-6, 1e-5), (-math.inf, 2.0)),
+        # alpha may be inf, lambda may not, and nothing may be nan; the
+        # message names the first offending value, also mid-grid
+        lam_message = "lambda must be a finite positive number, got "
+        alpha_message = "alpha must be a finite positive number, got "
+        for lambdas, alphas, message in (
+            ((1e-6, math.inf), (1.0, 2.0), lam_message + "inf"),
+            ((1e-6, 1e-5), (math.nan, 2.0), alpha_message + "nan"),
+            ((1e-6, 1e-5), (-math.inf, 2.0), alpha_message + "-inf"),
+            ((1e-6, math.nan, 1e-4), (1.0, 2.0, 3.0), lam_message + "nan"),
+            ((1e-6, math.inf, 1e-4), (1.0, 2.0, 3.0), lam_message + "inf"),
+            ((-1e-6, 1e-5, 1e-4), (1.0, 2.0, 3.0), lam_message + "-1e-06"),
+            (
+                (1e-5, 1e-6, 1e-4),
+                (1.0, 2.0, 3.0),
+                "lambda grid must be strictly increasing; 1e-06 follows 1e-05",
+            ),
+            ((1e-6, 1e-5, 1e-4), (1.0, math.nan, 3.0), alpha_message + "nan"),
+            ((1e-6, 1e-5, 1e-4), (1.0, -0.0, 3.0), alpha_message + "-0.0"),
         ):
-            with pytest.raises(InvalidParameterError):
+            with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
                 Curve(lambdas=lambdas, alphas=alphas)
         assert Curve(lambdas=(1e-9, 1e-6), alphas=(math.inf, 1.0)).alphas[0] == math.inf
 

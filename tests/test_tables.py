@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from plateforces import InvalidParameterError, ResultTable
 from plateforces.tables import format_float
@@ -34,6 +36,9 @@ class TestFormatting:
     def test_value_survives_text(self, value):
         assert float(format_float(value)) == value
 
+    def test_negative_zero_keeps_its_sign(self):
+        assert format_float(-0.0) == "-0"
+
 
 class TestRoundTrip:
     def test_bitwise(self):
@@ -54,6 +59,23 @@ class TestRoundTrip:
     def test_empty_rows_allowed(self):
         table = ResultTable(columns=("gap_m",), rows=())
         assert ResultTable.from_csv(table.to_csv()) == table
+
+
+SPECIAL_ROW = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072009e-308)
+
+
+@example(rows=[SPECIAL_ROW, tuple(reversed(SPECIAL_ROW))])
+@given(
+    rows=st.integers(1, 7).flatmap(
+        lambda width: st.lists(st.tuples(*[st.floats()] * width), max_size=8)
+    )
+)
+def test_data_lines_are_seventeen_digit_values(rows):
+    width = len(rows[0]) if rows else 1
+    table = ResultTable(columns=tuple(f"c{i}" for i in range(width)), rows=rows)
+    data_lines = table.to_csv().split("\n")[1:-1]
+    # reference: every value formatted on its own
+    assert data_lines == [",".join(format(v, ".17g") for v in row) for row in rows]
 
 
 class TestValidation:
