@@ -38,6 +38,11 @@ CASES = {
     "exclusion_edge": ["exclusion", "--config", CONFIG, "--lambda-min", "1 nm",
                        "--points", "60",
                        "--prior", str(GOLDEN_DIR / "prior_fixture.csv")],
+    # a repeated thickness merges two blocks into one 80-row run of
+    # equal leads; the smaller thickness after it starts a 40-row run
+    "exclusion_runs": ["exclusion", "--config", CONFIG, "--points", "40",
+                       "--thickness", "1 um", "--thickness", "1 um",
+                       "--thickness", "0.3 um"],
 }
 
 
