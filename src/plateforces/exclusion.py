@@ -10,6 +10,7 @@ the curve is an upper bound on allowed couplings.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
@@ -24,6 +25,8 @@ from .gravity import yukawa_thickness_bracket
 # ten times the 100 000-point stress scan; a larger one is refused before
 # its grid is built
 MAX_SCAN_POINTS = 1_000_000
+# lam**2 in the inversion overflows a double above this range, in m
+MAX_LAMBDA = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,15 @@ def alpha_bound(
     the gap) no finite coupling is detectable and the bound is inf.
     """
     require_positive("lam", lam)
+    _require_squarable("lam", lam)
     return _alpha_bounds((lam,), spec, constants)[0]
+
+
+def _require_squarable(name: str, lam: float) -> None:
+    if lam > MAX_LAMBDA:
+        raise DomainError(
+            f"{name} {lam:g} m is above {MAX_LAMBDA:.3g} m: lambda**2 overflows"
+        )
 
 
 def _alpha_bounds(
@@ -204,6 +215,7 @@ def exclusion_scan(
     """
     require_positive("lambda_min", lambda_min)
     require_positive("lambda_max", lambda_max)
+    _require_squarable("lambda_max", lambda_max)
     if not lambda_max > lambda_min:
         raise DomainError(
             f"degenerate scan: lambda_max {lambda_max:g} must exceed "

@@ -10,7 +10,10 @@ ever emitted.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import is_, itemgetter
 
 from .errors import InvalidParameterError
 
@@ -35,17 +38,19 @@ class ResultTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         object.__setattr__(self, "metadata", tuple(tuple(item) for item in self.metadata))
         object.__setattr__(self, "warnings", tuple(self.warnings))
         if not self.columns:
             raise InvalidParameterError("a table needs at least one column")
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise InvalidParameterError(
-                    f"row of {len(row)} values in a table of "
-                    f"{len(self.columns)} columns"
-                )
+        # one pass in C; the rows are walked only to name the offending one
+        if not set(map(len, self.rows)) <= {len(self.columns)}:
+            for row in self.rows:
+                if len(row) != len(self.columns):
+                    raise InvalidParameterError(
+                        f"row of {len(row)} values in a table of "
+                        f"{len(self.columns)} columns"
+                    )
         for key, _ in self.metadata:
             if key == _WARNING_KEY:
                 raise InvalidParameterError(
@@ -58,10 +63,37 @@ class ResultTable:
             f"{_METADATA_PREFIX}{_WARNING_KEY}: {warning}\n" for warning in self.warnings
         )
         lines.append(",".join(self.columns) + "\n")
-        # one % call per row formats every value as format_float does
-        row_format = ",".join([_FLOAT_FORMAT] * len(self.columns)) + "\n"
-        lines.extend(map(row_format.__mod__, self.rows))
+        lines.extend(self._row_runs())
         return "".join(lines)
+
+    def _row_runs(self) -> Iterator[str]:
+        """Data rows, one joined string per run of rows with equal leads.
+
+        Long-format tables repeat a lead down each run and often the second
+        column (a shared lambda grid) from run to run; each is formatted once.
+        Only one run's row strings are alive at a time, and the grid text is
+        freed before to_csv's final join.
+        """
+        width = len(self.columns)
+        # one % call per row formats every value as format_float does
+        row_format = ",".join([_FLOAT_FORMAT] * width) + "\n"
+        tail_format = f",{_FLOAT_FORMAT}" * (width - 2) + "\n"
+        column = [itemgetter(k) for k in range(width)]
+        grid, grid_text = (), []
+        for lead, run in groupby(self.rows, column[0]):
+            run = tuple(run)
+            # a single row gains nothing from a run template; 0.0 and -0.0
+            # share a run but print as "0" and "-0"
+            if len(run) == 1 or width == 1 or lead == 0.0:
+                yield "".join(map(row_format.__mod__, run))
+                continue
+            # identity, not ==: equal floats need not print alike (0.0, -0.0)
+            if len(run) != len(grid) or not all(map(is_, map(column[1], run), grid)):
+                grid = tuple(map(column[1], run))
+                grid_text = list(map(_FLOAT_FORMAT.__mod__, grid))
+            run_format = f"{_FLOAT_FORMAT % lead},%s{tail_format}"
+            values = zip(grid_text, *(map(get, run) for get in column[2:]))
+            yield "".join(map(run_format.__mod__, values))
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":

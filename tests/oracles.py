@@ -179,3 +179,17 @@ def alpha_bound_reference(lam: float, spec, constants=CODATA2018) -> float:
     except (OverflowError, ZeroDivisionError):
         # exp(d/lam) overflows, or lam**2 underflows to zero
         return math.inf
+
+
+def csv_reference(table) -> str:
+    """ResultTable.to_csv as it was before it wrote rows run by run:
+    every data row through one %.17g template, every value formatted
+    on its own.
+    """
+    lines = [f"# {key} = {value}\n" for key, value in table.metadata]
+    lines.extend(f"# warning: {warning}\n" for warning in table.warnings)
+    lines.append(",".join(table.columns) + "\n")
+    # one % call per row formats every value as format_float does
+    row_format = ",".join(["%.17g"] * len(table.columns)) + "\n"
+    lines.extend(map(row_format.__mod__, table.rows))
+    return "".join(lines)

@@ -285,6 +285,19 @@ class TestExitCodes:
         assert "Traceback" not in result.stderr
         assert "separation 1e-300 m" in result.stderr
 
+    def test_lambda_max_whose_square_overflows_is_a_domain_error(self):
+        # a fresh process, so a traceback would show on its stderr
+        result = subprocess.run(
+            [sys.executable, "-m", "plateforces.cli", "exclusion", "--config",
+             BASELINE, "--lambda-max", "1e300", "--points", "4"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert "lambda_max 1e+300 m" in result.stderr
+
     def test_infinite_yukawa_alpha_is_a_config_error(self, tmp_path, capsys):
         text = BASELINE_CONFIG_PATH.read_text().replace("alpha = 1.0", "alpha = inf")
         config = tmp_path / "inf.ini"

@@ -18,7 +18,7 @@ from plateforces import (
     improvement_factor,
     plate_yukawa,
 )
-from plateforces.exclusion import MAX_SCAN_POINTS
+from plateforces.exclusion import MAX_LAMBDA, MAX_SCAN_POINTS
 
 GOLD = 19.3e3
 
@@ -86,6 +86,13 @@ class TestAlphaBound:
         with pytest.raises(InvalidParameterError):
             alpha_bound(0.0, gold_spec())
 
+    def test_rejects_lam_whose_square_overflows(self):
+        assert math.isfinite(alpha_bound(MAX_LAMBDA, gold_spec()))
+        with pytest.raises(DomainError, match="lam 1e\\+300 m"):
+            alpha_bound(1e300, gold_spec())
+        with pytest.raises(DomainError, match="lam "):
+            alpha_bound(math.nextafter(MAX_LAMBDA, math.inf), gold_spec())
+
     def test_with_thickness_replaces_both(self):
         spec = gold_spec().with_thickness(3e-6)
         assert spec.thickness_a == 3e-6
@@ -133,6 +140,18 @@ class TestExclusionScan:
             exclusion_scan(gold_spec(), 1e-2, 1e-6, 10, (1e-5,))
         with pytest.raises(DomainError):
             exclusion_scan(gold_spec(), 1e-6, 1e-2, 1, (1e-5,))
+
+    def test_rejects_lambda_max_whose_square_overflows(self):
+        (curve,) = exclusion_scan(gold_spec(), 1e-6, MAX_LAMBDA, 4, (1e-5,))
+        assert all(math.isfinite(alpha) for alpha in curve.alphas)
+        with pytest.raises(DomainError, match="lambda_max 1e\\+300 m"):
+            exclusion_scan(gold_spec(), 1e-6, 1e300, 4, (1e-5,))
+
+    def test_curves_share_one_grid(self):
+        # to_csv formats a run's lambdas once when they are the same objects
+        # as the previous run's; a grid copied per curve loses that
+        curves = exclusion_scan(gold_spec(), 1e-6, 1e-2, 50, (3e-7, 1e-6, 1e-5))
+        assert all(curve.lambdas is curves[0].lambdas for curve in curves)
 
     def test_rejects_more_than_max_points(self):
         with pytest.raises(DomainError, match=f"at most {MAX_SCAN_POINTS} points"):
