@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .casimir import separation_power
 from .core import CODATA2018, PhysicalConstants, require_non_negative, require_positive
 from .errors import DomainError, InvalidParameterError
 
@@ -127,9 +128,9 @@ def tilted_casimir(
 
         F = (pi^2 hbar c / 240) * w * (d^-3 - (d + theta l)^-3) / (3 theta)
 
-    which reduces to the flat-plate force as theta -> 0.  Tilts large
-    enough to close the gap (theta * l >= d) are rejected.  For tiny
-    theta the closed form subtracts nearly equal numbers, so a series
+    which reduces to the flat-plate force as theta -> 0.  Tilts that close
+    the gap (theta * l >= d) and gaps whose powers overflow are rejected.
+    For tiny theta the closed form subtracts nearly equal numbers, so a series
     in u = theta * l / d is used instead; the two branches agree to
     better than 1e-12 at the switch point.
     """
@@ -146,16 +147,16 @@ def tilted_casimir(
         )
     coeff = math.pi**2 * constants.hbar * constants.c / 240.0
     if angle == 0.0:
-        return coeff * plate_width * plate_length / separation**4
+        return coeff * plate_width * plate_length / separation_power(separation, 4)
     u = rise / separation
     if u < 1e-4:
         # (1 - (1+u)^-3) / (3u) = 1 - 2u + (10/3)u^2 - 5u^3 + 7u^4 - ...
         # truncation below 1e-19 relative at the branch point
         g = 1.0 - 2.0 * u + (10.0 / 3.0) * u * u - 5.0 * u**3 + 7.0 * u**4
-        return coeff * plate_width * plate_length / separation**4 * g
+        return coeff * plate_width * plate_length / separation_power(separation, 4) * g
     return (
         coeff
         * plate_width
-        * (separation**-3 - (separation + rise) ** -3)
+        * (separation_power(separation, -3) - (separation + rise) ** -3)
         / (3.0 * angle)
     )

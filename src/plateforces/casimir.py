@@ -30,6 +30,19 @@ BORDER_FORCE_COEFF_SCALAR = 0.12
 BORDER_AREA_COEFF_SCALAR = 0.36
 
 
+def separation_power(separation: float, exponent: int) -> float:
+    """d**exponent, or DomainError naming d when it overflows or underflows to zero."""
+    try:
+        power = separation**exponent
+    except OverflowError:
+        power = math.inf
+    if 0.0 < power < math.inf:
+        return power
+    size = "small" if (power == 0.0) == (exponent > 0) else "large"
+    outcome = "underflows to zero" if power == 0.0 else "overflows"
+    raise DomainError(f"separation {separation:g} m is too {size}: d^{exponent} {outcome}")
+
+
 class FieldKind(enum.Enum):
     """Field content assumed for the border correction."""
 
@@ -78,18 +91,13 @@ def casimir_zero_t(
     Raises
     ------
     DomainError
-        If d^4 underflows to zero (d below about 1.3e-81 m).
+        If d^4 underflows to zero or overflows (d below about 1.3e-81 m
+        or above about 1.16e77 m).
     """
     require_positive("area", area)
     require_positive("separation", separation)
-    try:
-        return (
-            math.pi**2 * constants.hbar * constants.c / 240.0 * area / separation**4
-        )
-    except ZeroDivisionError:
-        raise DomainError(
-            f"separation {separation:g} m is too small: d^4 underflows to zero"
-        ) from None
+    coeff = math.pi**2 * constants.hbar * constants.c / 240.0
+    return coeff * area / separation_power(separation, 4)
 
 
 def thermal_casimir(
@@ -106,25 +114,14 @@ def thermal_casimir(
     wavelength is small compared to the gap; see THERMAL_TRUST_MIN_GAP
     for where that assumption starts to strain.  T = 0 returns 0.
 
-    Raises DomainError if d^3 underflows to zero (d below about
-    1.4e-108 m).
+    Raises DomainError if d^3 underflows to zero or overflows (d below
+    about 1.4e-108 m or above about 5.6e102 m).
     """
     require_positive("area", area)
     require_positive("separation", separation)
     require_non_negative("temperature", temperature)
-    try:
-        return (
-            constants.zeta3
-            * constants.k_B
-            * temperature
-            / (4.0 * math.pi)
-            * area
-            / separation**3
-        )
-    except ZeroDivisionError:
-        raise DomainError(
-            f"separation {separation:g} m is too small: d^3 underflows to zero"
-        ) from None
+    coeff = constants.zeta3 * constants.k_B * temperature / (4.0 * math.pi)
+    return coeff * area / separation_power(separation, 3)
 
 
 def total_casimir(

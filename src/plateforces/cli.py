@@ -18,7 +18,6 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
-from itertools import repeat
 from operator import truediv
 
 from .balance import (
@@ -177,7 +176,7 @@ def cmd_exclusion(
     prior: Curve | None = None,
     constants: PhysicalConstants = CODATA2018,
 ) -> ResultTable:
-    """Exclusion curves in long format: one row per (thickness, lambda).
+    """Exclusion curves in long format: one table block per thickness.
 
     With a prior-bounds file, an improvement column is appended; rows
     whose lambda falls outside the prior's domain get nan there.
@@ -195,12 +194,13 @@ def cmd_exclusion(
         columns.append("improvement_1")
         # every curve shares the grid, so the prior is interpolated once
         prior_alphas = prior.alphas_at(curves[0].lambdas)
+    # the thickness repeats down its block; every block holds one grid object
     rows = []
     for thickness, curve in zip(thicknesses, curves):
-        row_parts = [repeat(thickness), curve.lambdas, curve.alphas]
+        block = (thickness, curve.lambdas, curve.alphas)
         if prior is not None:
-            row_parts.append(map(truediv, prior_alphas, curve.alphas))
-        rows.extend(zip(*row_parts))
+            block += (tuple(map(truediv, prior_alphas, curve.alphas)),)
+        rows.append(block)
     warnings = []
     unbounded = [
         lam

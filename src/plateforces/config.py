@@ -319,7 +319,10 @@ def ingest_prior_bounds(path: str, source: str = "") -> Curve:
     offending line; a file with no data rows is rejected.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
     lambdas: list[float] = []
     alphas: list[float] = []
     for line_no, line in enumerate(lines, start=1):

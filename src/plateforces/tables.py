@@ -2,18 +2,22 @@
 
 One table = named float columns (units embedded in the names, e.g.
 force_N, lambda_m, dimensionless columns end in _1), key=value
-metadata and free-text warnings.  Serialization is deterministic and
-round-trips bitwise: numbers are written with 17 significant digits,
-metadata keeps insertion order, and nothing time- or host-dependent is
-ever emitted.
+metadata and free-text warnings.  Each item of ``rows`` is one line of
+floats or a block of lines: in a block a tuple entry gives one value
+per line and a float entry repeats on every line, so a long-format
+table holds (thickness, shared lambda grid, alphas) without a tuple
+per line.  Serialization is deterministic and round-trips bitwise:
+numbers are written with 17 significant digits, metadata keeps
+insertion order, and nothing time- or host-dependent is ever emitted.
+``from_csv`` returns flat rows, so ``from_csv(to_csv(t)) == t`` only
+for tables without blocks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import is_, itemgetter
+from itertools import chain
 
 from .errors import InvalidParameterError
 
@@ -27,12 +31,19 @@ def format_float(value: float) -> str:
     return _FLOAT_FORMAT % value
 
 
+def _block_indices(rows: tuple[tuple, ...]) -> list[int]:
+    """Indices of the rows holding a tuple entry; rows are walked only if one does."""
+    if tuple not in set(map(type, chain.from_iterable(rows))):
+        return []
+    return [i for i, row in enumerate(rows) if tuple in map(type, row)]
+
+
 @dataclass(frozen=True)
 class ResultTable:
-    """Immutable table of float rows with metadata and warnings."""
+    """Immutable table of float rows and blocks with metadata and warnings."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    rows: tuple[tuple[float | tuple[float, ...], ...], ...]
     metadata: tuple[tuple[str, str], ...] = field(default=())
     warnings: tuple[str, ...] = field(default=())
 
@@ -41,66 +52,57 @@ class ResultTable:
         object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         object.__setattr__(self, "metadata", tuple(tuple(item) for item in self.metadata))
         object.__setattr__(self, "warnings", tuple(self.warnings))
-        if not self.columns:
+        width = len(self.columns)
+        if not width:
             raise InvalidParameterError("a table needs at least one column")
         # one pass in C; the rows are walked only to name the offending one
-        if not set(map(len, self.rows)) <= {len(self.columns)}:
-            for row in self.rows:
-                if len(row) != len(self.columns):
-                    raise InvalidParameterError(
-                        f"row of {len(row)} values in a table of "
-                        f"{len(self.columns)} columns"
-                    )
-        for key, _ in self.metadata:
-            if key == _WARNING_KEY:
-                raise InvalidParameterError(
-                    "metadata key 'warning' is reserved for the warnings list"
-                )
+        if not set(map(len, self.rows)) <= {width}:
+            bad = next(len(row) for row in self.rows if len(row) != width)
+            raise InvalidParameterError(f"row of {bad} values in a table of {width} columns")
+        for i in _block_indices(self.rows):
+            if len({len(v) for v in self.rows[i] if type(v) is tuple}) > 1:
+                raise InvalidParameterError(f"block {i} holds tuples of different lengths")
+        if any(key == _WARNING_KEY for key, _ in self.metadata):
+            raise InvalidParameterError("metadata key 'warning' is reserved for the warnings list")
 
     def to_csv(self) -> str:
         lines = [f"{_METADATA_PREFIX}{key} = {value}\n" for key, value in self.metadata]
-        lines.extend(
-            f"{_METADATA_PREFIX}{_WARNING_KEY}: {warning}\n" for warning in self.warnings
-        )
+        lines += [f"{_METADATA_PREFIX}{_WARNING_KEY}: {text}\n" for text in self.warnings]
         lines.append(",".join(self.columns) + "\n")
-        lines.extend(self._row_runs())
-        return "".join(lines)
+        return "".join(lines + self._data_lines())
 
-    def _row_runs(self) -> Iterator[str]:
-        """Data rows, one joined string per run of rows with equal leads.
-
-        Long-format tables repeat a lead down each run and often the second
-        column (a shared lambda grid) from run to run; each is formatted once.
-        Only one run's row strings are alive at a time, and the grid text is
-        freed before to_csv's final join.
+    def _data_lines(self) -> list[str]:
+        """One string per plain row and per block.  A block's float entries are
+        formatted once into its line template; a tuple several blocks hold (a
+        shared lambda grid) once per call, keyed by identity since equal tuples
+        need not print alike (0.0, -0.0).  That text is freed before the join.
         """
-        width = len(self.columns)
         # one % call per row formats every value as format_float does
-        row_format = ",".join([_FLOAT_FORMAT] * width) + "\n"
-        tail_format = f",{_FLOAT_FORMAT}" * (width - 2) + "\n"
-        column = [itemgetter(k) for k in range(width)]
-        grid, grid_text = (), []
-        for lead, run in groupby(self.rows, column[0]):
-            run = tuple(run)
-            # a single row gains nothing from a run template; 0.0 and -0.0
-            # share a run but print as "0" and "-0"
-            if len(run) == 1 or width == 1 or lead == 0.0:
-                yield "".join(map(row_format.__mod__, run))
-                continue
-            # identity, not ==: equal floats need not print alike (0.0, -0.0)
-            if len(run) != len(grid) or not all(map(is_, map(column[1], run), grid)):
-                grid = tuple(map(column[1], run))
-                grid_text = list(map(_FLOAT_FORMAT.__mod__, grid))
-            run_format = f"{_FLOAT_FORMAT % lead},%s{tail_format}"
-            values = zip(grid_text, *(map(get, run) for get in column[2:]))
-            yield "".join(map(run_format.__mod__, values))
+        row_format = ",".join([_FLOAT_FORMAT] * len(self.columns)) + "\n"
+        blocks = _block_indices(self.rows)
+        held = Counter(id(v) for i in blocks for v in self.rows[i] if type(v) is tuple)
+        lines, texts, start = [], {}, 0
+        for i in blocks:
+            lines.extend(map(row_format.__mod__, self.rows[start:i]))
+            start = i + 1
+            cells, columns = [], []
+            for v in self.rows[i]:
+                if type(v) is not tuple:
+                    cells.append(_FLOAT_FORMAT % v)
+                    continue
+                if held[id(v)] > 1 and id(v) not in texts:
+                    texts[id(v)] = list(map(_FLOAT_FORMAT.__mod__, v))
+                cells.append("%s" if id(v) in texts else _FLOAT_FORMAT)
+                columns.append(texts.get(id(v), v))
+            block_format = ",".join(cells) + "\n"
+            lines.append("".join(map(block_format.__mod__, zip(*columns))))
+        lines.extend(map(row_format.__mod__, self.rows[start:]))
+        return lines
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
-        metadata: list[tuple[str, str]] = []
-        warnings: list[str] = []
-        columns: tuple[str, ...] | None = None
-        rows: list[tuple[float, ...]] = []
+        metadata, warnings, rows = [], [], []
+        columns = None
         for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -121,16 +123,11 @@ class ResultTable:
                 columns = tuple(name.strip() for name in line.split(","))
                 continue
             try:
-                rows.append(tuple(float(cell) for cell in line.split(",")))
+                rows.append(tuple(map(float, line.split(","))))
             except ValueError:
                 raise InvalidParameterError(
                     f"line {line_no}: non-numeric data row: {line!r}"
                 ) from None
         if columns is None:
             raise InvalidParameterError("no header line found")
-        return cls(
-            columns=columns,
-            rows=tuple(rows),
-            metadata=tuple(metadata),
-            warnings=tuple(warnings),
-        )
+        return cls(columns, tuple(rows), tuple(metadata), tuple(warnings))

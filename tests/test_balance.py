@@ -170,6 +170,20 @@ class TestTiltedCasimir:
             # exact touch at the far edge is already out
             tilted_casimir(self.W, self.L, self.D, self.D / self.L)
 
+    @pytest.mark.parametrize(
+        "separation, angle, message",
+        [
+            (1e80, 0.0, "1e\\+80 m is too large: d\\^4 overflows"),
+            (1e80, 1e-6, "1e\\+80 m is too large: d\\^4 overflows"),
+            (1e-300, 0.0, "1e-300 m is too small: d\\^4 underflows"),
+            (1e-110, 1e-111 / 12e-2, "1e-110 m is too small: d\\^-3 overflows"),
+        ],
+        ids=["flat-huge", "series-huge", "flat-tiny", "closed-form-tiny"],
+    )
+    def test_gap_powers_out_of_range_are_domain_errors(self, separation, angle, message):
+        with pytest.raises(DomainError, match=f"separation {message}"):
+            tilted_casimir(self.W, self.L, separation, angle)
+
     def test_rejects_negative_angle(self):
         with pytest.raises(InvalidParameterError):
             tilted_casimir(self.W, self.L, self.D, -1e-6)

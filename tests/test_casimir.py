@@ -87,6 +87,14 @@ class TestThermalCasimir:
         with pytest.raises(DomainError, match="separation 1e-300 m"):
             casimir_zero_t(AREA, 1e-300)
 
+    def test_overflowing_gap_is_a_domain_error(self):
+        # d^4 overflows above about 1.16e77 m and d^3 above about 5.6e102 m
+        with pytest.raises(DomainError, match="separation 1e\\+80 m is too large: d\\^4"):
+            casimir_zero_t(AREA, 1e80)
+        assert thermal_casimir(AREA, 1e80, 300.0) > 0.0
+        with pytest.raises(DomainError, match="separation 1e\\+103 m is too large: d\\^3"):
+            thermal_casimir(AREA, 1e103, 300.0)
+
     def test_trust_gap_constant(self):
         assert THERMAL_TRUST_MIN_GAP == 5e-6
 

@@ -26,6 +26,16 @@ def run(argv, tmp_path, name="out.csv"):
     return code, out
 
 
+def run_fresh(argv):
+    """The CLI in a fresh process, so a traceback would show on its stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "plateforces.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+
+
 class TestForcesCommand:
     def test_rows_match_library(self, tmp_path, baseline_config):
         code, out = run(
@@ -103,22 +113,27 @@ class TestExclusionCommand:
             baseline_config, 1e-6, 1e-2, 50, thicknesses=(1e-6, 1e-5)
         )
         assert table.columns == ("thickness_m", "lambda_m", "alpha_1")
-        assert len(table.rows) == 100
-        thin = [row for row in table.rows if row[0] == 1e-6]
-        thick = [row for row in table.rows if row[0] == 1e-5]
-        assert all(t[2] > k[2] for t, k in zip(thin, thick))
+        # one block per thickness, in the order given, on one shared grid
+        (thin, grid, thin_alphas), (thick, thick_grid, thick_alphas) = table.rows
+        assert (thin, thick) == (1e-6, 1e-5)
+        assert thick_grid is grid and len(grid) == len(thin_alphas) == 50
+        assert len(ResultTable.from_csv(table.to_csv()).rows) == 100
+        assert all(t > k for t, k in zip(thin_alphas, thick_alphas))
 
     def test_values_match_library(self, baseline_config):
         table = cmd_exclusion(baseline_config, 1e-6, 1e-2, 5, thicknesses=(1e-5,))
         spec = baseline_config.resolution_spec().with_thickness(1e-5)
-        for _, lam, alpha in table.rows:
+        ((thickness, lambdas, alphas),) = table.rows
+        assert thickness == 1e-5 and len(lambdas) == len(alphas) == 5
+        for lam, alpha in zip(lambdas, alphas):
             assert alpha == alpha_bound(lam, spec)
 
     def test_improvement_column_against_prior(self, tmp_path, baseline_config):
         scan = cmd_exclusion(baseline_config, 1e-6, 1e-2, 20, thicknesses=(1e-5,))
         prior_path = tmp_path / "prior.csv"
         lines = ["lambda_m,alpha"]
-        for _, lam, alpha in scan.rows:
+        ((_, lambdas, alphas),) = scan.rows
+        for lam, alpha in zip(lambdas, alphas):
             lines.append(f"{lam!r},{100.0 * alpha!r}")
         prior_path.write_text("\n".join(lines) + "\n")
         code, out = run(
@@ -273,30 +288,46 @@ class TestExitCodes:
         assert code == 4
 
     def test_underflowing_gap_is_a_domain_error(self):
-        # a fresh process, so a traceback would show on its stderr
-        result = subprocess.run(
-            [sys.executable, "-m", "plateforces.cli", "forces", "--config", BASELINE,
-             "--gap", "1e-300"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
+        result = run_fresh(["forces", "--config", BASELINE, "--gap", "1e-300"])
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
         assert "separation 1e-300 m" in result.stderr
 
     def test_lambda_max_whose_square_overflows_is_a_domain_error(self):
-        # a fresh process, so a traceback would show on its stderr
-        result = subprocess.run(
-            [sys.executable, "-m", "plateforces.cli", "exclusion", "--config",
-             BASELINE, "--lambda-max", "1e300", "--points", "4"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        result = run_fresh(
+            ["exclusion", "--config", BASELINE, "--lambda-max", "1e300", "--points", "4"]
         )
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
         assert "lambda_max 1e+300 m" in result.stderr
+
+    @pytest.mark.parametrize("command", ["forces", "budget", "sensitivity"])
+    def test_overflowing_gap_is_a_domain_error(self, tmp_path, command):
+        text = BASELINE_CONFIG_PATH.read_text().replace(
+            "separation = 5 um", "separation = 1e80 m"
+        )
+        config = tmp_path / "huge.ini"
+        config.write_text(text)
+        result = run_fresh([command, "--config", str(config)])
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert "separation 1e+80 m is too large" in result.stderr
+
+    def test_overflowing_gap_flag_is_a_domain_error(self):
+        result = run_fresh(["forces", "--config", BASELINE, "--gap", "1e80"])
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert "separation 1e+80 m" in result.stderr
+
+    def test_non_utf8_prior_is_a_config_error(self, tmp_path):
+        prior = tmp_path / "prior.csv"
+        prior.write_bytes(b"\xff\xfe1\x00e\x00")
+        result = run_fresh(
+            ["exclusion", "--config", BASELINE, "--points", "5", "--prior", str(prior)]
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"{prior}: not valid UTF-8" in result.stderr
 
     def test_infinite_yukawa_alpha_is_a_config_error(self, tmp_path, capsys):
         text = BASELINE_CONFIG_PATH.read_text().replace("alpha = 1.0", "alpha = inf")

@@ -239,3 +239,10 @@ class TestIngestPriorBounds:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             ingest_prior_bounds(str(tmp_path / "nope.csv"))
+
+    def test_non_utf8_file_names_path(self, tmp_path):
+        # a UTF-16 byte-order mark is not valid UTF-8
+        path = tmp_path / "prior.csv"
+        path.write_bytes(b"\xff\xfe1\x00e\x00")
+        with pytest.raises(ConfigError, match=f"{path}: not valid UTF-8"):
+            ingest_prior_bounds(str(path))

@@ -148,8 +148,9 @@ class TestExclusionScan:
             exclusion_scan(gold_spec(), 1e-6, 1e300, 4, (1e-5,))
 
     def test_curves_share_one_grid(self):
-        # to_csv formats a run's lambdas once when they are the same objects
-        # as the previous run's; a grid copied per curve loses that
+        # cmd_exclusion puts each curve's lambdas in its table block, and
+        # to_csv formats a tuple that several blocks hold once; a grid copied
+        # per curve loses that
         curves = exclusion_scan(gold_spec(), 1e-6, 1e-2, 50, (3e-7, 1e-6, 1e-5))
         assert all(curve.lambdas is curves[0].lambdas for curve in curves)
 

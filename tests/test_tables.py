@@ -1,4 +1,6 @@
 import math
+from itertools import repeat
+from operator import truediv
 
 import pytest
 from hypothesis import example, given
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 from conftest import REPO_ROOT
 from oracles import csv_reference
 from plateforces import InvalidParameterError, ResultTable
-from plateforces.cli import cmd_exclusion
+from plateforces.cli import DEFAULT_SCAN_THICKNESSES, cmd_exclusion
 from plateforces.config import ingest_prior_bounds
+from plateforces.exclusion import exclusion_scan
 from plateforces.tables import format_float
 
 
@@ -121,6 +124,63 @@ def test_long_format_lines_are_seventeen_digit_values(width_rows):
     assert table.to_csv().split("\n")[1:-1] == reference_lines(rows)
 
 
+def expand(items):
+    """The lines a table's rows stand for: a block repeats its float entries
+    down its tuple entries."""
+    for item in items:
+        if any(isinstance(v, tuple) for v in item):
+            yield from zip(*(v if isinstance(v, tuple) else repeat(v) for v in item))
+        else:
+            yield item
+
+
+@st.composite
+def block_tables(draw):
+    """Plain rows mixed with blocks led by LEADS.  A block's second entry is
+    one shared tuple object, a copy of it made of distinct float objects with
+    the sign of every zero flipped, or empty; its other entries are per-line
+    tuples or floats that repeat."""
+    width = draw(st.integers(2, 5))
+    shared = tuple(draw(st.lists(st.floats(), max_size=5)))
+    copy = tuple(-v if v == 0.0 else float(repr(v)) for v in shared)
+    items = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            items.append(draw(st.tuples(*[st.floats()] * width)))
+            continue
+        second = draw(st.sampled_from([shared, copy, ()]))
+        per_line = st.lists(st.floats(), min_size=len(second), max_size=len(second))
+        rest = [
+            tuple(draw(per_line)) if draw(st.booleans()) else draw(st.floats())
+            for _ in range(width - 2)
+        ]
+        items.append((draw(st.sampled_from(LEADS)), second, *rest))
+    return width, items
+
+
+GRID = (0.0, 1.5)
+
+
+# the second block's grid equals the first's but prints "-0" where it has
+# "0"; the third holds the first's very object, so its text is reused
+@example(
+    (
+        3,
+        [
+            (3e-7, GRID, (1.0, 2.0)),
+            (5e-324, (-0.0, 1.5), 3.0),
+            (-0.0, GRID, 4.0),
+            (1.0, 2.0, 3.0),
+        ],
+    )
+)
+@given(block_tables())
+def test_block_lines_are_seventeen_digit_values(width_items):
+    width, items = width_items
+    table = ResultTable(columns=tuple(f"c{i}" for i in range(width)), rows=items)
+    assert table.to_csv().split("\n")[1:-1] == reference_lines(expand(items))
+
+
 class TestRunWriter:
     def test_alternating_zero_leads(self):
         grid = (1.0, -0.0)
@@ -144,8 +204,19 @@ class TestRunWriter:
                 str(REPO_ROOT / "tests" / "golden" / "prior_fixture.csv")
             )
         table = cmd_exclusion(baseline_config, n_points=20_000, prior=prior)
-        assert len(table.rows) == 4 * 20_000
-        assert table.to_csv() == csv_reference(table)
+        # the same table built row by row, as before it held blocks
+        curves = exclusion_scan(
+            baseline_config.resolution_spec(), 1e-6, 1e-2, 20_000, DEFAULT_SCAN_THICKNESSES
+        )
+        rows = []
+        for thickness, curve in zip(DEFAULT_SCAN_THICKNESSES, curves):
+            row_parts = [repeat(thickness), curve.lambdas, curve.alphas]
+            if prior is not None:
+                row_parts.append(map(truediv, prior.alphas_at(curve.lambdas), curve.alphas))
+            rows.extend(zip(*row_parts))
+        flat = ResultTable(table.columns, rows, table.metadata, table.warnings)
+        assert len(flat.rows) == 4 * 20_000
+        assert table.to_csv() == csv_reference(flat)
 
 
 class TestValidation:
@@ -157,6 +228,14 @@ class TestValidation:
             ResultTable(columns=("a", "b"), rows=((1.0, 2.0), (1.0,), (1.0, 2.0)))
         with pytest.raises(InvalidParameterError, match="row of 3 values"):
             ResultTable(columns=("a", "b"), rows=((1.0, 2.0, 3.0),))
+
+    def test_block_columns_must_match(self):
+        # zip would silently drop the lines past the shorter tuple
+        with pytest.raises(InvalidParameterError, match="block 1 holds tuples of different"):
+            ResultTable(
+                columns=("a", "b", "c"),
+                rows=((1.0, 2.0, 3.0), (1.0, (1.0, 2.0), (3.0,)), (1.0, (1.0,), (3.0,))),
+            )
 
     def test_needs_columns(self):
         with pytest.raises(InvalidParameterError):
