@@ -22,7 +22,6 @@ from .balance import (
     torsion_constant,
 )
 from .budget import (
-    ElectrostaticConfig,
     ForceBudget,
     build_budget,
     electrostatic_force,
@@ -50,7 +49,6 @@ from .core import (
 from .errors import ConfigError, DomainError, InvalidParameterError, PlateForcesError
 from .exclusion import (
     Curve,
-    ResolutionSpec,
     alpha_bound,
     exclusion_scan,
     improvement_factor,
@@ -76,7 +74,6 @@ __all__ = [
     "ConfigError",
     "Curve",
     "DomainError",
-    "ElectrostaticConfig",
     "ExperimentConfig",
     "FieldKind",
     "ForceBudget",
@@ -90,7 +87,6 @@ __all__ = [
     "PlatePairConfig",
     "PlateStack",
     "PointMassPair",
-    "ResolutionSpec",
     "ResultTable",
     "SHEAR_MODULUS",
     "THERMAL_TRUST_MIN_GAP",

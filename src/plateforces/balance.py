@@ -10,8 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .casimir import separation_power
-from .core import CODATA2018, PhysicalConstants, require_non_negative, require_positive
+from .core import (
+    CODATA2018,
+    PhysicalConstants,
+    require_non_negative,
+    require_positive,
+    separation_power,
+)
 from .errors import DomainError, InvalidParameterError
 
 # Shear moduli (Pa) for the usual torsion fiber materials.

@@ -13,46 +13,40 @@ import math
 from dataclasses import dataclass, field
 
 from .casimir import THERMAL_TRUST_MIN_GAP, ThermalModel, casimir_zero_t, thermal_casimir
-from .core import CODATA2018, PhysicalConstants, YukawaParams, require_non_negative, require_positive
-from .errors import InvalidParameterError
+from .core import (
+    CODATA2018,
+    PhysicalConstants,
+    YukawaParams,
+    require_non_negative,
+    require_positive,
+    separation_power,
+)
 from .gravity import LayerMode, PlatePairConfig, stack_newton, stack_yukawa
 
 
-@dataclass(frozen=True)
-class ElectrostaticConfig:
-    """Residual (stray) voltage across the gap and the capacitor geometry.
-
-    stray_voltage in V (zero allowed: perfectly compensated plates),
-    area in m^2, gap in m.
-    """
-
-    stray_voltage: float
-    area: float
-    gap: float
-
-    def __post_init__(self) -> None:
-        require_non_negative("stray_voltage", self.stray_voltage)
-        require_positive("area", self.area)
-        require_positive("gap", self.gap)
-
-
 def electrostatic_force(
-    config: ElectrostaticConfig, constants: PhysicalConstants = CODATA2018
+    area: float,
+    separation: float,
+    stray_voltage: float,
+    constants: PhysicalConstants = CODATA2018,
 ) -> float:
     """Attraction of a parallel-plate capacitor at the stray voltage, in N.
 
     F = epsilon0 S V^2 / (2 d^2)
+
+    stray_voltage is in V; zero is allowed (perfectly compensated
+    plates).  Raises DomainError if d^2 overflows or underflows to zero.
     """
-    return (
-        constants.epsilon0
-        * config.area
-        * config.stray_voltage**2
-        / (2.0 * config.gap**2)
-    )
+    require_positive("area", area)
+    require_positive("separation", separation)
+    require_non_negative("stray_voltage", stray_voltage)
+    return constants.epsilon0 * area * stray_voltage**2 / (2.0 * separation_power(separation, 2))
 
 
 def voltage_control_requirement(
-    config: ElectrostaticConfig,
+    area: float,
+    separation: float,
+    stray_voltage: float,
     residual_target: float,
     constants: PhysicalConstants = CODATA2018,
 ) -> float:
@@ -65,7 +59,7 @@ def voltage_control_requirement(
     capped at 1 (no compensation needed).
     """
     require_positive("residual_target", residual_target)
-    background = electrostatic_force(config, constants)
+    background = electrostatic_force(area, separation, stray_voltage, constants)
     if residual_target >= background:
         return 1.0
     return math.sqrt(residual_target / background)
@@ -106,7 +100,7 @@ class ForceBudget:
 def build_budget(
     plates: PlatePairConfig,
     thermal_model: ThermalModel,
-    electrostatic: ElectrostaticConfig,
+    stray_voltage: float,
     yukawa_reference: YukawaParams,
     force_resolution: float,
     mode: LayerMode = LayerMode.METAL_ONLY,
@@ -114,22 +108,11 @@ def build_budget(
 ) -> ForceBudget:
     """Assemble the full force budget for one plate configuration.
 
-    The electrostatic geometry must agree with the plate geometry; a
-    mismatch means two different experiments were described and is
-    rejected rather than silently mixed.
+    The electrostatic background is that of the plates themselves: their
+    area and gap at stray_voltage.
     """
     require_positive("force_resolution", force_resolution)
     area = plates.geometry.area()
-    if electrostatic.area != area:
-        raise InvalidParameterError(
-            f"electrostatic area {electrostatic.area!r} m^2 does not match "
-            f"plate area {area!r} m^2"
-        )
-    if electrostatic.gap != plates.gap.separation:
-        raise InvalidParameterError(
-            f"electrostatic gap {electrostatic.gap!r} m does not match "
-            f"plate gap {plates.gap.separation!r} m"
-        )
     d = plates.gap.separation
     flags: list[str] = []
     if d < THERMAL_TRUST_MIN_GAP:
@@ -147,7 +130,7 @@ def build_budget(
         thermal=thermal_casimir(area, d, plates.gap.temperature, constants),
         newton=stack_newton(plates, constants),
         yukawa_hypothesis=abs(stack_yukawa(plates, yukawa_reference, mode, constants)),
-        electrostatic=electrostatic_force(electrostatic, constants),
+        electrostatic=electrostatic_force(area, d, stray_voltage, constants),
         resolution=force_resolution,
         eta=thermal_model.reduction_factor,
         flags=tuple(flags),

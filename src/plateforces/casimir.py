@@ -12,8 +12,14 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import CODATA2018, PhysicalConstants, require_non_negative, require_positive
-from .errors import DomainError, InvalidParameterError
+from .core import (
+    CODATA2018,
+    PhysicalConstants,
+    require_non_negative,
+    require_positive,
+    separation_power,
+)
+from .errors import InvalidParameterError
 
 # Below roughly this separation the photon thermal wavelength no longer
 # dwarfs the gap and the classical n=0 term stops being the whole
@@ -28,19 +34,6 @@ THERMAL_TRUST_MIN_GAP = 5e-6
 # coefficient by 1/0.36.
 BORDER_FORCE_COEFF_SCALAR = 0.12
 BORDER_AREA_COEFF_SCALAR = 0.36
-
-
-def separation_power(separation: float, exponent: int) -> float:
-    """d**exponent, or DomainError naming d when it overflows or underflows to zero."""
-    try:
-        power = separation**exponent
-    except OverflowError:
-        power = math.inf
-    if 0.0 < power < math.inf:
-        return power
-    size = "small" if (power == 0.0) == (exponent > 0) else "large"
-    outcome = "underflows to zero" if power == 0.0 else "overflows"
-    raise DomainError(f"separation {separation:g} m is too {size}: d^{exponent} {outcome}")
 
 
 class FieldKind(enum.Enum):

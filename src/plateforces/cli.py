@@ -85,7 +85,7 @@ def cmd_forces(
                 thermal_casimir(area, gap, temperature, constants),
                 total_casimir(area, gap, temperature, config.thermal, constants),
                 newton,
-                electrostatic_force(config.electrostatic(gap), constants),
+                electrostatic_force(area, gap, config.stray_voltage, constants),
                 1.0 if trusted else 0.0,
             )
         )
@@ -122,7 +122,7 @@ def cmd_budget(
     budget = build_budget(
         plates=config.plate_pair(),
         thermal_model=config.thermal,
-        electrostatic=config.electrostatic(),
+        stray_voltage=config.stray_voltage,
         yukawa_reference=config.yukawa,
         force_resolution=config.force_resolution,
         constants=constants,
@@ -182,7 +182,8 @@ def cmd_exclusion(
     whose lambda falls outside the prior's domain get nan there.
     """
     curves = exclusion_scan(
-        config.resolution_spec(),
+        config.plate_pair(),
+        config.force_resolution,
         lambda_min,
         lambda_max,
         n_points,

@@ -30,11 +30,10 @@ import re
 from dataclasses import dataclass
 
 from .balance import SHEAR_MODULUS, BalanceConfig, TiltConfig, TorsionWire
-from .budget import ElectrostaticConfig
 from .casimir import ThermalModel
 from .core import GapConfig, MaterialLayer, PlateGeometry, PlateStack, YukawaParams
 from .errors import ConfigError, InvalidParameterError
-from .exclusion import Curve, ResolutionSpec
+from .exclusion import Curve
 from .gravity import PlatePairConfig
 
 _LENGTH_UNITS = {
@@ -63,6 +62,8 @@ def parse_length(text: str) -> float:
         value = decimal.Decimal(number) * decimal.Decimal(_LENGTH_UNITS[unit or "m"])
     except decimal.InvalidOperation:
         raise InvalidParameterError(f"cannot parse length {text!r}") from None
+    except decimal.DecimalException:  # the exponent overflows decimal's range
+        raise InvalidParameterError(f"length {text!r} is out of range") from None
     return float(value)
 
 
@@ -93,27 +94,6 @@ class ExperimentConfig:
             stack_b=self.stack_b,
             geometry=self.geometry,
             gap=self.gap,
-        )
-
-    def electrostatic(self, gap: float | None = None) -> ElectrostaticConfig:
-        return ElectrostaticConfig(
-            stray_voltage=self.stray_voltage,
-            area=self.geometry.area(),
-            gap=self.gap.separation if gap is None else gap,
-        )
-
-    def resolution_spec(self) -> ResolutionSpec:
-        """Inversion inputs built from the facing layers of each stack."""
-        facing_a = self.stack_a.layers[0]
-        facing_b = self.stack_b.layers[0]
-        return ResolutionSpec(
-            force_resolution=self.force_resolution,
-            gap=self.gap.separation,
-            density_a=facing_a.density,
-            density_b=facing_b.density,
-            thickness_a=facing_a.thickness,
-            thickness_b=facing_b.thickness,
-            area=self.geometry.area(),
         )
 
 
@@ -183,9 +163,6 @@ def _parse_stack(parser: configparser.ConfigParser, section: str) -> PlateStack:
             ) from None
         try:
             thickness = parse_length(thickness_text)
-        except InvalidParameterError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from None
-        try:
             layers.append(MaterialLayer(name=name, density=density, thickness=thickness))
         except InvalidParameterError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from None
@@ -195,14 +172,8 @@ def _parse_stack(parser: configparser.ConfigParser, section: str) -> PlateStack:
 def _parse_wire(parser: configparser.ConfigParser) -> TorsionWire:
     reader = _SectionReader(parser, "wire")
     material = reader.raw("material").lower()
-    modulus_text = reader.raw_or("shear_modulus", None)
-    if modulus_text is not None:
-        try:
-            shear_modulus = float(modulus_text)
-        except ValueError:
-            raise ConfigError(
-                f"[wire] shear_modulus: not a number: {modulus_text!r}"
-            ) from None
+    if reader.raw_or("shear_modulus", None) is not None:
+        shear_modulus = reader.number("shear_modulus")
     elif material in SHEAR_MODULUS:
         shear_modulus = SHEAR_MODULUS[material]
     else:
@@ -260,9 +231,9 @@ def load_config(path: str) -> ExperimentConfig:
         else:
             thermal = ThermalModel()
         stray_voltage = _SectionReader(parser, "electrostatic").number("stray_voltage")
-        if stray_voltage < 0:
+        if not 0 <= stray_voltage < math.inf:
             raise ConfigError(
-                f"[electrostatic] stray_voltage: must be >= 0, got {stray_voltage!r}"
+                f"[electrostatic] stray_voltage: must be finite and >= 0, got {stray_voltage!r}"
             )
         wire = _parse_wire(parser)
         balance = BalanceConfig(
@@ -283,6 +254,10 @@ def load_config(path: str) -> ExperimentConfig:
             # default: the parallelism spec over the wider plate side
             tilt = TiltConfig(angle=1e-6, plate_length_along_tilt=geometry.width)
         force_resolution = resolution_reader.number("force_resolution")
+        if not 0 < force_resolution < math.inf:
+            raise ConfigError(
+                f"[resolution] force_resolution: must be finite and > 0, got {force_resolution!r}"
+            )
         if parser.has_section("yukawa"):
             yukawa_reader = _SectionReader(parser, "yukawa")
             alpha = yukawa_reader.number("alpha")

@@ -12,9 +12,10 @@ reported as positive magnitudes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import DomainError, InvalidParameterError
 
 
 def require_positive(name: str, value: float) -> None:
@@ -27,6 +28,19 @@ def require_non_negative(name: str, value: float) -> None:
     """Raise InvalidParameterError unless value is a finite number >= 0."""
     if not value >= 0 or value == float("inf"):
         raise InvalidParameterError(f"{name} must be a finite non-negative number, got {value!r}")
+
+
+def separation_power(separation: float, exponent: int) -> float:
+    """d**exponent, or DomainError naming d when it overflows or underflows to zero."""
+    try:
+        power = separation**exponent
+    except OverflowError:
+        power = math.inf
+    if 0.0 < power < math.inf:
+        return power
+    size = "small" if (power == 0.0) == (exponent > 0) else "large"
+    outcome = "underflows to zero" if power == 0.0 else "overflows"
+    raise DomainError(f"separation {separation:g} m is too {size}: d^{exponent} {outcome}")
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,14 @@ import math
 import sys
 from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import lt
 
 from .core import CODATA2018, PhysicalConstants, require_positive
 from .errors import DomainError, InvalidParameterError
-from .gravity import yukawa_thickness_bracket
+from .gravity import PlatePairConfig, slab_coupling, yukawa_thickness_bracket
 
 # ten times the 100 000-point stress scan; a larger one is refused before
 # its grid is built
@@ -29,43 +29,17 @@ MAX_SCAN_POINTS = 1_000_000
 MAX_LAMBDA = math.sqrt(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class ResolutionSpec:
-    """Apparatus summary for the inversion: what force it can see and
-    what plates it sees it with.
-
-    force_resolution in N; gap in m; densities of the two facing layers
-    in kg/m^3; their thicknesses in m; plate area in m^2.
-    """
-
-    force_resolution: float
-    gap: float
-    density_a: float
-    density_b: float
-    thickness_a: float
-    thickness_b: float
-    area: float
-
-    def __post_init__(self) -> None:
-        require_positive("force_resolution", self.force_resolution)
-        require_positive("gap", self.gap)
-        require_positive("density_a", self.density_a)
-        require_positive("density_b", self.density_b)
-        require_positive("thickness_a", self.thickness_a)
-        require_positive("thickness_b", self.thickness_b)
-        require_positive("area", self.area)
-
-    def with_thickness(self, thickness: float) -> "ResolutionSpec":
-        """Same apparatus with both facing layers at a new thickness."""
-        return replace(self, thickness_a=thickness, thickness_b=thickness)
-
-
 def alpha_bound(
-    lam: float, spec: ResolutionSpec, constants: PhysicalConstants = CODATA2018
+    lam: float,
+    plates: PlatePairConfig,
+    force_resolution: float,
+    constants: PhysicalConstants = CODATA2018,
 ) -> float:
     """Smallest detectable |alpha| at range lam, dimensionless.
 
-    Exact inversion of the slab-slab Yukawa force at the resolution:
+    Exact inversion of the Yukawa force between the two facing layers
+    of plates, at their own thicknesses and the plate gap, at the
+    force resolution (N):
 
         alpha = F_res * exp(d/lam) /
                 (2 pi G rho_a rho_b S lam^2
@@ -77,8 +51,12 @@ def alpha_bound(
     the gap) no finite coupling is detectable and the bound is inf.
     """
     require_positive("lam", lam)
+    require_positive("force_resolution", force_resolution)
     _require_squarable("lam", lam)
-    return _alpha_bounds((lam,), spec, constants)[0]
+    facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
+    return _alpha_bounds(
+        (lam,), plates, facing_a.thickness, facing_b.thickness, force_resolution, constants
+    )[0]
 
 
 def _require_squarable(name: str, lam: float) -> None:
@@ -89,18 +67,22 @@ def _require_squarable(name: str, lam: float) -> None:
 
 
 def _alpha_bounds(
-    grid: Iterable[float], spec: ResolutionSpec, constants: PhysicalConstants
+    grid: Iterable[float],
+    plates: PlatePairConfig,
+    thickness_a: float,
+    thickness_b: float,
+    force_resolution: float,
+    constants: PhysicalConstants,
 ) -> tuple[float, ...]:
-    """alpha_bound at every lambda of grid, unchecked.
+    """alpha_bound at every lambda of grid for facing layers of the
+    given thicknesses, unchecked.
 
     The lambda-independent factor is taken once; Python multiplies left
     to right, so every alpha is the same double as the full product.
     """
-    prefactor = (
-        2.0 * math.pi * constants.G * spec.density_a * spec.density_b * spec.area
-    )
-    resolution, gap = spec.force_resolution, spec.gap
-    thickness_a, thickness_b = spec.thickness_a, spec.thickness_b
+    facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
+    prefactor = slab_coupling(facing_a.density, facing_b.density, plates.geometry.area(), constants)
+    gap = plates.gap.separation
     exp, bracket = math.exp, yukawa_thickness_bracket
     alphas = []
     for lam in grid:
@@ -108,7 +90,7 @@ def _alpha_bounds(
             prefactor * lam**2 * bracket(thickness_a, lam) * bracket(thickness_b, lam)
         )
         try:
-            alphas.append(resolution * exp(gap / lam) / denominator)
+            alphas.append(force_resolution * exp(gap / lam) / denominator)
         except (OverflowError, ZeroDivisionError):
             # exp(d/lam) overflows, or lam**2 underflows to zero
             alphas.append(math.inf)
@@ -200,7 +182,8 @@ class Curve:
 
 
 def exclusion_scan(
-    spec: ResolutionSpec,
+    plates: PlatePairConfig,
+    force_resolution: float,
     lambda_min: float,
     lambda_max: float,
     n_points: int,
@@ -209,10 +192,14 @@ def exclusion_scan(
 ) -> list[Curve]:
     """One exclusion curve per facing-layer thickness.
 
-    The lambda grid is log-spaced with n_points from lambda_min to
-    lambda_max inclusive; every curve shares it, and n_points is at most
-    MAX_SCAN_POINTS.  Output order follows the thicknesses argument.
+    Each curve is alpha_bound for plates with both facing layers set to
+    its scan thickness; densities, area and gap are those of plates,
+    and force_resolution is in N.  The lambda grid is log-spaced with
+    n_points from lambda_min to lambda_max inclusive; every curve shares
+    it, and n_points is at most MAX_SCAN_POINTS.  Output order follows
+    the thicknesses argument.
     """
+    require_positive("force_resolution", force_resolution)
     require_positive("lambda_min", lambda_min)
     require_positive("lambda_max", lambda_max)
     _require_squarable("lambda_max", lambda_max)
@@ -241,7 +228,7 @@ def exclusion_scan(
     curves = []
     for thickness in thicknesses:
         require_positive("thickness", thickness)
-        alphas = _alpha_bounds(grid, spec.with_thickness(thickness), constants)
+        alphas = _alpha_bounds(grid, plates, thickness, thickness, force_resolution, constants)
         curves.append(Curve(lambdas=grid, alphas=alphas))
     return curves
 

@@ -21,6 +21,7 @@ from .core import (
     PlateStack,
     YukawaParams,
     require_positive,
+    separation_power,
 )
 
 
@@ -96,11 +97,22 @@ def point_force(
     """Magnitude of the point-point force implied by point_potential, in N.
 
     F(d) = (G Ma Mb / d^2) * (1 + alpha * (1 + d/lam) * exp(-d/lam))
+
+    Raises DomainError if d^2 overflows or underflows to zero.
     """
     require_positive("separation", separation)
     k = constants.G * pair.mass_a * pair.mass_b
     x = separation / yukawa.lam
-    return k / separation**2 * (1.0 + yukawa.alpha * (1.0 + x) * math.exp(-x))
+    return k / separation_power(separation, 2) * (1.0 + yukawa.alpha * (1.0 + x) * math.exp(-x))
+
+
+def slab_coupling(
+    density_a: float, density_b: float, area: float, constants: PhysicalConstants = CODATA2018
+) -> float:
+    """2 pi G rho_a rho_b S, unchecked: the factor every slab-slab force
+    starts with.  Python multiplies left to right, so this factor times
+    further terms is the same double as the whole product spelled out."""
+    return 2.0 * math.pi * constants.G * density_a * density_b * area
 
 
 def plate_newton(
@@ -123,16 +135,7 @@ def plate_newton(
     require_positive("area", area)
     require_positive("thickness_a", thickness_a)
     require_positive("thickness_b", thickness_b)
-    return (
-        2.0
-        * math.pi
-        * constants.G
-        * density_a
-        * density_b
-        * area
-        * thickness_a
-        * thickness_b
-    )
+    return slab_coupling(density_a, density_b, area, constants) * thickness_a * thickness_b
 
 
 def plate_yukawa(
@@ -162,12 +165,7 @@ def plate_yukawa(
     require_positive("separation", separation)
     lam = yukawa.lam
     return (
-        2.0
-        * math.pi
-        * constants.G
-        * density_a
-        * density_b
-        * area
+        slab_coupling(density_a, density_b, area, constants)
         * yukawa.alpha
         * lam**2
         * math.exp(-separation / lam)

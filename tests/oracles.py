@@ -157,6 +157,48 @@ def loglog_interp(lam: float, lambdas, alphas, knot_log=np.log) -> float:
 LIBM_LOG = np.vectorize(math.log, otypes=[float])
 
 
+def plate_newton_reference(
+    density_a, density_b, area, thickness_a, thickness_b, constants=CODATA2018
+) -> float:
+    """plate_newton's expression as it was before the slab coupling
+    2 pi G rho_a rho_b S became one shared factor: one left-to-right
+    product.
+    """
+    return (
+        2.0
+        * math.pi
+        * constants.G
+        * density_a
+        * density_b
+        * area
+        * thickness_a
+        * thickness_b
+    )
+
+
+def plate_yukawa_reference(
+    density_a, density_b, area, thickness_a, thickness_b, separation, yukawa,
+    constants=CODATA2018,
+) -> float:
+    """plate_yukawa's expression as it was before the slab coupling
+    became one shared factor: one left-to-right product.
+    """
+    lam = yukawa.lam
+    return (
+        2.0
+        * math.pi
+        * constants.G
+        * density_a
+        * density_b
+        * area
+        * yukawa.alpha
+        * lam**2
+        * math.exp(-separation / lam)
+        * yukawa_thickness_bracket(thickness_a, lam)
+        * yukawa_thickness_bracket(thickness_b, lam)
+    )
+
+
 def alpha_bound_reference(lam: float, spec, constants=CODATA2018) -> float:
     """The Yukawa inversion as alpha_bound computed it one lambda at a
     time, before the scan took the lambda-independent factor out of its

@@ -16,9 +16,11 @@ from plateforces import (
     BalanceConfig,
     FieldKind,
     GapConfig,
+    MaterialLayer,
+    PlateGeometry,
     PlatePairConfig,
+    PlateStack,
     PointMassPair,
-    ResolutionSpec,
     TorsionWire,
     YukawaParams,
     alpha_bound,
@@ -36,7 +38,7 @@ from plateforces import (
     tilted_casimir,
     torsion_constant,
 )
-from plateforces import ElectrostaticConfig, ResultTable
+from plateforces import ResultTable
 from plateforces.cli import cmd_forces
 
 from oracles import central_difference, tilted_casimir_force, yukawa_slab_force
@@ -130,8 +132,8 @@ def test_criterion_04_border_correction():
 
 
 def test_criterion_05_electrostatic_anchors():
-    f5 = electrostatic_force(ElectrostaticConfig(0.1, AREA, 5e-6))
-    f10 = electrostatic_force(ElectrostaticConfig(0.1, AREA, 10e-6))
+    f5 = electrostatic_force(AREA, 5e-6, 0.1)
+    f10 = electrostatic_force(AREA, 10e-6, 0.1)
     ok = (
         rel_dev(f5, 2.125e-5) < 1e-3
         and rel_dev(f10, 5.3125e-6) < 1e-3
@@ -191,21 +193,14 @@ def test_criterion_07_yukawa_force_vs_quadrature():
     )
 
 
-def gold_spec(thickness=1e-5):
-    return ResolutionSpec(
-        force_resolution=1e-12,
-        gap=5e-6,
-        density_a=GOLD,
-        density_b=GOLD,
-        thickness_a=thickness,
-        thickness_b=thickness,
-        area=AREA,
-    )
+def gold_plates(thickness=1e-5):
+    """10 x 12 cm gold films 5 um apart; PlateGeometry(0.1, 0.12).area() == AREA."""
+    gold = PlateStack((MaterialLayer("gold", GOLD, thickness),))
+    return PlatePairConfig(gold, gold, PlateGeometry(0.1, 0.12), GapConfig(5e-6))
 
 
 def test_criterion_08_inversion_round_trip():
-    spec = gold_spec()
-    (curve,) = exclusion_scan(spec, 1e-6, 1e-2, 1000, (1e-5,))
+    (curve,) = exclusion_scan(gold_plates(), 1e-12, 1e-6, 1e-2, 1000, (1e-5,))
     worst = 0.0
     for lam, alpha in zip(curve.lambdas, curve.alphas):
         force = plate_yukawa(
@@ -234,14 +229,14 @@ def unimodal(values):
 def test_criterion_09_exclusion_scan_shape():
     thicknesses = (0.3e-6, 1e-6, 3e-6, 10e-6)
     start = time.perf_counter()
-    curves = exclusion_scan(gold_spec(), 1e-6, 1e-2, 1000, thicknesses)
+    curves = exclusion_scan(gold_plates(), 1e-12, 1e-6, 1e-2, 1000, thicknesses)
     elapsed = time.perf_counter() - start
     ordered = all(
         all(lo < hi for hi, lo in zip(thin.alphas, thick.alphas))
         for thin, thick in zip(curves, curves[1:])
     )
     shapes = all(unimodal(list(curve.alphas)) for curve in curves)
-    derived = alpha_bound(1e-5, gold_spec())
+    derived = alpha_bound(1e-5, gold_plates(), 1e-12)
     print(
         "[acceptance] recorded bounds at lam = 10 um with 10 um films: exact "
         f"inversion gives alpha = {derived:.3f}; the ballpark ~1000 sometimes "
@@ -304,11 +299,11 @@ def test_criterion_11_consistency_bundle(baseline_config):
         casimir_zero_t(AREA, 2e-6) / casimir_zero_t(AREA, 4e-6) == pytest.approx(16.0, rel=1e-12)
         and thermal_casimir(AREA, 2e-6, 300.0) / thermal_casimir(AREA, 4e-6, 300.0)
         == pytest.approx(8.0, rel=1e-12)
-        and electrostatic_force(ElectrostaticConfig(0.2, AREA, 5e-6))
-        / electrostatic_force(ElectrostaticConfig(0.1, AREA, 5e-6))
+        and electrostatic_force(AREA, 5e-6, 0.2)
+        / electrostatic_force(AREA, 5e-6, 0.1)
         == pytest.approx(4.0, rel=1e-12)
-        and electrostatic_force(ElectrostaticConfig(0.1, AREA, 5e-6))
-        / electrostatic_force(ElectrostaticConfig(0.1, AREA, 10e-6))
+        and electrostatic_force(AREA, 5e-6, 0.1)
+        / electrostatic_force(AREA, 10e-6, 0.1)
         == pytest.approx(4.0, rel=1e-12)
     )
 

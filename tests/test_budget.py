@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from plateforces import (
-    ElectrostaticConfig,
+    DomainError,
     ForceBudget,
     GapConfig,
     InvalidParameterError,
@@ -17,68 +19,89 @@ AREA = 0.012
 
 
 def es(voltage=0.1, area=AREA, gap=5e-6):
-    return ElectrostaticConfig(stray_voltage=voltage, area=area, gap=gap)
+    """(area, separation, stray_voltage) of the baseline capacitor."""
+    return area, gap, voltage
 
 
 class TestElectrostaticForce:
     def test_anchor_5um(self):
-        force = electrostatic_force(es(gap=5e-6))
+        force = electrostatic_force(*es(gap=5e-6))
         assert force == pytest.approx(2.125e-5, rel=1e-3)
         assert abs(force - 25e-6) / 25e-6 < 0.25
 
     def test_anchor_10um(self):
-        force = electrostatic_force(es(gap=10e-6))
+        force = electrostatic_force(*es(gap=10e-6))
         assert force == pytest.approx(5.3125e-6, rel=1e-3)
         assert abs(force - 5e-6) / 5e-6 < 0.07
 
     def test_zero_voltage(self):
-        assert electrostatic_force(es(voltage=0.0)) == 0.0
+        assert electrostatic_force(*es(voltage=0.0)) == 0.0
 
     def test_quadratic_in_voltage(self):
-        assert electrostatic_force(es(voltage=0.2)) == pytest.approx(
-            4 * electrostatic_force(es(voltage=0.1)), rel=1e-12
+        assert electrostatic_force(*es(voltage=0.2)) == pytest.approx(
+            4 * electrostatic_force(*es(voltage=0.1)), rel=1e-12
         )
 
     def test_inverse_square_in_gap(self):
-        assert electrostatic_force(es(gap=5e-6)) == pytest.approx(
-            4 * electrostatic_force(es(gap=10e-6)), rel=1e-12
+        assert electrostatic_force(*es(gap=5e-6)) == pytest.approx(
+            4 * electrostatic_force(*es(gap=10e-6)), rel=1e-12
         )
 
     def test_rejects_negative_voltage(self):
         with pytest.raises(InvalidParameterError):
-            es(voltage=-0.1)
+            electrostatic_force(*es(voltage=-0.1))
+
+    @pytest.mark.parametrize(
+        "area, gap, voltage, name",
+        [
+            (0.0, 5e-6, 0.1, "area"),
+            (AREA, -5e-6, 0.1, "separation"),
+            (AREA, 5e-6, math.nan, "stray_voltage"),
+            (AREA, 5e-6, math.inf, "stray_voltage"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, area, gap, voltage, name):
+        with pytest.raises(InvalidParameterError, match=name):
+            electrostatic_force(area, gap, voltage)
+        with pytest.raises(InvalidParameterError, match=name):
+            voltage_control_requirement(area, gap, voltage, 1e-12)
+
+    @pytest.mark.parametrize("gap, message", [(1e160, "d\\^2 overflows"), (1e-170, "underflows")])
+    def test_gap_powers_out_of_range_are_domain_errors(self, gap, message):
+        with pytest.raises(DomainError, match=message):
+            electrostatic_force(AREA, gap, 0.1)
 
 
 class TestVoltageControl:
     def test_part_per_thousand(self):
         # suppressing the force by 1e6 takes voltage control at the 1e-3 level
         config = es()
-        target = electrostatic_force(config) * 1e-6
-        assert voltage_control_requirement(config, target) == pytest.approx(
+        target = electrostatic_force(*config) * 1e-6
+        assert voltage_control_requirement(*config, target) == pytest.approx(
             1e-3, rel=1e-12
         )
 
     def test_round_trip(self):
         config = es()
         target = 1e-12
-        ratio = voltage_control_requirement(config, target)
-        compensated = es(voltage=config.stray_voltage * ratio)
-        assert electrostatic_force(compensated) == pytest.approx(target, rel=1e-12)
+        ratio = voltage_control_requirement(*config, target)
+        compensated = es(voltage=0.1 * ratio)
+        assert electrostatic_force(*compensated) == pytest.approx(target, rel=1e-12)
 
     def test_saturates_at_one(self):
         config = es()
-        background = electrostatic_force(config)
-        assert voltage_control_requirement(config, background) == 1.0
-        assert voltage_control_requirement(config, 2 * background) == 1.0
+        background = electrostatic_force(*config)
+        assert voltage_control_requirement(*config, background) == 1.0
+        assert voltage_control_requirement(*config, 2 * background) == 1.0
 
     def test_zero_voltage_needs_no_control(self):
-        assert voltage_control_requirement(es(voltage=0.0), 1e-12) == 1.0
+        assert voltage_control_requirement(*es(voltage=0.0), 1e-12) == 1.0
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(InvalidParameterError):
-            voltage_control_requirement(es(), 0.0)
+            voltage_control_requirement(*es(), 0.0)
         with pytest.raises(InvalidParameterError):
-            voltage_control_requirement(es(), -1e-12)
+            voltage_control_requirement(*es(), -1e-12)
 
 
 class TestForceBudget:
@@ -86,7 +109,7 @@ class TestForceBudget:
         budget = build_budget(
             plates=glass_pair,
             thermal_model=ThermalModel(1.0),
-            electrostatic=es(),
+            stray_voltage=0.1,
             yukawa_reference=YukawaParams(1.0, 1e-5),
             force_resolution=1e-12,
         )
@@ -101,14 +124,14 @@ class TestForceBudget:
         half = build_budget(
             plates=glass_pair,
             thermal_model=ThermalModel(0.5),
-            electrostatic=es(),
+            stray_voltage=0.1,
             yukawa_reference=YukawaParams(1.0, 1e-5),
             force_resolution=1e-12,
         )
         full = build_budget(
             plates=glass_pair,
             thermal_model=ThermalModel(1.0),
-            electrostatic=es(),
+            stray_voltage=0.1,
             yukawa_reference=YukawaParams(1.0, 1e-5),
             force_resolution=1e-12,
         )
@@ -121,32 +144,12 @@ class TestForceBudget:
         budget = build_budget(
             plates=glass_pair,
             thermal_model=ThermalModel(1.0),
-            electrostatic=es(),
+            stray_voltage=0.1,
             yukawa_reference=YukawaParams(-10.0, 1e-5),
             force_resolution=1e-12,
         )
         for name in ("casimir", "thermal", "newton", "yukawa_hypothesis", "electrostatic", "resolution"):
             assert getattr(budget, name) >= 0.0
-
-    def test_rejects_area_mismatch(self, glass_pair):
-        with pytest.raises(InvalidParameterError):
-            build_budget(
-                plates=glass_pair,
-                thermal_model=ThermalModel(1.0),
-                electrostatic=es(area=0.011),
-                yukawa_reference=YukawaParams(1.0, 1e-5),
-                force_resolution=1e-12,
-            )
-
-    def test_rejects_gap_mismatch(self, glass_pair):
-        with pytest.raises(InvalidParameterError):
-            build_budget(
-                plates=glass_pair,
-                thermal_model=ThermalModel(1.0),
-                electrostatic=es(gap=6e-6),
-                yukawa_reference=YukawaParams(1.0, 1e-5),
-                force_resolution=1e-12,
-            )
 
     def test_thermal_flag_below_trust_gap(self, glass_pair):
         narrow = PlatePairConfig(
@@ -158,7 +161,7 @@ class TestForceBudget:
         budget = build_budget(
             plates=narrow,
             thermal_model=ThermalModel(1.0),
-            electrostatic=es(gap=1e-6),
+            stray_voltage=0.1,
             yukawa_reference=YukawaParams(1.0, 1e-5),
             force_resolution=1e-12,
         )
@@ -168,7 +171,7 @@ class TestForceBudget:
         budget = build_budget(
             plates=glass_pair,
             thermal_model=ThermalModel(1.0),
-            electrostatic=es(),
+            stray_voltage=0.1,
             yukawa_reference=YukawaParams(1.0, 1e-5),
             force_resolution=1e-12,
         )

@@ -122,11 +122,13 @@ class TestExclusionCommand:
 
     def test_values_match_library(self, baseline_config):
         table = cmd_exclusion(baseline_config, 1e-6, 1e-2, 5, thicknesses=(1e-5,))
-        spec = baseline_config.resolution_spec().with_thickness(1e-5)
+        # alpha_bound reads the facing layers as configured: 10 um gold on 10 um gold
+        plates = baseline_config.plate_pair()
+        assert plates.stack_a.layers[0].thickness == plates.stack_b.layers[0].thickness == 1e-5
         ((thickness, lambdas, alphas),) = table.rows
         assert thickness == 1e-5 and len(lambdas) == len(alphas) == 5
         for lam, alpha in zip(lambdas, alphas):
-            assert alpha == alpha_bound(lam, spec)
+            assert alpha == alpha_bound(lam, plates, baseline_config.force_resolution)
 
     def test_improvement_column_against_prior(self, tmp_path, baseline_config):
         scan = cmd_exclusion(baseline_config, 1e-6, 1e-2, 20, thicknesses=(1e-5,))
@@ -328,6 +330,49 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert f"{prior}: not valid UTF-8" in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["forces", "--gap", "1e9999999"],
+            ["exclusion", "--lambda-max", "1e99999999 um", "--points", "4"],
+        ],
+    )
+    def test_length_flag_past_decimal_range_is_a_domain_error(self, argv):
+        result = run_fresh([*argv, "--config", BASELINE])
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert "out of range" in result.stderr
+
+    def test_config_length_past_decimal_range_is_a_config_error(self, tmp_path):
+        text = BASELINE_CONFIG_PATH.read_text().replace(
+            "separation = 5 um", "separation = 1e9999999 um"
+        )
+        config = tmp_path / "huge.ini"
+        config.write_text(text)
+        result = run_fresh(["budget", "--config", str(config)])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "[gap] separation" in result.stderr
+
+    @pytest.mark.parametrize("command", ["forces", "budget", "exclusion", "sensitivity"])
+    @pytest.mark.parametrize(
+        "key,good,bad,section",
+        [
+            ("force_resolution", "1e-12", "-1e-12", "resolution"),
+            ("stray_voltage", "0.1", "nan", "electrostatic"),
+        ],
+    )
+    def test_out_of_range_config_number_is_a_config_error(
+        self, tmp_path, capsys, command, key, good, bad, section
+    ):
+        text = BASELINE_CONFIG_PATH.read_text()
+        assert f"{key} = {good}" in text
+        config = tmp_path / "bad.ini"
+        config.write_text(text.replace(f"{key} = {good}", f"{key} = {bad}"))
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"[{section}] {key}: must be finite" in capsys.readouterr().err
 
     def test_infinite_yukawa_alpha_is_a_config_error(self, tmp_path, capsys):
         text = BASELINE_CONFIG_PATH.read_text().replace("alpha = 1.0", "alpha = inf")

@@ -78,6 +78,11 @@ class TestParseLength:
         with pytest.raises(InvalidParameterError):
             parse_length(text)
 
+    @pytest.mark.parametrize("text", ["1e9999999", "1e99999999 um", "-1e9999999 nm"])
+    def test_exponent_past_decimal_range_is_out_of_range(self, text):
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            parse_length(text)
+
 
 class TestLoadConfig:
     def test_shipped_baseline(self, baseline_config):
@@ -121,15 +126,10 @@ class TestLoadConfig:
         pair = config.plate_pair()
         assert pair.geometry.area() == config.geometry.area()
         assert pair.gap.separation == 5e-6
-        es = config.electrostatic()
-        assert es.stray_voltage == 0.1
-        assert es.gap == 5e-6
-        spec = config.resolution_spec()
-        assert spec.density_a == 19.3e3
-        assert spec.density_b == 3.0e3
-        assert spec.thickness_a == 1e-5
-        assert spec.thickness_b == 15e-3
-        assert spec.force_resolution == 1e-12
+        # the facing layers the exclusion scan reads
+        facing_a, facing_b = pair.stack_a.layers[0], pair.stack_b.layers[0]
+        assert (facing_a.density, facing_b.density) == (19.3e3, 3.0e3)
+        assert (facing_a.thickness, facing_b.thickness) == (1e-5, 15e-3)
 
     def test_missing_section_named(self, tmp_path):
         broken = GOOD.replace("[gap]\nseparation = 5 um\ntemperature = 300\n", "")
@@ -157,6 +157,34 @@ class TestLoadConfig:
         extended = GOOD + f"\n[yukawa]\nalpha = {yukawa['alpha']}\nlambda = {yukawa['lambda']}\n"
         with pytest.raises(ConfigError, match=rf"\[yukawa\] {key}: must be finite"):
             load_config(write(tmp_path, extended))
+
+    @pytest.mark.parametrize(
+        "section,key,text",
+        [
+            ("resolution", "force_resolution", "-1e-12"),
+            ("resolution", "force_resolution", "0"),
+            ("resolution", "force_resolution", "nan"),
+            ("resolution", "force_resolution", "inf"),
+            ("electrostatic", "stray_voltage", "-0.1"),
+            ("electrostatic", "stray_voltage", "nan"),
+            ("electrostatic", "stray_voltage", "inf"),
+            ("electrostatic", "stray_voltage", "-inf"),
+        ],
+    )
+    def test_out_of_range_numbers_named(self, tmp_path, section, key, text):
+        good = {"force_resolution": "1e-12", "stray_voltage": "0.1"}[key]
+        broken = GOOD.replace(f"{key} = {good}", f"{key} = {text}")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: must be finite"):
+            load_config(write(tmp_path, broken))
+
+    def test_zero_stray_voltage_allowed(self, tmp_path):
+        compensated = GOOD.replace("stray_voltage = 0.1", "stray_voltage = 0")
+        assert load_config(write(tmp_path, compensated)).stray_voltage == 0.0
+
+    def test_length_out_of_range_named(self, tmp_path):
+        broken = GOOD.replace("separation = 5 um", "separation = 1e9999999 um")
+        with pytest.raises(ConfigError, match=r"\[gap\] separation: .*out of range"):
+            load_config(write(tmp_path, broken))
 
     def test_layer_numbering_must_be_dense(self, tmp_path):
         broken = GOOD.replace("layer_1 = glass", "layer_2 = glass")

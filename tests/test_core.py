@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import plateforces
 from plateforces import (
     CODATA2018,
     GapConfig,
@@ -133,3 +134,10 @@ class TestYukawaParams:
             YukawaParams(alpha=1.0, lam=0.0)
         with pytest.raises(InvalidParameterError):
             YukawaParams(alpha=math.nan, lam=1e-5)
+
+
+def test_all_exports_resolve_sorted_and_unique():
+    names = plateforces.__all__
+    assert [name for name in names if not hasattr(plateforces, name)] == []
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)

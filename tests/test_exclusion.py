@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -10,8 +10,12 @@ from oracles import alpha_bound_reference
 from plateforces import (
     Curve,
     DomainError,
+    GapConfig,
     InvalidParameterError,
-    ResolutionSpec,
+    MaterialLayer,
+    PlateGeometry,
+    PlatePairConfig,
+    PlateStack,
     YukawaParams,
     alpha_bound,
     exclusion_scan,
@@ -21,12 +25,20 @@ from plateforces import (
 from plateforces.exclusion import MAX_LAMBDA, MAX_SCAN_POINTS
 
 GOLD = 19.3e3
+RESOLUTION = 1e-12
 
 
-def gold_spec(thickness=1e-5, resolution=1e-12):
-    return ResolutionSpec(
+def gold_plates(thickness=1e-5, gap=5e-6):
+    """Two gold films of one thickness on 10 x 12 cm plates (area 0.012 m^2)."""
+    gold = PlateStack((MaterialLayer("gold", GOLD, thickness),))
+    return PlatePairConfig(gold, gold, PlateGeometry(0.1, 0.12), GapConfig(gap))
+
+
+def reference_spec(thickness=1e-5, gap=5e-6, resolution=RESOLUTION):
+    """gold_plates in the field names alpha_bound_reference reads."""
+    return SimpleNamespace(
         force_resolution=resolution,
-        gap=5e-6,
+        gap=gap,
         density_a=GOLD,
         density_b=GOLD,
         thickness_a=thickness,
@@ -35,140 +47,147 @@ def gold_spec(thickness=1e-5, resolution=1e-12):
     )
 
 
+def test_gold_plates_area_is_exact():
+    # tests pin values computed with area 0.012; the plate footprint gives it exactly
+    assert gold_plates().geometry.area() == 0.012
+
+
 class TestAlphaBound:
     def test_gold_baseline(self):
         # 1 pN resolution, 10 um films, 5 um gap, probed at lam = 10 um
-        assert alpha_bound(1e-5, gold_spec()) == pytest.approx(
+        assert alpha_bound(1e-5, gold_plates(), RESOLUTION) == pytest.approx(
             22.013316383214352, rel=1e-12
         )
-        assert alpha_bound(1e-5, gold_spec()) == pytest.approx(22.0, rel=1e-2)
+        assert alpha_bound(1e-5, gold_plates(), RESOLUTION) == pytest.approx(22.0, rel=1e-2)
 
     def test_round_trip_through_force(self):
-        spec = gold_spec()
+        plates = gold_plates()
         for lam in (1e-6, 3.7e-6, 1e-5, 2.9e-4, 1e-2):
-            alpha = alpha_bound(lam, spec)
+            alpha = alpha_bound(lam, plates, RESOLUTION)
             force = plate_yukawa(
-                spec.density_a,
-                spec.density_b,
-                spec.area,
-                spec.thickness_a,
-                spec.thickness_b,
-                spec.gap,
-                YukawaParams(alpha=alpha, lam=lam),
+                GOLD, GOLD, 0.012, 1e-5, 1e-5, 5e-6, YukawaParams(alpha=alpha, lam=lam)
             )
-            assert force == pytest.approx(spec.force_resolution, rel=1e-12), lam
+            assert force == pytest.approx(RESOLUTION, rel=1e-12), lam
 
     def test_linear_in_resolution(self):
-        assert alpha_bound(1e-5, gold_spec(resolution=2e-12)) == pytest.approx(
-            2 * alpha_bound(1e-5, gold_spec(resolution=1e-12)), rel=1e-12
+        assert alpha_bound(1e-5, gold_plates(), 2e-12) == pytest.approx(
+            2 * alpha_bound(1e-5, gold_plates(), 1e-12), rel=1e-12
         )
 
     def test_thicker_films_see_smaller_couplings(self):
-        bounds = [alpha_bound(1e-5, gold_spec(thickness=t)) for t in (0.3e-6, 1e-6, 3e-6, 1e-5)]
+        bounds = [
+            alpha_bound(1e-5, gold_plates(thickness=t), RESOLUTION)
+            for t in (0.3e-6, 1e-6, 3e-6, 1e-5)
+        ]
         assert all(b < a for a, b in zip(bounds, bounds[1:]))
 
-    def test_approaches_thick_plate_floor_from_above(self):
-        spec = gold_spec()
-        floor = spec.force_resolution / (
-            2
-            * math.pi
-            * 6.674e-11
-            * GOLD**2
-            * spec.area
-            * spec.thickness_a
-            * spec.thickness_b
+    def test_uses_each_facing_layer_thickness(self):
+        # an asymmetric pair: the bound sees the facing layer of each stack,
+        # not the substrate behind it
+        gold = gold_plates()
+        thin = PlateStack(
+            (MaterialLayer("gold", GOLD, 1e-6), MaterialLayer("glass", 3e3, 1e-2))
         )
-        far = alpha_bound(1e4 * spec.thickness_a, spec)
+        pair = PlatePairConfig(gold.stack_a, thin, gold.geometry, gold.gap)
+        spec = reference_spec()
+        spec.thickness_b = 1e-6
+        for lam in (1e-6, 1e-5, 1e-3):
+            assert alpha_bound(lam, pair, RESOLUTION) == alpha_bound_reference(lam, spec)
+
+    def test_approaches_thick_plate_floor_from_above(self):
+        floor = RESOLUTION / (2 * math.pi * 6.674e-11 * GOLD**2 * 0.012 * 1e-5 * 1e-5)
+        far = alpha_bound(1e4 * 1e-5, gold_plates(), RESOLUTION)
         assert far > floor
         assert far == pytest.approx(floor, rel=1e-3)
 
     def test_rejects_nonpositive_lam(self):
         with pytest.raises(InvalidParameterError):
-            alpha_bound(0.0, gold_spec())
+            alpha_bound(0.0, gold_plates(), RESOLUTION)
+
+    @pytest.mark.parametrize("resolution", [0.0, -1e-12, math.nan, math.inf])
+    def test_rejects_bad_resolution(self, resolution):
+        with pytest.raises(InvalidParameterError, match="force_resolution"):
+            alpha_bound(1e-5, gold_plates(), resolution)
+        with pytest.raises(InvalidParameterError, match="force_resolution"):
+            exclusion_scan(gold_plates(), resolution, 1e-6, 1e-2, 10, (1e-5,))
 
     def test_rejects_lam_whose_square_overflows(self):
-        assert math.isfinite(alpha_bound(MAX_LAMBDA, gold_spec()))
+        assert math.isfinite(alpha_bound(MAX_LAMBDA, gold_plates(), RESOLUTION))
         with pytest.raises(DomainError, match="lam 1e\\+300 m"):
-            alpha_bound(1e300, gold_spec())
+            alpha_bound(1e300, gold_plates(), RESOLUTION)
         with pytest.raises(DomainError, match="lam "):
-            alpha_bound(math.nextafter(MAX_LAMBDA, math.inf), gold_spec())
-
-    def test_with_thickness_replaces_both(self):
-        spec = gold_spec().with_thickness(3e-6)
-        assert spec.thickness_a == 3e-6
-        assert spec.thickness_b == 3e-6
-        assert spec.gap == 5e-6
+            alpha_bound(math.nextafter(MAX_LAMBDA, math.inf), gold_plates(), RESOLUTION)
 
 
 class TestExclusionScan:
     def test_grid_shape_and_endpoints(self):
-        curves = exclusion_scan(gold_spec(), 1e-6, 1e-2, 2, (1e-5,))
+        curves = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 2, (1e-5,))
         (curve,) = curves
         assert len(curve.lambdas) == 2
-        assert curve.alphas[0] == alpha_bound(curve.lambdas[0], gold_spec())
-        assert curve.alphas[1] == alpha_bound(curve.lambdas[1], gold_spec())
+        assert curve.alphas[0] == alpha_bound(curve.lambdas[0], gold_plates(), RESOLUTION)
+        assert curve.alphas[1] == alpha_bound(curve.lambdas[1], gold_plates(), RESOLUTION)
 
     def test_endpoints_are_the_requested_lambdas(self):
         # 10 ** log10(5e-6) is 4.9999999999999996e-06, one ulp short
-        (curve,) = exclusion_scan(gold_spec(), 5e-6, 1e-3, 4, (1e-5,))
+        (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 5e-6, 1e-3, 4, (1e-5,))
         assert curve.lambdas[0] == 5e-6
         assert curve.lambdas[-1] == 1e-3
 
     def test_monotone_decreasing_over_micron_to_centimeter(self):
-        (curve,) = exclusion_scan(gold_spec(), 1e-6, 1e-2, 1000, (1e-5,))
+        (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 1000, (1e-5,))
         assert all(b < a for a, b in zip(curve.alphas, curve.alphas[1:]))
 
     def test_thickness_ordering_pointwise(self):
         thicknesses = (0.3e-6, 1e-6, 3e-6, 1e-5)
-        curves = exclusion_scan(gold_spec(), 1e-6, 1e-2, 200, thicknesses)
+        curves = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 200, thicknesses)
         for thin, thick in zip(curves, curves[1:]):
             assert all(
                 lo < hi for hi, lo in zip(thin.alphas, thick.alphas)
             ), "curves must not touch or cross"
 
     def test_deterministic(self):
-        a = exclusion_scan(gold_spec(), 1e-6, 1e-2, 500, (1e-6, 1e-5))
-        b = exclusion_scan(gold_spec(), 1e-6, 1e-2, 500, (1e-6, 1e-5))
+        a = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 500, (1e-6, 1e-5))
+        b = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 500, (1e-6, 1e-5))
         for ca, cb in zip(a, b):
             assert ca.lambdas == cb.lambdas
             assert ca.alphas == cb.alphas
 
     def test_rejects_degenerate_grids(self):
         with pytest.raises(DomainError):
-            exclusion_scan(gold_spec(), 1e-6, 1e-6, 10, (1e-5,))
+            exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-6, 10, (1e-5,))
         with pytest.raises(DomainError):
-            exclusion_scan(gold_spec(), 1e-2, 1e-6, 10, (1e-5,))
+            exclusion_scan(gold_plates(), RESOLUTION, 1e-2, 1e-6, 10, (1e-5,))
         with pytest.raises(DomainError):
-            exclusion_scan(gold_spec(), 1e-6, 1e-2, 1, (1e-5,))
+            exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 1, (1e-5,))
 
     def test_rejects_lambda_max_whose_square_overflows(self):
-        (curve,) = exclusion_scan(gold_spec(), 1e-6, MAX_LAMBDA, 4, (1e-5,))
+        (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, MAX_LAMBDA, 4, (1e-5,))
         assert all(math.isfinite(alpha) for alpha in curve.alphas)
         with pytest.raises(DomainError, match="lambda_max 1e\\+300 m"):
-            exclusion_scan(gold_spec(), 1e-6, 1e300, 4, (1e-5,))
+            exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e300, 4, (1e-5,))
 
     def test_curves_share_one_grid(self):
         # cmd_exclusion puts each curve's lambdas in its table block, and
         # to_csv formats a tuple that several blocks hold once; a grid copied
         # per curve loses that
-        curves = exclusion_scan(gold_spec(), 1e-6, 1e-2, 50, (3e-7, 1e-6, 1e-5))
+        curves = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 50, (3e-7, 1e-6, 1e-5))
         assert all(curve.lambdas is curves[0].lambdas for curve in curves)
 
     def test_rejects_more_than_max_points(self):
         with pytest.raises(DomainError, match=f"at most {MAX_SCAN_POINTS} points"):
-            exclusion_scan(gold_spec(), 1e-6, 1e-2, MAX_SCAN_POINTS + 1, (1e-5,))
+            exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, MAX_SCAN_POINTS + 1, (1e-5,))
 
     def test_rejects_bad_thicknesses(self):
         with pytest.raises(InvalidParameterError):
-            exclusion_scan(gold_spec(), 1e-6, 1e-2, 10, ())
+            exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 10, ())
         with pytest.raises(InvalidParameterError):
-            exclusion_scan(gold_spec(), 1e-6, 1e-2, 10, (-1e-6,))
+            exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 10, (-1e-6,))
 
 
     def test_overflow_below_the_gap_gives_inf(self):
         # exp(5 um / 1 nm) overflows a double
-        assert alpha_bound(1e-9, gold_spec()) == math.inf
-        (curve,) = exclusion_scan(gold_spec(), 1e-9, 1e-2, 5, (1e-5,))
+        assert alpha_bound(1e-9, gold_plates(), RESOLUTION) == math.inf
+        (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-9, 1e-2, 5, (1e-5,))
         assert curve.alphas[0] == math.inf
         assert all(math.isfinite(alpha) for alpha in curve.alphas[1:])
 
@@ -190,19 +209,22 @@ def _log_uniform(lo, hi):
 def test_scan_alpha_equals_reference_bit_for_bit(
     resolution, gap, thicknesses, lambda_min, decades, n_points
 ):
-    # lambda_min reaches 1 nm, below which exp(gap/lambda) overflows
-    spec = replace(gold_spec(resolution=resolution), gap=gap)
+    # lambda_min reaches 1 nm, below which exp(gap/lambda) overflows;
+    # the scan sets both facing layers to each thickness in turn
+    plates = gold_plates(gap=gap)
     lambda_max = lambda_min * 10.0**decades
-    curves = exclusion_scan(spec, lambda_min, lambda_max, n_points, tuple(thicknesses))
+    curves = exclusion_scan(
+        plates, resolution, lambda_min, lambda_max, n_points, tuple(thicknesses)
+    )
     for thickness, curve in zip(thicknesses, curves):
-        curve_spec = spec.with_thickness(thickness)
+        curve_spec = reference_spec(thickness, gap, resolution)
         expected = [alpha_bound_reference(lam, curve_spec) for lam in curve.lambdas]
         assert list(curve.alphas) == expected
 
 
 def test_reference_oracle_reaches_the_overflow_region():
-    (curve,) = exclusion_scan(gold_spec(), 1e-9, 1e-2, 60, (1e-5,))
-    expected = [alpha_bound_reference(lam, gold_spec()) for lam in curve.lambdas]
+    (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-9, 1e-2, 60, (1e-5,))
+    expected = [alpha_bound_reference(lam, reference_spec()) for lam in curve.lambdas]
     assert list(curve.alphas) == expected
     assert expected.count(math.inf) == 8
 
@@ -219,12 +241,12 @@ class TestCurveInterpolation:
             )
 
     def test_nodes_reproduce(self):
-        (curve,) = exclusion_scan(gold_spec(), 1e-6, 1e-2, 50, (1e-5,))
+        (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 50, (1e-5,))
         for lam, alpha in zip(curve.lambdas, curve.alphas):
             assert curve.alpha_at(lam) == pytest.approx(alpha, rel=1e-14)
 
     def test_extrapolation_refused(self):
-        (curve,) = exclusion_scan(gold_spec(), 1e-6, 1e-2, 50, (1e-5,))
+        (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 50, (1e-5,))
         with pytest.raises(DomainError):
             curve.alpha_at(9.9e-7)
         with pytest.raises(DomainError):
@@ -265,13 +287,13 @@ class TestCurveInterpolation:
 
 class TestImprovementFactor:
     def test_identical_curves_give_exactly_one(self):
-        (curve,) = exclusion_scan(gold_spec(), 1e-6, 1e-2, 100, (1e-5,))
+        (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 100, (1e-5,))
         prior = Curve(lambdas=curve.lambdas, alphas=curve.alphas, source="self")
         for lam in (1e-6, 1e-4, 1e-2, 3.3e-5):
             assert improvement_factor(curve, prior, lam) == 1.0
 
     def test_hundredfold_prior(self):
-        (curve,) = exclusion_scan(gold_spec(), 1e-6, 1e-2, 100, (1e-5,))
+        (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 100, (1e-5,))
         prior = Curve(
             lambdas=curve.lambdas,
             alphas=tuple(100.0 * a for a in curve.alphas),
@@ -283,7 +305,7 @@ class TestImprovementFactor:
             )
 
     def test_outside_either_domain_refused(self):
-        (curve,) = exclusion_scan(gold_spec(), 1e-6, 1e-2, 100, (1e-5,))
+        (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 100, (1e-5,))
         prior = Curve(lambdas=(1e-5, 1e-4), alphas=(1e3, 1e2), source="narrow")
         with pytest.raises(DomainError) as err:
             improvement_factor(curve, prior, 1e-6)

@@ -5,6 +5,7 @@ import pytest
 
 from plateforces import (
     CODATA2018,
+    DomainError,
     GapConfig,
     InvalidParameterError,
     LayerMode,
@@ -86,6 +87,14 @@ class TestPointInteraction:
             point_potential(pair, 0.0, y)
         with pytest.raises(InvalidParameterError):
             point_force(pair, -1.0, y)
+
+    @pytest.mark.parametrize(
+        "separation, message",
+        [(1e160, "too large: d\\^2 overflows"), (1e-170, "too small: d\\^2 underflows")],
+    )
+    def test_separation_powers_out_of_range_are_domain_errors(self, separation, message):
+        with pytest.raises(DomainError, match=message):
+            point_force(PointMassPair(1.0, 1.0), separation, YukawaParams(1.0, 1.0))
 
 
 class TestPlateNewton:

@@ -1,13 +1,17 @@
 """Invariants checked over randomized inputs rather than fixed anchors."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import plate_newton_reference, plate_yukawa_reference
+
 from plateforces import (
-    ElectrostaticConfig,
+    GapConfig,
+    MaterialLayer,
     PlateGeometry,
-    ResolutionSpec,
+    PlatePairConfig,
+    PlateStack,
     YukawaParams,
     alpha_bound,
     casimir_zero_t,
@@ -52,8 +56,8 @@ def test_thermal_scales_inverse_cube(area, gap, temperature):
 
 @given(area=sides, gap=gaps, voltage=voltages)
 def test_electrostatic_quadratic_in_voltage(area, gap, voltage):
-    one = electrostatic_force(ElectrostaticConfig(voltage, area, gap))
-    two = electrostatic_force(ElectrostaticConfig(2.0 * voltage, area, gap))
+    one = electrostatic_force(area, gap, voltage)
+    two = electrostatic_force(area, gap, 2.0 * voltage)
     assert two == pytest.approx(4.0 * one, rel=1e-12)
 
 
@@ -64,10 +68,9 @@ def test_electrostatic_quadratic_in_voltage(area, gap, voltage):
     suppression=st.floats(min_value=1e-12, max_value=0.99),
 )
 def test_voltage_control_round_trips(area, gap, voltage, suppression):
-    config = ElectrostaticConfig(voltage, area, gap)
-    target = electrostatic_force(config) * suppression
-    ratio = voltage_control_requirement(config, target)
-    residual = electrostatic_force(ElectrostaticConfig(voltage * ratio, area, gap))
+    target = electrostatic_force(area, gap, voltage) * suppression
+    ratio = voltage_control_requirement(area, gap, voltage, target)
+    residual = electrostatic_force(area, gap, voltage * ratio)
     assert residual == pytest.approx(target, rel=1e-12)
 
 
@@ -82,6 +85,41 @@ def test_plate_newton_swap_symmetric(density_a, density_b, area, thickness_a, th
     ab = plate_newton(density_a, density_b, area, thickness_a, thickness_b)
     ba = plate_newton(density_b, density_a, area, thickness_b, thickness_a)
     assert ab == pytest.approx(ba, rel=1e-13)
+
+
+@given(
+    density_a=densities,
+    density_b=densities,
+    area=sides,
+    thickness_a=thicknesses,
+    thickness_b=thicknesses,
+)
+def test_plate_newton_equals_reference_bit_for_bit(
+    density_a, density_b, area, thickness_a, thickness_b
+):
+    args = (density_a, density_b, area, thickness_a, thickness_b)
+    assert plate_newton(*args) == plate_newton_reference(*args)
+
+
+# the first example is the budget golden's yukawa_N point
+@example(19.3e3, 19.3e3, 0.012, 1e-5, 1e-5, 5e-6, 1.0, 1e-5)
+@example(19.3e3, 3.0e3, 0.012, 3e-7, 15e-3, 1e-6, -2.5, 1e-9)
+@given(
+    density_a=densities,
+    density_b=densities,
+    area=sides,
+    thickness_a=thicknesses,
+    thickness_b=thicknesses,
+    gap=gaps,
+    alpha=st.floats(min_value=-1e6, max_value=1e6),
+    lam=lams,
+)
+def test_plate_yukawa_equals_reference_bit_for_bit(
+    density_a, density_b, area, thickness_a, thickness_b, gap, alpha, lam
+):
+    # the budget golden pins one point; this pins the whole product order
+    args = (density_a, density_b, area, thickness_a, thickness_b, gap, YukawaParams(alpha, lam))
+    assert plate_yukawa(*args) == plate_yukawa_reference(*args)
 
 
 @given(thickness=thicknesses, lam=lams)
@@ -111,16 +149,9 @@ def test_plate_yukawa_linear_in_alpha(density, area, thickness, gap, lam, alpha)
     step=st.floats(min_value=1.01, max_value=100.0),
 )
 def test_alpha_bound_strictly_decreasing(lam, step):
-    spec = ResolutionSpec(
-        force_resolution=1e-12,
-        gap=5e-6,
-        density_a=19.3e3,
-        density_b=19.3e3,
-        thickness_a=1e-5,
-        thickness_b=1e-5,
-        area=0.012,
-    )
-    assert alpha_bound(lam * step, spec) < alpha_bound(lam, spec)
+    gold = PlateStack((MaterialLayer("gold", 19.3e3, 1e-5),))
+    plates = PlatePairConfig(gold, gold, PlateGeometry(0.1, 0.12), GapConfig(5e-6))
+    assert alpha_bound(lam * step, plates, 1e-12) < alpha_bound(lam, plates, 1e-12)
 
 
 @settings(max_examples=50)

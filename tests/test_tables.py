@@ -206,7 +206,12 @@ class TestRunWriter:
         table = cmd_exclusion(baseline_config, n_points=20_000, prior=prior)
         # the same table built row by row, as before it held blocks
         curves = exclusion_scan(
-            baseline_config.resolution_spec(), 1e-6, 1e-2, 20_000, DEFAULT_SCAN_THICKNESSES
+            baseline_config.plate_pair(),
+            baseline_config.force_resolution,
+            1e-6,
+            1e-2,
+            20_000,
+            DEFAULT_SCAN_THICKNESSES,
         )
         rows = []
         for thickness, curve in zip(DEFAULT_SCAN_THICKNESSES, curves):
