@@ -41,7 +41,6 @@ from .core import (
     CODATA2018,
     GapConfig,
     MaterialLayer,
-    PhysicalConstants,
     PlateGeometry,
     PlateStack,
     YukawaParams,
@@ -81,7 +80,6 @@ __all__ = [
     "InvalidParameterError",
     "LayerMode",
     "MaterialLayer",
-    "PhysicalConstants",
     "PlateForcesError",
     "PlateGeometry",
     "PlatePairConfig",

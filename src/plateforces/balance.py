@@ -10,13 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (
-    CODATA2018,
-    PhysicalConstants,
-    require_non_negative,
-    require_positive,
-    separation_power,
-)
+from .casimir import CASIMIR_COEFF
+from .core import require_non_negative, require_positive, separation_power
 from .errors import DomainError, InvalidParameterError
 
 # Shear moduli (Pa) for the usual torsion fiber materials.
@@ -105,11 +100,23 @@ def min_detectable_force(balance: BalanceConfig) -> float:
     A force F on the arm twists it by theta = F * arm / kappa and moves
     the tip by x = theta * arm, so the resolvable force is
     F_min = kappa * x_min / arm^2.
+
+    Raises DomainError naming all three inputs if F_min overflows or
+    underflows to zero.
     """
-    return (
-        balance.torque_sensitivity
-        * balance.min_displacement
-        / balance.arm_length**2
+    kappa, x_min, arm = balance.torque_sensitivity, balance.min_displacement, balance.arm_length
+    try:
+        force = kappa * x_min / arm**2
+    except OverflowError:  # arm^2 overflows
+        force = 0.0
+    except ZeroDivisionError:  # arm^2 underflows to zero
+        force = math.inf
+    if 0.0 < force < math.inf:
+        return force
+    outcome = "underflows to zero" if force == 0.0 else "overflows"
+    raise DomainError(
+        f"arm_length {arm:g} m with torque_sensitivity {kappa:g} N m/rad and "
+        f"min_displacement {x_min:g} m: kappa x_min / arm_length^2 {outcome}"
     )
 
 
@@ -119,11 +126,7 @@ def gap_variation_from_tilt(tilt: TiltConfig) -> float:
 
 
 def tilted_casimir(
-    plate_width: float,
-    plate_length: float,
-    separation: float,
-    angle: float,
-    constants: PhysicalConstants = CODATA2018,
+    plate_width: float, plate_length: float, separation: float, angle: float
 ) -> float:
     """Casimir force on a plate tilted about its near edge, in N.
 
@@ -150,17 +153,16 @@ def tilted_casimir(
             f"raises the far edge by {rise:g} m, not less than the "
             f"{separation:g} m gap"
         )
-    coeff = math.pi**2 * constants.hbar * constants.c / 240.0
     if angle == 0.0:
-        return coeff * plate_width * plate_length / separation_power(separation, 4)
+        return CASIMIR_COEFF * plate_width * plate_length / separation_power(separation, 4)
     u = rise / separation
     if u < 1e-4:
         # (1 - (1+u)^-3) / (3u) = 1 - 2u + (10/3)u^2 - 5u^3 + 7u^4 - ...
         # truncation below 1e-19 relative at the branch point
         g = 1.0 - 2.0 * u + (10.0 / 3.0) * u * u - 5.0 * u**3 + 7.0 * u**4
-        return coeff * plate_width * plate_length / separation_power(separation, 4) * g
+        return CASIMIR_COEFF * plate_width * plate_length / separation_power(separation, 4) * g
     return (
-        coeff
+        CASIMIR_COEFF
         * plate_width
         * (separation_power(separation, -3) - (separation + rise) ** -3)
         / (3.0 * angle)

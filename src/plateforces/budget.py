@@ -15,32 +15,38 @@ from dataclasses import dataclass, field
 from .casimir import THERMAL_TRUST_MIN_GAP, ThermalModel, casimir_zero_t, thermal_casimir
 from .core import (
     CODATA2018,
-    PhysicalConstants,
     YukawaParams,
     require_non_negative,
     require_positive,
     separation_power,
 )
-from .gravity import LayerMode, PlatePairConfig, stack_newton, stack_yukawa
+from .errors import DomainError
+from .gravity import PlatePairConfig, stack_newton, stack_yukawa
 
 
-def electrostatic_force(
-    area: float,
-    separation: float,
-    stray_voltage: float,
-    constants: PhysicalConstants = CODATA2018,
-) -> float:
+def electrostatic_force(area: float, separation: float, stray_voltage: float) -> float:
     """Attraction of a parallel-plate capacitor at the stray voltage, in N.
 
     F = epsilon0 S V^2 / (2 d^2)
 
     stray_voltage is in V; zero is allowed (perfectly compensated
-    plates).  Raises DomainError if d^2 overflows or underflows to zero.
+    plates).  Raises DomainError if d^2 overflows or underflows to zero,
+    or naming the stray voltage if the force overflows.
     """
     require_positive("area", area)
     require_positive("separation", separation)
     require_non_negative("stray_voltage", stray_voltage)
-    return constants.epsilon0 * area * stray_voltage**2 / (2.0 * separation_power(separation, 2))
+    d_squared = separation_power(separation, 2)
+    try:
+        force = CODATA2018.epsilon0 * area * stray_voltage**2 / (2.0 * d_squared)
+    except OverflowError:  # V^2 overflows
+        force = math.inf
+    if force < math.inf:
+        return force
+    raise DomainError(
+        f"stray_voltage {stray_voltage:g} V is too large: the electrostatic "
+        f"force at separation {separation:g} m overflows"
+    )
 
 
 def voltage_control_requirement(
@@ -48,7 +54,6 @@ def voltage_control_requirement(
     separation: float,
     stray_voltage: float,
     residual_target: float,
-    constants: PhysicalConstants = CODATA2018,
 ) -> float:
     """Fraction of the stray voltage that may survive compensation.
 
@@ -59,7 +64,7 @@ def voltage_control_requirement(
     capped at 1 (no compensation needed).
     """
     require_positive("residual_target", residual_target)
-    background = electrostatic_force(area, separation, stray_voltage, constants)
+    background = electrostatic_force(area, separation, stray_voltage)
     if residual_target >= background:
         return 1.0
     return math.sqrt(residual_target / background)
@@ -103,11 +108,10 @@ def build_budget(
     stray_voltage: float,
     yukawa_reference: YukawaParams,
     force_resolution: float,
-    mode: LayerMode = LayerMode.METAL_ONLY,
-    constants: PhysicalConstants = CODATA2018,
 ) -> ForceBudget:
     """Assemble the full force budget for one plate configuration.
 
+    The Yukawa signal is that of the facing layers (LayerMode.METAL_ONLY).
     The electrostatic background is that of the plates themselves: their
     area and gap at stray_voltage.
     """
@@ -126,11 +130,11 @@ def build_budget(
     )
     return ForceBudget(
         gap=d,
-        casimir=casimir_zero_t(area, d, constants),
-        thermal=thermal_casimir(area, d, plates.gap.temperature, constants),
-        newton=stack_newton(plates, constants),
-        yukawa_hypothesis=abs(stack_yukawa(plates, yukawa_reference, mode, constants)),
-        electrostatic=electrostatic_force(area, d, stray_voltage, constants),
+        casimir=casimir_zero_t(area, d),
+        thermal=thermal_casimir(area, d, plates.gap.temperature),
+        newton=stack_newton(plates),
+        yukawa_hypothesis=abs(stack_yukawa(plates, yukawa_reference)),
+        electrostatic=electrostatic_force(area, d, stray_voltage),
         resolution=force_resolution,
         eta=thermal_model.reduction_factor,
         flags=tuple(flags),

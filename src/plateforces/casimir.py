@@ -12,14 +12,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import (
-    CODATA2018,
-    PhysicalConstants,
-    require_non_negative,
-    require_positive,
-    separation_power,
-)
+from .core import CODATA2018, require_non_negative, require_positive, separation_power
 from .errors import InvalidParameterError
+
+# pi^2 hbar c / 240, J m: the ideal-mirror zero-temperature pressure
+# times d^4
+CASIMIR_COEFF = math.pi**2 * CODATA2018.hbar * CODATA2018.c / 240.0
 
 # Below roughly this separation the photon thermal wavelength no longer
 # dwarfs the gap and the classical n=0 term stops being the whole
@@ -62,9 +60,7 @@ class ThermalModel:
             )
 
 
-def casimir_zero_t(
-    area: float, separation: float, constants: PhysicalConstants = CODATA2018
-) -> float:
+def casimir_zero_t(area: float, separation: float) -> float:
     """Zero-temperature Casimir force between ideal mirrors.
 
     F = (pi^2 hbar c / 240) * S / d^4
@@ -89,16 +85,10 @@ def casimir_zero_t(
     """
     require_positive("area", area)
     require_positive("separation", separation)
-    coeff = math.pi**2 * constants.hbar * constants.c / 240.0
-    return coeff * area / separation_power(separation, 4)
+    return CASIMIR_COEFF * area / separation_power(separation, 4)
 
 
-def thermal_casimir(
-    area: float,
-    separation: float,
-    temperature: float,
-    constants: PhysicalConstants = CODATA2018,
-) -> float:
+def thermal_casimir(area: float, separation: float, temperature: float) -> float:
     """Classical (high-temperature) thermal Casimir force for ideal mirrors.
 
     F = (zeta(3) k_B T / 4 pi) * S / d^3
@@ -113,7 +103,7 @@ def thermal_casimir(
     require_positive("area", area)
     require_positive("separation", separation)
     require_non_negative("temperature", temperature)
-    coeff = constants.zeta3 * constants.k_B * temperature / (4.0 * math.pi)
+    coeff = CODATA2018.zeta3 * CODATA2018.k_B * temperature / (4.0 * math.pi)
     return coeff * area / separation_power(separation, 3)
 
 
@@ -122,15 +112,13 @@ def total_casimir(
     separation: float,
     temperature: float,
     model: ThermalModel = ThermalModel(),
-    constants: PhysicalConstants = CODATA2018,
 ) -> float:
     """Zero-T force plus the model-weighted thermal term.
 
     F = F_zero_T + eta * F_thermal with eta = model.reduction_factor.
     """
-    return casimir_zero_t(area, separation, constants) + (
-        model.reduction_factor
-        * thermal_casimir(area, separation, temperature, constants)
+    return casimir_zero_t(area, separation) + (
+        model.reduction_factor * thermal_casimir(area, separation, temperature)
     )
 
 

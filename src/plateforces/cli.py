@@ -27,9 +27,9 @@ from .balance import (
     torsion_constant,
 )
 from .budget import build_budget, electrostatic_force
-from .casimir import THERMAL_TRUST_MIN_GAP, casimir_zero_t, thermal_casimir, total_casimir
+from .casimir import THERMAL_TRUST_MIN_GAP, casimir_zero_t, thermal_casimir
 from .config import ExperimentConfig, ingest_prior_bounds, load_config, parse_length
-from .core import CODATA2018, PhysicalConstants
+from .core import CODATA2018
 from .errors import ConfigError, DomainError, InvalidParameterError
 from .exclusion import Curve, exclusion_scan
 from .gravity import stack_newton
@@ -41,13 +41,11 @@ DEFAULT_SCAN_POINTS = 1000
 DEFAULT_SCAN_THICKNESSES = (0.3e-6, 1e-6, 3e-6, 10e-6)
 
 
-def _metadata(
-    command: str, config: ExperimentConfig, constants: PhysicalConstants
-) -> list[tuple[str, str]]:
+def _metadata(command: str, config: ExperimentConfig) -> list[tuple[str, str]]:
     return [
         ("tool", "plateforces"),
         ("command", command),
-        ("constants", constants.name),
+        ("constants", CODATA2018.name),
         ("sign_convention", "attractive forces reported as positive magnitudes"),
         ("config_sha256", config.source_sha256),
     ]
@@ -56,7 +54,6 @@ def _metadata(
 def cmd_forces(
     config: ExperimentConfig,
     gaps: Sequence[float] | None = None,
-    constants: PhysicalConstants = CODATA2018,
 ) -> ResultTable:
     """Casimir, Newton and electrostatic forces at each requested gap.
 
@@ -68,7 +65,7 @@ def cmd_forces(
     area = config.geometry.area()
     temperature = config.gap.temperature
     eta = config.thermal.reduction_factor
-    newton = stack_newton(config.plate_pair(), constants)
+    newton = stack_newton(config.plate_pair())
     rows = []
     warnings = []
     for gap in gaps:
@@ -78,18 +75,20 @@ def cmd_forces(
                 f"thermal force at gap {gap:g} m extrapolates the classical "
                 f"expression below its {THERMAL_TRUST_MIN_GAP:g} m trust gap"
             )
+        zero_t = casimir_zero_t(area, gap)
+        thermal = thermal_casimir(area, gap, temperature)
         rows.append(
             (
                 gap,
-                casimir_zero_t(area, gap, constants),
-                thermal_casimir(area, gap, temperature, constants),
-                total_casimir(area, gap, temperature, config.thermal, constants),
+                zero_t,
+                thermal,
+                zero_t + eta * thermal,  # total_casimir's own expression
                 newton,
-                electrostatic_force(area, gap, config.stray_voltage, constants),
+                electrostatic_force(area, gap, config.stray_voltage),
                 1.0 if trusted else 0.0,
             )
         )
-    metadata = _metadata("forces", config, constants)
+    metadata = _metadata("forces", config)
     metadata.append(("eta", format(eta, "g")))
     metadata.append(("temperature_K", format(temperature, "g")))
     return ResultTable(
@@ -114,9 +113,7 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator
 
 
-def cmd_budget(
-    config: ExperimentConfig, constants: PhysicalConstants = CODATA2018
-) -> ResultTable:
+def cmd_budget(config: ExperimentConfig) -> ResultTable:
     """Single-row force budget at the config gap, with signal/background
     and signal/resolution ratios."""
     budget = build_budget(
@@ -125,7 +122,6 @@ def cmd_budget(
         stray_voltage=config.stray_voltage,
         yukawa_reference=config.yukawa,
         force_resolution=config.force_resolution,
-        constants=constants,
     )
     total = budget.total_casimir()
     row = (
@@ -142,7 +138,7 @@ def cmd_budget(
         _ratio(total, budget.resolution),
         _ratio(budget.yukawa_hypothesis, budget.resolution),
     )
-    metadata = _metadata("budget", config, constants)
+    metadata = _metadata("budget", config)
     metadata.append(("eta", format(budget.eta, "g")))
     metadata.append(("yukawa_alpha", format(config.yukawa.alpha, "g")))
     metadata.append(("yukawa_lambda_m", format(config.yukawa.lam, "g")))
@@ -174,7 +170,6 @@ def cmd_exclusion(
     n_points: int = DEFAULT_SCAN_POINTS,
     thicknesses: Sequence[float] = DEFAULT_SCAN_THICKNESSES,
     prior: Curve | None = None,
-    constants: PhysicalConstants = CODATA2018,
 ) -> ResultTable:
     """Exclusion curves in long format: one table block per thickness.
 
@@ -188,7 +183,6 @@ def cmd_exclusion(
         lambda_max,
         n_points,
         tuple(thicknesses),
-        constants,
     )
     columns = ["thickness_m", "lambda_m", "alpha_1"]
     if prior is not None:
@@ -216,7 +210,7 @@ def cmd_exclusion(
             f"{min(unbounded):g} to {max(unbounded):g} m: exp(gap/lambda) "
             "overflows, so no finite coupling is detectable there"
         )
-    metadata = _metadata("exclusion", config, constants)
+    metadata = _metadata("exclusion", config)
     metadata.append(("force_resolution_N", format(config.force_resolution, "g")))
     metadata.append(("gap_m", format(config.gap.separation, "g")))
     if prior is not None:
@@ -229,9 +223,7 @@ def cmd_exclusion(
     )
 
 
-def cmd_sensitivity(
-    config: ExperimentConfig, constants: PhysicalConstants = CODATA2018
-) -> ResultTable:
+def cmd_sensitivity(config: ExperimentConfig) -> ResultTable:
     """Balance sensitivity and tilt effects for the configured setup."""
     kappa_wire = torsion_constant(config.wire)
     balance = config.balance
@@ -241,10 +233,8 @@ def cmd_sensitivity(
     gap = config.gap.separation
     area = config.geometry.area()
     strip_width = area / tilt.plate_length_along_tilt
-    flat = casimir_zero_t(area, gap, constants)
-    tilted = tilted_casimir(
-        strip_width, tilt.plate_length_along_tilt, gap, tilt.angle, constants
-    )
+    flat = casimir_zero_t(area, gap)
+    tilted = tilted_casimir(strip_width, tilt.plate_length_along_tilt, gap, tilt.angle)
     row = (
         kappa_wire,
         f_min_wire,
@@ -256,7 +246,7 @@ def cmd_sensitivity(
         tilted / flat,
         1.0 if f_min_balance <= config.force_resolution else 0.0,
     )
-    metadata = _metadata("sensitivity", config, constants)
+    metadata = _metadata("sensitivity", config)
     metadata.append(("wire_material", config.wire.material))
     metadata.append(("tilt_angle_rad", format(tilt.angle, "g")))
     return ResultTable(

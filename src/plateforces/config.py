@@ -243,11 +243,12 @@ def load_config(path: str) -> ExperimentConfig:
         )
         if parser.has_section("tilt"):
             tilt_reader = _SectionReader(parser, "tilt")
-            length_text = tilt_reader.raw_or("plate_length_along_tilt", None)
             tilt = TiltConfig(
                 angle=tilt_reader.number("angle"),
                 plate_length_along_tilt=(
-                    geometry.width if length_text is None else parse_length(length_text)
+                    geometry.width
+                    if tilt_reader.raw_or("plate_length_along_tilt", None) is None
+                    else tilt_reader.length("plate_length_along_tilt")
                 ),
             )
         else:
@@ -287,11 +288,12 @@ def load_config(path: str) -> ExperimentConfig:
     )
 
 
-def ingest_prior_bounds(path: str, source: str = "") -> Curve:
+def ingest_prior_bounds(path: str) -> Curve:
     """Read a prior-bounds CSV: columns lambda_m,alpha, '#' comments.
 
     Lines must come in strictly increasing lambda.  Errors name the
-    offending line; a file with no data rows is rejected.
+    offending line; a file with no data rows is rejected.  The curve's
+    source is the path.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -333,6 +335,4 @@ def ingest_prior_bounds(path: str, source: str = "") -> Curve:
         alphas.append(alpha)
     if len(lambdas) < 2:
         raise ConfigError(f"{path}: needs at least 2 data rows, found {len(lambdas)}")
-    return Curve(
-        lambdas=tuple(lambdas), alphas=tuple(alphas), source=source or path
-    )
+    return Curve(lambdas=tuple(lambdas), alphas=tuple(alphas), source=path)

@@ -47,10 +47,10 @@ def separation_power(separation: float, exponent: int) -> float:
 class PhysicalConstants:
     """Fundamental constants entering the force expressions.
 
-    Defaults are the CODATA-2018 values.  Alternative sets can be
-    passed explicitly through the ``constants`` keyword accepted by
-    every physics function; nothing in the package mutates or shadows
-    these defaults.
+    The one instance in use is CODATA2018, compiled into every physics
+    function; none of them takes another set.  G = 6.674e-11 is
+    rounded: it sits 4.5e-5 (relative) below CODATA-2018's 6.67430e-11,
+    although output metadata names the set CODATA-2018.
 
     Attributes
     ----------

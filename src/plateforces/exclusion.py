@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import lt
 
-from .core import CODATA2018, PhysicalConstants, require_positive
+from .core import require_positive
 from .errors import DomainError, InvalidParameterError
 from .gravity import PlatePairConfig, slab_coupling, yukawa_thickness_bracket
 
@@ -29,12 +29,7 @@ MAX_SCAN_POINTS = 1_000_000
 MAX_LAMBDA = math.sqrt(sys.float_info.max)
 
 
-def alpha_bound(
-    lam: float,
-    plates: PlatePairConfig,
-    force_resolution: float,
-    constants: PhysicalConstants = CODATA2018,
-) -> float:
+def alpha_bound(lam: float, plates: PlatePairConfig, force_resolution: float) -> float:
     """Smallest detectable |alpha| at range lam, dimensionless.
 
     Exact inversion of the Yukawa force between the two facing layers
@@ -55,7 +50,7 @@ def alpha_bound(
     _require_squarable("lam", lam)
     facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
     return _alpha_bounds(
-        (lam,), plates, facing_a.thickness, facing_b.thickness, force_resolution, constants
+        (lam,), plates, facing_a.thickness, facing_b.thickness, force_resolution
     )[0]
 
 
@@ -72,7 +67,6 @@ def _alpha_bounds(
     thickness_a: float,
     thickness_b: float,
     force_resolution: float,
-    constants: PhysicalConstants,
 ) -> tuple[float, ...]:
     """alpha_bound at every lambda of grid for facing layers of the
     given thicknesses, unchecked.
@@ -81,7 +75,7 @@ def _alpha_bounds(
     to right, so every alpha is the same double as the full product.
     """
     facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
-    prefactor = slab_coupling(facing_a.density, facing_b.density, plates.geometry.area(), constants)
+    prefactor = slab_coupling(facing_a.density, facing_b.density, plates.geometry.area())
     gap = plates.gap.separation
     exp, bracket = math.exp, yukawa_thickness_bracket
     alphas = []
@@ -188,7 +182,6 @@ def exclusion_scan(
     lambda_max: float,
     n_points: int,
     thicknesses: tuple[float, ...],
-    constants: PhysicalConstants = CODATA2018,
 ) -> list[Curve]:
     """One exclusion curve per facing-layer thickness.
 
@@ -228,7 +221,7 @@ def exclusion_scan(
     curves = []
     for thickness in thicknesses:
         require_positive("thickness", thickness)
-        alphas = _alpha_bounds(grid, plates, thickness, thickness, force_resolution, constants)
+        alphas = _alpha_bounds(grid, plates, thickness, thickness, force_resolution)
         curves.append(Curve(lambdas=grid, alphas=alphas))
     return curves
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .core import (
     CODATA2018,
     GapConfig,
-    PhysicalConstants,
     PlateGeometry,
     PlateStack,
     YukawaParams,
@@ -75,7 +74,6 @@ def point_potential(
     pair: PointMassPair,
     separation: float,
     yukawa: YukawaParams,
-    constants: PhysicalConstants = CODATA2018,
 ) -> float:
     """Gravitational potential energy with a Yukawa correction, in J.
 
@@ -84,7 +82,7 @@ def point_potential(
     Negative for alpha > -1 (bound configuration).
     """
     require_positive("separation", separation)
-    k = constants.G * pair.mass_a * pair.mass_b
+    k = CODATA2018.G * pair.mass_a * pair.mass_b
     return -k / separation * (1.0 + yukawa.alpha * math.exp(-separation / yukawa.lam))
 
 
@@ -92,7 +90,6 @@ def point_force(
     pair: PointMassPair,
     separation: float,
     yukawa: YukawaParams,
-    constants: PhysicalConstants = CODATA2018,
 ) -> float:
     """Magnitude of the point-point force implied by point_potential, in N.
 
@@ -101,18 +98,16 @@ def point_force(
     Raises DomainError if d^2 overflows or underflows to zero.
     """
     require_positive("separation", separation)
-    k = constants.G * pair.mass_a * pair.mass_b
+    k = CODATA2018.G * pair.mass_a * pair.mass_b
     x = separation / yukawa.lam
     return k / separation_power(separation, 2) * (1.0 + yukawa.alpha * (1.0 + x) * math.exp(-x))
 
 
-def slab_coupling(
-    density_a: float, density_b: float, area: float, constants: PhysicalConstants = CODATA2018
-) -> float:
+def slab_coupling(density_a: float, density_b: float, area: float) -> float:
     """2 pi G rho_a rho_b S, unchecked: the factor every slab-slab force
     starts with.  Python multiplies left to right, so this factor times
     further terms is the same double as the whole product spelled out."""
-    return 2.0 * math.pi * constants.G * density_a * density_b * area
+    return 2.0 * math.pi * CODATA2018.G * density_a * density_b * area
 
 
 def plate_newton(
@@ -121,7 +116,6 @@ def plate_newton(
     area: float,
     thickness_a: float,
     thickness_b: float,
-    constants: PhysicalConstants = CODATA2018,
 ) -> float:
     """Newtonian attraction between two uniform slabs, in N.
 
@@ -135,7 +129,7 @@ def plate_newton(
     require_positive("area", area)
     require_positive("thickness_a", thickness_a)
     require_positive("thickness_b", thickness_b)
-    return slab_coupling(density_a, density_b, area, constants) * thickness_a * thickness_b
+    return slab_coupling(density_a, density_b, area) * thickness_a * thickness_b
 
 
 def plate_yukawa(
@@ -146,7 +140,6 @@ def plate_yukawa(
     thickness_b: float,
     separation: float,
     yukawa: YukawaParams,
-    constants: PhysicalConstants = CODATA2018,
 ) -> float:
     """Yukawa force between two uniform slabs separated by a gap, in N.
 
@@ -165,7 +158,7 @@ def plate_yukawa(
     require_positive("separation", separation)
     lam = yukawa.lam
     return (
-        slab_coupling(density_a, density_b, area, constants)
+        slab_coupling(density_a, density_b, area)
         * yukawa.alpha
         * lam**2
         * math.exp(-separation / lam)
@@ -174,9 +167,7 @@ def plate_yukawa(
     )
 
 
-def stack_newton(
-    config: PlatePairConfig, constants: PhysicalConstants = CODATA2018
-) -> float:
+def stack_newton(config: PlatePairConfig) -> float:
     """Newtonian force between two layered plates: sum over layer pairs."""
     area = config.geometry.area()
     total = 0.0
@@ -188,7 +179,6 @@ def stack_newton(
                 area,
                 layer_a.thickness,
                 layer_b.thickness,
-                constants,
             )
     return total
 
@@ -197,7 +187,6 @@ def stack_yukawa(
     config: PlatePairConfig,
     yukawa: YukawaParams,
     mode: LayerMode = LayerMode.METAL_ONLY,
-    constants: PhysicalConstants = CODATA2018,
 ) -> float:
     """Yukawa force between two layered plates, in N.
 
@@ -218,7 +207,6 @@ def stack_yukawa(
             layer_b.thickness,
             d,
             yukawa,
-            constants,
         )
     if mode is LayerMode.FULL_STACK:
         total = 0.0
@@ -234,7 +222,6 @@ def stack_yukawa(
                     layer_b.thickness,
                     gap_ij,
                     yukawa,
-                    constants,
                 )
         return total
     raise ValueError(f"unknown layer mode: {mode!r}")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -89,6 +90,14 @@ class TestMinDetectableForce:
         short = min_detectable_force(BalanceConfig(1e-6, 0.1, 1e-9))
         long = min_detectable_force(BalanceConfig(1e-6, 0.2, 1e-9))
         assert short == pytest.approx(4 * long, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "arm, outcome", [(1e200, "underflows to zero"), (1e-170, "overflows")]
+    )
+    def test_arm_out_of_range_is_a_domain_error(self, arm, outcome):
+        # arm^2 overflows, or underflows to zero
+        with pytest.raises(DomainError, match=re.escape(f"arm_length {arm:g} m ") + f".*{outcome}"):
+            min_detectable_force(BalanceConfig(1e-6, arm, 1e-9))
 
 
 class TestGapVariation:

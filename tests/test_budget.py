@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -70,6 +71,14 @@ class TestElectrostaticForce:
     def test_gap_powers_out_of_range_are_domain_errors(self, gap, message):
         with pytest.raises(DomainError, match=message):
             electrostatic_force(AREA, gap, 0.1)
+
+    @pytest.mark.parametrize("gap, voltage", [(5e-6, 1e200), (1e-150, 1e100)])
+    def test_overflowing_force_names_stray_voltage(self, gap, voltage):
+        # V^2 overflows, or the finite V^2 / d^2 does
+        with pytest.raises(DomainError, match=re.escape(f"stray_voltage {voltage:g} V ") + ".*overflows"):
+            electrostatic_force(AREA, gap, voltage)
+        with pytest.raises(DomainError, match="stray_voltage"):
+            voltage_control_requirement(AREA, gap, voltage, 1e-12)
 
 
 class TestVoltageControl:

@@ -315,6 +315,28 @@ class TestExitCodes:
         assert "Traceback" not in result.stderr
         assert "separation 1e+80 m is too large" in result.stderr
 
+    @pytest.mark.parametrize(
+        "command, line, bad, message",
+        [
+            ("forces", "stray_voltage = 0.1", "stray_voltage = 1e200", "stray_voltage 1e+200 V"),
+            ("budget", "stray_voltage = 0.1", "stray_voltage = 1e200", "stray_voltage 1e+200 V"),
+            ("sensitivity", "arm_length = 0.1 m", "arm_length = 1e200 m", "arm_length 1e+200 m"),
+            ("sensitivity", "arm_length = 0.1 m", "arm_length = 1e-170 m", "arm_length 1e-170 m"),
+        ],
+        ids=["forces-voltage", "budget-voltage", "sensitivity-long-arm", "sensitivity-short-arm"],
+    )
+    def test_overflowing_config_value_is_a_domain_error(
+        self, tmp_path, command, line, bad, message
+    ):
+        text = BASELINE_CONFIG_PATH.read_text()
+        assert line in text
+        config = tmp_path / "bad.ini"
+        config.write_text(text.replace(line, bad))
+        result = run_fresh([command, "--config", str(config)])
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert message in result.stderr
+
     def test_overflowing_gap_flag_is_a_domain_error(self):
         result = run_fresh(["forces", "--config", BASELINE, "--gap", "1e80"])
         assert result.returncode == 3

@@ -181,6 +181,21 @@ class TestLoadConfig:
         compensated = GOOD.replace("stray_voltage = 0.1", "stray_voltage = 0")
         assert load_config(write(tmp_path, compensated)).stray_voltage == 0.0
 
+    @pytest.mark.parametrize(
+        "section, line, bad",
+        [
+            ("gap", "separation = 5 um", "separation = five"),
+            ("balance", "arm_length = 0.1 m", "arm_length = ten"),
+            ("tilt", "plate_length_along_tilt = 0.1 m", "plate_length_along_tilt = ten"),
+        ],
+        ids=["gap", "balance", "tilt"],
+    )
+    def test_unparsable_length_named(self, tmp_path, section, line, bad):
+        text = GOOD + "\n[tilt]\nangle = 1e-6\nplate_length_along_tilt = 0.1 m\n"
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: cannot parse length"):
+            load_config(write(tmp_path, text.replace(line, bad)))
+
     def test_length_out_of_range_named(self, tmp_path):
         broken = GOOD.replace("separation = 5 um", "separation = 1e9999999 um")
         with pytest.raises(ConfigError, match=r"\[gap\] separation: .*out of range"):

@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import math
+import pkgutil
 
 import pytest
 
@@ -8,12 +11,11 @@ from plateforces import (
     GapConfig,
     InvalidParameterError,
     MaterialLayer,
-    PhysicalConstants,
     PlateGeometry,
     PlateStack,
     YukawaParams,
-    casimir_zero_t,
 )
+from plateforces.core import PhysicalConstants
 
 
 class TestPhysicalConstants:
@@ -27,12 +29,6 @@ class TestPhysicalConstants:
         assert CODATA2018.epsilon0 == 8.8541878128e-12
         assert CODATA2018.zeta3 == 1.2020569032
         assert CODATA2018.name == "CODATA-2018"
-
-    def test_override_flows_through(self):
-        doubled = PhysicalConstants(hbar=2 * CODATA2018.hbar, name="test")
-        assert casimir_zero_t(0.012, 5e-6, doubled) == pytest.approx(
-            2 * casimir_zero_t(0.012, 5e-6), rel=1e-15
-        )
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidParameterError):
@@ -141,3 +137,26 @@ def test_all_exports_resolve_sorted_and_unique():
     assert [name for name in names if not hasattr(plateforces, name)] == []
     assert names == sorted(names)
     assert len(set(names)) == len(names)
+
+
+def test_single_valued_settings_are_not_parameters():
+    # the constants are compiled in, build_budget always takes the facing
+    # layers, and a prior curve's source is always its path
+    modules = [
+        importlib.import_module(f"plateforces.{info.name}")
+        for info in pkgutil.iter_modules(plateforces.__path__)
+    ]
+    functions = {
+        f"{module.__name__}.{name}": obj
+        for module in modules
+        for name, obj in vars(module).items()
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__
+    }
+    assert {"plateforces.cli.cmd_forces", "plateforces.casimir.casimir_zero_t"} <= set(functions)
+    taking_constants = [
+        name for name, function in functions.items()
+        if "constants" in inspect.signature(function).parameters
+    ]
+    assert taking_constants == []
+    assert "mode" not in inspect.signature(plateforces.build_budget).parameters
+    assert "source" not in inspect.signature(plateforces.ingest_prior_bounds).parameters
