@@ -107,10 +107,16 @@ def cmd_forces(
     )
 
 
-def _ratio(numerator: float, denominator: float) -> float:
+def _ratio(column: str, numerator: float, denominator: float) -> float:
     if denominator == 0.0:
         return math.inf if numerator > 0 else math.nan
-    return numerator / denominator
+    ratio = numerator / denominator
+    # an infinite quotient of a finite numerator is an overflow, not a result
+    if math.isinf(ratio) and math.isfinite(numerator):
+        raise DomainError(
+            f"{column}: {numerator!r} / {denominator!r} overflows a double"
+        )
+    return ratio
 
 
 def cmd_budget(config: ExperimentConfig) -> ResultTable:
@@ -133,10 +139,10 @@ def cmd_budget(config: ExperimentConfig) -> ResultTable:
         budget.yukawa_hypothesis,
         budget.electrostatic,
         budget.resolution,
-        _ratio(budget.electrostatic, budget.casimir),
-        _ratio(budget.newton, budget.casimir),
-        _ratio(total, budget.resolution),
-        _ratio(budget.yukawa_hypothesis, budget.resolution),
+        _ratio("ratio_electrostatic_casimir_zero_t_1", budget.electrostatic, budget.casimir),
+        _ratio("ratio_newton_casimir_zero_t_1", budget.newton, budget.casimir),
+        _ratio("ratio_total_casimir_resolution_1", total, budget.resolution),
+        _ratio("ratio_yukawa_resolution_1", budget.yukawa_hypothesis, budget.resolution),
     )
     metadata = _metadata("budget", config)
     metadata.append(("eta", format(budget.eta, "g")))
@@ -315,12 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write(table: ResultTable, out: str) -> None:
-    text = table.to_csv()
     if out == "-":
-        sys.stdout.write(text)
+        table.write(sys.stdout)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            table.write(handle)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

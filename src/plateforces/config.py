@@ -216,6 +216,12 @@ def load_config(path: str) -> ExperimentConfig:
             length=geometry_reader.length("length"),
             width=geometry_reader.length("width"),
         )
+        area = geometry.area()
+        if not 0 < area < math.inf:
+            raise ConfigError(
+                f"[geometry] length and width: their product, the plate area, "
+                f"must be finite and > 0, got {area!r} m^2"
+            )
         stack_a = _parse_stack(parser, "stack_a")
         stack_b = _parse_stack(parser, "stack_b")
         gap = GapConfig(
@@ -254,6 +260,13 @@ def load_config(path: str) -> ExperimentConfig:
         else:
             # default: the parallelism spec over the wider plate side
             tilt = TiltConfig(angle=1e-6, plate_length_along_tilt=geometry.width)
+        strip_width = area / tilt.plate_length_along_tilt
+        if not 0 < strip_width < math.inf:
+            raise ConfigError(
+                f"[tilt] plate_length_along_tilt: the plate width across the tilt, "
+                f"area / plate_length_along_tilt, must be finite and > 0, "
+                f"got {strip_width!r} m"
+            )
         force_resolution = resolution_reader.number("force_resolution")
         if not 0 < force_resolution < math.inf:
             raise ConfigError(

@@ -15,15 +15,20 @@ for tables without blocks.
 
 from __future__ import annotations
 
+import io
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
+from typing import TextIO
 
 from .errors import InvalidParameterError
 
 _METADATA_PREFIX = "# "
 _WARNING_KEY = "warning"
 _FLOAT_FORMAT = "%.17g"
+# data lines formatted per % call and per write: bounds the text held at once
+_SLICE_LINES = 4096
 
 
 def format_float(value: float) -> str:
@@ -36,6 +41,12 @@ def _block_indices(rows: tuple[tuple, ...]) -> list[int]:
     if tuple not in set(map(type, chain.from_iterable(rows))):
         return []
     return [i for i, row in enumerate(rows) if tuple in map(type, row)]
+
+
+def _plain_slices(row_format: str, rows: tuple[tuple[float, ...], ...]) -> Iterator[str]:
+    """Rows without blocks as text, at most _SLICE_LINES lines to a string."""
+    for start in range(0, len(rows), _SLICE_LINES):
+        yield "".join(map(row_format.__mod__, rows[start : start + _SLICE_LINES]))
 
 
 @dataclass(frozen=True)
@@ -65,25 +76,37 @@ class ResultTable:
         if any(key == _WARNING_KEY for key, _ in self.metadata):
             raise InvalidParameterError("metadata key 'warning' is reserved for the warnings list")
 
-    def to_csv(self) -> str:
+    def write(self, handle: TextIO) -> None:
+        """Write the CSV to a text handle: the metadata, warnings and header in
+        one call, then the data lines in strings of at most _SLICE_LINES lines,
+        so neither a whole block nor the whole file is ever held as text."""
         lines = [f"{_METADATA_PREFIX}{key} = {value}\n" for key, value in self.metadata]
         lines += [f"{_METADATA_PREFIX}{_WARNING_KEY}: {text}\n" for text in self.warnings]
         lines.append(",".join(self.columns) + "\n")
-        return "".join(lines + self._data_lines())
+        handle.write("".join(lines))
+        for text in self._data_slices():
+            handle.write(text)
 
-    def _data_lines(self) -> list[str]:
-        """One string per plain row and per block.  A block's float entries are
-        formatted once into its line template; a tuple several blocks hold (a
-        shared lambda grid) once per call, keyed by identity since equal tuples
-        need not print alike (0.0, -0.0).  That text is freed before the join.
+    def to_csv(self) -> str:
+        buffer = io.StringIO()
+        self.write(buffer)
+        return buffer.getvalue()
+
+    def _data_slices(self) -> Iterator[str]:
+        """The data lines, at most _SLICE_LINES to a string.  Plain rows are a
+        map of the row template.  A block's float entries are formatted once
+        into its line template, and one % call applies that template to every
+        line of a slice.  A tuple several blocks hold (a shared lambda grid)
+        is formatted once per call, keyed by identity since equal tuples need
+        not print alike (0.0, -0.0).
         """
         # one % call per row formats every value as format_float does
         row_format = ",".join([_FLOAT_FORMAT] * len(self.columns)) + "\n"
         blocks = _block_indices(self.rows)
         held = Counter(id(v) for i in blocks for v in self.rows[i] if type(v) is tuple)
-        lines, texts, start = [], {}, 0
+        texts, start = {}, 0
         for i in blocks:
-            lines.extend(map(row_format.__mod__, self.rows[start:i]))
+            yield from _plain_slices(row_format, self.rows[start:i])
             start = i + 1
             cells, columns = [], []
             for v in self.rows[i]:
@@ -95,9 +118,11 @@ class ResultTable:
                 cells.append("%s" if id(v) in texts else _FLOAT_FORMAT)
                 columns.append(texts.get(id(v), v))
             block_format = ",".join(cells) + "\n"
-            lines.append("".join(map(block_format.__mod__, zip(*columns))))
-        lines.extend(map(row_format.__mod__, self.rows[start:]))
-        return lines
+            # the template holds one % field per tuple entry
+            lines = zip(*columns)
+            while values := tuple(chain.from_iterable(islice(lines, _SLICE_LINES))):
+                yield (block_format * (len(values) // len(columns))) % values
+        yield from _plain_slices(row_format, self.rows[start:])
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":

@@ -15,9 +15,10 @@ from plateforces import (
     stack_newton,
     torsion_constant,
 )
-from conftest import BASELINE_CONFIG_PATH
+from conftest import BASELINE_CONFIG_PATH, REPO_ROOT
 
 BASELINE = str(BASELINE_CONFIG_PATH)
+PRIOR = str(REPO_ROOT / "tests" / "golden" / "prior_fixture.csv")
 
 
 def run(argv, tmp_path, name="out.csv"):
@@ -396,6 +397,44 @@ class TestExitCodes:
         assert code == 2
         assert f"[{section}] {key}: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["forces", "budget", "exclusion", "sensitivity"])
+    def test_plate_area_that_overflows_is_a_config_error(self, tmp_path, command):
+        text = BASELINE_CONFIG_PATH.read_text()
+        for line in ("length = 0.10 m", "width = 0.12 m"):
+            assert line in text
+            text = text.replace(line, line.split("=")[0] + "= 1e200 m")
+        config = tmp_path / "huge.ini"
+        config.write_text(text)
+        result = run_fresh([command, "--config", str(config)])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "[geometry] length and width" in result.stderr
+        assert result.stdout == ""
+
+    def test_ratio_that_overflows_is_a_domain_error(self, tmp_path):
+        text = BASELINE_CONFIG_PATH.read_text()
+        assert "temperature = 300" in text
+        config = tmp_path / "hot.ini"
+        config.write_text(text.replace("temperature = 300", "temperature = 1e308"))
+        result = run_fresh(["budget", "--config", str(config)])
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert "ratio_total_casimir_resolution_1" in result.stderr
+        assert "/ 1e-12 overflows" in result.stderr
+        assert "inf" not in result.stdout
+
+    def test_tilt_length_whose_strip_width_overflows_is_a_config_error(self, tmp_path):
+        text = BASELINE_CONFIG_PATH.read_text()
+        line = "plate_length_along_tilt = 0.12 m"
+        assert line in text
+        config = tmp_path / "thin.ini"
+        config.write_text(text.replace(line, "plate_length_along_tilt = 1e-320 m"))
+        result = run_fresh(["sensitivity", "--config", str(config)])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "[tilt] plate_length_along_tilt" in result.stderr
+        assert result.stdout == ""
+
     def test_infinite_yukawa_alpha_is_a_config_error(self, tmp_path, capsys):
         text = BASELINE_CONFIG_PATH.read_text().replace("alpha = 1.0", "alpha = inf")
         config = tmp_path / "inf.ini"
@@ -429,6 +468,14 @@ class TestDeterminism:
         _, first = run(argv, tmp_path, "a.csv")
         _, second = run(argv, tmp_path, "b.csv")
         assert first.read_bytes() == second.read_bytes()
+
+    def test_streamed_exclusion_stdout_matches_file(self, tmp_path, capsysbinary):
+        # more points than one write slice, so every block is split mid-way
+        argv = ["exclusion", "--config", BASELINE, "--points", "5000", "--prior", PRIOR]
+        assert main([*argv, "--out", "-"]) == 0
+        stdout = capsysbinary.readouterr().out
+        _, out = run(argv, tmp_path)
+        assert stdout == out.read_bytes()
 
     def test_stdout_matches_file(self, tmp_path, capsys):
         code = main(["budget", "--config", BASELINE])

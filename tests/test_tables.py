@@ -1,6 +1,9 @@
+import io
 import math
+import tracemalloc
 from itertools import repeat
 from operator import truediv
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import REPO_ROOT
 from oracles import csv_reference
-from plateforces import InvalidParameterError, ResultTable
+from plateforces import InvalidParameterError, ResultTable, tables
 from plateforces.cli import DEFAULT_SCAN_THICKNESSES, cmd_exclusion
 from plateforces.config import ingest_prior_bounds
 from plateforces.exclusion import exclusion_scan
@@ -76,12 +79,13 @@ def reference_lines(rows):
 SPECIAL_ROW = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2250738585072009e-308)
 
 
-@example(rows=[SPECIAL_ROW, tuple(reversed(SPECIAL_ROW))])
-@given(
-    rows=st.integers(1, 7).flatmap(
-        lambda width: st.lists(st.tuples(*[st.floats()] * width), max_size=8)
-    )
+plain_rows = st.integers(1, 7).flatmap(
+    lambda width: st.lists(st.tuples(*[st.floats()] * width), max_size=8)
 )
+
+
+@example(rows=[SPECIAL_ROW, tuple(reversed(SPECIAL_ROW))])
+@given(rows=plain_rows)
 def test_data_lines_are_seventeen_digit_values(rows):
     width = len(rows[0]) if rows else 1
     table = ResultTable(columns=tuple(f"c{i}" for i in range(width)), rows=rows)
@@ -179,6 +183,70 @@ def test_block_lines_are_seventeen_digit_values(width_items):
     width, items = width_items
     table = ResultTable(columns=tuple(f"c{i}" for i in range(width)), rows=items)
     assert table.to_csv().split("\n")[1:-1] == reference_lines(expand(items))
+
+
+# slices of one line split every block; the empty block writes nothing, and
+# the second grid equals the first but prints "-0" where it has "0"
+@example(
+    width_items=(3, [(3e-7, (), ()), (3e-7, GRID, (1.0, 2.0)), (0.0, (-0.0, 1.5), 3.0)]),
+    slice_lines=1,
+)
+@given(
+    width_items=st.one_of(
+        plain_rows.map(lambda rows: (len(rows[0]) if rows else 1, rows)),
+        long_format_rows(),
+        block_tables(),
+    ),
+    slice_lines=st.integers(1, 4),
+)
+def test_write_in_any_slice_size_matches_to_csv(width_items, slice_lines):
+    width, items = width_items
+    table = ResultTable(columns=tuple(f"c{i}" for i in range(width)), rows=items)
+    # these tables are shorter than a default slice, so to_csv writes one
+    expected = table.to_csv()
+    handle = io.StringIO()
+    with mock.patch.object(tables, "_SLICE_LINES", slice_lines):
+        table.write(handle)
+    assert handle.getvalue() == expected
+
+
+class LengthRecorder:
+    """A text handle that keeps only the length of each write."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def write(self, text):
+        self.lengths.append(len(text))
+
+
+class TestStreamingWriter:
+    def test_long_block_arrives_in_bounded_writes(self):
+        grid = tuple(1e-6 * 1.0001**k for k in range(20_000))
+        table = ResultTable(
+            columns=("thickness_m", "lambda_m", "alpha_1"),
+            rows=((3e-7, grid, tuple(reversed(grid))),),
+        )
+        text = table.to_csv()
+        longest = max(map(len, text.splitlines(keepends=True)))
+        handle = LengthRecorder()
+        table.write(handle)
+        assert sum(handle.lengths) == len(text)
+        # the first write is the header; the block follows in several
+        assert len(handle.lengths[1:]) > 1
+        assert max(handle.lengths) <= tables._SLICE_LINES * longest
+
+    def test_memory_stays_below_half_the_output(self, baseline_config):
+        table = cmd_exclusion(baseline_config, n_points=20_000)
+        handle = LengthRecorder()
+        tracemalloc.start()
+        try:
+            table.write(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a writer that joins the whole file first peaks above its size
+        assert peak < sum(handle.lengths) / 2
 
 
 class TestRunWriter:
