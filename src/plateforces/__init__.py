@@ -5,7 +5,7 @@ Library layout:
 - core: constants, geometry, materials
 - casimir: zero-T/thermal Casimir forces and the border correction
 - gravity: point and slab Newton/Yukawa forces
-- budget: electrostatic background and the combined force budget
+- budget: electrostatic background of the plates
 - balance: torsion-wire sensitivity and plate-tilt effects
 - exclusion: alpha(lambda) exclusion curves from a force resolution
 - config/tables/cli: experiment files, CSV tables, command line
@@ -21,12 +21,7 @@ from .balance import (
     tilted_casimir,
     torsion_constant,
 )
-from .budget import (
-    ForceBudget,
-    build_budget,
-    electrostatic_force,
-    voltage_control_requirement,
-)
+from .budget import electrostatic_force, voltage_control_requirement
 from .casimir import (
     THERMAL_TRUST_MIN_GAP,
     FieldKind,
@@ -34,7 +29,6 @@ from .casimir import (
     border_correction,
     casimir_zero_t,
     thermal_casimir,
-    total_casimir,
 )
 from .config import ExperimentConfig, ingest_prior_bounds, load_config, parse_length
 from .core import (
@@ -46,12 +40,7 @@ from .core import (
     YukawaParams,
 )
 from .errors import ConfigError, DomainError, InvalidParameterError, PlateForcesError
-from .exclusion import (
-    Curve,
-    alpha_bound,
-    exclusion_scan,
-    improvement_factor,
-)
+from .exclusion import Curve, alpha_bound, exclusion_scan
 from .gravity import (
     LayerMode,
     PlatePairConfig,
@@ -75,7 +64,6 @@ __all__ = [
     "DomainError",
     "ExperimentConfig",
     "FieldKind",
-    "ForceBudget",
     "GapConfig",
     "InvalidParameterError",
     "LayerMode",
@@ -94,12 +82,10 @@ __all__ = [
     "YukawaParams",
     "alpha_bound",
     "border_correction",
-    "build_budget",
     "casimir_zero_t",
     "electrostatic_force",
     "exclusion_scan",
     "gap_variation_from_tilt",
-    "improvement_factor",
     "ingest_prior_bounds",
     "load_config",
     "min_detectable_force",
@@ -113,6 +99,5 @@ __all__ = [
     "thermal_casimir",
     "tilted_casimir",
     "torsion_constant",
-    "total_casimir",
     "voltage_control_requirement",
 ]

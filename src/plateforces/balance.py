@@ -89,9 +89,19 @@ def torsion_constant(wire: TorsionWire) -> float:
     """Torsional spring constant of a cylindrical fiber, N m/rad.
 
     kappa = pi * G_shear * r^4 / (2 * L)
+
+    Raises DomainError naming the shear modulus, diameter and length if
+    kappa overflows or underflows to zero.
     """
     radius = wire.diameter / 2.0
-    return math.pi * wire.shear_modulus * radius**4 / (2.0 * wire.length)
+    kappa = math.pi * wire.shear_modulus * radius**4 / (2.0 * wire.length)
+    if 0.0 < kappa < math.inf:
+        return kappa
+    outcome = "underflows to zero" if kappa == 0.0 else "overflows"
+    raise DomainError(
+        f"shear_modulus {wire.shear_modulus:g} Pa with diameter {wire.diameter:g} m "
+        f"and length {wire.length:g} m: the torsion constant {outcome}"
+    )
 
 
 def min_detectable_force(balance: BalanceConfig) -> float:

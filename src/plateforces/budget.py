@@ -1,27 +1,16 @@
-"""Electrostatic background and the combined force budget.
+"""Electrostatic background from residual surface potentials.
 
-The budget gathers every force acting between the plates at one gap:
-the Casimir signal (zero-T and thermal pieces), the Newtonian pull of
-the plates, the hypothetical Yukawa signal being hunted, and the
-electrostatic background from residual surface potentials, next to the
-instrument's force resolution.
+The `budget` command sets this background next to the Casimir signal,
+the Newtonian pull of the plates, the hypothetical Yukawa signal and
+the instrument's force resolution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .casimir import THERMAL_TRUST_MIN_GAP, ThermalModel, casimir_zero_t, thermal_casimir
-from .core import (
-    CODATA2018,
-    YukawaParams,
-    require_non_negative,
-    require_positive,
-    separation_power,
-)
+from .core import CODATA2018, require_non_negative, require_positive, separation_power
 from .errors import DomainError
-from .gravity import PlatePairConfig, stack_newton, stack_yukawa
 
 
 def electrostatic_force(area: float, separation: float, stray_voltage: float) -> float:
@@ -68,74 +57,3 @@ def voltage_control_requirement(
     if residual_target >= background:
         return 1.0
     return math.sqrt(residual_target / background)
-
-
-@dataclass(frozen=True)
-class ForceBudget:
-    """All forces at one gap, as positive magnitudes in N.
-
-    thermal is the ideal-mirror thermal term before the reduction
-    factor; eta records the factor so consumers can form the total
-    Casimir force as casimir + eta * thermal.  yukawa_hypothesis is the
-    magnitude of the hypothetical signal for the reference coupling.
-    flags carries human-readable validity warnings (e.g. the thermal
-    expression being extrapolated below its trusted gap).
-    """
-
-    gap: float
-    casimir: float
-    thermal: float
-    newton: float
-    yukawa_hypothesis: float
-    electrostatic: float
-    resolution: float
-    eta: float = 1.0
-    flags: tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        require_positive("gap", self.gap)
-        for name in ("casimir", "thermal", "newton", "yukawa_hypothesis", "electrostatic", "resolution"):
-            require_non_negative(name, getattr(self, name))
-        object.__setattr__(self, "flags", tuple(self.flags))
-
-    def total_casimir(self) -> float:
-        return self.casimir + self.eta * self.thermal
-
-
-def build_budget(
-    plates: PlatePairConfig,
-    thermal_model: ThermalModel,
-    stray_voltage: float,
-    yukawa_reference: YukawaParams,
-    force_resolution: float,
-) -> ForceBudget:
-    """Assemble the full force budget for one plate configuration.
-
-    The Yukawa signal is that of the facing layers (LayerMode.METAL_ONLY).
-    The electrostatic background is that of the plates themselves: their
-    area and gap at stray_voltage.
-    """
-    require_positive("force_resolution", force_resolution)
-    area = plates.geometry.area()
-    d = plates.gap.separation
-    flags: list[str] = []
-    if d < THERMAL_TRUST_MIN_GAP:
-        flags.append(
-            f"thermal: gap {d:g} m is below the {THERMAL_TRUST_MIN_GAP:g} m "
-            "trust threshold for the classical thermal expression"
-        )
-    flags.append(
-        "electrostatic: assumes a uniform stray potential; patch-potential "
-        "patterns are not modeled"
-    )
-    return ForceBudget(
-        gap=d,
-        casimir=casimir_zero_t(area, d),
-        thermal=thermal_casimir(area, d, plates.gap.temperature),
-        newton=stack_newton(plates),
-        yukawa_hypothesis=abs(stack_yukawa(plates, yukawa_reference)),
-        electrostatic=electrostatic_force(area, d, stray_voltage),
-        resolution=force_resolution,
-        eta=thermal_model.reduction_factor,
-        flags=tuple(flags),
-    )

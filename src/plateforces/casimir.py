@@ -1,8 +1,8 @@
 """Casimir attraction between ideal parallel mirrors.
 
 Covers the zero-temperature force, the classical thermal correction,
-their combination under a finite-conductivity reduction factor, and
-the finite-size (border) correction.  All forces are attractive and
+the finite-conductivity reduction factor that weights it, and the
+finite-size (border) correction.  All forces are attractive and
 returned as positive magnitudes in newtons.
 """
 
@@ -105,21 +105,6 @@ def thermal_casimir(area: float, separation: float, temperature: float) -> float
     require_non_negative("temperature", temperature)
     coeff = CODATA2018.zeta3 * CODATA2018.k_B * temperature / (4.0 * math.pi)
     return coeff * area / separation_power(separation, 3)
-
-
-def total_casimir(
-    area: float,
-    separation: float,
-    temperature: float,
-    model: ThermalModel = ThermalModel(),
-) -> float:
-    """Zero-T force plus the model-weighted thermal term.
-
-    F = F_zero_T + eta * F_thermal with eta = model.reduction_factor.
-    """
-    return casimir_zero_t(area, separation) + (
-        model.reduction_factor * thermal_casimir(area, separation, temperature)
-    )
 
 
 def border_correction(

@@ -26,13 +26,13 @@ from .balance import (
     tilted_casimir,
     torsion_constant,
 )
-from .budget import build_budget, electrostatic_force
+from .budget import electrostatic_force
 from .casimir import THERMAL_TRUST_MIN_GAP, casimir_zero_t, thermal_casimir
 from .config import ExperimentConfig, ingest_prior_bounds, load_config, parse_length
 from .core import CODATA2018
 from .errors import ConfigError, DomainError, InvalidParameterError
 from .exclusion import Curve, exclusion_scan
-from .gravity import stack_newton
+from .gravity import stack_newton, stack_yukawa
 from .tables import ResultTable
 
 DEFAULT_SCAN_LAMBDA_MIN = 1e-6
@@ -51,6 +51,84 @@ def _metadata(command: str, config: ExperimentConfig) -> list[tuple[str, str]]:
     ]
 
 
+FORCES_COLUMNS = (
+    "gap_m",
+    "casimir_zero_t_N",
+    "thermal_N",
+    "total_N",
+    "newton_N",
+    "electrostatic_N",
+    "thermal_trusted_1",
+)
+BUDGET_COLUMNS = (
+    "gap_m",
+    "casimir_zero_t_N",
+    "thermal_N",
+    "total_casimir_N",
+    "newton_N",
+    "yukawa_N",
+    "electrostatic_N",
+    "resolution_N",
+    "ratio_electrostatic_casimir_zero_t_1",
+    "ratio_newton_casimir_zero_t_1",
+    "ratio_total_casimir_resolution_1",
+    "ratio_yukawa_resolution_1",
+)
+SENSITIVITY_COLUMNS = (
+    "kappa_wire_Nm_per_rad",
+    "f_min_wire_N",
+    "kappa_balance_Nm_per_rad",
+    "f_min_balance_N",
+    "gap_variation_m",
+    "casimir_flat_N",
+    "casimir_tilted_N",
+    "tilted_flat_ratio_1",
+    "resolution_met_1",
+)
+PATCH_WARNING = (
+    "electrostatic: assumes a uniform stray potential; patch-potential "
+    "patterns are not modeled"
+)
+
+
+def _gap_forces(
+    config: ExperimentConfig, gap: float
+) -> tuple[tuple[float, float, float, float], str | None]:
+    """Zero-T, thermal, eta-weighted total Casimir and electrostatic
+    forces at gap, in N, and the thermal-trust warning (None where the
+    classical thermal expression is trusted).
+
+    The thermal force is unweighted; eta applies only to the total.
+    """
+    area = config.geometry.area()
+    zero_t = casimir_zero_t(area, gap)
+    thermal = thermal_casimir(area, gap, config.gap.temperature)
+    total = zero_t + config.thermal.reduction_factor * thermal
+    electrostatic = electrostatic_force(area, gap, config.stray_voltage)
+    warning = None
+    if gap < THERMAL_TRUST_MIN_GAP:
+        warning = (
+            f"thermal force at gap {gap:g} m extrapolates the classical "
+            f"expression below its {THERMAL_TRUST_MIN_GAP:g} m trust gap"
+        )
+    return (zero_t, thermal, total, electrostatic), warning
+
+
+def _finite_forces(columns: Sequence[str], gap: float, row: tuple) -> tuple:
+    """row, once every force column (suffix _N) is known to be finite.
+
+    Raises DomainError naming the first column whose force overflowed
+    to inf (or went nan) and the gap it was evaluated at.
+    """
+    for column, value in zip(columns, row):
+        if column.endswith("_N") and not math.isfinite(value):
+            raise DomainError(
+                f"{column} at gap {gap:g} m is {value!r}: the force "
+                "overflows a double"
+            )
+    return row
+
+
 def cmd_forces(
     config: ExperimentConfig,
     gaps: Sequence[float] | None = None,
@@ -62,45 +140,21 @@ def cmd_forces(
     """
     if gaps is None:
         gaps = [config.gap.separation]
-    area = config.geometry.area()
-    temperature = config.gap.temperature
-    eta = config.thermal.reduction_factor
     newton = stack_newton(config.plate_pair())
     rows = []
     warnings = []
     for gap in gaps:
-        trusted = gap >= THERMAL_TRUST_MIN_GAP
-        if not trusted:
-            warnings.append(
-                f"thermal force at gap {gap:g} m extrapolates the classical "
-                f"expression below its {THERMAL_TRUST_MIN_GAP:g} m trust gap"
-            )
-        zero_t = casimir_zero_t(area, gap)
-        thermal = thermal_casimir(area, gap, temperature)
-        rows.append(
-            (
-                gap,
-                zero_t,
-                thermal,
-                zero_t + eta * thermal,  # total_casimir's own expression
-                newton,
-                electrostatic_force(area, gap, config.stray_voltage),
-                1.0 if trusted else 0.0,
-            )
-        )
+        (zero_t, thermal, total, electrostatic), warning = _gap_forces(config, gap)
+        if warning is not None:
+            warnings.append(warning)
+        row = (gap, zero_t, thermal, total, newton, electrostatic, float(warning is None))
+        rows.append(_finite_forces(FORCES_COLUMNS, gap, row))
+    warnings.append(PATCH_WARNING)
     metadata = _metadata("forces", config)
-    metadata.append(("eta", format(eta, "g")))
-    metadata.append(("temperature_K", format(temperature, "g")))
+    metadata.append(("eta", format(config.thermal.reduction_factor, "g")))
+    metadata.append(("temperature_K", format(config.gap.temperature, "g")))
     return ResultTable(
-        columns=(
-            "gap_m",
-            "casimir_zero_t_N",
-            "thermal_N",
-            "total_N",
-            "newton_N",
-            "electrostatic_N",
-            "thermal_trusted_1",
-        ),
+        columns=FORCES_COLUMNS,
         rows=tuple(rows),
         metadata=tuple(metadata),
         warnings=tuple(warnings),
@@ -121,51 +175,40 @@ def _ratio(column: str, numerator: float, denominator: float) -> float:
 
 def cmd_budget(config: ExperimentConfig) -> ResultTable:
     """Single-row force budget at the config gap, with signal/background
-    and signal/resolution ratios."""
-    budget = build_budget(
-        plates=config.plate_pair(),
-        thermal_model=config.thermal,
-        stray_voltage=config.stray_voltage,
-        yukawa_reference=config.yukawa,
-        force_resolution=config.force_resolution,
-    )
-    total = budget.total_casimir()
+    and signal/resolution ratios.
+
+    The Yukawa signal is that of the facing layers (LayerMode.METAL_ONLY)
+    for the [yukawa] reference coupling, as a positive magnitude.
+    """
+    plates = config.plate_pair()
+    gap = plates.gap.separation
+    (zero_t, thermal, total, electrostatic), warning = _gap_forces(config, gap)
+    newton = stack_newton(plates)
+    yukawa = abs(stack_yukawa(plates, config.yukawa))
+    resolution = config.force_resolution
     row = (
-        budget.gap,
-        budget.casimir,
-        budget.thermal,
+        gap,
+        zero_t,
+        thermal,
         total,
-        budget.newton,
-        budget.yukawa_hypothesis,
-        budget.electrostatic,
-        budget.resolution,
-        _ratio("ratio_electrostatic_casimir_zero_t_1", budget.electrostatic, budget.casimir),
-        _ratio("ratio_newton_casimir_zero_t_1", budget.newton, budget.casimir),
-        _ratio("ratio_total_casimir_resolution_1", total, budget.resolution),
-        _ratio("ratio_yukawa_resolution_1", budget.yukawa_hypothesis, budget.resolution),
+        newton,
+        yukawa,
+        electrostatic,
+        resolution,
+        _ratio("ratio_electrostatic_casimir_zero_t_1", electrostatic, zero_t),
+        _ratio("ratio_newton_casimir_zero_t_1", newton, zero_t),
+        _ratio("ratio_total_casimir_resolution_1", total, resolution),
+        _ratio("ratio_yukawa_resolution_1", yukawa, resolution),
     )
     metadata = _metadata("budget", config)
-    metadata.append(("eta", format(budget.eta, "g")))
+    metadata.append(("eta", format(config.thermal.reduction_factor, "g")))
     metadata.append(("yukawa_alpha", format(config.yukawa.alpha, "g")))
     metadata.append(("yukawa_lambda_m", format(config.yukawa.lam, "g")))
     return ResultTable(
-        columns=(
-            "gap_m",
-            "casimir_zero_t_N",
-            "thermal_N",
-            "total_casimir_N",
-            "newton_N",
-            "yukawa_N",
-            "electrostatic_N",
-            "resolution_N",
-            "ratio_electrostatic_casimir_zero_t_1",
-            "ratio_newton_casimir_zero_t_1",
-            "ratio_total_casimir_resolution_1",
-            "ratio_yukawa_resolution_1",
-        ),
-        rows=(row,),
+        columns=BUDGET_COLUMNS,
+        rows=(_finite_forces(BUDGET_COLUMNS, gap, row),),
         metadata=tuple(metadata),
-        warnings=budget.flags,
+        warnings=(PATCH_WARNING,) if warning is None else (warning, PATCH_WARNING),
     )
 
 
@@ -256,18 +299,8 @@ def cmd_sensitivity(config: ExperimentConfig) -> ResultTable:
     metadata.append(("wire_material", config.wire.material))
     metadata.append(("tilt_angle_rad", format(tilt.angle, "g")))
     return ResultTable(
-        columns=(
-            "kappa_wire_Nm_per_rad",
-            "f_min_wire_N",
-            "kappa_balance_Nm_per_rad",
-            "f_min_balance_N",
-            "gap_variation_m",
-            "casimir_flat_N",
-            "casimir_tilted_N",
-            "tilted_flat_ratio_1",
-            "resolution_met_1",
-        ),
-        rows=(row,),
+        columns=SENSITIVITY_COLUMNS,
+        rows=(_finite_forces(SENSITIVITY_COLUMNS, gap, row),),
         metadata=tuple(metadata),
     )
 

@@ -73,9 +73,18 @@ def _alpha_bounds(
 
     The lambda-independent factor is taken once; Python multiplies left
     to right, so every alpha is the same double as the full product.
+    Raises DomainError naming both facing densities and the area if
+    that factor overflows or underflows to zero.
     """
     facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
-    prefactor = slab_coupling(facing_a.density, facing_b.density, plates.geometry.area())
+    area = plates.geometry.area()
+    prefactor = slab_coupling(facing_a.density, facing_b.density, area)
+    if not 0.0 < prefactor < math.inf:
+        outcome = "underflows to zero" if prefactor == 0.0 else "overflows"
+        raise DomainError(
+            f"facing densities {facing_a.density:g} and {facing_b.density:g} "
+            f"kg/m^3 with area {area:g} m^2: 2 pi G rho_a rho_b S {outcome}"
+        )
     gap = plates.gap.separation
     exp, bracket = math.exp, yukawa_thickness_bracket
     alphas = []
@@ -224,20 +233,3 @@ def exclusion_scan(
         alphas = _alpha_bounds(grid, plates, thickness, thickness, force_resolution)
         curves.append(Curve(lambdas=grid, alphas=alphas))
     return curves
-
-
-def improvement_factor(new: Curve, prior: Curve, lam: float) -> float:
-    """How far the new curve undercuts the prior bound at lam.
-
-    Ratio prior/new of interpolated bounds; > 1 means improvement.
-    lam must lie inside both domains.
-    """
-    new_lo, new_hi = new.domain()
-    prior_lo, prior_hi = prior.domain()
-    if not (new_lo <= lam <= new_hi and prior_lo <= lam <= prior_hi):
-        raise DomainError(
-            f"lambda {lam:g} m must lie inside both domains: "
-            f"curve [{new_lo:g}, {new_hi:g}] m, "
-            f"prior [{prior_lo:g}, {prior_hi:g}] m"
-        )
-    return prior.alpha_at(lam) / new.alpha_at(lam)

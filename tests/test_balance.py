@@ -68,6 +68,13 @@ class TestTorsionConstant:
         )
 
 
+    @pytest.mark.parametrize("modulus, outcome", [(1e308, "overflows"), (1e-320, "underflows")])
+    def test_out_of_range_is_a_domain_error_naming_the_wire(self, modulus, outcome):
+        wire = TorsionWire("custom", modulus, 50e-6, 0.5)
+        with pytest.raises(DomainError, match=f"^shear_modulus .* diameter 5e-05 m and length 0.5 m: .*{outcome}"):
+            torsion_constant(wire)
+
+
 class TestMinDetectableForce:
     def test_nominal_setup(self):
         balance = BalanceConfig(

@@ -1,20 +1,19 @@
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
 from plateforces import (
     DomainError,
-    ForceBudget,
     GapConfig,
     InvalidParameterError,
-    PlatePairConfig,
     ThermalModel,
     YukawaParams,
-    build_budget,
     electrostatic_force,
     voltage_control_requirement,
 )
+from plateforces.cli import cmd_budget, cmd_forces
 
 AREA = 0.012
 
@@ -114,86 +113,47 @@ class TestVoltageControl:
 
 
 class TestForceBudget:
-    def test_baseline_entries(self, glass_pair):
-        budget = build_budget(
-            plates=glass_pair,
-            thermal_model=ThermalModel(1.0),
-            stray_voltage=0.1,
-            yukawa_reference=YukawaParams(1.0, 1e-5),
-            force_resolution=1e-12,
-        )
-        assert budget.casimir == pytest.approx(2.496e-8, rel=1e-3)
-        assert budget.thermal == pytest.approx(3.80e-8, rel=1e-3)
-        assert budget.newton == pytest.approx(1.019e-8, rel=1e-3)
-        assert budget.electrostatic == pytest.approx(2.125e-5, rel=1e-3)
-        assert budget.resolution == 1e-12
-        assert budget.total_casimir() == pytest.approx(6.30e-8, rel=1e-3)
+    """The `budget` command's row, on bare 15 mm glass plates."""
 
-    def test_thermal_stored_unweighted(self, glass_pair):
-        half = build_budget(
-            plates=glass_pair,
-            thermal_model=ThermalModel(0.5),
-            stray_voltage=0.1,
-            yukawa_reference=YukawaParams(1.0, 1e-5),
-            force_resolution=1e-12,
-        )
-        full = build_budget(
-            plates=glass_pair,
-            thermal_model=ThermalModel(1.0),
-            stray_voltage=0.1,
-            yukawa_reference=YukawaParams(1.0, 1e-5),
-            force_resolution=1e-12,
-        )
+    @pytest.fixture
+    def glass_config(self, baseline_config, glass_pair):
+        return replace(baseline_config, stack_a=glass_pair.stack_a, stack_b=glass_pair.stack_b)
+
+    @staticmethod
+    def row(table):
+        (row,) = table.rows
+        return dict(zip(table.columns, row))
+
+    def test_baseline_entries(self, glass_config):
+        budget = self.row(cmd_budget(glass_config))
+        assert budget["casimir_zero_t_N"] == pytest.approx(2.496e-8, rel=1e-3)
+        assert budget["thermal_N"] == pytest.approx(3.80e-8, rel=1e-3)
+        assert budget["newton_N"] == pytest.approx(1.019e-8, rel=1e-3)
+        assert budget["electrostatic_N"] == pytest.approx(2.125e-5, rel=1e-3)
+        assert budget["resolution_N"] == 1e-12
+        assert budget["total_casimir_N"] == pytest.approx(6.30e-8, rel=1e-3)
+
+    def test_thermal_stored_unweighted(self, glass_config):
+        half = cmd_budget(replace(glass_config, thermal=ThermalModel(0.5)))
+        full = cmd_budget(replace(glass_config, thermal=ThermalModel(1.0)))
         # the raw thermal entry is model-independent; eta applies at totaling
-        assert half.thermal == full.thermal
-        assert half.eta == 0.5
-        assert half.total_casimir() == pytest.approx(4.40e-8, rel=1e-3)
+        assert self.row(half)["thermal_N"] == self.row(full)["thermal_N"]
+        assert dict(half.metadata)["eta"] == "0.5"
+        assert self.row(half)["total_casimir_N"] == pytest.approx(4.40e-8, rel=1e-3)
 
-    def test_all_entries_non_negative_even_for_repulsive_alpha(self, glass_pair):
-        budget = build_budget(
-            plates=glass_pair,
-            thermal_model=ThermalModel(1.0),
-            stray_voltage=0.1,
-            yukawa_reference=YukawaParams(-10.0, 1e-5),
-            force_resolution=1e-12,
-        )
-        for name in ("casimir", "thermal", "newton", "yukawa_hypothesis", "electrostatic", "resolution"):
-            assert getattr(budget, name) >= 0.0
+    def test_all_entries_non_negative_even_for_repulsive_alpha(self, glass_config):
+        budget = self.row(cmd_budget(replace(glass_config, yukawa=YukawaParams(-10.0, 1e-5))))
+        forces = {name: value for name, value in budget.items() if name.endswith("_N")}
+        assert len(forces) == 7
+        assert all(value >= 0.0 for value in forces.values())
 
-    def test_thermal_flag_below_trust_gap(self, glass_pair):
-        narrow = PlatePairConfig(
-            glass_pair.stack_a,
-            glass_pair.stack_b,
-            glass_pair.geometry,
-            GapConfig(separation=1e-6, temperature=300.0),
-        )
-        budget = build_budget(
-            plates=narrow,
-            thermal_model=ThermalModel(1.0),
-            stray_voltage=0.1,
-            yukawa_reference=YukawaParams(1.0, 1e-5),
-            force_resolution=1e-12,
-        )
-        assert any("thermal" in flag for flag in budget.flags)
+    def test_thermal_flag_below_trust_gap(self, glass_config):
+        narrow = replace(glass_config, gap=GapConfig(separation=1e-6, temperature=300.0))
+        # one wording for the thermal-trust warning in `budget` and `forces`
+        (thermal_warning, _) = cmd_forces(narrow, [1e-6]).warnings
+        assert "thermal" in thermal_warning
+        assert cmd_budget(narrow).warnings[0] == thermal_warning
 
-    def test_no_thermal_flag_at_trust_gap(self, glass_pair):
-        budget = build_budget(
-            plates=glass_pair,
-            thermal_model=ThermalModel(1.0),
-            stray_voltage=0.1,
-            yukawa_reference=YukawaParams(1.0, 1e-5),
-            force_resolution=1e-12,
-        )
-        assert not any(flag.startswith("thermal") for flag in budget.flags)
-
-    def test_budget_type_rejects_negative_entries(self):
-        with pytest.raises(InvalidParameterError):
-            ForceBudget(
-                gap=5e-6,
-                casimir=-1.0,
-                thermal=0.0,
-                newton=0.0,
-                yukawa_hypothesis=0.0,
-                electrostatic=0.0,
-                resolution=1e-12,
-            )
+    def test_no_thermal_flag_at_trust_gap(self, glass_config):
+        budget = cmd_budget(glass_config)
+        assert not any(flag.startswith("thermal") for flag in budget.warnings)

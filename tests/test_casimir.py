@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -11,8 +12,8 @@ from plateforces import (
     border_correction,
     casimir_zero_t,
     thermal_casimir,
-    total_casimir,
 )
+from plateforces.cli import cmd_forces
 
 AREA = 0.012
 PERIMETER = 0.44
@@ -100,24 +101,33 @@ class TestThermalCasimir:
 
 
 class TestTotalCasimir:
-    def test_full_thermal_weight(self):
-        total = total_casimir(AREA, 5e-6, 300.0, ThermalModel(1.0))
+    """The eta-weighted total_N column of `forces` at the baseline gap."""
+
+    @staticmethod
+    def forces(config, eta):
+        table = cmd_forces(replace(config, thermal=ThermalModel(eta)), [5e-6])
+        (row,) = table.rows
+        return dict(zip(table.columns, row))
+
+    def test_full_thermal_weight(self, baseline_config):
+        assert baseline_config.geometry.area() == AREA
+        total = self.forces(baseline_config, 1.0)["total_N"]
         assert total == pytest.approx(6.2998072789511829e-08, rel=1e-12)
 
-    def test_half_thermal_weight(self):
-        total = total_casimir(AREA, 5e-6, 300.0, ThermalModel(0.5))
+    def test_half_thermal_weight(self, baseline_config):
+        total = self.forces(baseline_config, 0.5)["total_N"]
         assert total == pytest.approx(4.3980243810254396e-08, rel=1e-12)
 
-    def test_is_sum_of_parts(self):
+    def test_is_sum_of_parts(self, baseline_config):
         eta = 0.73
         expected = casimir_zero_t(AREA, 5e-6) + eta * thermal_casimir(AREA, 5e-6, 300.0)
-        assert total_casimir(AREA, 5e-6, 300.0, ThermalModel(eta)) == pytest.approx(
+        assert self.forces(baseline_config, eta)["total_N"] == pytest.approx(
             expected, rel=1e-15
         )
 
-    def test_monotone_in_eta(self):
-        low = total_casimir(AREA, 5e-6, 300.0, ThermalModel(0.5))
-        high = total_casimir(AREA, 5e-6, 300.0, ThermalModel(1.0))
+    def test_monotone_in_eta(self, baseline_config):
+        low = self.forces(baseline_config, 0.5)["total_N"]
+        high = self.forces(baseline_config, 1.0)["total_N"]
         assert high > low
 
     @pytest.mark.parametrize("eta", [0.49, 1.01, -1.0, math.nan])

@@ -83,6 +83,11 @@ class TestForcesCommand:
         assert "positive magnitudes" in meta["sign_convention"]
 
 
+    def test_patch_warning_present(self, baseline_config):
+        table = cmd_forces(baseline_config, gaps=[1e-6, 5e-6])
+        assert [w for w in table.warnings if "patch" in w] == [table.warnings[-1]]
+
+
 class TestBudgetCommand:
     def test_single_row_with_ratios(self, tmp_path, baseline_config):
         code, out = run(["budget", "--config", BASELINE], tmp_path)
@@ -442,6 +447,49 @@ class TestExitCodes:
         code = main(["budget", "--config", str(config)])
         assert code == 2
         assert "[yukawa] alpha" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "edits, argv, message",
+        [
+            ({"length = 0.10 m": "length = 1e150 m", "width = 0.12 m": "width = 1e150 m"},
+             ["forces", "--gap", "1e-10 m"], "casimir_zero_t_N at gap 1e-10 m is inf"),
+            ({"temperature = 300": "temperature = 1e308"},
+             ["forces", "--gap", "1 nm"], "thermal_N at gap 1e-09 m is inf"),
+            ({"gold, 19.3e3, 10 um": "gold, 1e200, 10 um"},
+             ["forces"], "newton_N at gap 5e-06 m is inf"),
+            ({"gold, 19.3e3, 10 um": "gold, 1e200, 10 um"},
+             ["budget"], "newton_N at gap 5e-06 m is inf"),
+            ({"length = 0.10 m": "length = 1e150 m", "width = 0.12 m": "width = 1e150 m",
+              "separation = 5 um": "separation = 1e-10 m", "angle = 1e-6": "angle = 0"},
+             ["sensitivity"], "casimir_flat_N at gap 1e-10 m is inf"),
+            ({"gold, 19.3e3, 10 um": "gold, 1e200, 10 um"},
+             ["exclusion", "--points", "4"],
+             "facing densities 1e+200 and 1e+200 kg/m^3 with area 0.012 m^2"),
+            ({"gold, 19.3e3, 10 um": "gold, 1e-200, 10 um"},
+             ["exclusion", "--points", "4"],
+             "facing densities 1e-200 and 1e-200 kg/m^3 with area 0.012 m^2"),
+            ({"material = tungsten": "material = tungsten\nshear_modulus = 1e308"},
+             ["sensitivity"], "shear_modulus 1e+308 Pa with diameter 5e-05 m and length 0.5 m"),
+            ({"material = tungsten": "material = tungsten\nshear_modulus = 1e-320"},
+             ["sensitivity"], "shear_modulus 9.99989e-321 Pa with diameter 5e-05 m"),
+        ],
+        ids=["forces-area", "forces-temperature", "forces-density", "budget-density",
+             "sensitivity-area", "exclusion-dense", "exclusion-light",
+             "sensitivity-stiff-wire", "sensitivity-soft-wire"],
+    )
+    def test_overflowing_force_or_factor_is_a_domain_error(self, tmp_path, edits, argv, message):
+        text = BASELINE_CONFIG_PATH.read_text()
+        for line, bad in edits.items():
+            assert line in text
+            text = text.replace(line, bad)
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+        result = run_fresh([*argv, "--config", str(config)])
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert message in result.stderr
+        assert "inf" not in result.stdout and "nan" not in result.stdout
 
 
 class TestStartup:

@@ -140,8 +140,8 @@ def test_all_exports_resolve_sorted_and_unique():
 
 
 def test_single_valued_settings_are_not_parameters():
-    # the constants are compiled in, build_budget always takes the facing
-    # layers, and a prior curve's source is always its path
+    # the constants are compiled in, and a prior curve's source is always
+    # its path
     modules = [
         importlib.import_module(f"plateforces.{info.name}")
         for info in pkgutil.iter_modules(plateforces.__path__)
@@ -158,5 +158,4 @@ def test_single_valued_settings_are_not_parameters():
         if "constants" in inspect.signature(function).parameters
     ]
     assert taking_constants == []
-    assert "mode" not in inspect.signature(plateforces.build_budget).parameters
     assert "source" not in inspect.signature(plateforces.ingest_prior_bounds).parameters

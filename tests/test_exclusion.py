@@ -19,9 +19,9 @@ from plateforces import (
     YukawaParams,
     alpha_bound,
     exclusion_scan,
-    improvement_factor,
     plate_yukawa,
 )
+from plateforces.cli import cmd_exclusion
 from plateforces.exclusion import MAX_LAMBDA, MAX_SCAN_POINTS
 
 GOLD = 19.3e3
@@ -117,6 +117,16 @@ class TestAlphaBound:
             alpha_bound(1e300, gold_plates(), RESOLUTION)
         with pytest.raises(DomainError, match="lam "):
             alpha_bound(math.nextafter(MAX_LAMBDA, math.inf), gold_plates(), RESOLUTION)
+
+    @pytest.mark.parametrize("density, outcome", [(1e200, "overflows"), (1e-200, "underflows")])
+    def test_slab_prefactor_out_of_range_names_densities_and_area(self, density, outcome):
+        film = PlateStack((MaterialLayer("gold", density, 1e-5),))
+        plates = PlatePairConfig(film, film, PlateGeometry(0.1, 0.12), GapConfig(5e-6))
+        message = "^" + re.escape(f"facing densities {density:g} and {density:g} kg/m^3 with area 0.012 m^2: ") + f".*{outcome}"
+        with pytest.raises(DomainError, match=message):
+            alpha_bound(1e-2, plates, RESOLUTION)
+        with pytest.raises(DomainError, match=message):
+            exclusion_scan(plates, RESOLUTION, 1e-6, 1e-2, 10, (1e-5,))
 
 
 class TestExclusionScan:
@@ -286,31 +296,36 @@ class TestCurveInterpolation:
 
 
 class TestImprovementFactor:
-    def test_identical_curves_give_exactly_one(self):
-        (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 100, (1e-5,))
-        prior = Curve(lambdas=curve.lambdas, alphas=curve.alphas, source="self")
-        for lam in (1e-6, 1e-4, 1e-2, 3.3e-5):
-            assert improvement_factor(curve, prior, lam) == 1.0
+    """The `exclusion` command's improvement_1 column: prior / new alpha."""
 
-    def test_hundredfold_prior(self):
-        (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 100, (1e-5,))
-        prior = Curve(
-            lambdas=curve.lambdas,
-            alphas=tuple(100.0 * a for a in curve.alphas),
-            source="synthetic",
-        )
-        for lam in (1e-6, 7.7e-5, 1e-2):
-            assert improvement_factor(curve, prior, lam) == pytest.approx(
-                100.0, rel=1e-12
-            )
+    @staticmethod
+    def improvements(config, prior=None, scale=1.0):
+        (block,) = cmd_exclusion(config, 1e-6, 1e-2, 100, (1e-5,)).rows
+        _, lambdas, alphas = block
+        if prior is None:
+            prior = Curve(lambdas=lambdas, alphas=tuple(scale * a for a in alphas))
+        (block,) = cmd_exclusion(config, 1e-6, 1e-2, 100, (1e-5,), prior).rows
+        return dict(zip(lambdas, block[3]))
 
-    def test_outside_either_domain_refused(self):
-        (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 100, (1e-5,))
+    def test_identical_curves_give_exactly_one(self, baseline_config):
+        # the prior side is exp(log(alpha)), a few ulp from alpha itself
+        improvements = self.improvements(baseline_config)
+        assert len(improvements) == 100
+        for value in improvements.values():
+            assert value == pytest.approx(1.0, rel=1e-14)
+
+    def test_hundredfold_prior(self, baseline_config):
+        for value in self.improvements(baseline_config, scale=100.0).values():
+            assert value == pytest.approx(100.0, rel=1e-12)
+
+    def test_outside_prior_domain_is_nan(self, baseline_config):
         prior = Curve(lambdas=(1e-5, 1e-4), alphas=(1e3, 1e2), source="narrow")
-        with pytest.raises(DomainError) as err:
-            improvement_factor(curve, prior, 1e-6)
-        # the message should report both domains so the caller can fix the query
-        assert "prior" in str(err.value)
+        improvements = self.improvements(baseline_config, prior)
+        inside = [v for lam, v in improvements.items() if 1e-5 <= lam <= 1e-4]
+        outside = [v for lam, v in improvements.items() if not 1e-5 <= lam <= 1e-4]
+        assert inside and outside
+        assert all(math.isfinite(v) for v in inside)
+        assert all(math.isnan(v) for v in outside)
 
     def test_prior_bounds_validation(self):
         with pytest.raises(InvalidParameterError):
