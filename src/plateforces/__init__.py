@@ -3,8 +3,8 @@
 Library layout:
 
 - core: constants, geometry, materials
-- casimir: zero-T/thermal Casimir forces and the border correction
-- gravity: point and slab Newton/Yukawa forces
+- casimir: zero-T/thermal Casimir forces
+- gravity: slab Newton/Yukawa forces
 - budget: electrostatic background of the plates
 - balance: torsion-wire sensitivity and plate-tilt effects
 - exclusion: alpha(lambda) exclusion curves from a force resolution
@@ -21,12 +21,10 @@ from .balance import (
     tilted_casimir,
     torsion_constant,
 )
-from .budget import electrostatic_force, voltage_control_requirement
+from .budget import electrostatic_force
 from .casimir import (
     THERMAL_TRUST_MIN_GAP,
-    FieldKind,
     ThermalModel,
-    border_correction,
     casimir_zero_t,
     thermal_casimir,
 )
@@ -44,11 +42,8 @@ from .exclusion import Curve, alpha_bound, exclusion_scan
 from .gravity import (
     LayerMode,
     PlatePairConfig,
-    PointMassPair,
     plate_newton,
     plate_yukawa,
-    point_force,
-    point_potential,
     stack_newton,
     stack_yukawa,
 )
@@ -63,7 +58,6 @@ __all__ = [
     "Curve",
     "DomainError",
     "ExperimentConfig",
-    "FieldKind",
     "GapConfig",
     "InvalidParameterError",
     "LayerMode",
@@ -72,7 +66,6 @@ __all__ = [
     "PlateGeometry",
     "PlatePairConfig",
     "PlateStack",
-    "PointMassPair",
     "ResultTable",
     "SHEAR_MODULUS",
     "THERMAL_TRUST_MIN_GAP",
@@ -81,7 +74,6 @@ __all__ = [
     "TorsionWire",
     "YukawaParams",
     "alpha_bound",
-    "border_correction",
     "casimir_zero_t",
     "electrostatic_force",
     "exclusion_scan",
@@ -92,12 +84,9 @@ __all__ = [
     "parse_length",
     "plate_newton",
     "plate_yukawa",
-    "point_force",
-    "point_potential",
     "stack_newton",
     "stack_yukawa",
     "thermal_casimir",
     "tilted_casimir",
     "torsion_constant",
-    "voltage_control_requirement",
 ]

@@ -163,12 +163,10 @@ def tilted_casimir(
             f"raises the far edge by {rise:g} m, not less than the "
             f"{separation:g} m gap"
         )
-    if angle == 0.0:
-        return CASIMIR_COEFF * plate_width * plate_length / separation_power(separation, 4)
     u = rise / separation
     if u < 1e-4:
         # (1 - (1+u)^-3) / (3u) = 1 - 2u + (10/3)u^2 - 5u^3 + 7u^4 - ...
-        # truncation below 1e-19 relative at the branch point
+        # truncation below 1e-19 relative at the branch point; angle 0 gives g == 1.0
         g = 1.0 - 2.0 * u + (10.0 / 3.0) * u * u - 5.0 * u**3 + 7.0 * u**4
         return CASIMIR_COEFF * plate_width * plate_length / separation_power(separation, 4) * g
     return (

@@ -37,23 +37,3 @@ def electrostatic_force(area: float, separation: float, stray_voltage: float) ->
         f"force at separation {separation:g} m overflows"
     )
 
-
-def voltage_control_requirement(
-    area: float,
-    separation: float,
-    stray_voltage: float,
-    residual_target: float,
-) -> float:
-    """Fraction of the stray voltage that may survive compensation.
-
-    Returns the ratio V_allowed / V_stray such that the electrostatic
-    force at V_allowed equals residual_target.  Because the force is
-    quadratic in V this is sqrt(target / background).  If the target is
-    already at or above the uncompensated background the answer is
-    capped at 1 (no compensation needed).
-    """
-    require_positive("residual_target", residual_target)
-    background = electrostatic_force(area, separation, stray_voltage)
-    if residual_target >= background:
-        return 1.0
-    return math.sqrt(residual_target / background)

@@ -101,10 +101,6 @@ class PlateGeometry:
         """Face area S in m^2."""
         return self.length * self.width
 
-    def perimeter(self) -> float:
-        """Border length C in m."""
-        return 2.0 * (self.length + self.width)
-
 
 @dataclass(frozen=True)
 class MaterialLayer:
@@ -145,9 +141,6 @@ class PlateStack:
                 f"layer index {index} out of range for a stack of {len(self.layers)} layers"
             )
         return sum(layer.thickness for layer in self.layers[:index])
-
-    def total_thickness(self) -> float:
-        return sum(layer.thickness for layer in self.layers)
 
 
 @dataclass(frozen=True)

@@ -157,16 +157,6 @@ class Curve:
         lo, hi = self.domain()
         return [self._interp(lam) if lo <= lam <= hi else math.nan for lam in grid]
 
-    def alpha_at(self, lam: float) -> float:
-        """alpha at lam; DomainError outside the domain (no extrapolation)."""
-        lo, hi = self.domain()
-        if not lo <= lam <= hi:
-            raise DomainError(
-                f"lambda {lam:g} m outside the curve domain "
-                f"[{lo:g}, {hi:g}] m; extrapolation is not supported"
-            )
-        return self._interp(lam)
-
     def _interp(self, lam: float) -> float:
         # numpy.interp's arithmetic and retries on the logs: bit for bit
         # numpy.interp(log(lam), log(lambdas), log(alphas))

@@ -1,4 +1,4 @@
-"""Newtonian and Yukawa forces for point masses and layered plates.
+"""Newtonian and Yukawa forces between layered plates.
 
 The plate expressions treat the plates as laterally infinite slabs of
 the given area (edge effects in gravity are negligible for gaps
@@ -20,20 +20,7 @@ from .core import (
     PlateStack,
     YukawaParams,
     require_positive,
-    separation_power,
 )
-
-
-@dataclass(frozen=True)
-class PointMassPair:
-    """Two point masses, kg each."""
-
-    mass_a: float
-    mass_b: float
-
-    def __post_init__(self) -> None:
-        require_positive("mass_a", self.mass_a)
-        require_positive("mass_b", self.mass_b)
 
 
 @dataclass(frozen=True)
@@ -68,39 +55,6 @@ def yukawa_thickness_bracket(thickness: float, lam: float) -> float:
     inverses of each other.
     """
     return -math.expm1(-thickness / lam)
-
-
-def point_potential(
-    pair: PointMassPair,
-    separation: float,
-    yukawa: YukawaParams,
-) -> float:
-    """Gravitational potential energy with a Yukawa correction, in J.
-
-    V(d) = -(G Ma Mb / d) * (1 + alpha * exp(-d / lam))
-
-    Negative for alpha > -1 (bound configuration).
-    """
-    require_positive("separation", separation)
-    k = CODATA2018.G * pair.mass_a * pair.mass_b
-    return -k / separation * (1.0 + yukawa.alpha * math.exp(-separation / yukawa.lam))
-
-
-def point_force(
-    pair: PointMassPair,
-    separation: float,
-    yukawa: YukawaParams,
-) -> float:
-    """Magnitude of the point-point force implied by point_potential, in N.
-
-    F(d) = (G Ma Mb / d^2) * (1 + alpha * (1 + d/lam) * exp(-d/lam))
-
-    Raises DomainError if d^2 overflows or underflows to zero.
-    """
-    require_positive("separation", separation)
-    k = CODATA2018.G * pair.mass_a * pair.mass_b
-    x = separation / yukawa.lam
-    return k / separation_power(separation, 2) * (1.0 + yukawa.alpha * (1.0 + x) * math.exp(-x))
 
 
 def slab_coupling(density_a: float, density_b: float, area: float) -> float:

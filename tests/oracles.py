@@ -1,7 +1,7 @@
 """Independent numerical cross-checks used only by the test suite.
 
 Each oracle recomputes a closed-form result by brute force (adaptive
-quadrature or finite differences), sharing no algebra with the
+quadrature), sharing no algebra with the
 expressions under test beyond the point-interaction kernel itself.
 """
 
@@ -129,11 +129,6 @@ def tilted_casimir_force(
         limit=200,
     )
     return coeff * plate_width * integral
-
-
-def central_difference(func, x: float, step: float) -> float:
-    """Symmetric finite-difference derivative of func at x."""
-    return (func(x + step) - func(x - step)) / (2.0 * step)
 
 
 def loglog_interp(lam: float, lambdas, alphas, knot_log=np.log) -> float:

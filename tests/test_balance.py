@@ -18,6 +18,9 @@ from plateforces import (
     torsion_constant,
 )
 
+from plateforces.casimir import CASIMIR_COEFF
+from plateforces.core import separation_power
+
 from oracles import tilted_casimir_force
 
 
@@ -130,9 +133,12 @@ class TestTiltedCasimir:
     D = 5e-6
 
     def test_zero_angle_is_flat_plate(self):
-        tilted = tilted_casimir(self.W, self.L, self.D, 0.0)
-        flat = casimir_zero_t(self.W * self.L, self.D)
-        assert tilted == pytest.approx(flat, rel=1e-15)
+        # the series gives g == 1.0 exactly at either zero: the flat-plate
+        # expression bit for bit
+        flat = CASIMIR_COEFF * self.W * self.L / separation_power(self.D, 4)
+        assert tilted_casimir(self.W, self.L, self.D, 0.0) == flat
+        assert tilted_casimir(self.W, self.L, self.D, -0.0) == flat
+        assert flat == pytest.approx(casimir_zero_t(self.W * self.L, self.D), rel=1e-15)
 
     def test_continuous_at_tiny_angle(self):
         tilted = tilted_casimir(self.W, self.L, self.D, 1e-15)

@@ -11,7 +11,6 @@ from plateforces import (
     ThermalModel,
     YukawaParams,
     electrostatic_force,
-    voltage_control_requirement,
 )
 from plateforces.cli import cmd_budget, cmd_forces
 
@@ -63,8 +62,6 @@ class TestElectrostaticForce:
     def test_rejects_bad_arguments(self, area, gap, voltage, name):
         with pytest.raises(InvalidParameterError, match=name):
             electrostatic_force(area, gap, voltage)
-        with pytest.raises(InvalidParameterError, match=name):
-            voltage_control_requirement(area, gap, voltage, 1e-12)
 
     @pytest.mark.parametrize("gap, message", [(1e160, "d\\^2 overflows"), (1e-170, "underflows")])
     def test_gap_powers_out_of_range_are_domain_errors(self, gap, message):
@@ -76,40 +73,6 @@ class TestElectrostaticForce:
         # V^2 overflows, or the finite V^2 / d^2 does
         with pytest.raises(DomainError, match=re.escape(f"stray_voltage {voltage:g} V ") + ".*overflows"):
             electrostatic_force(AREA, gap, voltage)
-        with pytest.raises(DomainError, match="stray_voltage"):
-            voltage_control_requirement(AREA, gap, voltage, 1e-12)
-
-
-class TestVoltageControl:
-    def test_part_per_thousand(self):
-        # suppressing the force by 1e6 takes voltage control at the 1e-3 level
-        config = es()
-        target = electrostatic_force(*config) * 1e-6
-        assert voltage_control_requirement(*config, target) == pytest.approx(
-            1e-3, rel=1e-12
-        )
-
-    def test_round_trip(self):
-        config = es()
-        target = 1e-12
-        ratio = voltage_control_requirement(*config, target)
-        compensated = es(voltage=0.1 * ratio)
-        assert electrostatic_force(*compensated) == pytest.approx(target, rel=1e-12)
-
-    def test_saturates_at_one(self):
-        config = es()
-        background = electrostatic_force(*config)
-        assert voltage_control_requirement(*config, background) == 1.0
-        assert voltage_control_requirement(*config, 2 * background) == 1.0
-
-    def test_zero_voltage_needs_no_control(self):
-        assert voltage_control_requirement(*es(voltage=0.0), 1e-12) == 1.0
-
-    def test_rejects_nonpositive_target(self):
-        with pytest.raises(InvalidParameterError):
-            voltage_control_requirement(*es(), 0.0)
-        with pytest.raises(InvalidParameterError):
-            voltage_control_requirement(*es(), -1e-12)
 
 
 class TestForceBudget:

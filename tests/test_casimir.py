@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -6,17 +7,14 @@ import pytest
 from plateforces import (
     THERMAL_TRUST_MIN_GAP,
     DomainError,
-    FieldKind,
     InvalidParameterError,
     ThermalModel,
-    border_correction,
     casimir_zero_t,
     thermal_casimir,
 )
 from plateforces.cli import cmd_forces
 
 AREA = 0.012
-PERIMETER = 0.44
 
 
 class TestCasimirZeroT:
@@ -96,6 +94,12 @@ class TestThermalCasimir:
         with pytest.raises(DomainError, match="separation 1e\\+103 m is too large: d\\^3"):
             thermal_casimir(AREA, 1e103, 300.0)
 
+    @pytest.mark.parametrize("area, gap", [(1e-320, 5e-6), (AREA, 1e76)])
+    def test_underflowing_force_is_a_domain_error(self, area, gap):
+        # S and d^4 are both in range, but the force rounds to zero
+        with pytest.raises(DomainError, match=re.escape(f"area {area:g} m^2 at separation {gap:g} m")):
+            casimir_zero_t(area, gap)
+
     def test_trust_gap_constant(self):
         assert THERMAL_TRUST_MIN_GAP == 5e-6
 
@@ -135,32 +139,3 @@ class TestTotalCasimir:
         with pytest.raises(InvalidParameterError):
             ThermalModel(eta)
 
-
-class TestBorderCorrection:
-    def test_scalar_anchor(self):
-        # 10 cm x 10 cm plate at 1 um
-        value = border_correction(0.01, 0.4, 1e-6, FieldKind.SCALAR)
-        assert value == pytest.approx(4.8e-6, rel=1e-12)
-
-    def test_electromagnetic_anchor(self):
-        value = border_correction(0.01, 0.4, 1e-6, FieldKind.ELECTROMAGNETIC)
-        assert value == pytest.approx(4.8e-6 / 0.36, rel=1e-12)
-
-    def test_em_scalar_ratio(self):
-        scalar = border_correction(AREA, PERIMETER, 5e-6, FieldKind.SCALAR)
-        em = border_correction(AREA, PERIMETER, 5e-6, FieldKind.ELECTROMAGNETIC)
-        assert em / scalar == pytest.approx(1.0 / 0.36, rel=1e-15)
-
-    def test_linear_in_separation(self):
-        one = border_correction(AREA, PERIMETER, 1e-6)
-        five = border_correction(AREA, PERIMETER, 5e-6)
-        assert five == pytest.approx(5 * one, rel=1e-12)
-
-    def test_small_for_baseline(self):
-        # centimeter plates microns apart: the correction is parts in 1e5
-        assert border_correction(AREA, PERIMETER, 5e-6) < 1e-4
-
-    def test_scalar_is_default(self):
-        assert border_correction(0.01, 0.4, 1e-6) == border_correction(
-            0.01, 0.4, 1e-6, FieldKind.SCALAR
-        )

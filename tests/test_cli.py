@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -491,6 +492,24 @@ class TestExitCodes:
         assert message in result.stderr
         assert "inf" not in result.stdout and "nan" not in result.stdout
 
+    @pytest.mark.parametrize("command", ["forces", "budget", "sensitivity"])
+    def test_casimir_force_underflow_is_a_domain_error(self, tmp_path, command):
+        # area 1e-320 m^2 passes the config check, but S / d^4 times the
+        # Casimir coefficient rounds to zero
+        text = BASELINE_CONFIG_PATH.read_text()
+        for line in ("length = 0.10 m", "width = 0.12 m", "plate_length_along_tilt = 0.12 m"):
+            assert line in text
+            text = text.replace(line, line.split("=")[0] + "= 1e-160 m")
+        config = tmp_path / "tiny.ini"
+        config.write_text(text)
+        result = run_fresh([command, "--config", str(config)])
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        area = 1e-160 * 1e-160
+        assert f"area {area:g} m^2 at separation 5e-06 m" in result.stderr
+        assert "underflows to zero" in result.stderr
+        assert result.stdout == ""
+
 
 class TestStartup:
     def test_cli_import_does_not_load_numpy(self):
@@ -503,6 +522,24 @@ class TestStartup:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_cli_import_loads_every_traced_layer(self):
+        # the benchmark tracer finds each layer as sys.modules["plateforces.<layer>"]
+        spec = importlib.util.spec_from_file_location("spans", REPO_ROOT / "bench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, plateforces.cli; "
+             "print(' '.join(name for name in sys.modules if name.startswith('plateforces.')))"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.split())
+        missing = [layer for layer in spans.LAYERS if f"plateforces.{layer}" not in loaded]
+        assert not missing
 
 
 class TestDeterminism:

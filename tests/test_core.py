@@ -42,16 +42,14 @@ class TestPhysicalConstants:
 
 
 class TestPlateGeometry:
-    def test_area_and_perimeter(self):
+    def test_area(self):
         geo = PlateGeometry(length=0.10, width=0.12)
         assert geo.area() == pytest.approx(0.012, rel=1e-15)
-        assert geo.perimeter() == pytest.approx(0.44, rel=1e-15)
 
     def test_symmetric_under_swap(self):
         a = PlateGeometry(0.10, 0.12)
         b = PlateGeometry(0.12, 0.10)
         assert a.area() == b.area()
-        assert a.perimeter() == b.perimeter()
 
     @pytest.mark.parametrize("length,width", [(0.0, 0.1), (0.1, -0.2), (math.nan, 0.1), (math.inf, 0.1)])
     def test_rejects_bad_sides(self, length, width):
@@ -84,7 +82,6 @@ class TestPlateStack:
         assert stack.layer_offset(0) == 0.0
         assert stack.layer_offset(1) == pytest.approx(10e-6, rel=1e-15)
         assert stack.layer_offset(2) == pytest.approx(10e-6 + 15e-3, rel=1e-15)
-        assert stack.total_thickness() == pytest.approx(10e-6 + 15e-3 + 1e-3, rel=1e-15)
 
     def test_offsets_strictly_increase(self):
         stack = PlateStack(

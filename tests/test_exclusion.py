@@ -244,23 +244,19 @@ class TestCurveInterpolation:
         lambdas = tuple(1e-6 * 10 ** (i / 4) for i in range(17))
         alphas = tuple(2.5 * (lam / 1e-6) ** -1.7 for lam in lambdas)
         curve = Curve(lambdas=lambdas, alphas=alphas)
-        for i in range(len(lambdas) - 1):
-            lam = math.sqrt(lambdas[i] * lambdas[i + 1])
-            assert curve.alpha_at(lam) == pytest.approx(
-                2.5 * (lam / 1e-6) ** -1.7, rel=1e-12
-            )
+        mids = [math.sqrt(lambdas[i] * lambdas[i + 1]) for i in range(len(lambdas) - 1)]
+        for lam, alpha in zip(mids, curve.alphas_at(mids)):
+            assert alpha == pytest.approx(2.5 * (lam / 1e-6) ** -1.7, rel=1e-12)
 
     def test_nodes_reproduce(self):
         (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 50, (1e-5,))
-        for lam, alpha in zip(curve.lambdas, curve.alphas):
-            assert curve.alpha_at(lam) == pytest.approx(alpha, rel=1e-14)
+        assert curve.alphas_at(curve.lambdas) == pytest.approx(curve.alphas, rel=1e-14)
 
     def test_extrapolation_refused(self):
+        # refused as nan: alphas_at serves no value outside the curve
         (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 50, (1e-5,))
-        with pytest.raises(DomainError):
-            curve.alpha_at(9.9e-7)
-        with pytest.raises(DomainError):
-            curve.alpha_at(1.1e-2)
+        below, above = curve.alphas_at([9.9e-7, 1.1e-2])
+        assert math.isnan(below) and math.isnan(above)
 
     def test_curve_validation(self):
         with pytest.raises(InvalidParameterError, match="1e-06 follows 1e-06"):

@@ -1,100 +1,26 @@
 import math
 
-import numpy as np
 import pytest
 
 from plateforces import (
     CODATA2018,
-    DomainError,
     GapConfig,
-    InvalidParameterError,
     LayerMode,
     PlatePairConfig,
-    PointMassPair,
     YukawaParams,
     plate_newton,
     plate_yukawa,
-    point_force,
-    point_potential,
     stack_newton,
     stack_yukawa,
 )
 from plateforces.gravity import yukawa_thickness_bracket
 
-from oracles import central_difference, yukawa_slab_force, yukawa_stack_force
+from oracles import yukawa_slab_force, yukawa_stack_force
 
 G = CODATA2018.G
 AREA = 0.012
 GOLD = 19.3e3
 GLASS = 3.0e3
-
-
-class TestPointInteraction:
-    def test_potential_is_negative_and_scaled(self):
-        pair = PointMassPair(1.0, 1.0)
-        y = YukawaParams(alpha=1.0, lam=1.0)
-        expected = -G * (1.0 + math.exp(-1.0))
-        assert point_potential(pair, 1.0, y) == pytest.approx(expected, rel=1e-14)
-
-    def test_alpha_zero_is_pure_newton(self):
-        pair = PointMassPair(2.0, 3.0)
-        y = YukawaParams(alpha=0.0, lam=1e-3)
-        assert point_potential(pair, 0.1, y) == pytest.approx(-G * 6.0 / 0.1, rel=1e-15)
-        assert point_force(pair, 0.1, y) == pytest.approx(G * 6.0 / 0.01, rel=1e-15)
-        # with alpha = 0 the range cannot matter, bit for bit
-        other = YukawaParams(alpha=0.0, lam=7e-7)
-        assert point_force(pair, 0.1, y) == point_force(pair, 0.1, other)
-        assert point_potential(pair, 0.1, y) == point_potential(pair, 0.1, other)
-
-    def test_long_range_limit(self):
-        # lam >= 1e6 d: the Yukawa term saturates to alpha
-        pair = PointMassPair(1.0, 1.0)
-        d = 1e-3
-        y = YukawaParams(alpha=1.0, lam=1e6 * d)
-        newton = -G / d
-        assert point_potential(pair, d, y) == pytest.approx(
-            newton * (1.0 + y.alpha), rel=1e-6
-        )
-        assert point_force(pair, d, y) == pytest.approx(
-            G / d**2 * (1.0 + y.alpha), rel=1e-6
-        )
-
-    def test_force_matches_potential_derivative(self):
-        # 100 random parameter sets: the closed-form force magnitude must
-        # track the numerical slope of the potential
-        rng = np.random.default_rng(20260815)
-        for _ in range(100):
-            mass_a = 10.0 ** rng.uniform(-3, 3)
-            mass_b = 10.0 ** rng.uniform(-3, 3)
-            d = 10.0 ** rng.uniform(-7, 0)
-            lam = d * 10.0 ** rng.uniform(-1.3, 5)
-            alpha = rng.uniform(-0.9, 100.0)
-            pair = PointMassPair(mass_a, mass_b)
-            y = YukawaParams(alpha=alpha, lam=lam)
-            slope = central_difference(
-                lambda x: point_potential(pair, x, y), d, 1e-6 * d
-            )
-            assert point_force(pair, d, y) == pytest.approx(slope, rel=1e-6)
-
-    def test_force_positive_for_positive_alpha(self):
-        pair = PointMassPair(1.0, 1.0)
-        assert point_force(pair, 1e-4, YukawaParams(2.0, 1e-4)) > 0.0
-
-    def test_rejects_bad_separation(self):
-        pair = PointMassPair(1.0, 1.0)
-        y = YukawaParams(1.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            point_potential(pair, 0.0, y)
-        with pytest.raises(InvalidParameterError):
-            point_force(pair, -1.0, y)
-
-    @pytest.mark.parametrize(
-        "separation, message",
-        [(1e160, "too large: d\\^2 overflows"), (1e-170, "too small: d\\^2 underflows")],
-    )
-    def test_separation_powers_out_of_range_are_domain_errors(self, separation, message):
-        with pytest.raises(DomainError, match=message):
-            point_force(PointMassPair(1.0, 1.0), separation, YukawaParams(1.0, 1.0))
 
 
 class TestPlateNewton:

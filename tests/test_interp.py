@@ -1,19 +1,18 @@
 """The one-pass log-log interpolation against numpy.interp.
 
-Curve.alphas_at and the scalar Curve.alpha_at share one implementation
-that caches the knot logs per curve.  The reference is the per-query
-computation it replaced (oracles.loglog_interp).
+Curve.alphas_at caches the knot logs per curve and interpolates a whole
+grid in one pass.  The reference is the per-query computation it
+replaced (oracles.loglog_interp).
 """
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import LIBM_LOG, loglog_interp
-from plateforces import Curve, DomainError
+from plateforces import Curve
 
 @st.composite
 def curves_and_grids(draw):
@@ -71,16 +70,13 @@ def test_pass_matches_previous_per_query_expression(case):
 
 
 @given(curves_and_grids())
-def test_scalar_alpha_at_is_the_same_pass(case):
+def test_single_queries_are_the_same_pass(case):
     prior, grid = case
     lo, hi = prior.domain()
     for lam, alpha in zip(grid, prior.alphas_at(grid)):
-        if lo <= lam <= hi:
-            assert same(prior.alpha_at(lam), alpha)
-        else:
-            assert math.isnan(alpha)
-            with pytest.raises(DomainError):
-                prior.alpha_at(lam)
+        (single,) = prior.alphas_at([lam])
+        assert same(single, alpha)
+        assert math.isnan(alpha) == (not lo <= lam <= hi)
 
 
 def test_knots_and_both_ends_take_the_knot_value():
@@ -92,14 +88,11 @@ def test_knots_and_both_ends_take_the_knot_value():
     assert got == [loglog_interp(lam, lambdas, alphas, LIBM_LOG) for lam in lambdas]
 
 
-def test_nan_outside_domain_and_scalar_refuses():
+def test_nan_outside_domain():
     prior = Curve(lambdas=(1e-6, 1e-5), alphas=(1e8, 1e4))
     below, above = math.nextafter(1e-6, 0.0), math.nextafter(1e-5, 1.0)
     got = prior.alphas_at([1e-7, below, 1e-6, 1e-5, above, 1e-3])
     assert [math.isnan(value) for value in got] == [True, True, False, False, True, True]
-    for lam in (below, above):
-        with pytest.raises(DomainError):
-            prior.alpha_at(lam)
 
 
 def test_unbounded_knot_interpolates_to_inf_like_numpy():
@@ -108,11 +101,13 @@ def test_unbounded_knot_interpolates_to_inf_like_numpy():
     other end and gives inf, and so does the pass."""
     lambdas, alphas = (1e-9, 1e-8, 1e-7), (math.inf, math.inf, 1e20)
     curve = Curve(lambdas=lambdas, alphas=alphas)
-    for lam in (1e-9, 3e-9, 1e-8, 5e-8):
-        assert curve.alpha_at(lam) == math.inf
+    grid = (1e-9, 3e-9, 1e-8, 5e-8)
+    assert curve.alphas_at(grid) == [math.inf] * 4
+    for lam in grid:
         assert loglog_interp(lam, lambdas, alphas, LIBM_LOG) == math.inf
-    assert curve.alpha_at(1e-7) == loglog_interp(1e-7, lambdas, alphas, LIBM_LOG)
+    assert curve.alphas_at([1e-7]) == [loglog_interp(1e-7, lambdas, alphas, LIBM_LOG)]
     # on a knot the knot value is served, even with an infinite neighbour
     curve = Curve(lambdas=lambdas, alphas=alphas[::-1])
-    assert curve.alpha_at(1e-9) == loglog_interp(1e-9, lambdas, alphas[::-1], LIBM_LOG)
-    assert math.isfinite(curve.alpha_at(1e-9))
+    (at_knot,) = curve.alphas_at([1e-9])
+    assert at_knot == loglog_interp(1e-9, lambdas, alphas[::-1], LIBM_LOG)
+    assert math.isfinite(at_knot)
