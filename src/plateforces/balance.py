@@ -104,17 +104,19 @@ def torsion_constant(wire: TorsionWire) -> float:
     )
 
 
-def min_detectable_force(balance: BalanceConfig) -> float:
+def min_detectable_force(balance: BalanceConfig, wire: TorsionWire | None = None) -> float:
     """Smallest force resolvable by the balance, N.
 
     A force F on the arm twists it by theta = F * arm / kappa and moves
     the tip by x = theta * arm, so the resolvable force is
-    F_min = kappa * x_min / arm^2.
+    F_min = kappa * x_min / arm^2, with kappa the balance's
+    torque_sensitivity or, if given, the torsion constant of wire.
 
-    Raises DomainError naming all three inputs if F_min overflows or
-    underflows to zero.
+    Raises DomainError naming all three inputs (for a wire, its own) if
+    F_min overflows or underflows to zero.
     """
-    kappa, x_min, arm = balance.torque_sensitivity, balance.min_displacement, balance.arm_length
+    kappa = balance.torque_sensitivity if wire is None else torsion_constant(wire)
+    x_min, arm = balance.min_displacement, balance.arm_length
     try:
         force = kappa * x_min / arm**2
     except OverflowError:  # arm^2 overflows
@@ -124,9 +126,15 @@ def min_detectable_force(balance: BalanceConfig) -> float:
     if 0.0 < force < math.inf:
         return force
     outcome = "underflows to zero" if force == 0.0 else "overflows"
+    source = f"torque_sensitivity {kappa:g} N m/rad"
+    if wire is not None:
+        source = (
+            f"wire torsion constant {kappa:g} N m/rad (shear_modulus {wire.shear_modulus:g} "
+            f"Pa, diameter {wire.diameter:g} m, length {wire.length:g} m)"
+        )
     raise DomainError(
-        f"arm_length {arm:g} m with torque_sensitivity {kappa:g} N m/rad and "
-        f"min_displacement {x_min:g} m: kappa x_min / arm_length^2 {outcome}"
+        f"arm_length {arm:g} m with {source} and min_displacement {x_min:g} m: "
+        f"kappa x_min / arm_length^2 {outcome}"
     )
 
 

@@ -17,7 +17,6 @@ import argparse
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import replace
 from operator import truediv
 
 from .balance import (
@@ -276,7 +275,7 @@ def cmd_sensitivity(config: ExperimentConfig) -> ResultTable:
     """Balance sensitivity and tilt effects for the configured setup."""
     kappa_wire = torsion_constant(config.wire)
     balance = config.balance
-    f_min_wire = min_detectable_force(replace(balance, torque_sensitivity=kappa_wire))
+    f_min_wire = min_detectable_force(balance, config.wire)
     f_min_balance = min_detectable_force(balance)
     tilt = config.tilt
     gap = config.gap.separation

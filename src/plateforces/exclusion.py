@@ -15,12 +15,12 @@ from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import lt
+from itertools import repeat, tee
+from operator import lt, mul, truediv
 
 from .core import require_positive
 from .errors import DomainError, InvalidParameterError
-from .gravity import PlatePairConfig, slab_coupling, yukawa_thickness_bracket
+from .gravity import PlatePairConfig, slab_coupling
 
 # ten times the 100 000-point stress scan; a larger one is refused before
 # its grid is built
@@ -49,9 +49,10 @@ def alpha_bound(lam: float, plates: PlatePairConfig, force_resolution: float) ->
     require_positive("force_resolution", force_resolution)
     _require_squarable("lam", lam)
     facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
-    return _alpha_bounds(
-        (lam,), plates, facing_a.thickness, facing_b.thickness, force_resolution
-    )[0]
+    ((alpha,),) = _alpha_bounds(
+        (lam,), plates, ((facing_a.thickness, facing_b.thickness),), force_resolution
+    )
+    return alpha
 
 
 def _require_squarable(name: str, lam: float) -> None:
@@ -62,19 +63,22 @@ def _require_squarable(name: str, lam: float) -> None:
 
 
 def _alpha_bounds(
-    grid: Iterable[float],
+    grid: tuple[float, ...],
     plates: PlatePairConfig,
-    thickness_a: float,
-    thickness_b: float,
+    thickness_pairs: Iterable[tuple[float, float]],
     force_resolution: float,
-) -> tuple[float, ...]:
-    """alpha_bound at every lambda of grid for facing layers of the
-    given thicknesses, unchecked.
+) -> list[tuple[float, ...]]:
+    """alpha_bound at every lambda of grid for each (thickness_a,
+    thickness_b) pair of facing layers, one tuple per pair, unchecked.
 
-    The lambda-independent factor is taken once; Python multiplies left
-    to right, so every alpha is the same double as the full product.
-    Raises DomainError naming both facing densities and the area if
-    that factor overflows or underflows to zero.
+    2 pi G rho_a rho_b S * lam^2 and F_res * exp(d/lam) are taken once
+    for all pairs, which add only their brackets; C-level maps form
+    every alpha.  Python multiplies left to right and negation is exact,
+    so each alpha is the same double as the full product.  If exp(d/lam)
+    overflows or a denominator is zero, every pair is redone one lambda
+    at a time, with alpha inf there.  Raises DomainError naming both
+    facing densities and the area if 2 pi G rho_a rho_b S overflows or
+    underflows to zero.
     """
     facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
     area = plates.geometry.area()
@@ -85,19 +89,38 @@ def _alpha_bounds(
             f"facing densities {facing_a.density:g} and {facing_b.density:g} "
             f"kg/m^3 with area {area:g} m^2: 2 pi G rho_a rho_b S {outcome}"
         )
-    gap = plates.gap.separation
-    exp, bracket = math.exp, yukawa_thickness_bracket
-    alphas = []
-    for lam in grid:
-        denominator = (
-            prefactor * lam**2 * bracket(thickness_a, lam) * bracket(thickness_b, lam)
-        )
-        try:
-            alphas.append(force_resolution * exp(gap / lam) / denominator)
-        except (OverflowError, ZeroDivisionError):
-            # exp(d/lam) overflows, or lam**2 underflows to zero
-            alphas.append(math.inf)
-    return tuple(alphas)
+    gap, pairs = plates.gap.separation, tuple(thickness_pairs)
+    # tuples, not arrays: an array builds a float on every read, and the
+    # CSV write, not the scan, sets the peak memory of a run
+    scales = tuple(map(mul, repeat(prefactor), map(pow, grid, repeat(2))))
+    exps = map(math.exp, map(truediv, repeat(gap), grid))
+    try:
+        signals = tuple(map(mul, repeat(force_resolution), exps))
+        bounds = []
+        for thickness_a, thickness_b in pairs:
+            # expm1(-t/lam) is a bracket without its minus sign; the two
+            # signs cancel in the product
+            bracket_a = map(math.expm1, map(truediv, repeat(-thickness_a), grid))
+            bracket_b = map(math.expm1, map(truediv, repeat(-thickness_b), grid))
+            if thickness_b == thickness_a:  # read in step: tee holds one value
+                bracket_a, bracket_b = tee(bracket_a)
+            denominators = map(mul, map(mul, scales, bracket_a), bracket_b)
+            bounds.append(tuple(map(truediv, signals, denominators)))
+        return bounds
+    except (OverflowError, ZeroDivisionError):
+        pass  # some alpha is inf: every pair again, one lambda at a time
+    exp, expm1, bounds = math.exp, math.expm1, []
+    for thickness_a, thickness_b in pairs:
+        alphas = []
+        for lam, scale in zip(grid, scales):
+            bracket_a, bracket_b = expm1(-thickness_a / lam), expm1(-thickness_b / lam)
+            try:
+                alphas.append(force_resolution * exp(gap / lam) / (scale * bracket_a * bracket_b))
+            except (OverflowError, ZeroDivisionError):
+                # exp(d/lam) overflows, or lam**2 or a bracket underflows to zero
+                alphas.append(math.inf)
+        bounds.append(tuple(alphas))
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -217,9 +240,10 @@ def exclusion_scan(
         *(10.0 ** (k * step + lo) for k in range(1, n_points - 1)),
         lambda_max,
     )
-    curves = []
     for thickness in thicknesses:
         require_positive("thickness", thickness)
-        alphas = _alpha_bounds(grid, plates, thickness, thickness, force_resolution)
-        curves.append(Curve(lambdas=grid, alphas=alphas))
-    return curves
+    pairs = zip(thicknesses, thicknesses)
+    return [
+        Curve(lambdas=grid, alphas=alphas)
+        for alphas in _alpha_bounds(grid, plates, pairs, force_resolution)
+    ]

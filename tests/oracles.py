@@ -195,9 +195,11 @@ def plate_yukawa_reference(
 
 
 def alpha_bound_reference(lam: float, spec, constants=CODATA2018) -> float:
-    """The Yukawa inversion as alpha_bound computed it one lambda at a
-    time, before the scan took the lambda-independent factor out of its
-    loop: the whole denominator as one left-to-right product.
+    """The Yukawa inversion one lambda at a time, as alpha_bound computed
+    it before the kernel shared its per-lambda factors between
+    thicknesses: the whole denominator as one left-to-right product of
+    negated brackets, inf where exp(d/lam) overflows or the denominator
+    is zero.
     """
     require_positive("lam", lam)
     denominator = (
@@ -214,7 +216,7 @@ def alpha_bound_reference(lam: float, spec, constants=CODATA2018) -> float:
     try:
         return spec.force_resolution * math.exp(spec.gap / lam) / denominator
     except (OverflowError, ZeroDivisionError):
-        # exp(d/lam) overflows, or lam**2 underflows to zero
+        # exp(d/lam) overflows, or lam**2 or a bracket underflows to zero
         return math.inf
 
 

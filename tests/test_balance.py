@@ -101,6 +101,11 @@ class TestMinDetectableForce:
         long = min_detectable_force(BalanceConfig(1e-6, 0.2, 1e-9))
         assert short == pytest.approx(4 * long, rel=1e-12)
 
+    def test_wire_torsion_constant_replaces_torque_sensitivity(self):
+        wire = TorsionWire.tungsten(50e-6)
+        balance = BalanceConfig(1e-6, 0.1, 1e-9)
+        assert min_detectable_force(balance, wire) == torsion_constant(wire) * 1e-9 / 0.1**2
+
     @pytest.mark.parametrize(
         "arm, outcome", [(1e200, "underflows to zero"), (1e-170, "overflows")]
     )

@@ -492,6 +492,25 @@ class TestExitCodes:
         assert message in result.stderr
         assert "inf" not in result.stdout and "nan" not in result.stdout
 
+    def test_wire_force_floor_underflow_names_the_wire(self, tmp_path):
+        # kappa_wire is a positive subnormal, but kappa x_min / arm^2 rounds
+        # to zero; the error names the wire, not [balance] torque_sensitivity
+        text = BASELINE_CONFIG_PATH.read_text().replace(
+            "material = tungsten", "material = tungsten\nshear_modulus = 1e-305"
+        )
+        config = tmp_path / "soft.ini"
+        config.write_text(text)
+        result = run_fresh(["sensitivity", "--config", str(config)])
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert (
+            "arm_length 0.1 m with wire torsion constant 9.88131e-324 N m/rad "
+            "(shear_modulus 1e-305 Pa, diameter 5e-05 m, length 0.5 m) and "
+            "min_displacement 1e-09 m: kappa x_min / arm_length^2 underflows to zero"
+        ) in result.stderr
+        assert "torque_sensitivity" not in result.stderr
+        assert result.stdout == ""
+
     @pytest.mark.parametrize("command", ["forces", "budget", "sensitivity"])
     def test_casimir_force_underflow_is_a_domain_error(self, tmp_path, command):
         # area 1e-320 m^2 passes the config check, but S / d^4 times the

@@ -91,7 +91,7 @@ class TestAlphaBound:
         pair = PlatePairConfig(gold.stack_a, thin, gold.geometry, gold.gap)
         spec = reference_spec()
         spec.thickness_b = 1e-6
-        for lam in (1e-6, 1e-5, 1e-3):
+        for lam in (1e-9, 1e-8, 1e-6, 1e-5, 1e-3, 1.0):
             assert alpha_bound(lam, pair, RESOLUTION) == alpha_bound_reference(lam, spec)
 
     def test_approaches_thick_plate_floor_from_above(self):
@@ -237,6 +237,76 @@ def test_reference_oracle_reaches_the_overflow_region():
     expected = [alpha_bound_reference(lam, reference_spec()) for lam in curve.lambdas]
     assert list(curve.alphas) == expected
     assert expected.count(math.inf) == 8
+
+
+def facing_plates(thickness_a, thickness_b, gap=5e-6):
+    """gold_plates with facing films of two thicknesses."""
+    gold = gold_plates(thickness_a, gap)
+    other = PlateStack((MaterialLayer("gold", GOLD, thickness_b),))
+    return PlatePairConfig(gold.stack_a, other, gold.geometry, gold.gap)
+
+
+def _scan_matches_reference(thickness, gap, lambda_min, lambda_max, n_points):
+    plates = gold_plates(thickness, gap)
+    (curve,) = exclusion_scan(plates, RESOLUTION, lambda_min, lambda_max, n_points, (thickness,))
+    spec = reference_spec(thickness, gap)
+    expected = [alpha_bound_reference(lam, spec) for lam in curve.lambdas]
+    assert list(curve.alphas) == expected
+    return expected
+
+
+class TestKernelBranches:
+    """Every branch of the shared alpha kernel against the one-lambda
+    reference, bit for bit."""
+
+    def test_exp_overflow(self):
+        # exp(gap/lam) overflows below lam = 5 um / 709.78, about 7.04 nm
+        expected = _scan_matches_reference(1e-5, 5e-6, 1e-9, 1e-7, 200)
+        assert 0 < expected.count(math.inf) < len(expected)
+
+    def test_lambda_squared_underflow(self):
+        # a gap of 1e-175 m keeps exp(gap/lam) near 1, so the inf comes
+        # from lam**2 rounding to zero below about 2.2e-162 m
+        gap = 1e-175
+        expected = _scan_matches_reference(1e-5, gap, 1e-170, 1e-150, 200)
+        assert 0 < expected.count(math.inf) < len(expected)
+        assert all(math.exp(gap / lam) < 2.0 for lam in (1e-170, 1e-150))
+
+    def test_zero_bracket(self):
+        # a 1e-175 m film: -t/lam rounds to zero above lam of about 4e148 m.
+        # With both films this thin the squared bracket is already zero
+        # over the whole grid, so every alpha is inf
+        thickness = 1e-175
+        expected = _scan_matches_reference(thickness, 5e-6, 1e140, 1e150, 50)
+        assert expected == [math.inf] * 50
+        assert math.expm1(-thickness / 1e150) == 0.0
+
+    def test_one_zero_bracket_of_distinct_thicknesses(self):
+        # only the thin film's bracket is zero; the thick one stays finite
+        plates = facing_plates(1e-5, 1e-310)
+        spec = reference_spec()
+        spec.thickness_b = 1e-310
+        for lam in (1e-6, 1e-3, 1e10, 1e20, 1e30):
+            assert alpha_bound(lam, plates, RESOLUTION) == alpha_bound_reference(lam, spec)
+        assert alpha_bound(1e20, plates, RESOLUTION) == math.inf
+
+
+@given(
+    resolution=_log_uniform(-20, -5),
+    gap=_log_uniform(-180, -1),
+    thickness_a=_log_uniform(-310, 1),
+    thickness_b=_log_uniform(-310, 1),
+    lam=_log_uniform(-200, 150),
+)
+def test_alpha_bound_equals_reference_bit_for_bit(
+    resolution, gap, thickness_a, thickness_b, lam
+):
+    # gap, films and lambda span every branch: exp(gap/lam) overflow,
+    # lam**2 and bracket underflow, and the finite bound
+    spec = reference_spec(thickness_a, gap, resolution)
+    spec.thickness_b = thickness_b
+    plates = facing_plates(thickness_a, thickness_b, gap)
+    assert alpha_bound(lam, plates, resolution) == alpha_bound_reference(lam, spec)
 
 
 class TestCurveInterpolation:

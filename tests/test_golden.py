@@ -9,11 +9,14 @@ A change that moves output on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names every changed value, and why, in CHANGES.md.
+and names every changed value, and why, in CHANGES.md.  The two
+100 000-point scans are pinned by SHA-256 in SCALE_HASHES, which such a
+change updates by hand.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pathlib
 import sys
@@ -57,6 +60,27 @@ def test_output_matches_golden_bytes(name, tmp_path, monkeypatch):
     assert _run(name, out) == 0
     expected = (REPO_ROOT / GOLDEN_DIR / f"{name}.csv").read_bytes()
     assert out.read_bytes() == expected
+
+
+# The 100 000-point stress scan (4 x 100 000 rows, about 26 MB) is too
+# large to commit, so its bytes are pinned by SHA-256 instead; the 1 nm
+# start crosses the inf rows where exp(gap/lambda) overflows.
+SCALE_HASHES = {
+    "scan": (["exclusion", "--config", CONFIG, "--points", "100000"],
+             "c2a1a1fff38a1144921e51755d71b73e649e061fc056140c6d17889dfd84aad2"),
+    "scan_from_1nm": (["exclusion", "--config", CONFIG, "--points", "100000",
+                       "--lambda-min", "1 nm"],
+                      "959201decd4839435881cfe08b1fc4ac699739fca15e167e6eb679bd1da40046"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_HASHES))
+def test_stress_scan_matches_pinned_sha256(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    argv, digest = SCALE_HASHES[name]
+    out = tmp_path / f"{name}.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 if __name__ == "__main__":
