@@ -8,10 +8,9 @@ and the tilt-averaged Casimir force.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .casimir import CASIMIR_COEFF
-from .core import require_non_negative, require_positive, separation_power
+from .core import _Record, require_non_negative, require_positive, separation_power
 from .errors import DomainError, InvalidParameterError
 
 # Shear moduli (Pa) for the usual torsion fiber materials.
@@ -29,24 +28,25 @@ WIRE_DIAMETER_MAX = 1e-3
 DEFAULT_WIRE_LENGTH = 0.5
 
 
-@dataclass(frozen=True)
-class TorsionWire:
+class TorsionWire(_Record):
     """Torsion fiber: material label, shear modulus (Pa), diameter and length (m)."""
 
-    material: str
-    shear_modulus: float
-    diameter: float
-    length: float = DEFAULT_WIRE_LENGTH
-
-    def __post_init__(self) -> None:
-        require_positive("shear_modulus", self.shear_modulus)
-        require_positive("diameter", self.diameter)
-        require_positive("length", self.length)
-        if not WIRE_DIAMETER_MIN <= self.diameter <= WIRE_DIAMETER_MAX:
+    def __init__(
+        self,
+        material: str,
+        shear_modulus: float,
+        diameter: float,
+        length: float = DEFAULT_WIRE_LENGTH,
+    ) -> None:
+        require_positive("shear_modulus", shear_modulus)
+        require_positive("diameter", diameter)
+        require_positive("length", length)
+        if not WIRE_DIAMETER_MIN <= diameter <= WIRE_DIAMETER_MAX:
             raise InvalidParameterError(
-                f"wire diameter {self.diameter!r} m outside the supported "
+                f"wire diameter {diameter!r} m outside the supported "
                 f"band [{WIRE_DIAMETER_MIN:g}, {WIRE_DIAMETER_MAX:g}] m"
             )
+        self._freeze(material, shear_modulus, diameter, length)
 
     @classmethod
     def tungsten(cls, diameter: float, length: float = DEFAULT_WIRE_LENGTH) -> "TorsionWire":
@@ -57,32 +57,27 @@ class TorsionWire:
         return cls("quartz", SHEAR_MODULUS["quartz"], diameter, length)
 
 
-@dataclass(frozen=True)
-class BalanceConfig:
+class BalanceConfig(_Record):
     """Balance readout: torque sensitivity kappa (N m/rad), torque arm
     length (m) and the smallest resolvable arm-tip displacement (m)."""
 
-    torque_sensitivity: float
-    arm_length: float
-    min_displacement: float
+    def __init__(
+        self, torque_sensitivity: float, arm_length: float, min_displacement: float
+    ) -> None:
+        require_positive("torque_sensitivity", torque_sensitivity)
+        require_positive("arm_length", arm_length)
+        require_positive("min_displacement", min_displacement)
+        self._freeze(torque_sensitivity, arm_length, min_displacement)
 
-    def __post_init__(self) -> None:
-        require_positive("torque_sensitivity", self.torque_sensitivity)
-        require_positive("arm_length", self.arm_length)
-        require_positive("min_displacement", self.min_displacement)
 
-
-@dataclass(frozen=True)
-class TiltConfig:
+class TiltConfig(_Record):
     """Relative plate tilt angle (rad) and the plate extent along the
     tilt direction (m)."""
 
-    angle: float
-    plate_length_along_tilt: float
-
-    def __post_init__(self) -> None:
-        require_non_negative("angle", self.angle)
-        require_positive("plate_length_along_tilt", self.plate_length_along_tilt)
+    def __init__(self, angle: float, plate_length_along_tilt: float) -> None:
+        require_non_negative("angle", angle)
+        require_positive("plate_length_along_tilt", plate_length_along_tilt)
+        self._freeze(angle, plate_length_along_tilt)
 
 
 def torsion_constant(wire: TorsionWire) -> float:

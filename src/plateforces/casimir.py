@@ -8,9 +8,8 @@ forces are attractive and returned as positive magnitudes in newtons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import CODATA2018, require_non_negative, require_positive, separation_power
+from .core import CODATA2018, _Record, require_non_negative, require_positive, separation_power
 from .errors import DomainError, InvalidParameterError
 
 # pi^2 hbar c / 240, J m: the ideal-mirror zero-temperature pressure
@@ -23,8 +22,7 @@ CASIMIR_COEFF = math.pi**2 * CODATA2018.hbar * CODATA2018.c / 240.0
 THERMAL_TRUST_MIN_GAP = 5e-6
 
 
-@dataclass(frozen=True)
-class ThermalModel:
+class ThermalModel(_Record):
     """How much of the ideal thermal Casimir term to credit.
 
     reduction_factor interpolates between the Drude-type prediction
@@ -32,14 +30,12 @@ class ThermalModel:
     spread between the two is an honest model uncertainty, not noise.
     """
 
-    reduction_factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.5 <= self.reduction_factor <= 1.0:
+    def __init__(self, reduction_factor: float = 1.0) -> None:
+        if not 0.5 <= reduction_factor <= 1.0:
             raise InvalidParameterError(
-                "reduction_factor must lie in [0.5, 1.0], got "
-                f"{self.reduction_factor!r}"
+                f"reduction_factor must lie in [0.5, 1.0], got {reduction_factor!r}"
             )
+        self._freeze(reduction_factor)
 
 
 def casimir_zero_t(area: float, separation: float) -> float:

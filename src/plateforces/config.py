@@ -27,11 +27,10 @@ import decimal
 import hashlib
 import math
 import re
-from dataclasses import dataclass
 
 from .balance import SHEAR_MODULUS, BalanceConfig, TiltConfig, TorsionWire
 from .casimir import ThermalModel
-from .core import GapConfig, MaterialLayer, PlateGeometry, PlateStack, YukawaParams
+from .core import GapConfig, MaterialLayer, PlateGeometry, PlateStack, YukawaParams, _Record
 from .errors import ConfigError, InvalidParameterError
 from .exclusion import Curve
 from .gravity import PlatePairConfig
@@ -67,26 +66,32 @@ def parse_length(text: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Fully parsed experiment description, all SI.
 
     source_sha256 is the hash of the config file bytes, recorded in
     output metadata so results can be traced to their inputs.
     """
 
-    geometry: PlateGeometry
-    stack_a: PlateStack
-    stack_b: PlateStack
-    gap: GapConfig
-    thermal: ThermalModel
-    stray_voltage: float
-    wire: TorsionWire
-    balance: BalanceConfig
-    tilt: TiltConfig
-    force_resolution: float
-    yukawa: YukawaParams
-    source_sha256: str = ""
+    def __init__(
+        self,
+        geometry: PlateGeometry,
+        stack_a: PlateStack,
+        stack_b: PlateStack,
+        gap: GapConfig,
+        thermal: ThermalModel,
+        stray_voltage: float,
+        wire: TorsionWire,
+        balance: BalanceConfig,
+        tilt: TiltConfig,
+        force_resolution: float,
+        yukawa: YukawaParams,
+        source_sha256: str = "",
+    ) -> None:
+        self._freeze(
+            geometry, stack_a, stack_b, gap, thermal, stray_voltage,
+            wire, balance, tilt, force_resolution, yukawa, source_sha256,
+        )
 
     def plate_pair(self) -> PlatePairConfig:
         return PlatePairConfig(

@@ -2,9 +2,11 @@
 
 Everything downstream of the config parser works in SI base units;
 conversion from human-friendly units (um, mm, ...) happens only at the
-I/O boundary.  The types here are frozen dataclasses: invariants are
-checked once at construction, after which instances are immutable and
-safe to share.
+I/O boundary.  The record types here and in the other modules are
+immutable value objects built on _Record rather than the dataclasses
+module, which would add about 20 ms to every command's start-up:
+invariants are checked once in __init__, after which instances compare
+and hash by value and are safe to share.
 
 Sign convention used throughout the package: attractive forces are
 reported as positive magnitudes.
@@ -13,7 +15,6 @@ reported as positive magnitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParameterError
 
@@ -43,8 +44,49 @@ def separation_power(separation: float, exponent: int) -> float:
     raise DomainError(f"separation {separation:g} m is too {size}: d^{exponent} {outcome}")
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class _Record:
+    """Base of the immutable record types.
+
+    A subclass's fields, _fields, are the parameters of its __init__,
+    which checks its arguments and stores them, in that order, with
+    _freeze.  Instances refuse assignment and deletion, compare and hash
+    by their field values (equal only to instances of the same class)
+    and repr as Name(field=value, ...).
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _freeze(self, *values: object) -> None:
+        # through __dict__: __setattr__ refuses every assignment
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class PhysicalConstants(_Record):
     """Fundamental constants entering the force expressions.
 
     The one instance in use is CODATA2018, compiled into every physics
@@ -70,69 +112,62 @@ class PhysicalConstants:
         Label recorded in output metadata.
     """
 
-    hbar: float = 1.054571817e-34
-    c: float = 2.99792458e8
-    k_B: float = 1.380649e-23
-    G: float = 6.674e-11
-    epsilon0: float = 8.8541878128e-12
-    zeta3: float = 1.2020569032
-    name: str = "CODATA-2018"
-
-    def __post_init__(self) -> None:
-        for field_name in ("hbar", "c", "k_B", "G", "epsilon0", "zeta3"):
-            require_positive(field_name, getattr(self, field_name))
+    def __init__(
+        self,
+        hbar: float = 1.054571817e-34,
+        c: float = 2.99792458e8,
+        k_B: float = 1.380649e-23,
+        G: float = 6.674e-11,
+        epsilon0: float = 8.8541878128e-12,
+        zeta3: float = 1.2020569032,
+        name: str = "CODATA-2018",
+    ) -> None:
+        for field_name, value in zip(self._fields, (hbar, c, k_B, G, epsilon0, zeta3)):
+            require_positive(field_name, value)
+        self._freeze(hbar, c, k_B, G, epsilon0, zeta3, name)
 
 
 CODATA2018 = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class PlateGeometry:
+class PlateGeometry(_Record):
     """Rectangular plate footprint, lengths in meters."""
 
-    length: float
-    width: float
-
-    def __post_init__(self) -> None:
-        require_positive("length", self.length)
-        require_positive("width", self.width)
+    def __init__(self, length: float, width: float) -> None:
+        require_positive("length", length)
+        require_positive("width", width)
+        self._freeze(length, width)
 
     def area(self) -> float:
         """Face area S in m^2."""
         return self.length * self.width
 
 
-@dataclass(frozen=True)
-class MaterialLayer:
+class MaterialLayer(_Record):
     """One homogeneous layer of a plate.
 
     density is in kg/m^3 and thickness in m.  The name is carried
     through to output metadata but has no physical meaning.
     """
 
-    name: str
-    density: float
-    thickness: float
-
-    def __post_init__(self) -> None:
-        require_positive("density", self.density)
-        require_positive("thickness", self.thickness)
+    def __init__(self, name: str, density: float, thickness: float) -> None:
+        require_positive("density", density)
+        require_positive("thickness", thickness)
+        self._freeze(name, density, thickness)
 
 
-@dataclass(frozen=True)
-class PlateStack:
+class PlateStack(_Record):
     """Layered plate, listed from the surface facing the gap inward.
 
     Layer 0 is the facing layer (e.g. a metal film); deeper layers sit
     behind it (e.g. a glass substrate).
     """
 
-    layers: tuple[MaterialLayer, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if not self.layers:
+    def __init__(self, layers: tuple[MaterialLayer, ...]) -> None:
+        layers = tuple(layers)
+        if not layers:
             raise InvalidParameterError("a plate stack needs at least one layer")
+        self._freeze(layers)
 
     def layer_offset(self, index: int) -> float:
         """Distance from the facing surface to the near face of layer ``index``."""
@@ -143,30 +178,24 @@ class PlateStack:
         return sum(layer.thickness for layer in self.layers[:index])
 
 
-@dataclass(frozen=True)
-class GapConfig:
+class GapConfig(_Record):
     """Face-to-face plate separation (m) and ambient temperature (K)."""
 
-    separation: float
-    temperature: float = 300.0
-
-    def __post_init__(self) -> None:
-        require_positive("separation", self.separation)
-        require_non_negative("temperature", self.temperature)
+    def __init__(self, separation: float, temperature: float = 300.0) -> None:
+        require_positive("separation", separation)
+        require_non_negative("temperature", temperature)
+        self._freeze(separation, temperature)
 
 
-@dataclass(frozen=True)
-class YukawaParams:
+class YukawaParams(_Record):
     """Strength and range of a Yukawa-type correction to gravity.
 
     alpha is the dimensionless coupling relative to Newtonian gravity
     (any sign allowed); lam is the interaction range in meters.
     """
 
-    alpha: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not self.alpha == self.alpha:
+    def __init__(self, alpha: float, lam: float) -> None:
+        if not alpha == alpha:
             raise InvalidParameterError("alpha must be a number, got nan")
-        require_positive("lam", self.lam)
+        require_positive("lam", lam)
+        self._freeze(alpha, lam)

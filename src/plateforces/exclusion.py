@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
-from collections.abc import Iterable
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import repeat, tee
 from operator import lt, mul, truediv
 
-from .core import require_positive
+from .core import _Record, require_positive
 from .errors import DomainError, InvalidParameterError
 from .gravity import PlatePairConfig, slab_coupling
 
@@ -74,11 +73,12 @@ def _alpha_bounds(
     2 pi G rho_a rho_b S * lam^2 and F_res * exp(d/lam) are taken once
     for all pairs, which add only their brackets; C-level maps form
     every alpha.  Python multiplies left to right and negation is exact,
-    so each alpha is the same double as the full product.  If exp(d/lam)
-    overflows or a denominator is zero, every pair is redone one lambda
-    at a time, with alpha inf there.  Raises DomainError naming both
-    facing densities and the area if 2 pi G rho_a rho_b S overflows or
-    underflows to zero.
+    so each alpha is the same double as the full product.  alpha is inf
+    on the prefix of the grid where exp(d/lam) overflows, found by
+    bisection, and where a denominator is zero; only a pair with a zero
+    denominator is redone one lambda at a time.  Raises DomainError
+    naming both facing densities and the area if 2 pi G rho_a rho_b S
+    overflows or underflows to zero.
     """
     facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
     area = plates.geometry.area()
@@ -90,83 +90,85 @@ def _alpha_bounds(
             f"kg/m^3 with area {area:g} m^2: 2 pi G rho_a rho_b S {outcome}"
         )
     gap, pairs = plates.gap.separation, tuple(thickness_pairs)
+    # exp(gap/lam) falls as lam rises, so the lambdas where it overflows
+    # (alpha inf) are a prefix of the grid; the maps take the rest
+    first = bisect_left(grid, True, key=lambda lam: _exp_is_finite(gap / lam))
+    overflowed, grid = (math.inf,) * first, grid[first:]
     # tuples, not arrays: an array builds a float on every read, and the
     # CSV write, not the scan, sets the peak memory of a run
     scales = tuple(map(mul, repeat(prefactor), map(pow, grid, repeat(2))))
     exps = map(math.exp, map(truediv, repeat(gap), grid))
-    try:
-        signals = tuple(map(mul, repeat(force_resolution), exps))
-        bounds = []
-        for thickness_a, thickness_b in pairs:
-            # expm1(-t/lam) is a bracket without its minus sign; the two
-            # signs cancel in the product
-            bracket_a = map(math.expm1, map(truediv, repeat(-thickness_a), grid))
-            bracket_b = map(math.expm1, map(truediv, repeat(-thickness_b), grid))
-            if thickness_b == thickness_a:  # read in step: tee holds one value
-                bracket_a, bracket_b = tee(bracket_a)
-            denominators = map(mul, map(mul, scales, bracket_a), bracket_b)
-            bounds.append(tuple(map(truediv, signals, denominators)))
-        return bounds
-    except (OverflowError, ZeroDivisionError):
-        pass  # some alpha is inf: every pair again, one lambda at a time
-    exp, expm1, bounds = math.exp, math.expm1, []
-    for thickness_a, thickness_b in pairs:
-        alphas = []
-        for lam, scale in zip(grid, scales):
-            bracket_a, bracket_b = expm1(-thickness_a / lam), expm1(-thickness_b / lam)
-            try:
-                alphas.append(force_resolution * exp(gap / lam) / (scale * bracket_a * bracket_b))
-            except (OverflowError, ZeroDivisionError):
-                # exp(d/lam) overflows, or lam**2 or a bracket underflows to zero
-                alphas.append(math.inf)
-        bounds.append(tuple(alphas))
+    signals = tuple(map(mul, repeat(force_resolution), exps))
+
+    def denominators(thickness_a: float, thickness_b: float) -> Iterator[float]:
+        # expm1(-t/lam) is a bracket without its minus sign; the two signs
+        # cancel in the product
+        bracket_a = map(math.expm1, map(truediv, repeat(-thickness_a), grid))
+        bracket_b = map(math.expm1, map(truediv, repeat(-thickness_b), grid))
+        if thickness_b == thickness_a:  # read in step: tee holds one value
+            bracket_a, bracket_b = tee(bracket_a)
+        return map(mul, map(mul, scales, bracket_a), bracket_b)
+
+    bounds = []
+    for pair in pairs:
+        try:
+            alphas = tuple(map(truediv, signals, denominators(*pair)))
+        except ZeroDivisionError:
+            # lam**2 or a bracket underflows to zero: alpha inf there
+            alphas = tuple(
+                signal / den if den else math.inf
+                for signal, den in zip(signals, denominators(*pair))
+            )
+        bounds.append(overflowed + alphas)
     return bounds
 
 
-@dataclass(frozen=True)
-class Curve:
+def _exp_is_finite(x: float) -> bool:
+    try:
+        return math.exp(x) < math.inf
+    except OverflowError:
+        return False
+
+
+class Curve(_Record):
     """alpha on a strictly increasing lambda grid: an exclusion curve
     or previously published bounds.
 
     alpha is positive, or inf where no finite coupling is detectable.
     Between knots alpha is interpolated linearly in (log lambda,
     log alpha), exact on power laws, from knot logs taken once per
-    curve.
+    curve, on first use.
     """
 
-    lambdas: tuple[float, ...]
-    alphas: tuple[float, ...]
-    source: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambdas", tuple(self.lambdas))
-        object.__setattr__(self, "alphas", tuple(self.alphas))
-        if len(self.lambdas) != len(self.alphas):
+    def __init__(
+        self, lambdas: tuple[float, ...], alphas: tuple[float, ...], source: str = ""
+    ) -> None:
+        lams, alphas = tuple(lambdas), tuple(alphas)
+        if len(lams) != len(alphas):
             raise InvalidParameterError(
-                f"{len(self.lambdas)} lambda values but {len(self.alphas)} alpha values"
+                f"{len(lams)} lambda values but {len(alphas)} alpha values"
             )
-        if len(self.lambdas) < 2:
+        if len(lams) < 2:
             raise InvalidParameterError("a curve needs at least two points")
         # one pass in C: a strictly increasing grid from > 0 to < inf is
         # finite and positive throughout (any comparison with nan fails)
-        lams, alphas = self.lambdas, self.alphas
-        if (
+        if not (
             all(map(lt, repeat(0.0), alphas))
             and 0.0 < lams[0]
             and lams[-1] < math.inf
             and all(map(lt, lams, lams[1:]))
         ):
-            return
-        # the checks again, one value at a time, to name the offending one
-        for lam, alpha in zip(self.lambdas, self.alphas):
-            require_positive("lambda", lam)
-            if alpha != math.inf:
-                require_positive("alpha", alpha)
-        for left, right in zip(self.lambdas, self.lambdas[1:]):
-            if not right > left:
-                raise InvalidParameterError(
-                    f"lambda grid must be strictly increasing; {right!r} follows {left!r}"
-                )
+            # the checks again, one value at a time, to name the offending one
+            for lam, alpha in zip(lams, alphas):
+                require_positive("lambda", lam)
+                if alpha != math.inf:
+                    require_positive("alpha", alpha)
+            for left, right in zip(lams, lams[1:]):
+                if not right > left:
+                    raise InvalidParameterError(
+                        f"lambda grid must be strictly increasing; {right!r} follows {left!r}"
+                    )
+        self._freeze(lams, alphas, source)
 
     @cached_property
     def _logs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:

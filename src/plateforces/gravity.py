@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .core import (
     CODATA2018,
@@ -19,18 +18,18 @@ from .core import (
     PlateGeometry,
     PlateStack,
     YukawaParams,
+    _Record,
     require_positive,
 )
 
 
-@dataclass(frozen=True)
-class PlatePairConfig:
+class PlatePairConfig(_Record):
     """Two facing layered plates of common footprint and their gap."""
 
-    stack_a: PlateStack
-    stack_b: PlateStack
-    geometry: PlateGeometry
-    gap: GapConfig
+    def __init__(
+        self, stack_a: PlateStack, stack_b: PlateStack, geometry: PlateGeometry, gap: GapConfig
+    ) -> None:
+        self._freeze(stack_a, stack_b, geometry, gap)
 
 
 class LayerMode(enum.Enum):

@@ -18,10 +18,9 @@ from __future__ import annotations
 import io
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import TextIO
 
+from .core import _Record
 from .errors import InvalidParameterError
 
 _METADATA_PREFIX = "# "
@@ -49,34 +48,33 @@ def _plain_slices(row_format: str, rows: tuple[tuple[float, ...], ...]) -> Itera
         yield "".join(map(row_format.__mod__, rows[start : start + _SLICE_LINES]))
 
 
-@dataclass(frozen=True)
-class ResultTable:
+class ResultTable(_Record):
     """Immutable table of float rows and blocks with metadata and warnings."""
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple[float | tuple[float, ...], ...], ...]
-    metadata: tuple[tuple[str, str], ...] = field(default=())
-    warnings: tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        object.__setattr__(self, "metadata", tuple(tuple(item) for item in self.metadata))
-        object.__setattr__(self, "warnings", tuple(self.warnings))
-        width = len(self.columns)
+    def __init__(
+        self,
+        columns: tuple[str, ...],
+        rows: tuple[tuple[float | tuple[float, ...], ...], ...],
+        metadata: tuple[tuple[str, str], ...] = (),
+        warnings: tuple[str, ...] = (),
+    ) -> None:
+        columns, rows = tuple(columns), tuple(map(tuple, rows))
+        metadata, warnings = tuple(tuple(item) for item in metadata), tuple(warnings)
+        width = len(columns)
         if not width:
             raise InvalidParameterError("a table needs at least one column")
         # one pass in C; the rows are walked only to name the offending one
-        if not set(map(len, self.rows)) <= {width}:
-            bad = next(len(row) for row in self.rows if len(row) != width)
+        if not set(map(len, rows)) <= {width}:
+            bad = next(len(row) for row in rows if len(row) != width)
             raise InvalidParameterError(f"row of {bad} values in a table of {width} columns")
-        for i in _block_indices(self.rows):
-            if len({len(v) for v in self.rows[i] if type(v) is tuple}) > 1:
+        for i in _block_indices(rows):
+            if len({len(v) for v in rows[i] if type(v) is tuple}) > 1:
                 raise InvalidParameterError(f"block {i} holds tuples of different lengths")
-        if any(key == _WARNING_KEY for key, _ in self.metadata):
+        if any(key == _WARNING_KEY for key, _ in metadata):
             raise InvalidParameterError("metadata key 'warning' is reserved for the warnings list")
+        self._freeze(columns, rows, metadata, warnings)
 
-    def write(self, handle: TextIO) -> None:
+    def write(self, handle: io.TextIOBase) -> None:
         """Write the CSV to a text handle: the metadata, warnings and header in
         one call, then the data lines in strings of at most _SLICE_LINES lines,
         so neither a whole block nor the whole file is ever held as text."""

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from plateforces import (
+    ExperimentConfig,
     GapConfig,
     MaterialLayer,
     PlateGeometry,
@@ -61,3 +62,9 @@ def gold_glass_pair(geometry) -> PlatePairConfig:
 @pytest.fixture
 def baseline_config():
     return load_config(str(BASELINE_CONFIG_PATH))
+
+
+def with_fields(config: ExperimentConfig, **changes) -> ExperimentConfig:
+    """config rebuilt through its constructor with some fields changed."""
+    fields = {name: getattr(config, name) for name in ExperimentConfig._fields}
+    return ExperimentConfig(**{**fields, **changes})

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -12,6 +11,7 @@ from plateforces import (
     YukawaParams,
     electrostatic_force,
 )
+from conftest import with_fields
 from plateforces.cli import cmd_budget, cmd_forces
 
 AREA = 0.012
@@ -80,7 +80,7 @@ class TestForceBudget:
 
     @pytest.fixture
     def glass_config(self, baseline_config, glass_pair):
-        return replace(baseline_config, stack_a=glass_pair.stack_a, stack_b=glass_pair.stack_b)
+        return with_fields(baseline_config, stack_a=glass_pair.stack_a, stack_b=glass_pair.stack_b)
 
     @staticmethod
     def row(table):
@@ -97,21 +97,21 @@ class TestForceBudget:
         assert budget["total_casimir_N"] == pytest.approx(6.30e-8, rel=1e-3)
 
     def test_thermal_stored_unweighted(self, glass_config):
-        half = cmd_budget(replace(glass_config, thermal=ThermalModel(0.5)))
-        full = cmd_budget(replace(glass_config, thermal=ThermalModel(1.0)))
+        half = cmd_budget(with_fields(glass_config, thermal=ThermalModel(0.5)))
+        full = cmd_budget(with_fields(glass_config, thermal=ThermalModel(1.0)))
         # the raw thermal entry is model-independent; eta applies at totaling
         assert self.row(half)["thermal_N"] == self.row(full)["thermal_N"]
         assert dict(half.metadata)["eta"] == "0.5"
         assert self.row(half)["total_casimir_N"] == pytest.approx(4.40e-8, rel=1e-3)
 
     def test_all_entries_non_negative_even_for_repulsive_alpha(self, glass_config):
-        budget = self.row(cmd_budget(replace(glass_config, yukawa=YukawaParams(-10.0, 1e-5))))
+        budget = self.row(cmd_budget(with_fields(glass_config, yukawa=YukawaParams(-10.0, 1e-5))))
         forces = {name: value for name, value in budget.items() if name.endswith("_N")}
         assert len(forces) == 7
         assert all(value >= 0.0 for value in forces.values())
 
     def test_thermal_flag_below_trust_gap(self, glass_config):
-        narrow = replace(glass_config, gap=GapConfig(separation=1e-6, temperature=300.0))
+        narrow = with_fields(glass_config, gap=GapConfig(separation=1e-6, temperature=300.0))
         # one wording for the thermal-trust warning in `budget` and `forces`
         (thermal_warning, _) = cmd_forces(narrow, [1e-6]).warnings
         assert "thermal" in thermal_warning

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -12,6 +11,7 @@ from plateforces import (
     casimir_zero_t,
     thermal_casimir,
 )
+from conftest import with_fields
 from plateforces.cli import cmd_forces
 
 AREA = 0.012
@@ -109,7 +109,7 @@ class TestTotalCasimir:
 
     @staticmethod
     def forces(config, eta):
-        table = cmd_forces(replace(config, thermal=ThermalModel(eta)), [5e-6])
+        table = cmd_forces(with_fields(config, thermal=ThermalModel(eta)), [5e-6])
         (row,) = table.rows
         return dict(zip(table.columns, row))
 

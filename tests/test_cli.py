@@ -531,10 +531,13 @@ class TestExitCodes:
 
 
 class TestStartup:
-    def test_cli_import_does_not_load_numpy(self):
+    # each costs start-up time on every command and computes no number:
+    # numpy about 100 ms, dataclasses with inspect about 25 ms
+    @pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+    def test_cli_import_does_not_load_numpy(self, module):
         result = subprocess.run(
             [sys.executable, "-c",
-             "import sys, plateforces.cli; print('numpy' in sys.modules)"],
+             f"import sys, plateforces.cli; print({module!r} in sys.modules)"],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},

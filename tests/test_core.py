@@ -2,20 +2,29 @@ import importlib
 import inspect
 import math
 import pkgutil
+from types import SimpleNamespace
 
 import pytest
 
 import plateforces
 from plateforces import (
     CODATA2018,
+    BalanceConfig,
+    Curve,
+    ExperimentConfig,
     GapConfig,
     InvalidParameterError,
     MaterialLayer,
     PlateGeometry,
+    PlatePairConfig,
     PlateStack,
+    ResultTable,
+    ThermalModel,
+    TiltConfig,
+    TorsionWire,
     YukawaParams,
 )
-from plateforces.core import PhysicalConstants
+from plateforces.core import PhysicalConstants, _Record
 
 
 class TestPhysicalConstants:
@@ -35,10 +44,6 @@ class TestPhysicalConstants:
             PhysicalConstants(G=0.0)
         with pytest.raises(InvalidParameterError):
             PhysicalConstants(hbar=-1e-34)
-
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            CODATA2018.G = 1.0
 
 
 class TestPlateGeometry:
@@ -156,3 +161,80 @@ def test_single_valued_settings_are_not_parameters():
     ]
     assert taking_constants == []
     assert "source" not in inspect.signature(plateforces.ingest_prior_bounds).parameters
+
+
+_GOLD = MaterialLayer("gold", 19.3e3, 10e-6)
+_STACK = PlateStack((_GOLD,))
+_GAP = GapConfig(5e-6)
+# (type, constructor arguments, a field, another value of that field)
+_RECORDS = [
+    (PhysicalConstants, {}, "G", 6.6743e-11),
+    (PlateGeometry, {"length": 0.10, "width": 0.12}, "width", 0.13),
+    (MaterialLayer, {"name": "gold", "density": 19.3e3, "thickness": 10e-6}, "thickness", 1e-6),
+    (PlateStack, {"layers": (_GOLD,)}, "layers", (_GOLD, _GOLD)),
+    (GapConfig, {"separation": 5e-6}, "temperature", 4.0),
+    (YukawaParams, {"alpha": 1.0, "lam": 1e-5}, "alpha", -1.0),
+    (
+        TorsionWire,
+        {"material": "tungsten", "shear_modulus": 1.61e11, "diameter": 25e-6},
+        "length",
+        1.0,
+    ),
+    (
+        BalanceConfig,
+        {"torque_sensitivity": 1e-9, "arm_length": 0.1, "min_displacement": 1e-9},
+        "arm_length",
+        0.2,
+    ),
+    (TiltConfig, {"angle": 1e-6, "plate_length_along_tilt": 0.1}, "angle", 0.0),
+    (ThermalModel, {}, "reduction_factor", 0.5),
+    (
+        PlatePairConfig,
+        {"stack_a": _STACK, "stack_b": _STACK, "geometry": PlateGeometry(0.1, 0.12), "gap": _GAP},
+        "gap",
+        GapConfig(1e-6),
+    ),
+    (
+        ExperimentConfig,
+        {
+            "geometry": PlateGeometry(0.1, 0.12),
+            "stack_a": _STACK,
+            "stack_b": _STACK,
+            "gap": _GAP,
+            "thermal": ThermalModel(),
+            "stray_voltage": 0.01,
+            "wire": TorsionWire.tungsten(25e-6),
+            "balance": BalanceConfig(1e-9, 0.1, 1e-9),
+            "tilt": TiltConfig(1e-6, 0.1),
+            "force_resolution": 1e-12,
+            "yukawa": YukawaParams(1.0, 1e-5),
+        },
+        "force_resolution",
+        2e-12,
+    ),
+    (Curve, {"lambdas": (1e-6, 1e-5), "alphas": (10.0, 1.0)}, "source", "prior.csv"),
+    (ResultTable, {"columns": ("gap_m",), "rows": ((5e-6,),)}, "warnings", ("note",)),
+]
+
+
+def test_every_record_type_is_covered():
+    assert {record_type for record_type, *_ in _RECORDS} == set(_Record.__subclasses__())
+
+
+@pytest.mark.parametrize(
+    "record_type, arguments, field, other", _RECORDS, ids=[case[0].__name__ for case in _RECORDS]
+)
+def test_frozen(record_type, arguments, field, other):
+    record, copy = record_type(**arguments), record_type(**arguments)
+    assert all(getattr(record, name) == value for name, value in arguments.items())
+    with pytest.raises(AttributeError):
+        setattr(record, field, other)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert record is not copy and record == copy and hash(record) == hash(copy)
+    changed = record_type(**{**arguments, field: other})
+    assert getattr(changed, field) == other
+    assert record != changed
+    # equal only to an instance of the same type
+    assert record.__eq__(SimpleNamespace(**vars(record))) is NotImplemented
+    assert repr(record).startswith(f"{record_type.__name__}(") and f"{field}=" in repr(record)

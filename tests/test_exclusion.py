@@ -22,7 +22,7 @@ from plateforces import (
     plate_yukawa,
 )
 from plateforces.cli import cmd_exclusion
-from plateforces.exclusion import MAX_LAMBDA, MAX_SCAN_POINTS
+from plateforces.exclusion import MAX_LAMBDA, MAX_SCAN_POINTS, _alpha_bounds
 
 GOLD = 19.3e3
 RESOLUTION = 1e-12
@@ -263,6 +263,21 @@ class TestKernelBranches:
         # exp(gap/lam) overflows below lam = 5 um / 709.78, about 7.04 nm
         expected = _scan_matches_reference(1e-5, 5e-6, 1e-9, 1e-7, 200)
         assert 0 < expected.count(math.inf) < len(expected)
+        # one grid across the overflow and, for a 1e-175 m film against a
+        # 10 um one, into the zero bracket above lam of about 4e148 m
+        grid = tuple(10.0 ** (k / 10) for k in range(-90, 1501))
+        pairs = ((1e-5, 1e-175), (1e-5, 1e-5), (1e-175, 1e-5))
+        bounds = _alpha_bounds(grid, facing_plates(1e-5, 1e-175), pairs, RESOLUTION)
+        for (thickness_a, thickness_b), alphas in zip(pairs, bounds):
+            spec = reference_spec(thickness_a)
+            spec.thickness_b = thickness_b
+            assert list(alphas) == [alpha_bound_reference(lam, spec) for lam in grid]
+        # exp(gap/lam) overflows on the 9 lambdas below 7.04 nm; the thin
+        # film's bracket is zero on the top 14
+        thin, thick, _ = bounds
+        assert thick[:9] == (math.inf,) * 9 and math.inf not in thick[9:]
+        assert thin[-14:] == (math.inf,) * 14 and math.inf not in thin[13:-14]
+        assert [lam for lam in grid if math.expm1(-1e-175 / lam) == 0.0] == list(grid[-14:])
 
     def test_lambda_squared_underflow(self):
         # a gap of 1e-175 m keeps exp(gap/lam) near 1, so the inf comes
