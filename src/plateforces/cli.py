@@ -99,9 +99,9 @@ def _gap_forces(
 
     The thermal force is unweighted; eta applies only to the total.
     """
-    area = config.geometry.area()
+    area = config.plates.geometry.area()
     zero_t = casimir_zero_t(area, gap)
-    thermal = thermal_casimir(area, gap, config.gap.temperature)
+    thermal = thermal_casimir(area, gap, config.plates.gap.temperature)
     total = zero_t + config.thermal.reduction_factor * thermal
     electrostatic = electrostatic_force(area, gap, config.stray_voltage)
     warning = None
@@ -138,8 +138,8 @@ def cmd_forces(
     empty list yields a header-only table.
     """
     if gaps is None:
-        gaps = [config.gap.separation]
-    newton = stack_newton(config.plate_pair())
+        gaps = [config.plates.gap.separation]
+    newton = stack_newton(config.plates)
     rows = []
     warnings = []
     for gap in gaps:
@@ -151,7 +151,7 @@ def cmd_forces(
     warnings.append(PATCH_WARNING)
     metadata = _metadata("forces", config)
     metadata.append(("eta", format(config.thermal.reduction_factor, "g")))
-    metadata.append(("temperature_K", format(config.gap.temperature, "g")))
+    metadata.append(("temperature_K", format(config.plates.gap.temperature, "g")))
     return ResultTable(
         columns=FORCES_COLUMNS,
         rows=tuple(rows),
@@ -179,7 +179,7 @@ def cmd_budget(config: ExperimentConfig) -> ResultTable:
     The Yukawa signal is that of the facing layers (LayerMode.METAL_ONLY)
     for the [yukawa] reference coupling, as a positive magnitude.
     """
-    plates = config.plate_pair()
+    plates = config.plates
     gap = plates.gap.separation
     (zero_t, thermal, total, electrostatic), warning = _gap_forces(config, gap)
     newton = stack_newton(plates)
@@ -225,7 +225,7 @@ def cmd_exclusion(
     whose lambda falls outside the prior's domain get nan there.
     """
     curves = exclusion_scan(
-        config.plate_pair(),
+        config.plates,
         config.force_resolution,
         lambda_min,
         lambda_max,
@@ -260,7 +260,7 @@ def cmd_exclusion(
         )
     metadata = _metadata("exclusion", config)
     metadata.append(("force_resolution_N", format(config.force_resolution, "g")))
-    metadata.append(("gap_m", format(config.gap.separation, "g")))
+    metadata.append(("gap_m", format(config.plates.gap.separation, "g")))
     if prior is not None:
         metadata.append(("prior_source", prior.source))
     return ResultTable(
@@ -278,8 +278,8 @@ def cmd_sensitivity(config: ExperimentConfig) -> ResultTable:
     f_min_wire = min_detectable_force(balance, config.wire)
     f_min_balance = min_detectable_force(balance)
     tilt = config.tilt
-    gap = config.gap.separation
-    area = config.geometry.area()
+    gap = config.plates.gap.separation
+    area = config.plates.geometry.area()
     strip_width = area / tilt.plate_length_along_tilt
     flat = casimir_zero_t(area, gap)
     tilted = tilted_casimir(strip_width, tilt.plate_length_along_tilt, gap, tilt.angle)

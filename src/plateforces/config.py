@@ -69,16 +69,14 @@ def parse_length(text: str) -> float:
 class ExperimentConfig(_Record):
     """Fully parsed experiment description, all SI.
 
+    plates holds the two stacks, their footprint and their gap.
     source_sha256 is the hash of the config file bytes, recorded in
     output metadata so results can be traced to their inputs.
     """
 
     def __init__(
         self,
-        geometry: PlateGeometry,
-        stack_a: PlateStack,
-        stack_b: PlateStack,
-        gap: GapConfig,
+        plates: PlatePairConfig,
         thermal: ThermalModel,
         stray_voltage: float,
         wire: TorsionWire,
@@ -89,16 +87,8 @@ class ExperimentConfig(_Record):
         source_sha256: str = "",
     ) -> None:
         self._freeze(
-            geometry, stack_a, stack_b, gap, thermal, stray_voltage,
-            wire, balance, tilt, force_resolution, yukawa, source_sha256,
-        )
-
-    def plate_pair(self) -> PlatePairConfig:
-        return PlatePairConfig(
-            stack_a=self.stack_a,
-            stack_b=self.stack_b,
-            geometry=self.geometry,
-            gap=self.gap,
+            plates, thermal, stray_voltage, wire, balance, tilt,
+            force_resolution, yukawa, source_sha256,
         )
 
 
@@ -114,10 +104,11 @@ class _SectionReader:
     def raw(self, key: str) -> str:
         if key not in self._proxy:
             raise ConfigError(f"[{self._section}] {key}: missing")
-        return self._proxy[key].strip()
-
-    def raw_or(self, key: str, default: str | None) -> str | None:
-        return self._proxy[key].strip() if key in self._proxy else default
+        text = self._proxy[key].strip()
+        # an indented line continues the value; output metadata holds one line
+        if len(text.splitlines()) > 1:
+            raise ConfigError(f"[{self._section}] {key}: value spans lines: {text!r}")
+        return text
 
     def number(self, key: str) -> float:
         text = self.raw(key)
@@ -177,7 +168,7 @@ def _parse_stack(parser: configparser.ConfigParser, section: str) -> PlateStack:
 def _parse_wire(parser: configparser.ConfigParser) -> TorsionWire:
     reader = _SectionReader(parser, "wire")
     material = reader.raw("material").lower()
-    if reader.raw_or("shear_modulus", None) is not None:
+    if "shear_modulus" in parser["wire"]:
         shear_modulus = reader.number("shear_modulus")
     elif material in SHEAR_MODULUS:
         shear_modulus = SHEAR_MODULUS[material]
@@ -199,13 +190,14 @@ def load_config(path: str) -> ExperimentConfig:
     """Parse an experiment config file.
 
     Raises ConfigError (with section/key context) on malformed content
-    and lets OSError propagate for unreadable paths.
+    and lets OSError propagate for unreadable paths.  A leading UTF-8
+    byte-order mark is skipped; source_sha256 hashes the raw bytes.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read_string(raw.decode("utf-8"))
+        parser.read_string(raw.decode("utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
     except configparser.Error as exc:
@@ -257,9 +249,9 @@ def load_config(path: str) -> ExperimentConfig:
             tilt = TiltConfig(
                 angle=tilt_reader.number("angle"),
                 plate_length_along_tilt=(
-                    geometry.width
-                    if tilt_reader.raw_or("plate_length_along_tilt", None) is None
-                    else tilt_reader.length("plate_length_along_tilt")
+                    tilt_reader.length("plate_length_along_tilt")
+                    if "plate_length_along_tilt" in parser["tilt"]
+                    else geometry.width
                 ),
             )
         else:
@@ -291,10 +283,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
     return ExperimentConfig(
-        geometry=geometry,
-        stack_a=stack_a,
-        stack_b=stack_b,
-        gap=gap,
+        plates=PlatePairConfig(stack_a, stack_b, geometry, gap),
         thermal=thermal,
         stray_voltage=stray_voltage,
         wire=wire,
@@ -311,9 +300,9 @@ def ingest_prior_bounds(path: str) -> Curve:
 
     Lines must come in strictly increasing lambda.  Errors name the
     offending line; a file with no data rows is rejected.  The curve's
-    source is the path.
+    source is the path.  A leading UTF-8 byte-order mark is skipped.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             lines = handle.readlines()
         except UnicodeDecodeError as exc:

@@ -2,7 +2,8 @@
 
 Everything downstream of the config parser works in SI base units;
 conversion from human-friendly units (um, mm, ...) happens only at the
-I/O boundary.  The record types here and in the other modules are
+I/O boundary.  The constants are the fixed values of CODATA2018, not
+a record.  The record types here and in the other modules are
 immutable value objects built on _Record rather than the dataclasses
 module, which would add about 20 ms to every command's start-up:
 invariants are checked once in __init__, after which instances compare
@@ -86,48 +87,22 @@ class _Record:
         return f"{type(self).__name__}({', '.join(fields)})"
 
 
-class PhysicalConstants(_Record):
-    """Fundamental constants entering the force expressions.
+class CODATA2018:
+    """Fundamental constants entering the force expressions, compiled in.
 
-    The one instance in use is CODATA2018, compiled into every physics
-    function; none of them takes another set.  G = 6.674e-11 is
+    A namespace of fixed values, never instantiated; every physics
+    function reads it and none takes another set.  G = 6.674e-11 is
     rounded: it sits 4.5e-5 (relative) below CODATA-2018's 6.67430e-11,
     although output metadata names the set CODATA-2018.
-
-    Attributes
-    ----------
-    hbar : float
-        Reduced Planck constant, J s.
-    c : float
-        Speed of light in vacuum, m/s.
-    k_B : float
-        Boltzmann constant, J/K.
-    G : float
-        Newtonian gravitational constant, m^3 kg^-1 s^-2.
-    epsilon0 : float
-        Vacuum permittivity, F/m.
-    zeta3 : float
-        Riemann zeta(3), dimensionless.
-    name : str
-        Label recorded in output metadata.
     """
 
-    def __init__(
-        self,
-        hbar: float = 1.054571817e-34,
-        c: float = 2.99792458e8,
-        k_B: float = 1.380649e-23,
-        G: float = 6.674e-11,
-        epsilon0: float = 8.8541878128e-12,
-        zeta3: float = 1.2020569032,
-        name: str = "CODATA-2018",
-    ) -> None:
-        for field_name, value in zip(self._fields, (hbar, c, k_B, G, epsilon0, zeta3)):
-            require_positive(field_name, value)
-        self._freeze(hbar, c, k_B, G, epsilon0, zeta3, name)
-
-
-CODATA2018 = PhysicalConstants()
+    hbar = 1.054571817e-34  # reduced Planck constant, J s
+    c = 2.99792458e8  # speed of light in vacuum, m/s
+    k_B = 1.380649e-23  # Boltzmann constant, J/K
+    G = 6.674e-11  # Newtonian gravitational constant, m^3 kg^-1 s^-2
+    epsilon0 = 8.8541878128e-12  # vacuum permittivity, F/m
+    zeta3 = 1.2020569032  # Riemann zeta(3), dimensionless
+    name = "CODATA-2018"  # label recorded in output metadata
 
 
 class PlateGeometry(_Record):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 from collections import Counter
 from collections.abc import Iterator
-from itertools import chain, islice
+from itertools import chain
 
 from .core import _Record
 from .errors import InvalidParameterError
@@ -40,12 +40,6 @@ def _block_indices(rows: tuple[tuple, ...]) -> list[int]:
     if tuple not in set(map(type, chain.from_iterable(rows))):
         return []
     return [i for i, row in enumerate(rows) if tuple in map(type, row)]
-
-
-def _plain_slices(row_format: str, rows: tuple[tuple[float, ...], ...]) -> Iterator[str]:
-    """Rows without blocks as text, at most _SLICE_LINES lines to a string."""
-    for start in range(0, len(rows), _SLICE_LINES):
-        yield "".join(map(row_format.__mod__, rows[start : start + _SLICE_LINES]))
 
 
 class ResultTable(_Record):
@@ -72,6 +66,11 @@ class ResultTable(_Record):
                 raise InvalidParameterError(f"block {i} holds tuples of different lengths")
         if any(key == _WARNING_KEY for key, _ in metadata):
             raise InvalidParameterError("metadata key 'warning' is reserved for the warnings list")
+        # each is written as one comment line, which a line break would split
+        for key, text in [*metadata, *((_WARNING_KEY, text) for text in warnings)]:
+            line = f"{key} = {text}"
+            if "".join(line.splitlines()) != line:
+                raise InvalidParameterError(f"metadata {key!r}: {text!r} holds a line break")
         self._freeze(columns, rows, metadata, warnings)
 
     def write(self, handle: io.TextIOBase) -> None:
@@ -91,23 +90,19 @@ class ResultTable(_Record):
         return buffer.getvalue()
 
     def _data_slices(self) -> Iterator[str]:
-        """The data lines, at most _SLICE_LINES to a string.  Plain rows are a
-        map of the row template.  A block's float entries are formatted once
-        into its line template, and one % call applies that template to every
-        line of a slice.  A tuple several blocks hold (a shared lambda grid)
-        is formatted once per call, keyed by identity since equal tuples need
-        not print alike (0.0, -0.0).
+        """The data lines, at most _SLICE_LINES to a string.  Every item of rows
+        is a block, and an item of floats alone is a block of one line.  A
+        block's float entries are formatted once into its line template, and
+        one % call applies that template to every line of a slice.  A tuple
+        several blocks hold (a shared lambda grid) is formatted once per call,
+        keyed by identity since equal tuples need not print alike (0.0, -0.0).
         """
-        # one % call per row formats every value as format_float does
-        row_format = ",".join([_FLOAT_FORMAT] * len(self.columns)) + "\n"
         blocks = _block_indices(self.rows)
         held = Counter(id(v) for i in blocks for v in self.rows[i] if type(v) is tuple)
-        texts, start = {}, 0
-        for i in blocks:
-            yield from _plain_slices(row_format, self.rows[start:i])
-            start = i + 1
+        texts = {}
+        for row in self.rows:
             cells, columns = [], []
-            for v in self.rows[i]:
+            for v in row:
                 if type(v) is not tuple:
                     cells.append(_FLOAT_FORMAT % v)
                     continue
@@ -115,12 +110,13 @@ class ResultTable(_Record):
                     texts[id(v)] = list(map(_FLOAT_FORMAT.__mod__, v))
                 cells.append("%s" if id(v) in texts else _FLOAT_FORMAT)
                 columns.append(texts.get(id(v), v))
-            block_format = ",".join(cells) + "\n"
-            # the template holds one % field per tuple entry
-            lines = zip(*columns)
-            while values := tuple(chain.from_iterable(islice(lines, _SLICE_LINES))):
-                yield (block_format * (len(values) // len(columns))) % values
-        yield from _plain_slices(row_format, self.rows[start:])
+            # the template holds one % field per tuple entry, and none in a row of floats
+            line_format = ",".join(cells) + "\n"
+            n_lines = len(columns[0]) if columns else 1
+            for start in range(0, n_lines, _SLICE_LINES):
+                stop = min(start + _SLICE_LINES, n_lines)
+                values = tuple(chain.from_iterable(zip(*(c[start:stop] for c in columns))))
+                yield (line_format * (stop - start)) % values
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
@@ -130,11 +126,13 @@ class ResultTable(_Record):
             if not line.strip():
                 continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
+                body = line.lstrip("#")
+                # partition before stripping: an empty value leaves "key = "
+                key, equals, value = body.partition(" = ")
+                body = body.strip()
                 if body.startswith(f"{_WARNING_KEY}:"):
                     warnings.append(body[len(_WARNING_KEY) + 1 :].strip())
-                elif " = " in body:
-                    key, value = body.split(" = ", 1)
+                elif equals:
                     metadata.append((key.strip(), value.strip()))
                 else:
                     raise InvalidParameterError(

@@ -6,7 +6,6 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from plateforces import (
-    ExperimentConfig,
     GapConfig,
     MaterialLayer,
     PlateGeometry,
@@ -64,7 +63,8 @@ def baseline_config():
     return load_config(str(BASELINE_CONFIG_PATH))
 
 
-def with_fields(config: ExperimentConfig, **changes) -> ExperimentConfig:
-    """config rebuilt through its constructor with some fields changed."""
-    fields = {name: getattr(config, name) for name in ExperimentConfig._fields}
-    return ExperimentConfig(**{**fields, **changes})
+def with_fields(record, **changes):
+    """A record (an ExperimentConfig, its PlatePairConfig, ...) rebuilt
+    through its constructor with some fields changed."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})

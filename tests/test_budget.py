@@ -80,7 +80,10 @@ class TestForceBudget:
 
     @pytest.fixture
     def glass_config(self, baseline_config, glass_pair):
-        return with_fields(baseline_config, stack_a=glass_pair.stack_a, stack_b=glass_pair.stack_b)
+        plates = with_fields(
+            baseline_config.plates, stack_a=glass_pair.stack_a, stack_b=glass_pair.stack_b
+        )
+        return with_fields(baseline_config, plates=plates)
 
     @staticmethod
     def row(table):
@@ -111,7 +114,8 @@ class TestForceBudget:
         assert all(value >= 0.0 for value in forces.values())
 
     def test_thermal_flag_below_trust_gap(self, glass_config):
-        narrow = with_fields(glass_config, gap=GapConfig(separation=1e-6, temperature=300.0))
+        plates = with_fields(glass_config.plates, gap=GapConfig(separation=1e-6, temperature=300.0))
+        narrow = with_fields(glass_config, plates=plates)
         # one wording for the thermal-trust warning in `budget` and `forces`
         (thermal_warning, _) = cmd_forces(narrow, [1e-6]).warnings
         assert "thermal" in thermal_warning

@@ -114,7 +114,7 @@ class TestTotalCasimir:
         return dict(zip(table.columns, row))
 
     def test_full_thermal_weight(self, baseline_config):
-        assert baseline_config.geometry.area() == AREA
+        assert baseline_config.plates.geometry.area() == AREA
         total = self.forces(baseline_config, 1.0)["total_N"]
         assert total == pytest.approx(6.2998072789511829e-08, rel=1e-12)
 

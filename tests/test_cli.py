@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -49,9 +50,9 @@ class TestForcesCommand:
         assert table.columns[0] == "gap_m"
         assert len(table.rows) == 2
         by_gap = {row[0]: row for row in table.rows}
-        area = baseline_config.geometry.area()
+        area = baseline_config.plates.geometry.area()
         assert by_gap[5e-6][1] == casimir_zero_t(area, 5e-6)
-        assert by_gap[1e-5][4] == stack_newton(baseline_config.plate_pair())
+        assert by_gap[1e-5][4] == stack_newton(baseline_config.plates)
         # newton entry repeats identically at every gap
         assert by_gap[5e-6][4] == by_gap[1e-5][4]
         # 5 um sits exactly at the thermal trust gap: trusted
@@ -130,7 +131,7 @@ class TestExclusionCommand:
     def test_values_match_library(self, baseline_config):
         table = cmd_exclusion(baseline_config, 1e-6, 1e-2, 5, thicknesses=(1e-5,))
         # alpha_bound reads the facing layers as configured: 10 um gold on 10 um gold
-        plates = baseline_config.plate_pair()
+        plates = baseline_config.plates
         assert plates.stack_a.layers[0].thickness == plates.stack_b.layers[0].thickness == 1e-5
         ((thickness, lambdas, alphas),) = table.rows
         assert thickness == 1e-5 and len(lambdas) == len(alphas) == 5
@@ -528,6 +529,66 @@ class TestExitCodes:
         assert f"area {area:g} m^2 at separation 5e-06 m" in result.stderr
         assert "underflows to zero" in result.stderr
         assert result.stdout == ""
+
+    def test_material_spanning_lines_is_a_config_error(self, tmp_path):
+        # an indented line continues an INI value; written to metadata, the
+        # break would split the wire_material comment line
+        text = BASELINE_CONFIG_PATH.read_text().replace(
+            "material = tungsten", "material = tungsten\n  steel\nshear_modulus = 1.61e11"
+        )
+        config = tmp_path / "two_lines.ini"
+        config.write_text(text)
+        result = run_fresh(["sensitivity", "--config", str(config)])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "[wire] material: value spans lines" in result.stderr
+        assert result.stdout == ""
+
+    def test_empty_material_round_trips(self, tmp_path):
+        text = BASELINE_CONFIG_PATH.read_text().replace(
+            "material = tungsten", "material =\nshear_modulus = 1.61e11"
+        )
+        config = tmp_path / "unnamed.ini"
+        config.write_text(text)
+        result = run_fresh(["sensitivity", "--config", str(config)])
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr
+        assert "# wire_material = \n" in result.stdout
+        assert dict(ResultTable.from_csv(result.stdout).metadata)["wire_material"] == ""
+
+    def test_prior_path_with_a_line_break_is_a_domain_error(self, tmp_path):
+        prior = tmp_path / "prior\nfile.csv"
+        prior.write_bytes(pathlib.Path(PRIOR).read_bytes())
+        out = tmp_path / "out.csv"
+        result = run_fresh(
+            ["exclusion", "--config", BASELINE, "--points", "5", "--prior", str(prior),
+             "--out", str(out)]
+        )
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert "metadata 'prior_source'" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, source",
+        [
+            (["sensitivity", "--config", "{}"], BASELINE),
+            (["exclusion", "--points", "50", "--config", BASELINE, "--prior", "{}"], PRIOR),
+        ],
+        ids=["config", "prior"],
+    )
+    def test_byte_order_mark_is_ignored(self, tmp_path, argv, source):
+        marked = tmp_path / pathlib.Path(source).name
+        marked.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(source).read_bytes())
+        plain = run_fresh([arg.format(source) for arg in argv])
+        result = run_fresh([arg.format(marked) for arg in argv])
+        assert result.returncode == plain.returncode == 0
+        assert "Traceback" not in result.stderr
+
+        def data_lines(text):
+            return [line for line in text.splitlines() if not line.startswith("#")]
+
+        assert data_lines(result.stdout) == data_lines(plain.stdout)
 
 
 class TestStartup:

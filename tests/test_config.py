@@ -87,14 +87,14 @@ class TestParseLength:
 class TestLoadConfig:
     def test_shipped_baseline(self, baseline_config):
         config = baseline_config
-        assert config.geometry.length == 0.10
-        assert config.geometry.width == 0.12
-        assert config.stack_a.layers[0].name == "gold"
-        assert config.stack_a.layers[0].density == 19.3e3
-        assert config.stack_a.layers[0].thickness == 1e-5
-        assert config.stack_a.layers[1].thickness == 15e-3
-        assert config.gap.separation == 5e-6
-        assert config.gap.temperature == 300.0
+        assert config.plates.geometry.length == 0.10
+        assert config.plates.geometry.width == 0.12
+        assert config.plates.stack_a.layers[0].name == "gold"
+        assert config.plates.stack_a.layers[0].density == 19.3e3
+        assert config.plates.stack_a.layers[0].thickness == 1e-5
+        assert config.plates.stack_a.layers[1].thickness == 15e-3
+        assert config.plates.gap.separation == 5e-6
+        assert config.plates.gap.temperature == 300.0
         assert config.thermal.reduction_factor == 1.0
         assert config.stray_voltage == 0.1
         assert config.wire.material == "tungsten"
@@ -117,14 +117,14 @@ class TestLoadConfig:
         assert config.thermal.reduction_factor == 1.0
         assert config.tilt.angle == 1e-6
         # the tilt default spans the wider plate side
-        assert config.tilt.plate_length_along_tilt == config.geometry.width
+        assert config.tilt.plate_length_along_tilt == config.plates.geometry.width
         assert config.yukawa.alpha == 1.0
         assert config.yukawa.lam == 1e-5
 
     def test_derived_views(self, tmp_path):
         config = load_config(write(tmp_path, GOOD))
-        pair = config.plate_pair()
-        assert pair.geometry.area() == config.geometry.area()
+        pair = config.plates
+        assert pair.geometry.area() == 0.10 * 0.12
         assert pair.gap.separation == 5e-6
         # the facing layers the exclusion scan reads
         facing_a, facing_b = pair.stack_a.layers[0], pair.stack_b.layers[0]
@@ -222,7 +222,7 @@ class TestLoadConfig:
 
     def test_inline_comments_ignored(self, tmp_path):
         commented = GOOD.replace("separation = 5 um", "separation = 5 um  # nominal")
-        assert load_config(write(tmp_path, commented)).gap.separation == 5e-6
+        assert load_config(write(tmp_path, commented)).plates.gap.separation == 5e-6
 
     def test_not_ini_at_all(self, tmp_path):
         with pytest.raises(ConfigError):

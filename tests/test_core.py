@@ -1,7 +1,12 @@
+import ast
 import importlib
 import inspect
 import math
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +29,7 @@ from plateforces import (
     TorsionWire,
     YukawaParams,
 )
-from plateforces.core import PhysicalConstants, _Record
+from plateforces.core import _Record
 
 
 class TestPhysicalConstants:
@@ -38,12 +43,6 @@ class TestPhysicalConstants:
         assert CODATA2018.epsilon0 == 8.8541878128e-12
         assert CODATA2018.zeta3 == 1.2020569032
         assert CODATA2018.name == "CODATA-2018"
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidParameterError):
-            PhysicalConstants(G=0.0)
-        with pytest.raises(InvalidParameterError):
-            PhysicalConstants(hbar=-1e-34)
 
 
 class TestPlateGeometry:
@@ -163,12 +162,33 @@ def test_single_valued_settings_are_not_parameters():
     assert "source" not in inspect.signature(plateforces.ingest_prior_bounds).parameters
 
 
+def test_readme_library_example_prints_its_comments():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert result.returncode == 0, result.stderr
+    # each print's trailing comment opens with the value it prints
+    lines = code.splitlines()
+    calls = [
+        node for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+    ]
+    commented = [float(lines[call.end_lineno - 1].split("#")[1].split()[0]) for call in calls]
+    printed = [float(line) for line in result.stdout.splitlines()]
+    assert len(commented) == 4
+    assert [f"{v:.4g}" for v in printed] == [f"{v:.4g}" for v in commented]
+
+
 _GOLD = MaterialLayer("gold", 19.3e3, 10e-6)
 _STACK = PlateStack((_GOLD,))
 _GAP = GapConfig(5e-6)
 # (type, constructor arguments, a field, another value of that field)
 _RECORDS = [
-    (PhysicalConstants, {}, "G", 6.6743e-11),
     (PlateGeometry, {"length": 0.10, "width": 0.12}, "width", 0.13),
     (MaterialLayer, {"name": "gold", "density": 19.3e3, "thickness": 10e-6}, "thickness", 1e-6),
     (PlateStack, {"layers": (_GOLD,)}, "layers", (_GOLD, _GOLD)),
@@ -197,10 +217,7 @@ _RECORDS = [
     (
         ExperimentConfig,
         {
-            "geometry": PlateGeometry(0.1, 0.12),
-            "stack_a": _STACK,
-            "stack_b": _STACK,
-            "gap": _GAP,
+            "plates": PlatePairConfig(_STACK, _STACK, PlateGeometry(0.1, 0.12), _GAP),
             "thermal": ThermalModel(),
             "stray_voltage": 0.01,
             "wire": TorsionWire.tungsten(25e-6),
@@ -219,6 +236,18 @@ _RECORDS = [
 
 def test_every_record_type_is_covered():
     assert {record_type for record_type, *_ in _RECORDS} == set(_Record.__subclasses__())
+
+
+def test_one_type_per_concept():
+    # the plates, stacks and gap live in one PlatePairConfig, and the
+    # constants are fixed values rather than a record
+    assert ExperimentConfig._fields == (
+        "plates", "thermal", "stray_voltage", "wire", "balance", "tilt",
+        "force_resolution", "yukawa", "source_sha256",
+    )
+    assert not hasattr(ExperimentConfig, "plate_pair")
+    assert not hasattr(plateforces.core, "PhysicalConstants")
+    assert len(_Record.__subclasses__()) == 13
 
 
 @pytest.mark.parametrize(

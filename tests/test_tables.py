@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 from itertools import repeat
 from operator import truediv
@@ -30,6 +31,7 @@ def sample_table():
             ("tool", "plateforces"),
             ("constants", "CODATA-2018"),
             ("eta", "1"),
+            ("wire_material", ""),
         ),
         warnings=("thermal expression extrapolated below its trust gap",),
     )
@@ -274,7 +276,7 @@ class TestRunWriter:
         table = cmd_exclusion(baseline_config, n_points=20_000, prior=prior)
         # the same table built row by row, as before it held blocks
         curves = exclusion_scan(
-            baseline_config.plate_pair(),
+            baseline_config.plates,
             baseline_config.force_resolution,
             1e-6,
             1e-2,
@@ -317,6 +319,17 @@ class TestValidation:
     def test_warning_metadata_key_reserved(self):
         with pytest.raises(InvalidParameterError):
             ResultTable(columns=("a",), rows=(), metadata=(("warning", "x"),))
+
+    @pytest.mark.parametrize("text", ["two\nlines", "cr\rline", "sep\u2028arator", "trailing\n"])
+    def test_line_breaks_refused(self, text):
+        # each is one comment line of the CSV, which the break would split
+        for metadata, warnings, key in [
+            (((text, "x"),), (), text),
+            ((("source", text),), (), "source"),
+            ((), (text,), "warning"),
+        ]:
+            with pytest.raises(InvalidParameterError, match=re.escape(f"metadata {key!r}")):
+                ResultTable(columns=("a",), rows=(), metadata=metadata, warnings=warnings)
 
     def test_parse_rejects_headerless(self):
         with pytest.raises(InvalidParameterError):
