@@ -40,14 +40,18 @@ DEFAULT_SCAN_POINTS = 1000
 DEFAULT_SCAN_THICKNESSES = (0.3e-6, 1e-6, 3e-6, 10e-6)
 
 
-def _metadata(command: str, config: ExperimentConfig) -> list[tuple[str, str]]:
-    return [
+def _metadata(
+    command: str, config: ExperimentConfig, *extra: tuple[str, str]
+) -> tuple[tuple[str, str], ...]:
+    """The metadata every table starts with, then the command's extra pairs."""
+    return (
         ("tool", "plateforces"),
         ("command", command),
         ("constants", CODATA2018.name),
         ("sign_convention", "attractive forces reported as positive magnitudes"),
         ("config_sha256", config.source_sha256),
-    ]
+        *extra,
+    )
 
 
 FORCES_COLUMNS = (
@@ -58,31 +62,6 @@ FORCES_COLUMNS = (
     "newton_N",
     "electrostatic_N",
     "thermal_trusted_1",
-)
-BUDGET_COLUMNS = (
-    "gap_m",
-    "casimir_zero_t_N",
-    "thermal_N",
-    "total_casimir_N",
-    "newton_N",
-    "yukawa_N",
-    "electrostatic_N",
-    "resolution_N",
-    "ratio_electrostatic_casimir_zero_t_1",
-    "ratio_newton_casimir_zero_t_1",
-    "ratio_total_casimir_resolution_1",
-    "ratio_yukawa_resolution_1",
-)
-SENSITIVITY_COLUMNS = (
-    "kappa_wire_Nm_per_rad",
-    "f_min_wire_N",
-    "kappa_balance_Nm_per_rad",
-    "f_min_balance_N",
-    "gap_variation_m",
-    "casimir_flat_N",
-    "casimir_tilted_N",
-    "tilted_flat_ratio_1",
-    "resolution_met_1",
 )
 PATCH_WARNING = (
     "electrostatic: assumes a uniform stray potential; patch-potential "
@@ -113,19 +92,19 @@ def _gap_forces(
     return (zero_t, thermal, total, electrostatic), warning
 
 
-def _finite_forces(columns: Sequence[str], gap: float, row: tuple) -> tuple:
-    """row, once every force column (suffix _N) is known to be finite.
+def _finite_row(gap: float, row: dict[str, float]) -> tuple[float, ...]:
+    """The values of row, a column -> value mapping, once each is finite.
 
-    Raises DomainError naming the first column whose force overflowed
+    Raises DomainError naming the first column whose value overflowed
     to inf (or went nan) and the gap it was evaluated at.
     """
-    for column, value in zip(columns, row):
-        if column.endswith("_N") and not math.isfinite(value):
+    for column, value in row.items():
+        if not math.isfinite(value):
             raise DomainError(
-                f"{column} at gap {gap:g} m is {value!r}: the force "
+                f"{column} at gap {gap:g} m is {value!r}: the value "
                 "overflows a double"
             )
-    return row
+    return tuple(row.values())
 
 
 def cmd_forces(
@@ -147,29 +126,19 @@ def cmd_forces(
         if warning is not None:
             warnings.append(warning)
         row = (gap, zero_t, thermal, total, newton, electrostatic, float(warning is None))
-        rows.append(_finite_forces(FORCES_COLUMNS, gap, row))
+        rows.append(_finite_row(gap, dict(zip(FORCES_COLUMNS, row))))
     warnings.append(PATCH_WARNING)
-    metadata = _metadata("forces", config)
-    metadata.append(("eta", format(config.thermal.reduction_factor, "g")))
-    metadata.append(("temperature_K", format(config.plates.gap.temperature, "g")))
     return ResultTable(
         columns=FORCES_COLUMNS,
         rows=tuple(rows),
-        metadata=tuple(metadata),
+        metadata=_metadata(
+            "forces",
+            config,
+            ("eta", format(config.thermal.reduction_factor, "g")),
+            ("temperature_K", format(config.plates.gap.temperature, "g")),
+        ),
         warnings=tuple(warnings),
     )
-
-
-def _ratio(column: str, numerator: float, denominator: float) -> float:
-    if denominator == 0.0:
-        return math.inf if numerator > 0 else math.nan
-    ratio = numerator / denominator
-    # an infinite quotient of a finite numerator is an overflow, not a result
-    if math.isinf(ratio) and math.isfinite(numerator):
-        raise DomainError(
-            f"{column}: {numerator!r} / {denominator!r} overflows a double"
-        )
-    return ratio
 
 
 def cmd_budget(config: ExperimentConfig) -> ResultTable:
@@ -185,28 +154,30 @@ def cmd_budget(config: ExperimentConfig) -> ResultTable:
     newton = stack_newton(plates)
     yukawa = abs(stack_yukawa(plates, config.yukawa))
     resolution = config.force_resolution
-    row = (
-        gap,
-        zero_t,
-        thermal,
-        total,
-        newton,
-        yukawa,
-        electrostatic,
-        resolution,
-        _ratio("ratio_electrostatic_casimir_zero_t_1", electrostatic, zero_t),
-        _ratio("ratio_newton_casimir_zero_t_1", newton, zero_t),
-        _ratio("ratio_total_casimir_resolution_1", total, resolution),
-        _ratio("ratio_yukawa_resolution_1", yukawa, resolution),
-    )
-    metadata = _metadata("budget", config)
-    metadata.append(("eta", format(config.thermal.reduction_factor, "g")))
-    metadata.append(("yukawa_alpha", format(config.yukawa.alpha, "g")))
-    metadata.append(("yukawa_lambda_m", format(config.yukawa.lam, "g")))
+    row = {
+        "gap_m": gap,
+        "casimir_zero_t_N": zero_t,
+        "thermal_N": thermal,
+        "total_casimir_N": total,
+        "newton_N": newton,
+        "yukawa_N": yukawa,
+        "electrostatic_N": electrostatic,
+        "resolution_N": resolution,
+        "ratio_electrostatic_casimir_zero_t_1": electrostatic / zero_t,
+        "ratio_newton_casimir_zero_t_1": newton / zero_t,
+        "ratio_total_casimir_resolution_1": total / resolution,
+        "ratio_yukawa_resolution_1": yukawa / resolution,
+    }
     return ResultTable(
-        columns=BUDGET_COLUMNS,
-        rows=(_finite_forces(BUDGET_COLUMNS, gap, row),),
-        metadata=tuple(metadata),
+        columns=tuple(row),
+        rows=(_finite_row(gap, row),),
+        metadata=_metadata(
+            "budget",
+            config,
+            ("eta", format(config.thermal.reduction_factor, "g")),
+            ("yukawa_alpha", format(config.yukawa.alpha, "g")),
+            ("yukawa_lambda_m", format(config.yukawa.lam, "g")),
+        ),
         warnings=(PATCH_WARNING,) if warning is None else (warning, PATCH_WARNING),
     )
 
@@ -258,15 +229,16 @@ def cmd_exclusion(
             f"{min(unbounded):g} to {max(unbounded):g} m: exp(gap/lambda) "
             "overflows, so no finite coupling is detectable there"
         )
-    metadata = _metadata("exclusion", config)
-    metadata.append(("force_resolution_N", format(config.force_resolution, "g")))
-    metadata.append(("gap_m", format(config.plates.gap.separation, "g")))
+    extra = [
+        ("force_resolution_N", format(config.force_resolution, "g")),
+        ("gap_m", format(config.plates.gap.separation, "g")),
+    ]
     if prior is not None:
-        metadata.append(("prior_source", prior.source))
+        extra.append(("prior_source", prior.source))
     return ResultTable(
         columns=tuple(columns),
         rows=tuple(rows),
-        metadata=tuple(metadata),
+        metadata=_metadata("exclusion", config, *extra),
         warnings=tuple(warnings),
     )
 
@@ -283,24 +255,26 @@ def cmd_sensitivity(config: ExperimentConfig) -> ResultTable:
     strip_width = area / tilt.plate_length_along_tilt
     flat = casimir_zero_t(area, gap)
     tilted = tilted_casimir(strip_width, tilt.plate_length_along_tilt, gap, tilt.angle)
-    row = (
-        kappa_wire,
-        f_min_wire,
-        balance.torque_sensitivity,
-        f_min_balance,
-        gap_variation_from_tilt(tilt),
-        flat,
-        tilted,
-        tilted / flat,
-        1.0 if f_min_balance <= config.force_resolution else 0.0,
-    )
-    metadata = _metadata("sensitivity", config)
-    metadata.append(("wire_material", config.wire.material))
-    metadata.append(("tilt_angle_rad", format(tilt.angle, "g")))
+    row = {
+        "kappa_wire_Nm_per_rad": kappa_wire,
+        "f_min_wire_N": f_min_wire,
+        "kappa_balance_Nm_per_rad": balance.torque_sensitivity,
+        "f_min_balance_N": f_min_balance,
+        "gap_variation_m": gap_variation_from_tilt(tilt),
+        "casimir_flat_N": flat,
+        "casimir_tilted_N": tilted,
+        "tilted_flat_ratio_1": tilted / flat,
+        "resolution_met_1": 1.0 if f_min_balance <= config.force_resolution else 0.0,
+    }
     return ResultTable(
-        columns=SENSITIVITY_COLUMNS,
-        rows=(_finite_forces(SENSITIVITY_COLUMNS, gap, row),),
-        metadata=tuple(metadata),
+        columns=tuple(row),
+        rows=(_finite_row(gap, row),),
+        metadata=_metadata(
+            "sensitivity",
+            config,
+            ("wire_material", config.wire.material),
+            ("tilt_angle_rad", format(tilt.angle, "g")),
+        ),
     )
 
 

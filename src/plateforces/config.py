@@ -71,7 +71,10 @@ class ExperimentConfig(_Record):
 
     plates holds the two stacks, their footprint and their gap.
     source_sha256 is the hash of the config file bytes, recorded in
-    output metadata so results can be traced to their inputs.
+    output metadata so results can be traced to their inputs.  The
+    plate area, the strip width across the tilt, the stray voltage and
+    the force resolution are checked here, so no command divides by a
+    zero resolution or area; errors name the INI section and key.
     """
 
     def __init__(
@@ -86,6 +89,27 @@ class ExperimentConfig(_Record):
         yukawa: YukawaParams,
         source_sha256: str = "",
     ) -> None:
+        area = plates.geometry.area()
+        if not 0 < area < math.inf:
+            raise InvalidParameterError(
+                f"[geometry] length and width: their product, the plate area, "
+                f"must be finite and > 0, got {area!r} m^2"
+            )
+        strip_width = area / tilt.plate_length_along_tilt
+        if not 0 < strip_width < math.inf:
+            raise InvalidParameterError(
+                f"[tilt] plate_length_along_tilt: the plate width across the tilt, "
+                f"area / plate_length_along_tilt, must be finite and > 0, "
+                f"got {strip_width!r} m"
+            )
+        if not 0 <= stray_voltage < math.inf:
+            raise InvalidParameterError(
+                f"[electrostatic] stray_voltage: must be finite and >= 0, got {stray_voltage!r}"
+            )
+        if not 0 < force_resolution < math.inf:
+            raise InvalidParameterError(
+                f"[resolution] force_resolution: must be finite and > 0, got {force_resolution!r}"
+            )
         self._freeze(
             plates, thermal, stray_voltage, wire, balance, tilt,
             force_resolution, yukawa, source_sha256,
@@ -93,13 +117,25 @@ class ExperimentConfig(_Record):
 
 
 class _SectionReader:
-    """Wraps one INI section so errors carry their file location."""
+    """Wraps one INI section so errors carry their file location.
+
+    Used as a context manager around building the section's record, it
+    turns the record's InvalidParameterError into a ConfigError naming
+    the section.
+    """
 
     def __init__(self, parser: configparser.ConfigParser, section: str):
         if not parser.has_section(section):
             raise ConfigError(f"missing section [{section}]")
         self._section = section
         self._proxy = parser[section]
+
+    def __enter__(self) -> _SectionReader:
+        return self
+
+    def __exit__(self, kind: type | None, exc: BaseException | None, traceback: object) -> None:
+        if isinstance(exc, InvalidParameterError):
+            raise ConfigError(f"[{self._section}] {exc}") from None
 
     def raw(self, key: str) -> str:
         if key not in self._proxy:
@@ -178,12 +214,13 @@ def _parse_wire(parser: configparser.ConfigParser) -> TorsionWire:
             f"[wire] material: unknown material {material!r} "
             f"(known: {known}); set shear_modulus explicitly"
         )
-    return TorsionWire(
-        material=material,
-        shear_modulus=shear_modulus,
-        diameter=reader.length("diameter"),
-        length=reader.length("length"),
-    )
+    with reader:
+        return TorsionWire(
+            material=material,
+            shear_modulus=shear_modulus,
+            diameter=reader.length("diameter"),
+            length=reader.length("length"),
+        )
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -203,96 +240,67 @@ def load_config(path: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    geometry_reader = _SectionReader(parser, "geometry")
-    gap_reader = _SectionReader(parser, "gap")
-    balance_reader = _SectionReader(parser, "balance")
-    resolution_reader = _SectionReader(parser, "resolution")
-
-    try:
-        geometry = PlateGeometry(
-            length=geometry_reader.length("length"),
-            width=geometry_reader.length("width"),
-        )
-        area = geometry.area()
-        if not 0 < area < math.inf:
-            raise ConfigError(
-                f"[geometry] length and width: their product, the plate area, "
-                f"must be finite and > 0, got {area!r} m^2"
-            )
-        stack_a = _parse_stack(parser, "stack_a")
-        stack_b = _parse_stack(parser, "stack_b")
+    with _SectionReader(parser, "geometry") as reader:
+        geometry = PlateGeometry(length=reader.length("length"), width=reader.length("width"))
+    stack_a = _parse_stack(parser, "stack_a")
+    stack_b = _parse_stack(parser, "stack_b")
+    with _SectionReader(parser, "gap") as reader:
         gap = GapConfig(
-            separation=gap_reader.length("separation"),
-            temperature=gap_reader.number("temperature"),
+            separation=reader.length("separation"), temperature=reader.number("temperature")
         )
-        if parser.has_section("thermal"):
-            thermal = ThermalModel(
-                reduction_factor=_SectionReader(parser, "thermal").number(
-                    "reduction_factor"
-                )
-            )
-        else:
-            thermal = ThermalModel()
-        stray_voltage = _SectionReader(parser, "electrostatic").number("stray_voltage")
-        if not 0 <= stray_voltage < math.inf:
-            raise ConfigError(
-                f"[electrostatic] stray_voltage: must be finite and >= 0, got {stray_voltage!r}"
-            )
-        wire = _parse_wire(parser)
+    if parser.has_section("thermal"):
+        with _SectionReader(parser, "thermal") as reader:
+            thermal = ThermalModel(reduction_factor=reader.number("reduction_factor"))
+    else:
+        thermal = ThermalModel()
+    stray_voltage = _SectionReader(parser, "electrostatic").number("stray_voltage")
+    wire = _parse_wire(parser)
+    with _SectionReader(parser, "balance") as reader:
         balance = BalanceConfig(
-            torque_sensitivity=balance_reader.number("torque_sensitivity"),
-            arm_length=balance_reader.length("arm_length"),
-            min_displacement=balance_reader.length("min_displacement"),
+            torque_sensitivity=reader.number("torque_sensitivity"),
+            arm_length=reader.length("arm_length"),
+            min_displacement=reader.length("min_displacement"),
         )
-        if parser.has_section("tilt"):
-            tilt_reader = _SectionReader(parser, "tilt")
+    if parser.has_section("tilt"):
+        with _SectionReader(parser, "tilt") as reader:
             tilt = TiltConfig(
-                angle=tilt_reader.number("angle"),
+                angle=reader.number("angle"),
                 plate_length_along_tilt=(
-                    tilt_reader.length("plate_length_along_tilt")
+                    reader.length("plate_length_along_tilt")
                     if "plate_length_along_tilt" in parser["tilt"]
                     else geometry.width
                 ),
             )
-        else:
-            # default: the parallelism spec over the wider plate side
-            tilt = TiltConfig(angle=1e-6, plate_length_along_tilt=geometry.width)
-        strip_width = area / tilt.plate_length_along_tilt
-        if not 0 < strip_width < math.inf:
-            raise ConfigError(
-                f"[tilt] plate_length_along_tilt: the plate width across the tilt, "
-                f"area / plate_length_along_tilt, must be finite and > 0, "
-                f"got {strip_width!r} m"
-            )
-        force_resolution = resolution_reader.number("force_resolution")
-        if not 0 < force_resolution < math.inf:
-            raise ConfigError(
-                f"[resolution] force_resolution: must be finite and > 0, got {force_resolution!r}"
-            )
-        if parser.has_section("yukawa"):
-            yukawa_reader = _SectionReader(parser, "yukawa")
-            alpha = yukawa_reader.number("alpha")
-            lam = yukawa_reader.length("lambda")
+    else:
+        # default: the parallelism spec over the wider plate side
+        tilt = TiltConfig(angle=1e-6, plate_length_along_tilt=geometry.width)
+    force_resolution = _SectionReader(parser, "resolution").number("force_resolution")
+    if parser.has_section("yukawa"):
+        with _SectionReader(parser, "yukawa") as reader:
+            alpha = reader.number("alpha")
+            lam = reader.length("lambda")
             for key, value in (("alpha", alpha), ("lambda", lam)):
                 if not math.isfinite(value):
                     raise ConfigError(f"[yukawa] {key}: must be finite, got {value!r}")
             yukawa = YukawaParams(alpha=alpha, lam=lam)
-        else:
-            yukawa = YukawaParams(alpha=1.0, lam=1e-5)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    else:
+        yukawa = YukawaParams(alpha=1.0, lam=1e-5)
 
-    return ExperimentConfig(
-        plates=PlatePairConfig(stack_a, stack_b, geometry, gap),
-        thermal=thermal,
-        stray_voltage=stray_voltage,
-        wire=wire,
-        balance=balance,
-        tilt=tilt,
-        force_resolution=force_resolution,
-        yukawa=yukawa,
-        source_sha256=hashlib.sha256(raw).hexdigest(),
-    )
+    try:
+        return ExperimentConfig(
+            plates=PlatePairConfig(stack_a, stack_b, geometry, gap),
+            thermal=thermal,
+            stray_voltage=stray_voltage,
+            wire=wire,
+            balance=balance,
+            tilt=tilt,
+            force_resolution=force_resolution,
+            yukawa=yukawa,
+            source_sha256=hashlib.sha256(raw).hexdigest(),
+        )
+    except InvalidParameterError as exc:
+        # the message already names the section and key
+        raise ConfigError(str(exc)) from None
 
 
 def ingest_prior_bounds(path: str) -> Curve:

@@ -49,9 +49,10 @@ def yukawa_thickness_bracket(thickness: float, lam: float) -> float:
     """(1 - exp(-thickness/lam)) evaluated without cancellation.
 
     expm1 keeps full precision when thickness/lam is tiny, where the
-    naive form loses all significant digits; the same helper is used
-    on both the force side and the inversion side so the two are exact
-    inverses of each other.
+    naive form loses all significant digits.  The inversion side,
+    exclusion._alpha_bounds, does not call this helper: it multiplies
+    two math.expm1(-thickness/lam) values directly, whose minus signs
+    cancel, so force and bound still take the same brackets.
     """
     return -math.expm1(-thickness / lam)
 
@@ -143,38 +144,30 @@ def stack_yukawa(
 ) -> float:
     """Yukawa force between two layered plates, in N.
 
-    METAL_ONLY uses just the facing layers at the bare gap; FULL_STACK
-    sums plate_yukawa over all layer pairs, each at the bare gap plus
-    the two layers' depth offsets.
+    Sums plate_yukawa over layer pairs, each at the bare gap plus the
+    two layers' depth offsets: every pair for FULL_STACK, only the
+    facing pair (offsets 0, so the bare gap) for METAL_ONLY.
     """
+    if mode is LayerMode.METAL_ONLY:
+        depth = 1
+    elif mode is LayerMode.FULL_STACK:
+        depth = None
+    else:
+        raise ValueError(f"unknown layer mode: {mode!r}")
     area = config.geometry.area()
     d = config.gap.separation
-    if mode is LayerMode.METAL_ONLY:
-        layer_a = config.stack_a.layers[0]
-        layer_b = config.stack_b.layers[0]
-        return plate_yukawa(
-            layer_a.density,
-            layer_b.density,
-            area,
-            layer_a.thickness,
-            layer_b.thickness,
-            d,
-            yukawa,
-        )
-    if mode is LayerMode.FULL_STACK:
-        total = 0.0
-        for i, layer_a in enumerate(config.stack_a.layers):
-            offset_a = config.stack_a.layer_offset(i)
-            for j, layer_b in enumerate(config.stack_b.layers):
-                gap_ij = d + offset_a + config.stack_b.layer_offset(j)
-                total += plate_yukawa(
-                    layer_a.density,
-                    layer_b.density,
-                    area,
-                    layer_a.thickness,
-                    layer_b.thickness,
-                    gap_ij,
-                    yukawa,
-                )
-        return total
-    raise ValueError(f"unknown layer mode: {mode!r}")
+    total = 0.0
+    for i, layer_a in enumerate(config.stack_a.layers[:depth]):
+        offset_a = config.stack_a.layer_offset(i)
+        for j, layer_b in enumerate(config.stack_b.layers[:depth]):
+            gap_ij = d + offset_a + config.stack_b.layer_offset(j)
+            total += plate_yukawa(
+                layer_a.density,
+                layer_b.density,
+                area,
+                layer_a.thickness,
+                layer_b.thickness,
+                gap_ij,
+                yukawa,
+            )
+    return total

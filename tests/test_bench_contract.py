@@ -1,0 +1,46 @@
+"""The benchmark's own checker accepts every output of two workloads.
+
+bench/checker.py counts an invocation as failed when a column it reads
+is renamed, a row goes missing or a value moves; this test runs the
+cli-small and prior-merge invocations in-process so such a change fails
+here rather than only in a benchmark run.
+"""
+
+import contextlib
+import importlib
+import io
+import sys
+
+import pytest
+
+from plateforces.cli import main
+from plateforces.tables import ResultTable
+from conftest import REPO_ROOT
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """bench/checker and bench/inputs, imported without writing bytecode
+    under bench/ and without leaving bench/ on sys.path."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    checker = importlib.import_module("checker")
+    yield checker, importlib.import_module("inputs")
+    for name in ("checker", "inputs"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", ["cli-small", "prior-merge"])
+def test_checker_accepts_every_invocation(bench, tmp_path, workload, seed):
+    checker, inputs = bench
+    invocations = inputs.build(workload, seed, str(tmp_path)).invocations
+    assert invocations
+    for inv in invocations:
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(inv.args)
+        with open(inv.out, "rb") as handle:
+            output = handle.read()
+        reason = checker.check(inv, code, stderr.getvalue(), output, ResultTable.from_csv)
+        assert reason is None, f"{inv.kind}: {reason}"

@@ -426,9 +426,31 @@ class TestExitCodes:
         result = run_fresh(["budget", "--config", str(config)])
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
-        assert "ratio_total_casimir_resolution_1" in result.stderr
-        assert "/ 1e-12 overflows" in result.stderr
+        assert "ratio_total_casimir_resolution_1 at gap 5e-06 m is inf" in result.stderr
         assert "inf" not in result.stdout
+
+    @pytest.mark.parametrize(
+        "line, bad, message",
+        [
+            ("length = 0.10 m", "length = -0.10 m", "[geometry] length must be"),
+            ("length = 0.5 m", "length = -0.5 m", "[wire] length must be"),
+            ("lambda = 10 um", "lambda = -10 um", "[yukawa] lam must be"),
+            ("separation = 5 um", "separation = -5 um", "[gap] separation must be"),
+            ("arm_length = 0.1 m", "arm_length = -0.1 m", "[balance] arm_length must be"),
+            ("angle = 1e-6", "angle = -1e-6", "[tilt] angle must be"),
+        ],
+        ids=["geometry", "wire", "yukawa", "gap", "balance", "tilt"],
+    )
+    def test_record_error_names_its_section(self, tmp_path, line, bad, message):
+        text = BASELINE_CONFIG_PATH.read_text()
+        assert text.count(line) == 1
+        config = tmp_path / "negative.ini"
+        config.write_text(text.replace(line, bad))
+        result = run_fresh(["budget", "--config", str(config)])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert message in result.stderr
+        assert result.stdout == ""
 
     def test_tilt_length_whose_strip_width_overflows_is_a_config_error(self, tmp_path):
         text = BASELINE_CONFIG_PATH.read_text()

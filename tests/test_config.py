@@ -1,4 +1,5 @@
 import hashlib
+import math
 import textwrap
 
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from plateforces import (
     ConfigError,
     InvalidParameterError,
+    PlateGeometry,
+    TiltConfig,
     ingest_prior_bounds,
     load_config,
     parse_length,
 )
-from conftest import BASELINE_CONFIG_PATH
+from conftest import BASELINE_CONFIG_PATH, with_fields
 
 GOOD = textwrap.dedent(
     """\
@@ -231,6 +234,33 @@ class TestLoadConfig:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_config(str(tmp_path / "nope.ini"))
+
+
+class TestExperimentConfigInvariants:
+    """A record built in code is checked as strictly as a parsed file."""
+
+    @pytest.mark.parametrize("value", [0.0, -1e-12, math.nan, math.inf])
+    def test_force_resolution_must_be_finite_and_positive(self, baseline_config, value):
+        with pytest.raises(
+            InvalidParameterError, match=r"\[resolution\] force_resolution: must be finite and > 0"
+        ):
+            with_fields(baseline_config, force_resolution=value)
+
+    def test_negative_stray_voltage_refused(self, baseline_config):
+        with pytest.raises(
+            InvalidParameterError, match=r"\[electrostatic\] stray_voltage: must be finite and >= 0"
+        ):
+            with_fields(baseline_config, stray_voltage=-0.1)
+
+    def test_area_that_overflows_refused(self, baseline_config):
+        plates = with_fields(baseline_config.plates, geometry=PlateGeometry(1e200, 1e200))
+        with pytest.raises(InvalidParameterError, match=r"\[geometry\] length and width: .* got inf m\^2"):
+            with_fields(baseline_config, plates=plates)
+
+    def test_strip_width_that_overflows_refused(self, baseline_config):
+        tilt = TiltConfig(angle=1e-6, plate_length_along_tilt=1e-320)
+        with pytest.raises(InvalidParameterError, match=r"\[tilt\] plate_length_along_tilt: .* got inf m"):
+            with_fields(baseline_config, tilt=tilt)
 
 
 class TestIngestPriorBounds:
