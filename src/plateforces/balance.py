@@ -43,8 +43,8 @@ class TorsionWire(_Record):
         require_positive("length", length)
         if not WIRE_DIAMETER_MIN <= diameter <= WIRE_DIAMETER_MAX:
             raise InvalidParameterError(
-                f"wire diameter {diameter!r} m outside the supported "
-                f"band [{WIRE_DIAMETER_MIN:g}, {WIRE_DIAMETER_MAX:g}] m"
+                f"diameter: must lie in the supported band "
+                f"[{WIRE_DIAMETER_MIN:g}, {WIRE_DIAMETER_MAX:g}] m, got {diameter!r} m"
             )
         self._freeze(material, shear_modulus, diameter, length)
 

@@ -33,7 +33,7 @@ class ThermalModel(_Record):
     def __init__(self, reduction_factor: float = 1.0) -> None:
         if not 0.5 <= reduction_factor <= 1.0:
             raise InvalidParameterError(
-                f"reduction_factor must lie in [0.5, 1.0], got {reduction_factor!r}"
+                f"reduction_factor: must lie in [0.5, 1.0], got {reduction_factor!r}"
             )
         self._freeze(reduction_factor)
 

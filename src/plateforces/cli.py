@@ -30,7 +30,7 @@ from .casimir import THERMAL_TRUST_MIN_GAP, casimir_zero_t, thermal_casimir
 from .config import ExperimentConfig, ingest_prior_bounds, load_config, parse_length
 from .core import CODATA2018
 from .errors import ConfigError, DomainError, InvalidParameterError
-from .exclusion import Curve, exclusion_scan
+from .exclusion import Curve, _exp_is_finite, exclusion_scan
 from .gravity import stack_newton, stack_yukawa
 from .tables import ResultTable
 
@@ -215,23 +215,28 @@ def cmd_exclusion(
         if prior is not None:
             block += (tuple(map(truediv, prior_alphas, curve.alphas)),)
         rows.append(block)
-    warnings = []
-    unbounded = [
-        lam
-        for curve in curves
-        if math.inf in curve.alphas
-        for lam, alpha in zip(curve.lambdas, curve.alphas)
-        if alpha == math.inf
+    # inf rows split by the kernel's own test of whether exp(gap/lambda) overflows
+    gap = config.plates.gap.separation
+    unbounded: dict[bool, list[float]] = {False: [], True: []}
+    for curve in curves:
+        if math.inf in curve.alphas:
+            for lam, alpha in zip(curve.lambdas, curve.alphas):
+                if alpha == math.inf:
+                    unbounded[_exp_is_finite(gap / lam)].append(lam)
+    causes = {
+        False: "exp(gap/lambda) overflows, so no finite coupling is detectable there",
+        True: "the bound exceeds the largest double, or the Yukawa force per unit "
+        "alpha underflows to zero",
+    }
+    warnings = [
+        f"alpha is inf on {len(lams)} rows with lambda from {min(lams):g} to "
+        f"{max(lams):g} m: {causes[finite_exp]}"
+        for finite_exp, lams in unbounded.items()
+        if lams
     ]
-    if unbounded:
-        warnings.append(
-            f"alpha is inf on {len(unbounded)} rows with lambda from "
-            f"{min(unbounded):g} to {max(unbounded):g} m: exp(gap/lambda) "
-            "overflows, so no finite coupling is detectable there"
-        )
     extra = [
         ("force_resolution_N", format(config.force_resolution, "g")),
-        ("gap_m", format(config.plates.gap.separation, "g")),
+        ("gap_m", format(gap, "g")),
     ]
     if prior is not None:
         extra.append(("prior_source", prior.source))

@@ -30,7 +30,16 @@ import re
 
 from .balance import SHEAR_MODULUS, BalanceConfig, TiltConfig, TorsionWire
 from .casimir import ThermalModel
-from .core import GapConfig, MaterialLayer, PlateGeometry, PlateStack, YukawaParams, _Record
+from .core import (
+    GapConfig,
+    MaterialLayer,
+    PlateGeometry,
+    PlateStack,
+    YukawaParams,
+    _Record,
+    require_non_negative,
+    require_positive,
+)
 from .errors import ConfigError, InvalidParameterError
 from .exclusion import Curve
 from .gravity import PlatePairConfig
@@ -102,14 +111,8 @@ class ExperimentConfig(_Record):
                 f"area / plate_length_along_tilt, must be finite and > 0, "
                 f"got {strip_width!r} m"
             )
-        if not 0 <= stray_voltage < math.inf:
-            raise InvalidParameterError(
-                f"[electrostatic] stray_voltage: must be finite and >= 0, got {stray_voltage!r}"
-            )
-        if not 0 < force_resolution < math.inf:
-            raise InvalidParameterError(
-                f"[resolution] force_resolution: must be finite and > 0, got {force_resolution!r}"
-            )
+        require_non_negative("[electrostatic] stray_voltage", stray_voltage)
+        require_positive("[resolution] force_resolution", force_resolution)
         self._freeze(
             plates, thermal, stray_voltage, wire, balance, tilt,
             force_resolution, yukawa, source_sha256,
@@ -163,23 +166,12 @@ class _SectionReader:
 
 def _parse_stack(parser: configparser.ConfigParser, section: str) -> PlateStack:
     reader = _SectionReader(parser, section)
-    indexed: list[tuple[int, str]] = []
-    for key in parser[section]:
-        match = re.fullmatch(r"layer_(\d+)", key)
-        if match is None:
-            raise ConfigError(
-                f"[{section}] {key}: expected keys of the form layer_0, layer_1, ..."
-            )
-        indexed.append((int(match.group(1)), key))
-    if not indexed:
-        raise ConfigError(f"[{section}]: needs at least layer_0")
-    indexed.sort()
-    if indexed[0][0] != 0 or indexed[-1][0] != len(indexed) - 1:
-        raise ConfigError(
-            f"[{section}]: layer indices must run 0..{len(indexed) - 1} without gaps"
-        )
+    keys = list(parser[section])
+    expected = [f"layer_{i}" for i in range(len(keys))]
+    if not keys or set(keys) != set(expected):
+        raise ConfigError(f"[{section}]: keys must run layer_0, layer_1, ... without gaps")
     layers = []
-    for _, key in indexed:
+    for key in expected:
         text = reader.raw(key)
         parts = [part.strip() for part in text.split(",")]
         if len(parts) != 3:
@@ -232,7 +224,8 @@ def load_config(path: str) -> ExperimentConfig:
     """
     with open(path, "rb") as handle:
         raw = handle.read()
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a % in a value is literal text
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(raw.decode("utf-8-sig"))
     except UnicodeDecodeError as exc:
@@ -277,12 +270,7 @@ def load_config(path: str) -> ExperimentConfig:
     force_resolution = _SectionReader(parser, "resolution").number("force_resolution")
     if parser.has_section("yukawa"):
         with _SectionReader(parser, "yukawa") as reader:
-            alpha = reader.number("alpha")
-            lam = reader.length("lambda")
-            for key, value in (("alpha", alpha), ("lambda", lam)):
-                if not math.isfinite(value):
-                    raise ConfigError(f"[yukawa] {key}: must be finite, got {value!r}")
-            yukawa = YukawaParams(alpha=alpha, lam=lam)
+            yukawa = YukawaParams(alpha=reader.number("alpha"), lam=reader.length("lambda"))
     else:
         yukawa = YukawaParams(alpha=1.0, lam=1e-5)
 
@@ -335,12 +323,11 @@ def ingest_prior_bounds(path: str) -> Curve:
             raise ConfigError(
                 f"{path}: line {line_no}: not numeric: {text!r}"
             ) from None
-        for name, value in (("lambda", lam), ("alpha", alpha)):
-            if not 0 < value < math.inf:
-                raise ConfigError(
-                    f"{path}: line {line_no}: {name} must be a finite number > 0, "
-                    f"got {value!r}"
-                )
+        try:
+            require_positive("lambda", lam)
+            require_positive("alpha", alpha)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"{path}: line {line_no}: {exc}") from None
         if lambdas and not lam > lambdas[-1]:
             raise ConfigError(
                 f"{path}: line {line_no}: lambda {lam!r} does not increase "

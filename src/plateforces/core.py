@@ -22,14 +22,14 @@ from .errors import DomainError, InvalidParameterError
 
 def require_positive(name: str, value: float) -> None:
     """Raise InvalidParameterError unless value is a finite number > 0."""
-    if not value > 0 or value != value or value == float("inf"):
-        raise InvalidParameterError(f"{name} must be a finite positive number, got {value!r}")
+    if not 0 < value < math.inf:
+        raise InvalidParameterError(f"{name}: must be finite and > 0, got {value!r}")
 
 
 def require_non_negative(name: str, value: float) -> None:
     """Raise InvalidParameterError unless value is a finite number >= 0."""
-    if not value >= 0 or value == float("inf"):
-        raise InvalidParameterError(f"{name} must be a finite non-negative number, got {value!r}")
+    if not 0 <= value < math.inf:
+        raise InvalidParameterError(f"{name}: must be finite and >= 0, got {value!r}")
 
 
 def separation_power(separation: float, exponent: int) -> float:
@@ -166,11 +166,11 @@ class YukawaParams(_Record):
     """Strength and range of a Yukawa-type correction to gravity.
 
     alpha is the dimensionless coupling relative to Newtonian gravity
-    (any sign allowed); lam is the interaction range in meters.
+    (finite, any sign); lam is the range in meters, lambda in errors.
     """
 
     def __init__(self, alpha: float, lam: float) -> None:
-        if not alpha == alpha:
-            raise InvalidParameterError("alpha must be a number, got nan")
-        require_positive("lam", lam)
+        if not math.isfinite(alpha):
+            raise InvalidParameterError(f"alpha: must be finite, got {alpha!r}")
+        require_positive("lambda", lam)
         self._freeze(alpha, lam)

@@ -66,11 +66,16 @@ class ResultTable(_Record):
                 raise InvalidParameterError(f"block {i} holds tuples of different lengths")
         if any(key == _WARNING_KEY for key, _ in metadata):
             raise InvalidParameterError("metadata key 'warning' is reserved for the warnings list")
-        # each is written as one comment line, which a line break would split
+        # each is written as one UTF-8 comment line, which a line break would
+        # split and a lone surrogate (an undecodable path byte) cannot encode
         for key, text in [*metadata, *((_WARNING_KEY, text) for text in warnings)]:
             line = f"{key} = {text}"
             if "".join(line.splitlines()) != line:
                 raise InvalidParameterError(f"metadata {key!r}: {text!r} holds a line break")
+            try:
+                line.encode()
+            except UnicodeEncodeError:
+                raise InvalidParameterError(f"metadata {key!r}: {text!r} is not UTF-8") from None
         self._freeze(columns, rows, metadata, warnings)
 
     def write(self, handle: io.TextIOBase) -> None:

@@ -1,8 +1,9 @@
-"""The benchmark's own checker accepts every output of two workloads.
+"""The benchmark's own checker accepts every output of its workloads.
 
 bench/checker.py counts an invocation as failed when a column it reads
 is renamed, a row goes missing or a value moves; this test runs the
-cli-small and prior-merge invocations in-process so such a change fails
+cli-small and prior-merge invocations, and the one 400 000-row
+scan-large invocation for seed 0, in-process so such a change fails
 here rather than only in a benchmark run.
 """
 
@@ -30,8 +31,10 @@ def bench(monkeypatch):
         sys.modules.pop(name, None)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("workload", ["cli-small", "prior-merge"])
+@pytest.mark.parametrize(
+    "workload, seed",
+    [("cli-small", 0), ("cli-small", 1), ("prior-merge", 0), ("prior-merge", 1), ("scan-large", 0)],
+)
 def test_checker_accepts_every_invocation(bench, tmp_path, workload, seed):
     checker, inputs = bench
     invocations = inputs.build(workload, seed, str(tmp_path)).invocations

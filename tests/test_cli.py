@@ -179,6 +179,21 @@ class TestExclusionCommand:
         (warning,) = table.warnings
         assert "4 rows" in warning and "1e-09" in warning
 
+    def test_inf_alpha_from_a_vanishing_film_names_its_own_cause(self, tmp_path):
+        # at lambda 1e-6 to 1e-2 m exp(gap/lambda) is finite; the 1e-200 m
+        # film's force per unit alpha underflows to zero
+        code, out = run(
+            ["exclusion", "--config", BASELINE, "--thickness", "1e-200 m", "--points", "5"],
+            tmp_path,
+        )
+        assert code == 0
+        table = ResultTable.from_csv(out.read_text())
+        assert all(row[2] == math.inf for row in table.rows)
+        (warning,) = table.warnings
+        assert "5 rows with lambda from 1e-06 to 0.01 m" in warning
+        assert "exp(gap/lambda) overflows" not in warning
+        assert "underflows to zero" in warning
+
     def test_prior_knot_on_requested_lambda_min(self, tmp_path):
         # the grid starts at exactly 5e-6, so the prior's first knot covers it
         prior = tmp_path / "prior.csv"
@@ -432,12 +447,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "line, bad, message",
         [
-            ("length = 0.10 m", "length = -0.10 m", "[geometry] length must be"),
-            ("length = 0.5 m", "length = -0.5 m", "[wire] length must be"),
-            ("lambda = 10 um", "lambda = -10 um", "[yukawa] lam must be"),
-            ("separation = 5 um", "separation = -5 um", "[gap] separation must be"),
-            ("arm_length = 0.1 m", "arm_length = -0.1 m", "[balance] arm_length must be"),
-            ("angle = 1e-6", "angle = -1e-6", "[tilt] angle must be"),
+            ("length = 0.10 m", "length = -0.10 m", "[geometry] length: must be"),
+            ("length = 0.5 m", "length = -0.5 m", "[wire] length: must be"),
+            ("lambda = 10 um", "lambda = -10 um", "[yukawa] lambda: must be"),
+            ("separation = 5 um", "separation = -5 um", "[gap] separation: must be"),
+            ("arm_length = 0.1 m", "arm_length = -0.1 m", "[balance] arm_length: must be"),
+            ("angle = 1e-6", "angle = -1e-6", "[tilt] angle: must be"),
         ],
         ids=["geometry", "wire", "yukawa", "gap", "balance", "tilt"],
     )
@@ -451,6 +466,46 @@ class TestExitCodes:
         assert "Traceback" not in result.stderr
         assert message in result.stderr
         assert result.stdout == ""
+
+    # one refused value per config key: (section, key, line of the baseline, bad line)
+    BAD_VALUES = [
+        ("geometry", "length", "length = 0.10 m", "length = -0.10 m"),
+        ("geometry", "width", "width = 0.12 m", "width = 0 m"),
+        ("gap", "separation", "separation = 5 um", "separation = -5 um"),
+        ("gap", "temperature", "temperature = 300", "temperature = -1"),
+        ("thermal", "reduction_factor", "reduction_factor = 1.0", "reduction_factor = 2"),
+        ("wire", "shear_modulus", "material = tungsten",
+         "material = tungsten\nshear_modulus = -1"),
+        ("wire", "diameter", "diameter = 50 um", "diameter = 5 um"),
+        ("wire", "length", "length = 0.5 m", "length = inf m"),
+        ("balance", "torque_sensitivity", "torque_sensitivity = 1e-6",
+         "torque_sensitivity = 0"),
+        ("balance", "arm_length", "arm_length = 0.1 m", "arm_length = -0.1 m"),
+        ("balance", "min_displacement", "min_displacement = 1 nm", "min_displacement = nan"),
+        ("tilt", "angle", "angle = 1e-6", "angle = -1e-6"),
+        ("tilt", "plate_length_along_tilt", "plate_length_along_tilt = 0.12 m",
+         "plate_length_along_tilt = 0 m"),
+        ("electrostatic", "stray_voltage", "stray_voltage = 0.1", "stray_voltage = -0.1"),
+        ("resolution", "force_resolution", "force_resolution = 1e-12", "force_resolution = 0"),
+        ("yukawa", "alpha", "alpha = 1.0", "alpha = nan"),
+        ("yukawa", "lambda", "lambda = 10 um", "lambda = -10 um"),
+        ("stack_a", "layer_0", "layer_0 = gold, 19.3e3, 10 um", "layer_0 = gold, -1, 10 um"),
+    ]
+
+    @pytest.mark.parametrize(
+        "section, key, line, bad", BAD_VALUES, ids=[f"{s}-{k}" for s, k, _, _ in BAD_VALUES]
+    )
+    def test_config_error_names_section_and_key(
+        self, tmp_path, capsys, section, key, line, bad
+    ):
+        # every refused config value reads "[section] key: problem"
+        text = BASELINE_CONFIG_PATH.read_text()
+        assert line in text
+        config = tmp_path / "bad.ini"
+        config.write_text(text.replace(line, bad, 1))  # the first match: [stack_a]
+        code = main(["budget", "--config", str(config), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: [{section}] {key}: ")
 
     def test_tilt_length_whose_strip_width_overflows_is_a_config_error(self, tmp_path):
         text = BASELINE_CONFIG_PATH.read_text()
@@ -578,8 +633,44 @@ class TestExitCodes:
         assert "# wire_material = \n" in result.stdout
         assert dict(ResultTable.from_csv(result.stdout).metadata)["wire_material"] == ""
 
+    def test_percent_sign_in_a_value_is_literal(self, tmp_path):
+        text = BASELINE_CONFIG_PATH.read_text().replace(
+            "material = tungsten", "material = tungsten 50%\nshear_modulus = 1.61e11"
+        )
+        config = tmp_path / "percent.ini"
+        config.write_text(text)
+        result = run_fresh(["sensitivity", "--config", str(config)])
+        assert result.returncode == 0
+        assert "Traceback" not in result.stderr
+        assert "# wire_material = tungsten 50%\n" in result.stdout
+
+    def test_interpolation_syntax_is_an_unparsable_length(self, tmp_path):
+        text = BASELINE_CONFIG_PATH.read_text()
+        assert "separation = 5 um" in text
+        config = tmp_path / "interpolated.ini"
+        config.write_text(text.replace("separation = 5 um", "separation = %(x)s"))
+        result = run_fresh(["budget", "--config", str(config)])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "[gap] separation: cannot parse length" in result.stderr
+        assert result.stdout == ""
+
     def test_prior_path_with_a_line_break_is_a_domain_error(self, tmp_path):
         prior = tmp_path / "prior\nfile.csv"
+        prior.write_bytes(pathlib.Path(PRIOR).read_bytes())
+        out = tmp_path / "out.csv"
+        result = run_fresh(
+            ["exclusion", "--config", BASELINE, "--points", "5", "--prior", str(prior),
+             "--out", str(out)]
+        )
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert "metadata 'prior_source'" in result.stderr
+        assert not out.exists()
+
+    def test_prior_path_that_is_not_utf8_text_is_a_domain_error(self, tmp_path):
+        # the byte 0xff decodes to a lone surrogate, which no UTF-8 line can hold
+        prior = tmp_path / os.fsdecode(b"prior\xff.csv")
         prior.write_bytes(pathlib.Path(PRIOR).read_bytes())
         out = tmp_path / "out.csv"
         result = run_fresh(

@@ -209,6 +209,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="without gaps"):
             load_config(write(tmp_path, broken))
 
+    def test_layer_key_with_a_leading_zero_refused(self, tmp_path):
+        broken = GOOD.replace("layer_1 = glass", "layer_01 = glass")
+        message = r"^\[stack_a\]: keys must run layer_0, .* without gaps"
+        with pytest.raises(ConfigError, match=message):
+            load_config(write(tmp_path, broken))
+
     def test_layer_field_count_checked(self, tmp_path):
         broken = GOOD.replace("layer_0 = glass, 3.0e3, 15 mm", "layer_0 = glass, 3.0e3")
         with pytest.raises(ConfigError, match="layer_0"):

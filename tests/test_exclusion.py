@@ -348,14 +348,14 @@ class TestCurveInterpolation:
             Curve(lambdas=(1e-6, 1e-6), alphas=(1.0, 2.0))
         with pytest.raises(InvalidParameterError, match="2 lambda values but 1 alpha"):
             Curve(lambdas=(1e-6, 1e-5), alphas=(1.0,))
-        with pytest.raises(InvalidParameterError, match=r"alpha .* got -2\.0$"):
+        with pytest.raises(InvalidParameterError, match=r"alpha: .* got -2\.0$"):
             Curve(lambdas=(1e-6, 1e-5), alphas=(1.0, -2.0))
         with pytest.raises(InvalidParameterError, match="at least two points"):
             Curve(lambdas=(1e-6,), alphas=(1.0,))
         # alpha may be inf, lambda may not, and nothing may be nan; the
         # message names the first offending value, also mid-grid
-        lam_message = "lambda must be a finite positive number, got "
-        alpha_message = "alpha must be a finite positive number, got "
+        lam_message = "lambda: must be finite and > 0, got "
+        alpha_message = "alpha: must be finite and > 0, got "
         for lambdas, alphas, message in (
             ((1e-6, math.inf), (1.0, 2.0), lam_message + "inf"),
             ((1e-6, 1e-5), (math.nan, 2.0), alpha_message + "nan"),

@@ -64,13 +64,14 @@ def test_output_matches_golden_bytes(name, tmp_path, monkeypatch):
 
 # The 100 000-point stress scan (4 x 100 000 rows, about 26 MB) is too
 # large to commit, so its bytes are pinned by SHA-256 instead; the 1 nm
-# start crosses the inf rows where exp(gap/lambda) overflows.
+# start crosses the inf rows where exp(gap/lambda) overflows and those
+# where only the bound itself does, each named by its own warning.
 SCALE_HASHES = {
     "scan": (["exclusion", "--config", CONFIG, "--points", "100000"],
              "c2a1a1fff38a1144921e51755d71b73e649e061fc056140c6d17889dfd84aad2"),
     "scan_from_1nm": (["exclusion", "--config", CONFIG, "--points", "100000",
                        "--lambda-min", "1 nm"],
-                      "959201decd4839435881cfe08b1fc4ac699739fca15e167e6eb679bd1da40046"),
+                      "00e10e7a0195a8b520d4ca87581f16c9ce1dd9d8b3a8aa71c5c24bd162321c00"),
 }
 
 

@@ -331,6 +331,15 @@ class TestValidation:
             with pytest.raises(InvalidParameterError, match=re.escape(f"metadata {key!r}")):
                 ResultTable(columns=("a",), rows=(), metadata=metadata, warnings=warnings)
 
+    def test_text_that_is_not_utf8_refused(self):
+        # a lone surrogate, as an undecodable byte of a path becomes, has no UTF-8 form
+        for metadata, warnings, key in [
+            ((("source", "prior\udcff.csv"),), (), "source"),
+            ((), ("bad \udcff",), "warning"),
+        ]:
+            with pytest.raises(InvalidParameterError, match=re.escape(f"metadata {key!r}")):
+                ResultTable(columns=("a",), rows=(), metadata=metadata, warnings=warnings)
+
     def test_parse_rejects_headerless(self):
         with pytest.raises(InvalidParameterError):
             ResultTable.from_csv("# only = metadata\n")
