@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 
-from .casimir import CASIMIR_COEFF
-from .core import _Record, require_non_negative, require_positive, separation_power
+from .casimir import casimir_zero_t
+from .core import _Record, require_non_negative, require_positive
 from .errors import DomainError, InvalidParameterError
 
 # Shear moduli (Pa) for the usual torsion fiber materials.
@@ -139,23 +139,17 @@ def gap_variation_from_tilt(tilt: TiltConfig) -> float:
 
 
 def tilted_casimir(
-    plate_width: float, plate_length: float, separation: float, angle: float
+    area: float, plate_length: float, separation: float, angle: float
 ) -> float:
     """Casimir force on a plate tilted about its near edge, in N.
 
-    The gap grows linearly from ``separation`` at the near edge to
-    separation + angle * plate_length at the far edge.  Integrating the
-    ideal-mirror pressure over strips of width ``plate_width`` gives
-
-        F = (pi^2 hbar c / 240) * w * (d^-3 - (d + theta l)^-3) / (3 theta)
-
-    which reduces to the flat-plate force as theta -> 0.  Tilts that close
-    the gap (theta * l >= d) and gaps whose powers overflow are rejected.
-    For tiny theta the closed form subtracts nearly equal numbers, so a series
-    in u = theta * l / d is used instead; the two branches agree to
-    better than 1e-12 at the switch point.
+    The gap grows linearly from d = ``separation`` at the near edge to
+    d + theta l at the far edge, so the flat-plate force on ``area``
+    is multiplied by g(u) = (1 - (1 + u)^-3) / (3 u), u = theta l / d,
+    taken as -expm1(-3 log1p(u)) / (3 u) without cancellation; g is 1
+    at u = 0.  Tilts that close the gap (theta l >= d) are rejected.
     """
-    require_positive("plate_width", plate_width)
+    require_positive("area", area)
     require_positive("plate_length", plate_length)
     require_positive("separation", separation)
     require_non_negative("angle", angle)
@@ -167,14 +161,5 @@ def tilted_casimir(
             f"{separation:g} m gap"
         )
     u = rise / separation
-    if u < 1e-4:
-        # (1 - (1+u)^-3) / (3u) = 1 - 2u + (10/3)u^2 - 5u^3 + 7u^4 - ...
-        # truncation below 1e-19 relative at the branch point; angle 0 gives g == 1.0
-        g = 1.0 - 2.0 * u + (10.0 / 3.0) * u * u - 5.0 * u**3 + 7.0 * u**4
-        return CASIMIR_COEFF * plate_width * plate_length / separation_power(separation, 4) * g
-    return (
-        CASIMIR_COEFF
-        * plate_width
-        * (separation_power(separation, -3) - (separation + rise) ** -3)
-        / (3.0 * angle)
-    )
+    g = -math.expm1(-3.0 * math.log1p(u)) / (3.0 * u) if u else 1.0
+    return casimir_zero_t(area, separation) * g

@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 from collections.abc import Sequence
+from itertools import compress
 from operator import truediv
 
 from .balance import (
@@ -192,8 +193,9 @@ def cmd_exclusion(
 ) -> ResultTable:
     """Exclusion curves in long format: one table block per thickness.
 
-    With a prior-bounds file, an improvement column is appended; rows
-    whose lambda falls outside the prior's domain get nan there.
+    With a prior-bounds file, an improvement column is appended: nan
+    where lambda falls outside the prior's domain, and inf, announced by
+    a warning, where prior alpha / alpha overflows.
     """
     curves = exclusion_scan(
         config.plates,
@@ -208,30 +210,32 @@ def cmd_exclusion(
         columns.append("improvement_1")
         # every curve shares the grid, so the prior is interpolated once
         prior_alphas = prior.alphas_at(curves[0].lambdas)
-    # the thickness repeats down its block; every block holds one grid object
+    # the thickness repeats down its block; every block holds one grid object.
+    # alpha's inf rows split by the kernel's own test of exp(gap/lambda)
+    gap = config.plates.gap.separation
+    unbounded: dict[str, list[float]] = {"exp": [], "bound": [], "improvement": []}
     rows = []
     for thickness, curve in zip(thicknesses, curves):
         block = (thickness, curve.lambdas, curve.alphas)
-        if prior is not None:
-            block += (tuple(map(truediv, prior_alphas, curve.alphas)),)
-        rows.append(block)
-    # inf rows split by the kernel's own test of whether exp(gap/lambda) overflows
-    gap = config.plates.gap.separation
-    unbounded: dict[bool, list[float]] = {False: [], True: []}
-    for curve in curves:
         if math.inf in curve.alphas:
             for lam, alpha in zip(curve.lambdas, curve.alphas):
                 if alpha == math.inf:
-                    unbounded[_exp_is_finite(gap / lam)].append(lam)
+                    unbounded["bound" if _exp_is_finite(gap / lam) else "exp"].append(lam)
+        if prior is not None:
+            block += (improvements := tuple(map(truediv, prior_alphas, curve.alphas)),)
+            unbounded["improvement"] += compress(curve.lambdas, map(math.isinf, improvements))
+        rows.append(block)
     causes = {
-        False: "exp(gap/lambda) overflows, so no finite coupling is detectable there",
-        True: "the bound exceeds the largest double, or the Yukawa force per unit "
-        "alpha underflows to zero",
+        "exp": "alpha is inf on {} rows with lambda from {:g} to {:g} m: exp(gap/lambda) "
+        "overflows, so no finite coupling is detectable there",
+        "bound": "alpha is inf on {} rows with lambda from {:g} to {:g} m: the bound "
+        "exceeds the largest double, or the Yukawa force per unit alpha underflows to zero",
+        "improvement": "improvement_1 is inf on {} rows with lambda from {:g} to {:g} m: "
+        "prior alpha / alpha exceeds the largest double",
     }
     warnings = [
-        f"alpha is inf on {len(lams)} rows with lambda from {min(lams):g} to "
-        f"{max(lams):g} m: {causes[finite_exp]}"
-        for finite_exp, lams in unbounded.items()
+        causes[cause].format(len(lams), min(lams), max(lams))
+        for cause, lams in unbounded.items()
         if lams
     ]
     extra = [
@@ -257,9 +261,8 @@ def cmd_sensitivity(config: ExperimentConfig) -> ResultTable:
     tilt = config.tilt
     gap = config.plates.gap.separation
     area = config.plates.geometry.area()
-    strip_width = area / tilt.plate_length_along_tilt
     flat = casimir_zero_t(area, gap)
-    tilted = tilted_casimir(strip_width, tilt.plate_length_along_tilt, gap, tilt.angle)
+    tilted = tilted_casimir(area, tilt.plate_length_along_tilt, gap, tilt.angle)
     row = {
         "kappa_wire_Nm_per_rad": kappa_wire,
         "f_min_wire_N": f_min_wire,

@@ -55,6 +55,10 @@ _LENGTH_UNITS = {
 
 _LENGTH_RE = re.compile(r"^\s*([^\s]+?)\s*(nm|um|µm|mm|cm|m)?\s*$")
 
+# every section load_config reads; any other is refused
+_SECTIONS = ("geometry", "stack_a", "stack_b", "gap", "thermal", "electrostatic",
+             "wire", "balance", "tilt", "resolution", "yukawa")
+
 
 def parse_length(text: str) -> float:
     """Parse '5 um', '12cm', '0.1 m' or a bare number (meters) to meters.
@@ -81,9 +85,9 @@ class ExperimentConfig(_Record):
     plates holds the two stacks, their footprint and their gap.
     source_sha256 is the hash of the config file bytes, recorded in
     output metadata so results can be traced to their inputs.  The
-    plate area, the strip width across the tilt, the stray voltage and
-    the force resolution are checked here, so no command divides by a
-    zero resolution or area; errors name the INI section and key.
+    plate area, the stray voltage and the force resolution are checked
+    here, so no command divides by a zero resolution or area; errors
+    name the INI section and key.
     """
 
     def __init__(
@@ -104,13 +108,6 @@ class ExperimentConfig(_Record):
                 f"[geometry] length and width: their product, the plate area, "
                 f"must be finite and > 0, got {area!r} m^2"
             )
-        strip_width = area / tilt.plate_length_along_tilt
-        if not 0 < strip_width < math.inf:
-            raise InvalidParameterError(
-                f"[tilt] plate_length_along_tilt: the plate width across the tilt, "
-                f"area / plate_length_along_tilt, must be finite and > 0, "
-                f"got {strip_width!r} m"
-            )
         require_non_negative("[electrostatic] stray_voltage", stray_voltage)
         require_positive("[resolution] force_resolution", force_resolution)
         self._freeze(
@@ -124,7 +121,8 @@ class _SectionReader:
 
     Used as a context manager around building the section's record, it
     turns the record's InvalidParameterError into a ConfigError naming
-    the section.
+    the section, and once the record is built refuses any key of the
+    section that was never read.
     """
 
     def __init__(self, parser: configparser.ConfigParser, section: str):
@@ -132,6 +130,7 @@ class _SectionReader:
             raise ConfigError(f"missing section [{section}]")
         self._section = section
         self._proxy = parser[section]
+        self._read: set[str] = set()
 
     def __enter__(self) -> _SectionReader:
         return self
@@ -139,8 +138,12 @@ class _SectionReader:
     def __exit__(self, kind: type | None, exc: BaseException | None, traceback: object) -> None:
         if isinstance(exc, InvalidParameterError):
             raise ConfigError(f"[{self._section}] {exc}") from None
+        unknown = [key for key in self._proxy if key not in self._read]
+        if exc is None and unknown:
+            raise ConfigError(f"[{self._section}] {unknown[0]}: unknown key")
 
     def raw(self, key: str) -> str:
+        self._read.add(key)
         if key not in self._proxy:
             raise ConfigError(f"[{self._section}] {key}: missing")
         text = self._proxy[key].strip()
@@ -156,7 +159,9 @@ class _SectionReader:
         except ValueError:
             raise ConfigError(f"[{self._section}] {key}: not a number: {text!r}") from None
 
-    def length(self, key: str) -> float:
+    def length(self, key: str, default: float | None = None) -> float:
+        if default is not None and key not in self._proxy:
+            return default
         text = self.raw(key)
         try:
             return parse_length(text)
@@ -224,14 +229,19 @@ def load_config(path: str) -> ExperimentConfig:
     """
     with open(path, "rb") as handle:
         raw = handle.read()
-    # no interpolation: a % in a value is literal text
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # a % in a value is literal text; [DEFAULT] is just an unknown section
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
+    )
     try:
         parser.read_string(raw.decode("utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"[{section}]: unknown section")
 
     with _SectionReader(parser, "geometry") as reader:
         geometry = PlateGeometry(length=reader.length("length"), width=reader.length("width"))
@@ -246,7 +256,8 @@ def load_config(path: str) -> ExperimentConfig:
             thermal = ThermalModel(reduction_factor=reader.number("reduction_factor"))
     else:
         thermal = ThermalModel()
-    stray_voltage = _SectionReader(parser, "electrostatic").number("stray_voltage")
+    with _SectionReader(parser, "electrostatic") as reader:
+        stray_voltage = reader.number("stray_voltage")
     wire = _parse_wire(parser)
     with _SectionReader(parser, "balance") as reader:
         balance = BalanceConfig(
@@ -258,16 +269,13 @@ def load_config(path: str) -> ExperimentConfig:
         with _SectionReader(parser, "tilt") as reader:
             tilt = TiltConfig(
                 angle=reader.number("angle"),
-                plate_length_along_tilt=(
-                    reader.length("plate_length_along_tilt")
-                    if "plate_length_along_tilt" in parser["tilt"]
-                    else geometry.width
-                ),
+                plate_length_along_tilt=reader.length("plate_length_along_tilt", geometry.width),
             )
     else:
         # default: the parallelism spec over the wider plate side
         tilt = TiltConfig(angle=1e-6, plate_length_along_tilt=geometry.width)
-    force_resolution = _SectionReader(parser, "resolution").number("force_resolution")
+    with _SectionReader(parser, "resolution") as reader:
+        force_resolution = reader.number("force_resolution")
     if parser.has_section("yukawa"):
         with _SectionReader(parser, "yukawa") as reader:
             yukawa = YukawaParams(alpha=reader.number("alpha"), lam=reader.length("lambda"))

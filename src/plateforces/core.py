@@ -16,8 +16,11 @@ reported as positive magnitudes.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, InvalidParameterError
+
+MAX_LAMBDA = math.sqrt(sys.float_info.max)  # largest Yukawa range, m: lambda**2 stays finite
 
 
 def require_positive(name: str, value: float) -> None:
@@ -166,11 +169,14 @@ class YukawaParams(_Record):
     """Strength and range of a Yukawa-type correction to gravity.
 
     alpha is the dimensionless coupling relative to Newtonian gravity
-    (finite, any sign); lam is the range in meters, lambda in errors.
+    (finite, any sign); lam is the range in meters, at most MAX_LAMBDA,
+    lambda in errors.
     """
 
     def __init__(self, alpha: float, lam: float) -> None:
         if not math.isfinite(alpha):
             raise InvalidParameterError(f"alpha: must be finite, got {alpha!r}")
         require_positive("lambda", lam)
+        if lam > MAX_LAMBDA:
+            raise InvalidParameterError(f"lambda: must be at most {MAX_LAMBDA:.3g} m, got {lam!r}")
         self._freeze(alpha, lam)

@@ -10,22 +10,19 @@ the curve is an upper bound on allowed couplings.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import repeat, tee
 from operator import lt, mul, truediv
 
-from .core import _Record, require_positive
+from .core import MAX_LAMBDA, _Record, require_positive
 from .errors import DomainError, InvalidParameterError
 from .gravity import PlatePairConfig, slab_coupling
 
 # ten times the 100 000-point stress scan; a larger one is refused before
 # its grid is built
 MAX_SCAN_POINTS = 1_000_000
-# lam**2 in the inversion overflows a double above this range, in m
-MAX_LAMBDA = math.sqrt(sys.float_info.max)
 
 
 def alpha_bound(lam: float, plates: PlatePairConfig, force_resolution: float) -> float:

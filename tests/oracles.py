@@ -1,13 +1,14 @@
 """Independent numerical cross-checks used only by the test suite.
 
 Each oracle recomputes a closed-form result by brute force (adaptive
-quadrature), sharing no algebra with the
+quadrature or exact rational arithmetic), sharing no algebra with the
 expressions under test beyond the point-interaction kernel itself.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import dblquad, quad
@@ -129,6 +130,14 @@ def tilted_casimir_force(
         limit=200,
     )
     return coeff * plate_width * integral
+
+
+def tilt_factor(u: float) -> Fraction:
+    """g(u) = (1 - (1 + u)^-3) / (3 u), the tilted-plate force over the
+    flat-plate force at rise u = theta l / d, in exact rationals (1 at
+    u = 0)."""
+    q = Fraction(u)
+    return (1 - 1 / (1 + q) ** 3) / (3 * q) if q else Fraction(1)
 
 
 def loglog_interp(lam: float, lambdas, alphas, knot_log=np.log) -> float:

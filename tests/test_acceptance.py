@@ -256,11 +256,11 @@ def test_criterion_11_consistency_bundle(baseline_config):
     # (b) tilted closed form vs quadrature, plus continuity at zero tilt
     worst_tilt = 0.0
     for angle in (1e-9, 1e-7, 1e-6, 1e-5, 3e-5):
-        closed = tilted_casimir(0.10, 0.12, 5e-6, angle)
+        closed = tilted_casimir(0.10 * 0.12, 0.12, 5e-6, angle)
         brute = tilted_casimir_force(0.10, 0.12, 5e-6, angle, CODATA2018.hbar, CODATA2018.c)
         worst_tilt = max(worst_tilt, abs(closed - brute) / abs(brute))
-    flat = tilted_casimir(0.10, 0.12, 5e-6, 0.0)
-    tiny = tilted_casimir(0.10, 0.12, 5e-6, 1e-15)
+    flat = tilted_casimir(0.10 * 0.12, 0.12, 5e-6, 0.0)
+    tiny = tilted_casimir(0.10 * 0.12, 0.12, 5e-6, 1e-15)
     tilt_ok = worst_tilt < 1e-10 and abs(tiny - flat) / flat < 1e-10
 
     # (c) scaling laws

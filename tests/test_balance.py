@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -18,10 +19,7 @@ from plateforces import (
     torsion_constant,
 )
 
-from plateforces.casimir import CASIMIR_COEFF
-from plateforces.core import separation_power
-
-from oracles import tilted_casimir_force
+from oracles import tilt_factor, tilted_casimir_force
 
 
 class TestTorsionWire:
@@ -138,47 +136,49 @@ class TestTiltedCasimir:
     D = 5e-6
 
     def test_zero_angle_is_flat_plate(self):
-        # the series gives g == 1.0 exactly at either zero: the flat-plate
-        # expression bit for bit
-        flat = CASIMIR_COEFF * self.W * self.L / separation_power(self.D, 4)
-        assert tilted_casimir(self.W, self.L, self.D, 0.0) == flat
-        assert tilted_casimir(self.W, self.L, self.D, -0.0) == flat
-        assert flat == pytest.approx(casimir_zero_t(self.W * self.L, self.D), rel=1e-15)
+        # g == 1.0 exactly at either zero: the flat-plate force bit for bit
+        flat = casimir_zero_t(self.W * self.L, self.D)
+        assert tilted_casimir(self.W * self.L, self.L, self.D, 0.0) == flat
+        assert tilted_casimir(self.W * self.L, self.L, self.D, -0.0) == flat
 
     def test_continuous_at_tiny_angle(self):
-        tilted = tilted_casimir(self.W, self.L, self.D, 1e-15)
-        flat = tilted_casimir(self.W, self.L, self.D, 0.0)
+        tilted = tilted_casimir(self.W * self.L, self.L, self.D, 1e-15)
+        flat = tilted_casimir(self.W * self.L, self.L, self.D, 0.0)
         assert abs(tilted - flat) / flat < 1e-10
 
     def test_matches_quadrature(self):
         for angle in (1e-9, 1e-7, 1e-6, 1e-5, 3e-5):
-            closed = tilted_casimir(self.W, self.L, self.D, angle)
+            closed = tilted_casimir(self.W * self.L, self.L, self.D, angle)
             brute = tilted_casimir_force(
                 self.W, self.L, self.D, angle, CODATA2018.hbar, CODATA2018.c
             )
             assert closed == pytest.approx(brute, rel=1e-10), angle
 
-    def test_branches_agree_at_crossover(self):
-        # u = angle * L / d straddles the series/exact switch at 1e-4
-        for u in (0.99e-4, 1.01e-4):
-            angle = u * self.D / self.L
-            closed = tilted_casimir(self.W, self.L, self.D, angle)
-            brute = tilted_casimir_force(
-                self.W, self.L, self.D, angle, CODATA2018.hbar, CODATA2018.c
-            )
-            assert closed == pytest.approx(brute, rel=1e-10), u
+    def test_matches_exact_tilt_factor(self):
+        # flat force times g(u), u = angle * L / d, against g in exact
+        # rationals over twelve decades of u, 1e-4 among them
+        flat = casimir_zero_t(self.W * self.L, self.D)
+        us = [10.0 ** (k / 8.0) for k in range(-96, 0)] + [0.99e-4, 1e-4, 1.01e-4, 0.5, 0.99]
+        worst = 0.0
+        for target in us:
+            angle = target * self.D / self.L
+            u = angle * self.L / self.D  # the u the code forms from angle
+            exact = Fraction(flat) * tilt_factor(u)
+            tilted = tilted_casimir(self.W * self.L, self.L, self.D, angle)
+            worst = max(worst, abs(float((Fraction(tilted) - exact) / exact)))
+        assert worst <= 1e-15
 
     def test_baseline_deficit(self):
         # a 1 urad tilt at a 5 um near-edge gap sheds about 4.6% of the
         # flat-plate force as the far edge recedes
-        tilted = tilted_casimir(self.W, self.L, self.D, 1e-6)
+        tilted = tilted_casimir(self.W * self.L, self.L, self.D, 1e-6)
         flat = casimir_zero_t(self.W * self.L, self.D)
         assert tilted / flat == pytest.approx(0.9538531303405744, rel=1e-10)
 
     def test_monotone_decreasing_in_angle(self):
         # at fixed near-edge gap, tilting only opens the gap elsewhere
         angles = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 3e-5)
-        forces = [tilted_casimir(self.W, self.L, self.D, a) for a in angles]
+        forces = [tilted_casimir(self.W * self.L, self.L, self.D, a) for a in angles]
         assert all(b < a for a, b in zip(forces, forces[1:]))
 
     def test_exceeds_mean_gap_force(self):
@@ -186,16 +186,16 @@ class TestTiltedCasimir:
         # underestimates the force
         angle = 1e-6
         mean_gap = self.D + angle * self.L / 2.0
-        assert tilted_casimir(self.W, self.L, self.D, angle) > casimir_zero_t(
+        assert tilted_casimir(self.W * self.L, self.L, self.D, angle) > casimir_zero_t(
             self.W * self.L, mean_gap
         )
 
     def test_rejects_contact(self):
         with pytest.raises(DomainError):
-            tilted_casimir(self.W, self.L, self.D, 5e-5)  # rise 6e-6 > 5e-6 gap
+            tilted_casimir(self.W * self.L, self.L, self.D, 5e-5)  # rise 6e-6 > 5e-6 gap
         with pytest.raises(DomainError):
             # exact touch at the far edge is already out
-            tilted_casimir(self.W, self.L, self.D, self.D / self.L)
+            tilted_casimir(self.W * self.L, self.L, self.D, self.D / self.L)
 
     @pytest.mark.parametrize(
         "separation, angle, message",
@@ -203,14 +203,14 @@ class TestTiltedCasimir:
             (1e80, 0.0, "1e\\+80 m is too large: d\\^4 overflows"),
             (1e80, 1e-6, "1e\\+80 m is too large: d\\^4 overflows"),
             (1e-300, 0.0, "1e-300 m is too small: d\\^4 underflows"),
-            (1e-110, 1e-111 / 12e-2, "1e-110 m is too small: d\\^-3 overflows"),
+            (1e-110, 1e-111 / 12e-2, "1e-110 m is too small: d\\^4 underflows to zero"),
         ],
         ids=["flat-huge", "series-huge", "flat-tiny", "closed-form-tiny"],
     )
     def test_gap_powers_out_of_range_are_domain_errors(self, separation, angle, message):
         with pytest.raises(DomainError, match=f"separation {message}"):
-            tilted_casimir(self.W, self.L, separation, angle)
+            tilted_casimir(self.W * self.L, self.L, separation, angle)
 
     def test_rejects_negative_angle(self):
         with pytest.raises(InvalidParameterError):
-            tilted_casimir(self.W, self.L, self.D, -1e-6)
+            tilted_casimir(self.W * self.L, self.L, self.D, -1e-6)

@@ -194,6 +194,25 @@ class TestExclusionCommand:
         assert "exp(gap/lambda) overflows" not in warning
         assert "underflows to zero" in warning
 
+    def test_overflowing_improvement_is_inf_with_a_warning(self, tmp_path):
+        # prior alpha 1e308 over the alpha of a 1e-30 N resolution overflows
+        text = BASELINE_CONFIG_PATH.read_text()
+        config = tmp_path / "fine.ini"
+        config.write_text(text.replace("force_resolution = 1e-12", "force_resolution = 1e-30"))
+        prior = tmp_path / "prior.csv"
+        prior.write_text("1e-6,1e308\n1e-2,1e308\n")
+        argv = ["exclusion", "--config", str(config), "--points", "5", "--prior", str(prior)]
+        code, out = run(argv, tmp_path)
+        assert code == 0
+        table = ResultTable.from_csv(out.read_text())
+        assert all(math.isfinite(row[2]) for row in table.rows)
+        assert [row[3] for row in table.rows] == [math.inf] * 20
+        (warning,) = table.warnings
+        assert warning == (
+            "improvement_1 is inf on 20 rows with lambda from 1e-06 to 0.01 m: "
+            "prior alpha / alpha exceeds the largest double"
+        )
+
     def test_prior_knot_on_requested_lambda_min(self, tmp_path):
         # the grid starts at exactly 5e-6, so the prior's first knot covers it
         prior = tmp_path / "prior.csv"
@@ -492,8 +511,16 @@ class TestExitCodes:
         ("stack_a", "layer_0", "layer_0 = gold, 19.3e3, 10 um", "layer_0 = gold, -1, 10 um"),
     ]
 
+    # further refused values of keys above, under their own ids
+    MORE_BAD_VALUES = {
+        "yukawa-lambda-whose-square-overflows":
+            ("yukawa", "lambda", "lambda = 10 um", "lambda = 1e200 m"),
+    }
+
     @pytest.mark.parametrize(
-        "section, key, line, bad", BAD_VALUES, ids=[f"{s}-{k}" for s, k, _, _ in BAD_VALUES]
+        "section, key, line, bad",
+        [*BAD_VALUES, *MORE_BAD_VALUES.values()],
+        ids=[*(f"{s}-{k}" for s, k, _, _ in BAD_VALUES), *MORE_BAD_VALUES],
     )
     def test_config_error_names_section_and_key(
         self, tmp_path, capsys, section, key, line, bad
@@ -507,17 +534,21 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: [{section}] {key}: ")
 
-    def test_tilt_length_whose_strip_width_overflows_is_a_config_error(self, tmp_path):
+    def test_subnormal_tilt_length_leaves_the_flat_force(self, tmp_path):
+        # the rise over a 1e-320 m tilt length is below the smallest
+        # double's resolution of the gap: the tilted force is the flat one
         text = BASELINE_CONFIG_PATH.read_text()
         line = "plate_length_along_tilt = 0.12 m"
         assert line in text
         config = tmp_path / "thin.ini"
         config.write_text(text.replace(line, "plate_length_along_tilt = 1e-320 m"))
         result = run_fresh(["sensitivity", "--config", str(config)])
-        assert result.returncode == 2
-        assert "Traceback" not in result.stderr
-        assert "[tilt] plate_length_along_tilt" in result.stderr
-        assert result.stdout == ""
+        assert result.returncode == 0
+        assert result.stderr == ""
+        table = ResultTable.from_csv(result.stdout)
+        row = dict(zip(table.columns, table.rows[0]))
+        assert row["casimir_tilted_N"] == row["casimir_flat_N"]
+        assert row["tilted_flat_ratio_1"] == 1.0
 
     def test_infinite_yukawa_alpha_is_a_config_error(self, tmp_path, capsys):
         text = BASELINE_CONFIG_PATH.read_text().replace("alpha = 1.0", "alpha = inf")

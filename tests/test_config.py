@@ -8,7 +8,6 @@ from plateforces import (
     ConfigError,
     InvalidParameterError,
     PlateGeometry,
-    TiltConfig,
     ingest_prior_bounds,
     load_config,
     parse_length,
@@ -229,6 +228,45 @@ class TestLoadConfig:
         )
         assert load_config(write(tmp_path, fixed)).wire.shear_modulus == 5e10
 
+    @pytest.mark.parametrize(
+        "section, line, misspelt",
+        [
+            ("geometry", "width = 12 cm", "width = 12 cm\nheight = 1 mm"),
+            ("gap", "temperature = 300", "temperature = 300\ntemprature = 4"),
+            ("electrostatic", "stray_voltage = 0.1", "stray_voltage = 0.1\nstray_volts = 1"),
+            ("wire", "length = 0.5 m", "length = 0.5 m\nshear_modulos = 5e10"),
+            ("resolution", "force_resolution = 1e-12", "force_resolution = 1e-12\nfloor = 1"),
+        ],
+        ids=["geometry", "gap", "electrostatic", "wire", "resolution"],
+    )
+    def test_unknown_key_refused(self, tmp_path, section, line, misspelt):
+        broken = GOOD.replace(line, misspelt)
+        key = misspelt.splitlines()[-1].split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: unknown key$"):
+            load_config(write(tmp_path, broken))
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "[tilt]\nangle = 1e-6\nplate_lenght_along_tilt = 0.05 m",
+            "[yukawa]\nalpha = 1\nlambda = 10 um\nlambda_max = 1 m",
+            "[thermal]\nreduction_factor = 1\neta = 0.5",
+        ],
+        ids=["tilt", "yukawa", "thermal"],
+    )
+    def test_unknown_key_in_an_optional_section_refused(self, tmp_path, section):
+        name, *_, last = section.splitlines()
+        key = last.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"^\{name[:-1]}\] {key}: unknown key$"):
+            load_config(write(tmp_path, GOOD + "\n" + section + "\n"))
+
+    @pytest.mark.parametrize("section", ["yukwa", "DEFAULT"])
+    def test_unknown_section_refused(self, tmp_path, section):
+        # a [DEFAULT] would otherwise hand its keys to every section
+        extended = GOOD + f"\n[{section}]\nalpha = 1e3\n"
+        with pytest.raises(ConfigError, match=rf"^\[{section}\]: unknown section$"):
+            load_config(write(tmp_path, extended))
+
     def test_inline_comments_ignored(self, tmp_path):
         commented = GOOD.replace("separation = 5 um", "separation = 5 um  # nominal")
         assert load_config(write(tmp_path, commented)).plates.gap.separation == 5e-6
@@ -262,11 +300,6 @@ class TestExperimentConfigInvariants:
         plates = with_fields(baseline_config.plates, geometry=PlateGeometry(1e200, 1e200))
         with pytest.raises(InvalidParameterError, match=r"\[geometry\] length and width: .* got inf m\^2"):
             with_fields(baseline_config, plates=plates)
-
-    def test_strip_width_that_overflows_refused(self, baseline_config):
-        tilt = TiltConfig(angle=1e-6, plate_length_along_tilt=1e-320)
-        with pytest.raises(InvalidParameterError, match=r"\[tilt\] plate_length_along_tilt: .* got inf m"):
-            with_fields(baseline_config, tilt=tilt)
 
 
 class TestIngestPriorBounds:

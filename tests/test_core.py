@@ -29,7 +29,8 @@ from plateforces import (
     TorsionWire,
     YukawaParams,
 )
-from plateforces.core import _Record
+from plateforces import exclusion
+from plateforces.core import MAX_LAMBDA, _Record
 
 
 class TestPhysicalConstants:
@@ -131,6 +132,15 @@ class TestYukawaParams:
             YukawaParams(alpha=1.0, lam=0.0)
         with pytest.raises(InvalidParameterError):
             YukawaParams(alpha=math.nan, lam=1e-5)
+
+    def test_lambda_up_to_the_largest_squarable_range(self):
+        # lam**2 in the force stays finite up to MAX_LAMBDA, and past it
+        # the record refuses
+        assert YukawaParams(alpha=1.0, lam=MAX_LAMBDA).lam == MAX_LAMBDA
+        assert math.isfinite(MAX_LAMBDA**2)
+        with pytest.raises(InvalidParameterError, match=r"^lambda: must be at most .* got 1e\+200$"):
+            YukawaParams(alpha=1.0, lam=1e200)
+        assert MAX_LAMBDA is exclusion.MAX_LAMBDA
 
 
 def test_all_exports_resolve_sorted_and_unique():

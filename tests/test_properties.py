@@ -146,6 +146,6 @@ def test_alpha_bound_strictly_decreasing(lam, step):
 )
 def test_tilted_casimir_decreasing_in_angle(angle, factor):
     # fixed near-edge gap: more tilt means more average gap, less force
-    low = tilted_casimir(0.10, 0.12, 5e-6, angle)
-    high = tilted_casimir(0.10, 0.12, 5e-6, angle * factor)
+    low = tilted_casimir(0.10 * 0.12, 0.12, 5e-6, angle)
+    high = tilted_casimir(0.10 * 0.12, 0.12, 5e-6, angle * factor)
     assert high < low
