@@ -319,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_excl)
     p_excl.add_argument("--lambda-min", default=None, metavar="LENGTH")
     p_excl.add_argument("--lambda-max", default=None, metavar="LENGTH")
-    p_excl.add_argument("--points", type=int, default=DEFAULT_SCAN_POINTS)
+    p_excl.add_argument("--points", type=int)
     p_excl.add_argument(
         "--thickness",
         action="append",
@@ -355,25 +355,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.command == "budget":
             table = cmd_budget(config)
         elif args.command == "exclusion":
-            lambda_min = (
-                DEFAULT_SCAN_LAMBDA_MIN
-                if args.lambda_min is None
-                else parse_length(args.lambda_min)
-            )
-            lambda_max = (
-                DEFAULT_SCAN_LAMBDA_MAX
-                if args.lambda_max is None
-                else parse_length(args.lambda_max)
-            )
-            thicknesses = (
-                DEFAULT_SCAN_THICKNESSES
-                if args.thickness is None
-                else tuple(parse_length(text) for text in args.thickness)
-            )
-            prior = None if args.prior is None else ingest_prior_bounds(args.prior)
-            table = cmd_exclusion(
-                config, lambda_min, lambda_max, args.points, thicknesses, prior
-            )
+            # only the flags given: cmd_exclusion's signature holds the defaults
+            scan = {}
+            if args.lambda_min is not None:
+                scan["lambda_min"] = parse_length(args.lambda_min)
+            if args.lambda_max is not None:
+                scan["lambda_max"] = parse_length(args.lambda_max)
+            if args.points is not None:
+                scan["n_points"] = args.points
+            if args.thickness is not None:
+                scan["thicknesses"] = tuple(map(parse_length, args.thickness))
+            if args.prior is not None:
+                scan["prior"] = ingest_prior_bounds(args.prior)
+            table = cmd_exclusion(config, **scan)
         else:
             table = cmd_sensitivity(config)
         _write(table, args.out)

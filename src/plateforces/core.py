@@ -35,6 +35,13 @@ def require_non_negative(name: str, value: float) -> None:
         raise InvalidParameterError(f"{name}: must be finite and >= 0, got {value!r}")
 
 
+def require_lambda(name: str, value: float) -> None:
+    """Raise InvalidParameterError unless value is a Yukawa range in (0, MAX_LAMBDA] m."""
+    require_positive(name, value)
+    if value > MAX_LAMBDA:
+        raise InvalidParameterError(f"{name}: must be at most {MAX_LAMBDA:.3g} m, got {value!r}")
+
+
 def separation_power(separation: float, exponent: int) -> float:
     """d**exponent, or DomainError naming d when it overflows or underflows to zero."""
     try:
@@ -124,8 +131,8 @@ class PlateGeometry(_Record):
 class MaterialLayer(_Record):
     """One homogeneous layer of a plate.
 
-    density is in kg/m^3 and thickness in m.  The name is carried
-    through to output metadata but has no physical meaning.
+    density is in kg/m^3 and thickness in m.  The name is a label
+    only: no force and no output reads it.
     """
 
     def __init__(self, name: str, density: float, thickness: float) -> None:
@@ -176,7 +183,5 @@ class YukawaParams(_Record):
     def __init__(self, alpha: float, lam: float) -> None:
         if not math.isfinite(alpha):
             raise InvalidParameterError(f"alpha: must be finite, got {alpha!r}")
-        require_positive("lambda", lam)
-        if lam > MAX_LAMBDA:
-            raise InvalidParameterError(f"lambda: must be at most {MAX_LAMBDA:.3g} m, got {lam!r}")
+        require_lambda("lambda", lam)
         self._freeze(alpha, lam)

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import repeat, tee
 from operator import lt, mul, truediv
 
-from .core import MAX_LAMBDA, _Record, require_positive
+from .core import MAX_LAMBDA, _Record, require_lambda, require_positive  # noqa: F401
 from .errors import DomainError, InvalidParameterError
 from .gravity import PlatePairConfig, slab_coupling
 
@@ -41,21 +41,13 @@ def alpha_bound(lam: float, plates: PlatePairConfig, force_resolution: float) ->
     the resolution exactly.  Where exp(d/lam) overflows (lam far below
     the gap) no finite coupling is detectable and the bound is inf.
     """
-    require_positive("lam", lam)
+    require_lambda("lam", lam)
     require_positive("force_resolution", force_resolution)
-    _require_squarable("lam", lam)
     facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
     ((alpha,),) = _alpha_bounds(
         (lam,), plates, ((facing_a.thickness, facing_b.thickness),), force_resolution
     )
     return alpha
-
-
-def _require_squarable(name: str, lam: float) -> None:
-    if lam > MAX_LAMBDA:
-        raise DomainError(
-            f"{name} {lam:g} m is above {MAX_LAMBDA:.3g} m: lambda**2 overflows"
-        )
 
 
 def _alpha_bounds(
@@ -209,14 +201,14 @@ def exclusion_scan(
     Each curve is alpha_bound for plates with both facing layers set to
     its scan thickness; densities, area and gap are those of plates,
     and force_resolution is in N.  The lambda grid is log-spaced with
-    n_points from lambda_min to lambda_max inclusive; every curve shares
-    it, and n_points is at most MAX_SCAN_POINTS.  Output order follows
-    the thicknesses argument.
+    n_points from lambda_min to lambda_max (at most MAX_LAMBDA)
+    inclusive; every curve shares it, and n_points is at most
+    MAX_SCAN_POINTS.  Points that collide in double precision make the
+    scan degenerate.  Output order follows the thicknesses argument.
     """
     require_positive("force_resolution", force_resolution)
     require_positive("lambda_min", lambda_min)
-    require_positive("lambda_max", lambda_max)
-    _require_squarable("lambda_max", lambda_max)
+    require_lambda("lambda_max", lambda_max)
     if not lambda_max > lambda_min:
         raise DomainError(
             f"degenerate scan: lambda_max {lambda_max:g} must exceed "
@@ -241,8 +233,12 @@ def exclusion_scan(
     )
     for thickness in thicknesses:
         require_positive("thickness", thickness)
-    pairs = zip(thicknesses, thicknesses)
-    return [
-        Curve(lambdas=grid, alphas=alphas)
-        for alphas in _alpha_bounds(grid, plates, pairs, force_resolution)
-    ]
+    bounds = _alpha_bounds(grid, plates, zip(thicknesses, thicknesses), force_resolution)
+    try:
+        return [Curve(lambdas=grid, alphas=alphas) for alphas in bounds]
+    except InvalidParameterError as exc:
+        # alpha is positive or inf by construction: only the grid can fail
+        raise DomainError(
+            f"degenerate scan: {n_points} points from lambda_min {lambda_min!r} "
+            f"to lambda_max {lambda_max!r} m collide in double precision: {exc}"
+        ) from None

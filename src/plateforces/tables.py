@@ -132,13 +132,13 @@ class ResultTable(_Record):
                 continue
             if line.startswith("#"):
                 body = line.lstrip("#")
-                # partition before stripping: an empty value leaves "key = "
+                # partition before stripping: the value is kept verbatim, even empty
                 key, equals, value = body.partition(" = ")
                 body = body.strip()
                 if body.startswith(f"{_WARNING_KEY}:"):
                     warnings.append(body[len(_WARNING_KEY) + 1 :].strip())
                 elif equals:
-                    metadata.append((key.strip(), value.strip()))
+                    metadata.append((key.strip(), value))
                 else:
                     raise InvalidParameterError(
                         f"line {line_no}: comment line is neither 'key = value' "

@@ -310,6 +310,21 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_zero_points_reach_the_scan(self, capsys):
+        # --points has no parser default, so an explicit 0 is not taken for "absent"
+        code = main(["exclusion", "--config", BASELINE, "--points", "0"])
+        assert code == 3
+        assert "degenerate scan: need at least 2 points, got 0" in capsys.readouterr().err
+
+    def test_grid_whose_points_collide_is_degenerate(self, capsys):
+        argv = ["--lambda-min", "1 m", "--lambda-max", "1.000000000000001 m", "--points", "100"]
+        code = main(["exclusion", "--config", BASELINE, *argv])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "domain error: degenerate scan: 100 points from lambda_min 1.0 "
+            "to lambda_max 1.000000000000001 m collide in double precision: "
+        )
+
     def test_too_many_points(self, capsys):
         code = main(
             ["exclusion", "--config", BASELINE, "--points", str(MAX_SCAN_POINTS + 1)]
@@ -343,7 +358,7 @@ class TestExitCodes:
         )
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
-        assert "lambda_max 1e+300 m" in result.stderr
+        assert "domain error: lambda_max: must be at most 1.34e+154 m, got 1e+300" in result.stderr
 
     @pytest.mark.parametrize("command", ["forces", "budget", "sensitivity"])
     def test_overflowing_gap_is_a_domain_error(self, tmp_path, command):

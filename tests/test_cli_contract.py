@@ -4,9 +4,10 @@ Each case edits a copy of configs/baseline.ini (values replaced, keys or
 sections dropped or added), picks a command and its flags, and may write
 a prior-bounds file; main(argv) then runs in process.  Whatever the
 input, the run must end in a documented exit code without a traceback,
-an exit 2 must read "config error: ...", an exit-0 CSV must parse, and
-every inf or nan in it must be announced by a warning line, except the
-nan improvement_1 of a lambda outside the prior's domain.
+an exit 2 must read "config error: ...", an exit-0 CSV must parse and
+name the --prior argument as its prior_source, and every inf or nan in
+it must be announced by a warning line, except the nan improvement_1 of
+a lambda outside the prior's domain.
 
 The search is derandomized, so every run tries the same inputs.  The
 @example cases are inputs that once ended in a traceback, a silent inf
@@ -251,6 +252,13 @@ TILT_LENGTH = "plate_length_along_tilt"
         prior="1e-6,1e308\n1e-2,1e308\n",
     )
 )
+@example(
+    case=Case(
+        "exclusion",
+        flags=("--lambda-min=1 m", "--lambda-max=1.000000000000001 m", "--points=100"),
+    )
+)
+@example(case=Case("exclusion", flags=("--points=5",), prior="1e-6,1\n1e-2,1\n", prior_name=" p9.csv "))
 def test_every_input_ends_in_a_documented_exit(case, tmp_path_factory):
     work = tmp_path_factory.mktemp("contract")
     config = work / "exp.ini"
@@ -272,4 +280,7 @@ def test_every_input_ends_in_a_documented_exit(case, tmp_path_factory):
     if code == 2:
         assert stderr.startswith("config error: "), stderr
     if code == 0:
-        _check_non_finite_values(ResultTable.from_csv(out.getvalue()), prior_path)
+        table = ResultTable.from_csv(out.getvalue())
+        if prior_path is not None:
+            assert dict(table.metadata)["prior_source"] == prior_path
+        _check_non_finite_values(table, prior_path)

@@ -113,9 +113,9 @@ class TestAlphaBound:
 
     def test_rejects_lam_whose_square_overflows(self):
         assert math.isfinite(alpha_bound(MAX_LAMBDA, gold_plates(), RESOLUTION))
-        with pytest.raises(DomainError, match="lam 1e\\+300 m"):
+        with pytest.raises(InvalidParameterError, match="^lam: must be at most 1.34e\\+154 m, got 1e\\+300$"):
             alpha_bound(1e300, gold_plates(), RESOLUTION)
-        with pytest.raises(DomainError, match="lam "):
+        with pytest.raises(InvalidParameterError, match="^lam: must be at most "):
             alpha_bound(math.nextafter(MAX_LAMBDA, math.inf), gold_plates(), RESOLUTION)
 
     @pytest.mark.parametrize("density, outcome", [(1e200, "overflows"), (1e-200, "underflows")])
@@ -170,11 +170,26 @@ class TestExclusionScan:
         with pytest.raises(DomainError):
             exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 1, (1e-5,))
 
+    def test_grid_whose_points_collide_is_degenerate(self):
+        # 100 log-spaced points within five ulps of 1 m cannot all be distinct
+        message = (
+            "^degenerate scan: 100 points from lambda_min 1.0 to lambda_max "
+            "1.000000000000001 m collide in double precision: "
+        )
+        with pytest.raises(DomainError, match=message):
+            exclusion_scan(gold_plates(), RESOLUTION, 1.0, 1.000000000000001, 100, (1e-5,))
+
     def test_rejects_lambda_max_whose_square_overflows(self):
         (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, MAX_LAMBDA, 4, (1e-5,))
         assert all(math.isfinite(alpha) for alpha in curve.alphas)
-        with pytest.raises(DomainError, match="lambda_max 1e\\+300 m"):
+        with pytest.raises(
+            InvalidParameterError, match="^lambda_max: must be at most 1.34e\\+154 m, got 1e\\+300$"
+        ):
             exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e300, 4, (1e-5,))
+        with pytest.raises(InvalidParameterError, match="^lambda_max: must be at most "):
+            exclusion_scan(
+                gold_plates(), RESOLUTION, 1e-6, math.nextafter(MAX_LAMBDA, math.inf), 4, (1e-5,)
+            )
 
     def test_curves_share_one_grid(self):
         # cmd_exclusion puts each curve's lambdas in its table block, and

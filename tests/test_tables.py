@@ -68,6 +68,11 @@ class TestRoundTrip:
         parsed = ResultTable.from_csv(sample_table().to_csv())
         assert parsed.warnings == sample_table().warnings
 
+    def test_metadata_values_read_back_verbatim(self):
+        metadata = (("prior_source", "  p9.csv "), ("empty", ""), ("inner", "a = b"))
+        table = ResultTable(columns=("gap_m",), rows=(), metadata=metadata)
+        assert ResultTable.from_csv(table.to_csv()).metadata == metadata
+
     def test_empty_rows_allowed(self):
         table = ResultTable(columns=("gap_m",), rows=())
         assert ResultTable.from_csv(table.to_csv()) == table
