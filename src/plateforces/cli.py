@@ -317,14 +317,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_excl = sub.add_parser("exclusion", help="alpha-lambda exclusion curves")
     common(p_excl)
-    p_excl.add_argument("--lambda-min", default=None, metavar="LENGTH")
-    p_excl.add_argument("--lambda-max", default=None, metavar="LENGTH")
-    p_excl.add_argument("--points", type=int)
+    p_excl.add_argument(
+        "--lambda-min",
+        metavar="LENGTH",
+        help=f"first grid lambda (default: {DEFAULT_SCAN_LAMBDA_MIN:g} m)",
+    )
+    p_excl.add_argument(
+        "--lambda-max",
+        metavar="LENGTH",
+        help=f"last grid lambda (default: {DEFAULT_SCAN_LAMBDA_MAX:g} m)",
+    )
+    p_excl.add_argument("--points", type=int, help=f"grid points (default: {DEFAULT_SCAN_POINTS})")
     p_excl.add_argument(
         "--thickness",
         action="append",
         metavar="LENGTH",
-        help="facing-layer thickness (repeatable; default 0.3, 1, 3, 10 um)",
+        help="facing-layer thickness (repeatable; default: "
+        f"{', '.join(format(t, 'g') for t in DEFAULT_SCAN_THICKNESSES)} m)",
     )
     p_excl.add_argument("--prior", default=None, help="prior-bounds CSV for the improvement column")
 

@@ -18,15 +18,25 @@ the physics modules never see a unit string.  Example:
 
 Prior-bounds files are two-column CSV ``lambda_m,alpha`` with optional
 ``#`` comment lines and an optional literal header row.
+
+``config_sha256`` is taken with the interpreter's builtin SHA-256, the
+same bytes as ``hashlib``'s without loading OpenSSL.
 """
 
 from __future__ import annotations
 
 import configparser
 import decimal
-import hashlib
 import math
 import re
+
+try:  # hashlib loads OpenSSL, megabytes of memory for one digest
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .balance import SHEAR_MODULUS, BalanceConfig, TiltConfig, TorsionWire
 from .casimir import ThermalModel
@@ -292,7 +302,7 @@ def load_config(path: str) -> ExperimentConfig:
             tilt=tilt,
             force_resolution=force_resolution,
             yukawa=yukawa,
-            source_sha256=hashlib.sha256(raw).hexdigest(),
+            source_sha256=sha256(raw).hexdigest(),
         )
     except InvalidParameterError as exc:
         # the message already names the section and key

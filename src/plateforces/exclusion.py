@@ -67,7 +67,9 @@ def _alpha_bounds(
     bisection, and where a denominator is zero; only a pair with a zero
     denominator is redone one lambda at a time.  Raises DomainError
     naming both facing densities and the area if 2 pi G rho_a rho_b S
-    overflows or underflows to zero.
+    overflows or underflows to zero, or if its product with lam^2
+    overflows, and naming force_resolution if an alpha underflows to
+    zero, so every alpha is positive or inf.
     """
     facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
     area = plates.geometry.area()
@@ -86,8 +88,19 @@ def _alpha_bounds(
     # tuples, not arrays: an array builds a float on every read, and the
     # CSV write, not the scan, sets the peak memory of a run
     scales = tuple(map(mul, repeat(prefactor), map(pow, grid, repeat(2))))
+    # the scales rise with lam, so any overflow is at the end
+    if (overflow := bisect_left(scales, math.inf)) < len(scales):
+        raise DomainError(
+            f"facing densities {facing_a.density:g} and {facing_b.density:g} "
+            f"kg/m^3 with area {area:g} m^2: 2 pi G rho_a rho_b S lambda^2 "
+            f"overflows from lambda {grid[overflow]:g} m"
+        )
     exps = map(math.exp, map(truediv, repeat(gap), grid))
     signals = tuple(map(mul, repeat(force_resolution), exps))
+    # every signal is at least F_res and every denominator at most the last
+    # scale, so an alpha can underflow to zero only where F_res / scale does
+    top = scales[-1] if scales else 0.0
+    may_underflow = top > 0.0 and force_resolution / top == 0.0
 
     def denominators(thickness_a: float, thickness_b: float) -> Iterator[float]:
         # expm1(-t/lam) is a bracket without its minus sign; the two signs
@@ -107,6 +120,11 @@ def _alpha_bounds(
             alphas = tuple(
                 signal / den if den else math.inf
                 for signal, den in zip(signals, denominators(*pair))
+            )
+        if may_underflow and 0.0 in alphas:
+            raise DomainError(
+                f"force_resolution {force_resolution:g} N: alpha underflows to "
+                f"zero at lambda {grid[alphas.index(0.0)]:g} m"
             )
         bounds.append(overflowed + alphas)
     return bounds
@@ -237,7 +255,7 @@ def exclusion_scan(
     try:
         return [Curve(lambdas=grid, alphas=alphas) for alphas in bounds]
     except InvalidParameterError as exc:
-        # alpha is positive or inf by construction: only the grid can fail
+        # the kernel refuses an alpha of zero or nan: only the grid can fail
         raise DomainError(
             f"degenerate scan: {n_points} points from lambda_min {lambda_min!r} "
             f"to lambda_max {lambda_max!r} m collide in double precision: {exc}"

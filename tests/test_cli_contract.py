@@ -4,10 +4,11 @@ Each case edits a copy of configs/baseline.ini (values replaced, keys or
 sections dropped or added), picks a command and its flags, and may write
 a prior-bounds file; main(argv) then runs in process.  Whatever the
 input, the run must end in a documented exit code without a traceback,
-an exit 2 must read "config error: ...", an exit-0 CSV must parse and
-name the --prior argument as its prior_source, and every inf or nan in
-it must be announced by a warning line, except the nan improvement_1 of
-a lambda outside the prior's domain.
+an exit 2 must read "config error: ...", a reported grid collision must
+be one of the grid's own points, an exit-0 CSV must parse and name the
+--prior argument as its prior_source, and every inf or nan in it must
+be announced by a warning line, except the nan improvement_1 of a
+lambda outside the prior's domain.
 
 The search is derandomized, so every run tries the same inputs.  The
 @example cases are inputs that once ended in a traceback, a silent inf
@@ -144,6 +145,11 @@ def cases(draw) -> Case:
     return Case(command, edits, dropped, tuple(flags), prior, name)
 
 
+# both facing films at 1e40 kg/m^3, whose 2 pi G rho^2 S is about 5e68
+DENSE_FILMS = {
+    ("stack_a", "layer_0"): "gold, 1e40, 10 um",
+    ("stack_b", "layer_0"): "gold, 1e40, 10 um",
+}
 INF_WARNING = re.compile(r"^(\w+) is inf on (\d+) rows with lambda from (\S+) to (\S+) m: ")
 # the column each warning subject names
 WARNED_COLUMN = {"alpha": "alpha_1", "improvement_1": "improvement_1"}
@@ -259,6 +265,17 @@ TILT_LENGTH = "plate_length_along_tilt"
     )
 )
 @example(case=Case("exclusion", flags=("--points=5",), prior="1e-6,1\n1e-2,1\n", prior_name=" p9.csv "))
+@example(case=Case("exclusion", edits=DENSE_FILMS, flags=("--lambda-max=1e150", "--points=50")))
+@example(
+    case=Case(
+        "exclusion",
+        edits=DENSE_FILMS,
+        flags=("--lambda-max=1e150", "--points=50", "--thickness=1e-300"),
+    )
+)
+@example(
+    case=Case("exclusion", edits={**DENSE_FILMS, ("resolution", "force_resolution"): "1e-300"})
+)
 def test_every_input_ends_in_a_documented_exit(case, tmp_path_factory):
     work = tmp_path_factory.mktemp("contract")
     config = work / "exp.ini"
@@ -279,6 +296,9 @@ def test_every_input_ends_in_a_documented_exit(case, tmp_path_factory):
     assert "Traceback" not in stderr
     if code == 2:
         assert stderr.startswith("config error: "), stderr
+    if "collide in double precision" in stderr:
+        # only the grid itself can collide; an alpha of 0 or nan names its cause
+        assert "lambda grid must be strictly increasing" in stderr, stderr
     if code == 0:
         table = ResultTable.from_csv(out.getvalue())
         if prior_path is not None:

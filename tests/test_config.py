@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -113,6 +116,35 @@ class TestLoadConfig:
     def test_hash_is_of_file_bytes(self, baseline_config):
         expected = hashlib.sha256(BASELINE_CONFIG_PATH.read_bytes()).hexdigest()
         assert baseline_config.source_sha256 == expected
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\xef\xbb\xbf" + BASELINE_CONFIG_PATH.read_bytes(),
+            (GOOD.replace("5 um", "5 \u00b5m") + "# plaques dor\u00e9es\n").encode("utf-8"),
+        ],
+        ids=["byte-order-mark", "non-ascii"],
+    )
+    def test_hash_of_marked_or_non_ascii_file_matches_hashlib(self, tmp_path, raw):
+        # hashlib is the oracle for the builtin SHA-256 the loader uses
+        path = tmp_path / "exp.ini"
+        path.write_bytes(raw)
+        assert load_config(str(path)).source_sha256 == hashlib.sha256(raw).hexdigest()
+
+    def test_hash_falls_back_to_hashlib_without_a_builtin_sha256(self, baseline_config):
+        # None in sys.modules makes an import fail, as on a build without them
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+             "from plateforces import load_config; "
+             f"print(load_config({str(BASELINE_CONFIG_PATH)!r}).source_sha256, "
+             "'hashlib' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [baseline_config.source_sha256, "True"]
 
     def test_optional_sections_defaulted(self, tmp_path):
         config = load_config(write(tmp_path, GOOD))

@@ -129,6 +129,35 @@ class TestAlphaBound:
             exclusion_scan(plates, RESOLUTION, 1e-6, 1e-2, 10, (1e-5,))
 
 
+    @pytest.mark.parametrize("thickness", [1e-5, 1e-300], ids=["alpha-zero", "alpha-nan"])
+    def test_overflowing_coupling_times_lambda_squared_names_densities_area_and_lambda(
+        self, thickness
+    ):
+        # 2 pi G rho^2 S is about 5e68 for 1e40 kg/m^3: times lam^2 it overflows
+        # past lam of about 2e120 m, once giving alpha 0 and, with a film whose
+        # bracket is zero there, nan; neither is a grid collision
+        film = PlateStack((MaterialLayer("dense", 1e40, thickness),))
+        plates = PlatePairConfig(film, film, PlateGeometry(0.1, 0.12), GapConfig(5e-6))
+        prefix = re.escape(
+            "facing densities 1e+40 and 1e+40 kg/m^3 with area 0.012 m^2: "
+            "2 pi G rho_a rho_b S lambda^2 overflows from lambda "
+        )
+        with pytest.raises(DomainError, match=f"^{prefix}2.223e\\+121 m$"):
+            exclusion_scan(plates, RESOLUTION, 1e-6, 1e150, 50, (thickness,))
+        with pytest.raises(DomainError, match=f"^{prefix}1e\\+150 m$"):
+            alpha_bound(1e150, plates, RESOLUTION)
+
+    def test_alpha_that_underflows_names_force_resolution(self):
+        # at 1e-300 N against 1e24 kg/m^3 films alpha is 3e-323 at 1 um and
+        # below the smallest double from the next grid point on
+        film = PlateStack((MaterialLayer("dense", 1e24, 1e-5),))
+        plates = PlatePairConfig(film, film, PlateGeometry(0.1, 0.12), GapConfig(5e-6))
+        assert alpha_bound(1e-6, plates, 1e-300) == 3e-323
+        message = "^force_resolution 1e-300 N: alpha underflows to zero at lambda 2.78256e-06 m$"
+        with pytest.raises(DomainError, match=message):
+            exclusion_scan(plates, 1e-300, 1e-6, 1e-2, 10, (1e-5,))
+
+
 class TestExclusionScan:
     def test_grid_shape_and_endpoints(self):
         curves = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 2, (1e-5,))
