@@ -85,8 +85,9 @@ def _alpha_bounds(
     # (alpha inf) are a prefix of the grid; the maps take the rest
     first = bisect_left(grid, True, key=lambda lam: _exp_is_finite(gap / lam))
     overflowed, grid = (math.inf,) * first, grid[first:]
-    # tuples, not arrays: an array builds a float on every read, and the
-    # CSV write, not the scan, sets the peak memory of a run
+    # tuples, not arrays: an array builds a float on every read.  The scan
+    # peaks below the run: the CSV write sets the peak memory of a run, as
+    # it holds the shared grid's text beside the table's tuples
     scales = tuple(map(mul, repeat(prefactor), map(pow, grid, repeat(2))))
     # the scales rise with lam, so any overflow is at the end
     if (overflow := bisect_left(scales, math.inf)) < len(scales):

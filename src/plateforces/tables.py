@@ -16,8 +16,11 @@ for tables without blocks.
 from __future__ import annotations
 
 import io
+import os
+import threading
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from itertools import chain
 
 from .core import _Record
@@ -28,6 +31,10 @@ _WARNING_KEY = "warning"
 _FLOAT_FORMAT = "%.17g"
 # data lines formatted per % call and per write: bounds the text held at once
 _SLICE_LINES = 4096
+# from this many data lines on, write formats in two processes; a child's
+# text reaches the handle in strings of at most _RELAY_BYTES
+_PARALLEL_LINES = 20_000
+_RELAY_BYTES = 1 << 14
 
 
 def format_float(value: float) -> str:
@@ -40,6 +47,58 @@ def _block_indices(rows: tuple[tuple, ...]) -> list[int]:
     if tuple not in set(map(type, chain.from_iterable(rows))):
         return []
     return [i for i, row in enumerate(rows) if tuple in map(type, row)]
+
+
+def _data_slices(templates: list[tuple], first: int, stop: int) -> Iterator[str]:
+    """Data lines first to stop, at most _SLICE_LINES to a string: one %
+    call applies a line template to the values of a slice's lines."""
+    at = 0
+    for line_format, n_lines, lines in templates:
+        for start in range(max(first - at, 0), min(stop - at, n_lines), _SLICE_LINES):
+            end = min(start + _SLICE_LINES, stop - at, n_lines)
+            yield (line_format * (end - start)) % tuple(chain.from_iterable(lines(start, end)))
+        at += n_lines
+
+
+@contextmanager
+def _second_half(templates: list[tuple], n_lines: int) -> Iterator[tuple[int, Iterable[str]]]:
+    """(middle, the text of lines middle to n_lines): from _PARALLEL_LINES
+    lines on, a forked child formats the second half and sends its text
+    through a pipe; otherwise middle is n_lines and the text empty."""
+    pid = None
+    if n_lines >= _PARALLEL_LINES and hasattr(os, "fork") and threading.active_count() == 1:
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+    if pid is None:
+        yield n_lines, ()
+        return
+    middle = n_lines // 2
+    if pid == 0:
+        # the child's only way out: it runs no exit hook and never flushes
+        # the buffers it inherited
+        status = 1
+        try:
+            # so that a write fails, not blocks, once the parent stops reading
+            os.close(read_end)
+            data = [text.encode() for text in _data_slices(templates, middle, n_lines)]
+            with open(write_end, "wb") as pipe:
+                pipe.writelines(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        yield middle, map(bytes.decode, iter(lambda: os.read(read_end, _RELAY_BYTES), b""))
+    finally:
+        # closed first, so that a child blocked on a full pipe ends
+        os.close(read_end)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise OSError(f"the child formatting lines {middle + 1}-{n_lines} exited with {status}")
 
 
 class ResultTable(_Record):
@@ -80,34 +139,47 @@ class ResultTable(_Record):
 
     def write(self, handle: io.TextIOBase) -> None:
         """Write the CSV to a text handle: the metadata, warnings and header in
-        one call, then the data lines in strings of at most _SLICE_LINES lines,
-        so neither a whole block nor the whole file is ever held as text."""
+        one call, then the data lines in strings of at most _SLICE_LINES lines.
+        From _PARALLEL_LINES lines on, a forked child formats the second half
+        into its own memory, and this process relays that text after writing
+        the first half.  Without os.fork, beside another thread or if the fork
+        is refused, this process formats every line."""
         lines = [f"{_METADATA_PREFIX}{key} = {value}\n" for key, value in self.metadata]
         lines += [f"{_METADATA_PREFIX}{_WARNING_KEY}: {text}\n" for text in self.warnings]
         lines.append(",".join(self.columns) + "\n")
         handle.write("".join(lines))
-        for text in self._data_slices():
-            handle.write(text)
+        templates = self._line_templates()
+        n_lines = sum(n for _, n, _ in templates)
+        with _second_half(templates, n_lines) as (middle, rest):
+            for text in chain(_data_slices(templates, 0, middle), rest):
+                handle.write(text)
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
         self.write(buffer)
         return buffer.getvalue()
 
-    def _data_slices(self) -> Iterator[str]:
-        """The data lines, at most _SLICE_LINES to a string.  Every item of rows
-        is a block, and an item of floats alone is a block of one line.  A
-        block's float entries are formatted once into its line template, and
-        one % call applies that template to every line of a slice.  A tuple
-        several blocks hold (a shared lambda grid) is formatted once per call,
-        keyed by identity since equal tuples need not print alike (0.0, -0.0).
-        """
-        blocks = _block_indices(self.rows)
-        held = Counter(id(v) for i in blocks for v in self.rows[i] if type(v) is tuple)
+    def _line_templates(self) -> list[tuple]:
+        """(line template, line count, values of lines a to b) of each block
+        and each run of rows of floats alone; a block's floats are formatted
+        into its template.  A tuple several blocks hold (a shared lambda grid)
+        is formatted once, here, so that both processes of a write share its
+        text; it is keyed by identity since equal tuples need not print alike
+        (0.0, -0.0)."""
+        rows = self.rows
+        blocks = _block_indices(rows)
+        held = Counter(id(v) for i in blocks for v in rows[i] if type(v) is tuple)
         texts = {}
-        for row in self.rows:
+        flat = ",".join([_FLOAT_FORMAT] * len(self.columns)) + "\n"
+        templates, after = [], 0  # after: the first row past the last block
+        for i in [*blocks, len(rows)]:
+            if after < i:
+                templates.append((flat, i - after, lambda a, b, o=after: rows[o + a : o + b]))
+            after = i + 1
+            if i == len(rows):
+                break
             cells, columns = [], []
-            for v in row:
+            for v in rows[i]:
                 if type(v) is not tuple:
                     cells.append(_FLOAT_FORMAT % v)
                     continue
@@ -115,13 +187,10 @@ class ResultTable(_Record):
                     texts[id(v)] = list(map(_FLOAT_FORMAT.__mod__, v))
                 cells.append("%s" if id(v) in texts else _FLOAT_FORMAT)
                 columns.append(texts.get(id(v), v))
-            # the template holds one % field per tuple entry, and none in a row of floats
-            line_format = ",".join(cells) + "\n"
-            n_lines = len(columns[0]) if columns else 1
-            for start in range(0, n_lines, _SLICE_LINES):
-                stop = min(start + _SLICE_LINES, n_lines)
-                values = tuple(chain.from_iterable(zip(*(c[start:stop] for c in columns))))
-                yield (line_format * (stop - start)) % values
+            # the template holds one % field per tuple entry
+            lines = lambda a, b, columns=columns: zip(*(c[a:b] for c in columns))  # noqa: E731
+            templates.append((",".join(cells) + "\n", len(columns[0]), lines))
+        return templates
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":

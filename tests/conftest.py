@@ -1,3 +1,5 @@
+import errno
+import io
 import pathlib
 import sys
 
@@ -68,3 +70,13 @@ def with_fields(record, **changes):
     through its constructor with some fields changed."""
     fields = {name: getattr(record, name) for name in record._fields}
     return type(record)(**{**fields, **changes})
+
+
+class FullDiskHandle(io.StringIO):
+    """A text handle that takes the CSV header, then fails like a full disk
+    on the first data slice."""
+
+    def write(self, text):
+        if self.tell():
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)

@@ -4,7 +4,8 @@ Each case edits a copy of configs/baseline.ini (values replaced, keys or
 sections dropped or added), picks a command and its flags, and may write
 a prior-bounds file; main(argv) then runs in process.  Whatever the
 input, the run must end in a documented exit code without a traceback,
-an exit 2 must read "config error: ...", a reported grid collision must
+an exit 2 must read "config error: ...", a stdout that fails must end
+in exit 4 and "i/o error: ...", a reported grid collision must
 be one of the grid's own points, an exit-0 CSV must parse and name the
 --prior argument as its prior_source, and every inf or nan in it must
 be announced by a warning line, except the nan improvement_1 of a
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 
 from plateforces import ResultTable, ingest_prior_bounds
 from plateforces.cli import main
-from conftest import BASELINE_CONFIG_PATH
+from conftest import BASELINE_CONFIG_PATH, FullDiskHandle
 
 
 def _baseline_sections() -> dict[str, dict[str, str]]:
@@ -93,7 +94,9 @@ class Case(NamedTuple):
 
     edits maps (section, key) to a new value, or None to drop the key;
     dropped names whole sections.  prior is the prior file's text, or
-    None for no --prior flag; prior_name is its file name.
+    None for no --prior flag; prior_name is its file name.  With
+    stdout_fails, stdout takes the CSV header and then fails like a full
+    disk.
     """
 
     command: str
@@ -102,6 +105,7 @@ class Case(NamedTuple):
     flags: tuple = ()
     prior: str | None = None
     prior_name: str = "prior.csv"
+    stdout_fails: bool = False
 
 
 def _config_text(case: Case) -> str:
@@ -276,6 +280,9 @@ TILT_LENGTH = "plate_length_along_tilt"
 @example(
     case=Case("exclusion", edits={**DENSE_FILMS, ("resolution", "force_resolution"): "1e-300"})
 )
+# 4 x 10 000 lines, formatted in two processes, to a stdout that fails on the
+# first data slice
+@example(case=Case("exclusion", flags=("--points=10000",), stdout_fails=True))
 def test_every_input_ends_in_a_documented_exit(case, tmp_path_factory):
     work = tmp_path_factory.mktemp("contract")
     config = work / "exp.ini"
@@ -288,7 +295,7 @@ def test_every_input_ends_in_a_documented_exit(case, tmp_path_factory):
             with open(prior_path, "w") as handle:
                 handle.write(case.prior)
         argv.append(f"--prior={prior_path}")
-    out, err = io.StringIO(), io.StringIO()
+    out, err = FullDiskHandle() if case.stdout_fails else io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     stderr = err.getvalue()
@@ -296,6 +303,8 @@ def test_every_input_ends_in_a_documented_exit(case, tmp_path_factory):
     assert "Traceback" not in stderr
     if code == 2:
         assert stderr.startswith("config error: "), stderr
+    if case.stdout_fails:
+        assert code == 4 and stderr.startswith("i/o error: "), (code, stderr)
     if "collide in double precision" in stderr:
         # only the grid itself can collide; an alpha of 0 or nan names its cause
         assert "lambda grid must be strictly increasing" in stderr, stderr

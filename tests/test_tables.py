@@ -1,7 +1,12 @@
+import errno
 import io
 import math
+import os
 import re
+import signal
+import threading
 import tracemalloc
+from contextlib import contextmanager
 from itertools import repeat
 from operator import truediv
 from unittest import mock
@@ -10,7 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, FullDiskHandle
 from oracles import csv_reference
 from plateforces import InvalidParameterError, ResultTable, tables
 from plateforces.cli import DEFAULT_SCAN_THICKNESSES, cmd_exclusion
@@ -206,13 +211,18 @@ def test_block_lines_are_seventeen_digit_values(width_items):
     ),
     slice_lines=st.integers(1, 4),
 )
-def test_write_in_any_slice_size_matches_to_csv(width_items, slice_lines):
+# at 1 line every table with a data line is formatted in two processes
+@pytest.mark.parametrize("parallel_lines", [tables._PARALLEL_LINES, 1], ids=["one", "two"])
+def test_write_in_any_slice_size_matches_to_csv(width_items, slice_lines, parallel_lines):
     width, items = width_items
     table = ResultTable(columns=tuple(f"c{i}" for i in range(width)), rows=items)
     # these tables are shorter than a default slice, so to_csv writes one
     expected = table.to_csv()
     handle = io.StringIO()
-    with mock.patch.object(tables, "_SLICE_LINES", slice_lines):
+    with (
+        mock.patch.object(tables, "_SLICE_LINES", slice_lines),
+        mock.patch.object(tables, "_PARALLEL_LINES", parallel_lines),
+    ):
         table.write(handle)
     assert handle.getvalue() == expected
 
@@ -243,6 +253,16 @@ class TestStreamingWriter:
         assert len(handle.lengths[1:]) > 1
         assert max(handle.lengths) <= tables._SLICE_LINES * longest
 
+    def test_flat_rows_arrive_in_slices(self):
+        n = 3 * tables._SLICE_LINES + 5
+        assert n < tables._PARALLEL_LINES
+        rows = [(k / 3, -0.0 if k % 2 else 0.0) for k in range(n)]
+        table = ResultTable(columns=("a", "b"), rows=rows)
+        handle = LengthRecorder()
+        table.write(handle)
+        assert sum(handle.lengths) == len(table.to_csv())
+        assert len(handle.lengths) <= 1 + math.ceil(n / tables._SLICE_LINES)
+
     def test_memory_stays_below_half_the_output(self, baseline_config):
         table = cmd_exclusion(baseline_config, n_points=20_000)
         handle = LengthRecorder()
@@ -254,6 +274,112 @@ class TestStreamingWriter:
             tracemalloc.stop()
         # a writer that joins the whole file first peaks above its size
         assert peak < sum(handle.lengths) / 2
+
+
+def two_block_table():
+    """Two blocks sharing a grid, as long together as _PARALLEL_LINES, so
+    write forks, and long enough that the child's text fills a pipe."""
+    grid = tuple(1e-6 * 1.0001**k for k in range(tables._PARALLEL_LINES // 2))
+    return ResultTable(
+        columns=("thickness_m", "lambda_m", "alpha_1"),
+        rows=((3e-7, grid, tuple(reversed(grid))), (1e-6, grid, 2.0)),
+    )
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def pipes(monkeypatch):
+    """The file descriptor pairs of every os.pipe call."""
+    made, real_pipe = [], os.pipe
+
+    def pipe():
+        made.append(real_pipe())
+        return made[-1]
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    return made
+
+
+def assert_closed(pipes):
+    for fd in (fd for pair in pipes for fd in pair):
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+class TestTwoProcessWriter:
+    def test_forked_write_matches_and_leaves_no_child(self, pipes):
+        table = two_block_table()
+        with mock.patch.object(tables, "_PARALLEL_LINES", math.inf):
+            expected = table.to_csv()
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork, time_limit(60):
+            assert table.to_csv() == expected
+        assert fork.call_count == 1
+        assert len(pipes) == 1
+        assert_closed(pipes)
+        assert_no_child_left()
+
+    def test_failing_handle_leaves_no_child(self, pipes):
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork, time_limit(60):
+            with pytest.raises(OSError, match="No space left"):
+                two_block_table().write(FullDiskHandle())
+        assert fork.call_count == 1
+        assert_closed(pipes)
+        assert_no_child_left()
+
+    def test_failing_child_raises_oserror(self):
+        real_slices = tables._data_slices
+
+        def slices(templates, first, stop):
+            if first:  # only the child starts past the first line
+                raise MemoryError
+            return real_slices(templates, first, stop)
+
+        with mock.patch.object(tables, "_data_slices", slices), time_limit(60):
+            with pytest.raises(OSError, match="exited with 1"):
+                two_block_table().to_csv()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cause", ["refused", "missing", "threads"])
+    def test_one_process_without_a_safe_fork(self, cause, monkeypatch, pipes):
+        table = two_block_table()
+        with mock.patch.object(tables, "_PARALLEL_LINES", math.inf):
+            expected = table.to_csv()
+        fork = mock.Mock(side_effect=OSError(errno.EAGAIN, "Resource temporarily unavailable"))
+        if cause == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", fork)
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait)
+        if cause == "threads":
+            worker.start()
+        try:
+            assert table.to_csv() == expected
+        finally:
+            release.set()
+        if cause == "threads":
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert fork.call_count == (cause == "refused")
+        assert_closed(pipes)
 
 
 class TestRunWriter:
