@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import compress
 from operator import truediv
 
@@ -70,27 +70,23 @@ PATCH_WARNING = (
 )
 
 
-def _gap_forces(
-    config: ExperimentConfig, gap: float
-) -> tuple[tuple[float, float, float, float], str | None]:
-    """Zero-T, thermal, eta-weighted total Casimir and electrostatic
-    forces at gap, in N, and the thermal-trust warning (None where the
-    classical thermal expression is trusted).
-
-    The thermal force is unweighted; eta applies only to the total.
-    """
+def _quantities(
+    config: ExperimentConfig, gap: float, newton: float | None = None
+) -> dict[str, float]:
+    """Every per-gap quantity, keyed by its FORCES_COLUMNS name: the
+    forces in N and 1.0 where the classical thermal expression is
+    trusted at gap.  The thermal force is unweighted; eta applies only
+    to the total.  The gap-independent Newton force is computed last
+    unless given."""
     area = config.plates.geometry.area()
     zero_t = casimir_zero_t(area, gap)
     thermal = thermal_casimir(area, gap, config.plates.gap.temperature)
     total = zero_t + config.thermal.reduction_factor * thermal
     electrostatic = electrostatic_force(area, gap, config.stray_voltage)
-    warning = None
-    if gap < THERMAL_TRUST_MIN_GAP:
-        warning = (
-            f"thermal force at gap {gap:g} m extrapolates the classical "
-            f"expression below its {THERMAL_TRUST_MIN_GAP:g} m trust gap"
-        )
-    return (zero_t, thermal, total, electrostatic), warning
+    if newton is None:
+        newton = stack_newton(config.plates)
+    trusted = float(gap >= THERMAL_TRUST_MIN_GAP)
+    return dict(zip(FORCES_COLUMNS, (gap, zero_t, thermal, total, newton, electrostatic, trusted)))
 
 
 def _finite_row(gap: float, row: dict[str, float]) -> tuple[float, ...]:
@@ -108,6 +104,37 @@ def _finite_row(gap: float, row: dict[str, float]) -> tuple[float, ...]:
     return tuple(row.values())
 
 
+def _gap_table(
+    command: str,
+    config: ExperimentConfig,
+    columns: tuple[str, ...],
+    rows: Iterable[dict[str, float]],
+    *extra: tuple[str, str],
+) -> ResultTable:
+    """The forces or budget table: the given columns of each row, gated
+    as it is computed so that the first failing gap in input order names
+    the error, and a warning at each gap where the thermal force is not
+    trusted, then the patch-potential warning."""
+    values = []
+    warnings = []
+    for row in rows:
+        gap = row["gap_m"]
+        values.append(_finite_row(gap, {column: row[column] for column in columns}))
+        if not row["thermal_trusted_1"]:
+            warnings.append(
+                f"thermal force at gap {gap:g} m extrapolates the classical "
+                f"expression below its {THERMAL_TRUST_MIN_GAP:g} m trust gap"
+            )
+    warnings.append(PATCH_WARNING)
+    eta = ("eta", format(config.thermal.reduction_factor, "g"))
+    return ResultTable(
+        columns=columns,
+        rows=tuple(values),
+        metadata=_metadata(command, config, eta, *extra),
+        warnings=tuple(warnings),
+    )
+
+
 def cmd_forces(
     config: ExperimentConfig,
     gaps: Sequence[float] | None = None,
@@ -120,26 +147,9 @@ def cmd_forces(
     if gaps is None:
         gaps = [config.plates.gap.separation]
     newton = stack_newton(config.plates)
-    rows = []
-    warnings = []
-    for gap in gaps:
-        (zero_t, thermal, total, electrostatic), warning = _gap_forces(config, gap)
-        if warning is not None:
-            warnings.append(warning)
-        row = (gap, zero_t, thermal, total, newton, electrostatic, float(warning is None))
-        rows.append(_finite_row(gap, dict(zip(FORCES_COLUMNS, row))))
-    warnings.append(PATCH_WARNING)
-    return ResultTable(
-        columns=FORCES_COLUMNS,
-        rows=tuple(rows),
-        metadata=_metadata(
-            "forces",
-            config,
-            ("eta", format(config.thermal.reduction_factor, "g")),
-            ("temperature_K", format(config.plates.gap.temperature, "g")),
-        ),
-        warnings=tuple(warnings),
-    )
+    rows = (_quantities(config, gap, newton) for gap in gaps)
+    temperature = ("temperature_K", format(config.plates.gap.temperature, "g"))
+    return _gap_table("forces", config, FORCES_COLUMNS, rows, temperature)
 
 
 def cmd_budget(config: ExperimentConfig) -> ResultTable:
@@ -149,38 +159,24 @@ def cmd_budget(config: ExperimentConfig) -> ResultTable:
     The Yukawa signal is that of the facing layers (LayerMode.METAL_ONLY)
     for the [yukawa] reference coupling, as a positive magnitude.
     """
-    plates = config.plates
-    gap = plates.gap.separation
-    (zero_t, thermal, total, electrostatic), warning = _gap_forces(config, gap)
-    newton = stack_newton(plates)
-    yukawa = abs(stack_yukawa(plates, config.yukawa))
+    row = _quantities(config, config.plates.gap.separation)
+    zero_t, total = row["casimir_zero_t_N"], row["total_N"]
+    yukawa = abs(stack_yukawa(config.plates, config.yukawa))
     resolution = config.force_resolution
-    row = {
-        "gap_m": gap,
-        "casimir_zero_t_N": zero_t,
-        "thermal_N": thermal,
-        "total_casimir_N": total,
-        "newton_N": newton,
-        "yukawa_N": yukawa,
-        "electrostatic_N": electrostatic,
-        "resolution_N": resolution,
-        "ratio_electrostatic_casimir_zero_t_1": electrostatic / zero_t,
-        "ratio_newton_casimir_zero_t_1": newton / zero_t,
+    ratios = {
+        "ratio_electrostatic_casimir_zero_t_1": row["electrostatic_N"] / zero_t,
+        "ratio_newton_casimir_zero_t_1": row["newton_N"] / zero_t,
         "ratio_total_casimir_resolution_1": total / resolution,
         "ratio_yukawa_resolution_1": yukawa / resolution,
     }
-    return ResultTable(
-        columns=tuple(row),
-        rows=(_finite_row(gap, row),),
-        metadata=_metadata(
-            "budget",
-            config,
-            ("eta", format(config.thermal.reduction_factor, "g")),
-            ("yukawa_alpha", format(config.yukawa.alpha, "g")),
-            ("yukawa_lambda_m", format(config.yukawa.lam, "g")),
-        ),
-        warnings=(PATCH_WARNING,) if warning is None else (warning, PATCH_WARNING),
+    row.update(total_casimir_N=total, yukawa_N=yukawa, resolution_N=resolution, **ratios)
+    columns = (
+        "gap_m", "casimir_zero_t_N", "thermal_N", "total_casimir_N", "newton_N", "yukawa_N",
+        "electrostatic_N", "resolution_N", *ratios,
     )
+    alpha = ("yukawa_alpha", format(config.yukawa.alpha, "g"))
+    lam = ("yukawa_lambda_m", format(config.yukawa.lam, "g"))
+    return _gap_table("budget", config, columns, [row], alpha, lam)
 
 
 def cmd_exclusion(

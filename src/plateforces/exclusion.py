@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import repeat, tee
 from operator import lt, mul, truediv
 
-from .core import MAX_LAMBDA, _Record, require_lambda, require_positive  # noqa: F401
+from .core import _Record, require_lambda, require_positive
 from .errors import DomainError, InvalidParameterError
 from .gravity import PlatePairConfig, slab_coupling
 

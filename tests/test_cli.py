@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import math
 import os
 import pathlib
@@ -601,6 +602,9 @@ class TestExitCodes:
         [
             ({"length = 0.10 m": "length = 1e150 m", "width = 0.12 m": "width = 1e150 m"},
              ["forces", "--gap", "1e-10 m"], "casimir_zero_t_N at gap 1e-10 m is inf"),
+            ({"length = 0.10 m": "length = 1e150 m", "width = 0.12 m": "width = 1e150 m"},
+             ["forces", "--gap", "1e-10 m", "--gap", "1e80 m"],
+             "casimir_zero_t_N at gap 1e-10 m is inf"),
             ({"temperature = 300": "temperature = 1e308"},
              ["forces", "--gap", "1 nm"], "thermal_N at gap 1e-09 m is inf"),
             ({"gold, 19.3e3, 10 um": "gold, 1e200, 10 um"},
@@ -621,8 +625,8 @@ class TestExitCodes:
             ({"material = tungsten": "material = tungsten\nshear_modulus = 1e-320"},
              ["sensitivity"], "shear_modulus 9.99989e-321 Pa with diameter 5e-05 m"),
         ],
-        ids=["forces-area", "forces-temperature", "forces-density", "budget-density",
-             "sensitivity-area", "exclusion-dense", "exclusion-light",
+        ids=["forces-area", "forces-area-two-gaps", "forces-temperature", "forces-density",
+             "budget-density", "sensitivity-area", "exclusion-dense", "exclusion-light",
              "sensitivity-stiff-wire", "sensitivity-soft-wire"],
     )
     def test_overflowing_force_or_factor_is_a_domain_error(self, tmp_path, edits, argv, message):
@@ -805,6 +809,15 @@ class TestStartup:
         loaded = set(result.stdout.split())
         missing = [layer for layer in spans.LAYERS if f"plateforces.{layer}" not in loaded]
         assert not missing
+        # a span the tracer names outright, or counts work at, is a function
+        # or method defined in its layer: a renamed one would read zero, not fail
+        for name in [*spans.EXTRA, *spans.COUNTERS]:
+            layer, *path = name.split(".")
+            module = importlib.import_module(f"plateforces.{layer}")
+            owner = module
+            for attr in path:
+                owner = vars(owner).get(attr)
+            assert inspect.isfunction(owner) and owner.__module__ == module.__name__, name
 
 
 class TestDeterminism:

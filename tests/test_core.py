@@ -29,7 +29,6 @@ from plateforces import (
     TorsionWire,
     YukawaParams,
 )
-from plateforces import exclusion
 from plateforces.core import MAX_LAMBDA, _Record
 
 
@@ -140,7 +139,6 @@ class TestYukawaParams:
         assert math.isfinite(MAX_LAMBDA**2)
         with pytest.raises(InvalidParameterError, match=r"^lambda: must be at most .* got 1e\+200$"):
             YukawaParams(alpha=1.0, lam=1e200)
-        assert MAX_LAMBDA is exclusion.MAX_LAMBDA
 
 
 def test_all_exports_resolve_sorted_and_unique():

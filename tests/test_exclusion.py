@@ -22,7 +22,8 @@ from plateforces import (
     plate_yukawa,
 )
 from plateforces.cli import cmd_exclusion
-from plateforces.exclusion import MAX_LAMBDA, MAX_SCAN_POINTS, _alpha_bounds
+from plateforces.core import MAX_LAMBDA
+from plateforces.exclusion import MAX_SCAN_POINTS, _alpha_bounds
 
 GOLD = 19.3e3
 RESOLUTION = 1e-12

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import BASELINE_CONFIG_PATH, with_fields
 from oracles import plate_newton_reference, plate_yukawa_reference
 
 from plateforces import (
@@ -12,15 +13,18 @@ from plateforces import (
     PlateGeometry,
     PlatePairConfig,
     PlateStack,
+    ThermalModel,
     YukawaParams,
     alpha_bound,
     casimir_zero_t,
     electrostatic_force,
+    load_config,
     plate_newton,
     plate_yukawa,
     thermal_casimir,
     tilted_casimir,
 )
+from plateforces.cli import cmd_budget, cmd_forces
 from plateforces.gravity import yukawa_thickness_bracket
 
 sides = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
@@ -149,3 +153,41 @@ def test_tilted_casimir_decreasing_in_angle(angle, factor):
     low = tilted_casimir(0.10 * 0.12, 0.12, 5e-6, angle)
     high = tilted_casimir(0.10 * 0.12, 0.12, 5e-6, angle * factor)
     assert high < low
+
+
+BASELINE = load_config(str(BASELINE_CONFIG_PATH))
+# budget column -> the forces column it must equal bit for bit
+SHARED_COLUMNS = {
+    "gap_m": "gap_m",
+    "casimir_zero_t_N": "casimir_zero_t_N",
+    "thermal_N": "thermal_N",
+    "total_casimir_N": "total_N",
+    "newton_N": "newton_N",
+    "electrostatic_N": "electrostatic_N",
+}
+
+
+# the config gap on each side of the thermal trust gap
+@example(5e-6, 300.0, 1.0, 0.1, 0.10, 0.12)
+@example(4.999e-6, 300.0, 0.5, 0.1, 0.10, 0.12)
+@given(
+    gap=gaps,
+    temperature=st.floats(min_value=0.0, max_value=1e3),
+    eta=st.floats(min_value=0.5, max_value=1.0),
+    voltage=voltages,
+    length=sides,
+    width=sides,
+)
+def test_budget_row_is_the_forces_row_at_the_config_gap(
+    gap, temperature, eta, voltage, length, width
+):
+    plates = with_fields(
+        BASELINE.plates, geometry=PlateGeometry(length, width), gap=GapConfig(gap, temperature)
+    )
+    config = with_fields(BASELINE, plates=plates, thermal=ThermalModel(eta), stray_voltage=voltage)
+    budget, forces = cmd_budget(config), cmd_forces(config, [gap])
+    budget_row = dict(zip(budget.columns, budget.rows[0]))
+    forces_row = dict(zip(forces.columns, forces.rows[0]))
+    for budget_column, forces_column in SHARED_COLUMNS.items():
+        assert budget_row[budget_column] == forces_row[forces_column], budget_column
+    assert budget.warnings == forces.warnings
