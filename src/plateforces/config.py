@@ -26,7 +26,6 @@ same bytes as ``hashlib``'s without loading OpenSSL.
 from __future__ import annotations
 
 import configparser
-import decimal
 import math
 import re
 
@@ -54,14 +53,8 @@ from .errors import ConfigError, InvalidParameterError
 from .exclusion import Curve
 from .gravity import PlatePairConfig
 
-_LENGTH_UNITS = {
-    "nm": "1e-9",
-    "um": "1e-6",
-    "µm": "1e-6",
-    "mm": "1e-3",
-    "cm": "1e-2",
-    "m": "1",
-}
+# each unit as a shift of the power-of-ten exponent
+_LENGTH_UNITS = {"nm": -9, "um": -6, "µm": -6, "mm": -3, "cm": -2, "m": 0}
 
 _LENGTH_RE = re.compile(r"^\s*([^\s]+?)\s*(nm|um|µm|mm|cm|m)?\s*$")
 
@@ -73,20 +66,24 @@ _SECTIONS = ("geometry", "stack_a", "stack_b", "gap", "thermal", "electrostatic"
 def parse_length(text: str) -> float:
     """Parse '5 um', '12cm', '0.1 m' or a bare number (meters) to meters.
 
-    The unit scaling happens in decimal so that e.g. '5 um' yields the
-    same float as the literal 5e-6 rather than a value one ulp off.
+    The number is read as float() reads it and the unit shifts its
+    exponent: '5 um' is the literal 5e-6, and a length past the double
+    range is +-inf or 0, which the range check of its quantity refuses.
     """
     match = _LENGTH_RE.match(text)
-    if match is None:
-        raise InvalidParameterError(f"cannot parse length {text!r}")
-    number, unit = match.groups()
+    number, unit = match.groups() if match else ("", None)
     try:
-        value = decimal.Decimal(number) * decimal.Decimal(_LENGTH_UNITS[unit or "m"])
-    except decimal.InvalidOperation:
+        value = float(number)
+    except ValueError:
         raise InvalidParameterError(f"cannot parse length {text!r}") from None
-    except decimal.DecimalException:  # the exponent overflows decimal's range
-        raise InvalidParameterError(f"length {text!r} is out of range") from None
-    return float(value)
+    mantissa, _, exponent = number.lower().partition("e")
+    try:
+        return float(f"{mantissa}e{int(exponent or 0) + _LENGTH_UNITS[unit or 'm']}")
+    except ValueError:
+        # inf or nan as text, or an exponent too long for int(): 0 or inf
+        if value == 0 or not math.isfinite(value):
+            return value
+        raise InvalidParameterError(f"cannot parse length {text!r}") from None
 
 
 class ExperimentConfig(_Record):

@@ -17,8 +17,7 @@ class InvalidParameterError(PlateForcesError, ValueError):
 class DomainError(PlateForcesError):
     """A request falls outside the physically supported regime.
 
-    Examples: a tilt large enough to bring the plates into contact, an
-    interpolation query outside a curve's wavelength range, or a
+    Examples: a tilt large enough to bring the plates into contact, or a
     degenerate scan grid.
     """
 

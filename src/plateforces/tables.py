@@ -63,10 +63,12 @@ def _data_slices(templates: list[tuple], first: int, stop: int) -> Iterator[str]
 @contextmanager
 def _second_half(templates: list[tuple], n_lines: int) -> Iterator[tuple[int, Iterable[str]]]:
     """(middle, the text of lines middle to n_lines): from _PARALLEL_LINES
-    lines on, a forked child formats the second half and sends its text
-    through a pipe; otherwise middle is n_lines and the text empty."""
+    lines on, with a second CPU to run it, a forked child formats the second
+    half and sends its text through a pipe; otherwise middle is n_lines and
+    the text empty."""
     pid = None
-    if n_lines >= _PARALLEL_LINES and hasattr(os, "fork") and threading.active_count() == 1:
+    if (n_lines >= _PARALLEL_LINES and hasattr(os, "fork") and threading.active_count() == 1
+            and (not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) > 1)):
         read_end, write_end = os.pipe()
         try:
             pid = os.fork()

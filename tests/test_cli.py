@@ -434,19 +434,23 @@ class TestExitCodes:
         assert f"{prior}: not valid UTF-8" in result.stderr
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["forces", "--gap", "1e9999999"],
-            ["exclusion", "--lambda-max", "1e99999999 um", "--points", "4"],
+            (["forces", "--gap", "1e9999999"], "separation: must be finite and > 0, got inf"),
+            (["forces", "--gap", "1e-320 um"], "separation: must be finite and > 0, got 0.0"),
+            (
+                ["exclusion", "--lambda-max", "1e99999999 um", "--points", "4"],
+                "lambda_max: must be finite and > 0, got inf",
+            ),
         ],
     )
-    def test_length_flag_past_decimal_range_is_a_domain_error(self, argv):
+    def test_length_flag_past_double_range_is_a_domain_error(self, argv, message):
         result = run_fresh([*argv, "--config", BASELINE])
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
-        assert "out of range" in result.stderr
+        assert message in result.stderr
 
-    def test_config_length_past_decimal_range_is_a_config_error(self, tmp_path):
+    def test_config_length_past_double_range_is_a_config_error(self, tmp_path):
         text = BASELINE_CONFIG_PATH.read_text().replace(
             "separation = 5 um", "separation = 1e9999999 um"
         )
@@ -779,8 +783,11 @@ class TestExitCodes:
 class TestStartup:
     # each costs start-up time on every command and computes no number:
     # numpy about 100 ms, dataclasses with inspect about 25 ms, hashlib
-    # with its OpenSSL binding about 5 ms and 3.7 MB of peak memory
-    @pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect", "hashlib", "_hashlib"])
+    # with its OpenSSL binding about 5 ms and 3.7 MB of peak memory, decimal
+    # about 2 ms and 0.4 MB
+    @pytest.mark.parametrize(
+        "module", ["numpy", "dataclasses", "inspect", "hashlib", "_hashlib", "decimal", "_decimal"]
+    )
     def test_cli_import_does_not_load(self, module):
         result = subprocess.run(
             [sys.executable, "-c",

@@ -241,6 +241,10 @@ TILT_LENGTH = "plate_length_along_tilt"
 @example(case=Case("forces", flags=("--gap=1e-110 m", "--gap=1e160 m")))
 @example(case=Case("budget", edits={("wire", "material"): "tungsten 50%"}))
 @example(case=Case("budget", edits={("gap", "separation"): "%(x)s"}))
+# a nonzero gap that its unit shift underflows to 0 (exit 3), and a config
+# gap past the double range (exit 2)
+@example(case=Case("forces", flags=("--gap=1e-320 um",)))
+@example(case=Case("budget", edits={("gap", "separation"): "1e9999999 um"}))
 @example(case=Case("exclusion", flags=("--points=5",), prior="1e-6,1\n1e-2,1\n", prior_name="p\udcff.csv"))
 @example(case=Case("exclusion", flags=("--points=5",), prior="1e-6,1\n1e-2,1\n", prior_name="p\n.csv"))
 @example(case=Case("exclusion", flags=("--thickness=1e-200 m", "--points=5")))

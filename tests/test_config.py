@@ -73,6 +73,10 @@ class TestParseLength:
             ("0.1 m", 0.1),
             ("1e-6", 1e-6),
             ("1.2e-3 um", 1.2e-9),
+            # the number alone overflows a double; shifted by its unit it does not
+            ("1e309 nm", 1e300),
+            # 1 + 2**-53 exactly, the tie between 1 and the next double
+            ("1.00000000000000011102230246251565404236316680908203125", 1.0),
         ],
     )
     def test_units(self, text, expected):
@@ -83,10 +87,21 @@ class TestParseLength:
         with pytest.raises(InvalidParameterError):
             parse_length(text)
 
-    @pytest.mark.parametrize("text", ["1e9999999", "1e99999999 um", "-1e9999999 nm"])
-    def test_exponent_past_decimal_range_is_out_of_range(self, text):
-        with pytest.raises(InvalidParameterError, match="out of range"):
-            parse_length(text)
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("1e9999999", math.inf),
+            ("1e99999999 um", math.inf),
+            ("-1e9999999 nm", -math.inf),
+            ("1e-9999999 m", 0.0),
+            ("1e-320 um", 0.0),
+            # exponents with more digits than int() reads
+            pytest.param("1e" + "9" * 5000 + " um", math.inf, id="long-exponent-inf"),
+            pytest.param("-1e-" + "9" * 5000 + " nm", -0.0, id="long-exponent-zero"),
+        ],
+    )
+    def test_length_past_double_range_is_inf_or_zero(self, text, expected):
+        assert parse_length(text) == expected
 
 
 class TestLoadConfig:
@@ -232,7 +247,7 @@ class TestLoadConfig:
 
     def test_length_out_of_range_named(self, tmp_path):
         broken = GOOD.replace("separation = 5 um", "separation = 1e9999999 um")
-        with pytest.raises(ConfigError, match=r"\[gap\] separation: .*out of range"):
+        with pytest.raises(ConfigError, match=r"^\[gap\] separation: must be finite and > 0, got inf$"):
             load_config(write(tmp_path, broken))
 
     def test_layer_numbering_must_be_dense(self, tmp_path):

@@ -1,7 +1,10 @@
 """Invariants checked over randomized inputs rather than fixed anchors."""
 
+import math
+from fractions import Fraction
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BASELINE_CONFIG_PATH, with_fields
@@ -19,6 +22,7 @@ from plateforces import (
     casimir_zero_t,
     electrostatic_force,
     load_config,
+    parse_length,
     plate_newton,
     plate_yukawa,
     thermal_casimir,
@@ -33,6 +37,8 @@ voltages = st.floats(min_value=1e-4, max_value=10.0, allow_nan=False)
 densities = st.floats(min_value=1e2, max_value=3e4, allow_nan=False)
 thicknesses = st.floats(min_value=1e-8, max_value=0.1, allow_nan=False)
 lams = st.floats(min_value=1e-7, max_value=1e-1, allow_nan=False)
+# each length unit as a shift of the power-of-ten exponent; "" is meters
+UNIT_SHIFTS = {"": 0, "m": 0, "cm": -2, "mm": -3, "um": -6, "µm": -6, "nm": -9}
 
 
 @given(length=sides, width=sides)
@@ -191,3 +197,31 @@ def test_budget_row_is_the_forces_row_at_the_config_gap(
     for budget_column, forces_column in SHARED_COLUMNS.items():
         assert budget_row[budget_column] == forces_row[forces_column], budget_column
     assert budget.warnings == forces.warnings
+
+
+@given(
+    sign=st.sampled_from(["", "+", "-"]),
+    whole=st.text("0123456789", max_size=30),
+    fraction=st.none() | st.text("0123456789", max_size=30),
+    exponent=st.none() | st.integers(min_value=-400, max_value=400),
+    space=st.sampled_from(["", " "]),
+    unit=st.sampled_from(sorted(UNIT_SHIFTS)),
+)
+@example(sign="-", whole="1", fraction=None, exponent=-320, space=" ", unit="um")
+def test_length_is_its_number_with_the_unit_shifting_the_exponent(
+    sign, whole, fraction, exponent, space, unit
+):
+    mantissa = sign + whole + ("" if fraction is None else "." + fraction)
+    assume(any(map(str.isdigit, mantissa)))
+    text = mantissa + ("" if exponent is None else f"e{exponent}") + space + unit
+    shift = (exponent or 0) + UNIT_SHIFTS[unit]
+    value = parse_length(text)
+    # bit for bit, the sign of a zero included
+    assert repr(value) == repr(float(f"{mantissa}e{shift}"))
+    # and the double nearest the exact decimal value
+    exact = Fraction(mantissa) * Fraction(10) ** shift
+    try:
+        nearest = float(exact)
+    except OverflowError:
+        nearest = math.inf if exact > 0 else -math.inf
+    assert value == nearest

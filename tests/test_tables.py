@@ -325,6 +325,11 @@ def assert_closed(pipes):
 
 
 class TestTwoProcessWriter:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """The fork path is tested the same on a host with one usable CPU."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
     def test_forked_write_matches_and_leaves_no_child(self, pipes):
         table = two_block_table()
         with mock.patch.object(tables, "_PARALLEL_LINES", math.inf):
@@ -357,7 +362,7 @@ class TestTwoProcessWriter:
                 two_block_table().to_csv()
         assert_no_child_left()
 
-    @pytest.mark.parametrize("cause", ["refused", "missing", "threads"])
+    @pytest.mark.parametrize("cause", ["refused", "missing", "threads", "one-cpu"])
     def test_one_process_without_a_safe_fork(self, cause, monkeypatch, pipes):
         table = two_block_table()
         with mock.patch.object(tables, "_PARALLEL_LINES", math.inf):
@@ -367,6 +372,8 @@ class TestTwoProcessWriter:
             monkeypatch.delattr(os, "fork")
         else:
             monkeypatch.setattr(os, "fork", fork)
+        if cause == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         release = threading.Event()
         worker = threading.Thread(target=release.wait)
         if cause == "threads":
