@@ -77,10 +77,13 @@ def parse_length(text: str) -> float:
     except ValueError:
         raise InvalidParameterError(f"cannot parse length {text!r}") from None
     mantissa, _, exponent = number.lower().partition("e")
+    # int() reads at most 4 300 digits, so the exponent's leading zeros go first
+    digits = exponent.lstrip("+-").lstrip("0_") or "0"
     try:
-        return float(f"{mantissa}e{int(exponent or 0) + _LENGTH_UNITS[unit or 'm']}")
+        power = int(digits) * (-1 if exponent.startswith("-") else 1)
+        return float(f"{mantissa}e{power + _LENGTH_UNITS[unit or 'm']}")
     except ValueError:
-        # inf or nan as text, or an exponent too long for int(): 0 or inf
+        # inf or nan as text, or an exponent still too long for int(): 0 or inf
         if value == 0 or not math.isfinite(value):
             return value
         raise InvalidParameterError(f"cannot parse length {text!r}") from None

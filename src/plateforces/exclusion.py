@@ -23,6 +23,8 @@ from .gravity import PlatePairConfig, slab_coupling
 # ten times the 100 000-point stress scan; a larger one is refused before
 # its grid is built
 MAX_SCAN_POINTS = 1_000_000
+# lambdas whose scales and signals the alpha kernel holds at once
+_SLICE_LAMBDAS = 4096
 
 
 def alpha_bound(lam: float, plates: PlatePairConfig, force_resolution: float) -> float:
@@ -59,12 +61,14 @@ def _alpha_bounds(
     """alpha_bound at every lambda of grid for each (thickness_a,
     thickness_b) pair of facing layers, one tuple per pair, unchecked.
 
-    2 pi G rho_a rho_b S * lam^2 and F_res * exp(d/lam) are taken once
-    for all pairs, which add only their brackets; C-level maps form
-    every alpha.  Python multiplies left to right and negation is exact,
-    so each alpha is the same double as the full product.  alpha is inf
-    on the prefix of the grid where exp(d/lam) overflows, found by
-    bisection, and where a denominator is zero; only a pair with a zero
+    The grid past the overflow prefix is walked in slices of
+    _SLICE_LAMBDAS lambdas: 2 pi G rho_a rho_b S * lam^2 and
+    F_res * exp(d/lam) are taken once per slice for all pairs, which add
+    only their brackets; C-level maps form every alpha.  Python
+    multiplies left to right and negation is exact, so each alpha is the
+    same double as the full product.  alpha is inf on the prefix of the
+    grid where exp(d/lam) overflows, found by bisection, and where a
+    denominator is zero; only the slice of a pair with a zero
     denominator is redone one lambda at a time.  Raises DomainError
     naming both facing densities and the area if 2 pi G rho_a rho_b S
     overflows or underflows to zero, or if its product with lam^2
@@ -82,52 +86,56 @@ def _alpha_bounds(
         )
     gap, pairs = plates.gap.separation, tuple(thickness_pairs)
     # exp(gap/lam) falls as lam rises, so the lambdas where it overflows
-    # (alpha inf) are a prefix of the grid; the maps take the rest
+    # (alpha inf) are a prefix of the grid; the maps take the rest.  The
+    # scales rise with lam, so any overflow is at the end
     first = bisect_left(grid, True, key=lambda lam: _exp_is_finite(gap / lam))
-    overflowed, grid = (math.inf,) * first, grid[first:]
-    # tuples, not arrays: an array builds a float on every read.  The scan
-    # peaks below the run: the CSV write sets the peak memory of a run, as
-    # it holds the shared grid's text beside the table's tuples
-    scales = tuple(map(mul, repeat(prefactor), map(pow, grid, repeat(2))))
-    # the scales rise with lam, so any overflow is at the end
-    if (overflow := bisect_left(scales, math.inf)) < len(scales):
+    overflow = bisect_left(grid, math.inf, first, key=lambda lam: prefactor * lam**2)
+    if overflow < len(grid):
         raise DomainError(
             f"facing densities {facing_a.density:g} and {facing_b.density:g} "
             f"kg/m^3 with area {area:g} m^2: 2 pi G rho_a rho_b S lambda^2 "
             f"overflows from lambda {grid[overflow]:g} m"
         )
-    exps = map(math.exp, map(truediv, repeat(gap), grid))
-    signals = tuple(map(mul, repeat(force_resolution), exps))
     # every signal is at least F_res and every denominator at most the last
     # scale, so an alpha can underflow to zero only where F_res / scale does
-    top = scales[-1] if scales else 0.0
+    top = prefactor * grid[-1] ** 2
     may_underflow = top > 0.0 and force_resolution / top == 0.0
 
     def denominators(thickness_a: float, thickness_b: float) -> Iterator[float]:
-        # expm1(-t/lam) is a bracket without its minus sign; the two signs
-        # cancel in the product
-        bracket_a = map(math.expm1, map(truediv, repeat(-thickness_a), grid))
-        bracket_b = map(math.expm1, map(truediv, repeat(-thickness_b), grid))
+        # over the current slice's lams and scales.  expm1(-t/lam) is a
+        # bracket without its minus sign; the two signs cancel in the product
+        bracket_a = map(math.expm1, map(truediv, repeat(-thickness_a), lams))
+        bracket_b = map(math.expm1, map(truediv, repeat(-thickness_b), lams))
         if thickness_b == thickness_a:  # read in step: tee holds one value
             bracket_a, bracket_b = tee(bracket_a)
         return map(mul, map(mul, scales, bracket_a), bracket_b)
 
-    bounds = []
-    for pair in pairs:
-        try:
-            alphas = tuple(map(truediv, signals, denominators(*pair)))
-        except ZeroDivisionError:
-            # lam**2 or a bracket underflows to zero: alpha inf there
-            alphas = tuple(
-                signal / den if den else math.inf
-                for signal, den in zip(signals, denominators(*pair))
-            )
-        if may_underflow and 0.0 in alphas:
+    # full length from the start, inf on the overflow prefix; a slice is
+    # assigned in place, and an assignment that raises leaves its list as it was
+    bounds = [[math.inf] * len(grid) for _ in pairs]
+    for lo in range(first, len(grid), _SLICE_LAMBDAS):
+        # a slice at a time, so that no full-length temporary sits beside the
+        # alphas; tuples, not arrays: an array builds a float on every read
+        lams = grid[lo : lo + _SLICE_LAMBDAS]
+        scales = tuple(map(mul, repeat(prefactor), map(pow, lams, repeat(2))))
+        exps = map(math.exp, map(truediv, repeat(gap), lams))
+        signals = tuple(map(mul, repeat(force_resolution), exps))
+        for bound, pair in zip(bounds, pairs):
+            try:
+                bound[lo : lo + len(lams)] = map(truediv, signals, denominators(*pair))
+            except ZeroDivisionError:
+                # lam**2 or a bracket underflows to zero: alpha inf there
+                bound[lo : lo + len(lams)] = (
+                    signal / den if den else math.inf
+                    for signal, den in zip(signals, denominators(*pair))
+                )
+    for k, bound in enumerate(bounds):
+        if may_underflow and 0.0 in bound:
             raise DomainError(
                 f"force_resolution {force_resolution:g} N: alpha underflows to "
-                f"zero at lambda {grid[alphas.index(0.0)]:g} m"
+                f"zero at lambda {grid[bound.index(0.0)]:g} m"
             )
-        bounds.append(overflowed + alphas)
+        bounds[k] = tuple(bound)
     return bounds
 
 

@@ -19,9 +19,9 @@ import io
 import os
 import threading
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, islice
 
 from .core import _Record
 from .errors import InvalidParameterError
@@ -49,23 +49,32 @@ def _block_indices(rows: tuple[tuple, ...]) -> list[int]:
     return [i for i, row in enumerate(rows) if tuple in map(type, row)]
 
 
-def _data_slices(templates: list[tuple], first: int, stop: int) -> Iterator[str]:
-    """Data lines first to stop, at most _SLICE_LINES to a string: one %
-    call applies a line template to the values of a slice's lines."""
-    at = 0
-    for line_format, n_lines, lines in templates:
-        for start in range(max(first - at, 0), min(stop - at, n_lines), _SLICE_LINES):
-            end = min(start + _SLICE_LINES, stop - at, n_lines)
-            yield (line_format * (end - start)) % tuple(chain.from_iterable(lines(start, end)))
-        at += n_lines
+def _slices(line_format: str, start: int, stop: int, lines: Callable) -> Iterator[str]:
+    """Lines start to stop of a template, at most _SLICE_LINES to a string:
+    one % call applies the line template to the values of a slice's lines."""
+    for a in range(start, stop, _SLICE_LINES):
+        b = min(a + _SLICE_LINES, stop)
+        yield (line_format * (b - a)) % tuple(chain.from_iterable(lines(a, b)))
+
+
+def _read(fd: int, size: int) -> Iterator[bytes]:
+    """size bytes from fd in reads of at most _RELAY_BYTES; EOFError if it ends first."""
+    while size:
+        if not (data := os.read(fd, min(size, _RELAY_BYTES))):
+            raise EOFError
+        size -= len(data)
+        yield data
 
 
 @contextmanager
-def _second_half(templates: list[tuple], n_lines: int) -> Iterator[tuple[int, Iterable[str]]]:
-    """(middle, the text of lines middle to n_lines): from _PARALLEL_LINES
-    lines on, with a second CPU to run it, a forked child formats the second
-    half and sends its text through a pipe; otherwise middle is n_lines and
-    the text empty."""
+def _halves(n_lines: int, pieces: Callable, *args: object) -> Iterator[tuple[tuple, Callable]]:
+    """(halves, relay): the halves of each template this process writes,
+    (0, 2) for all of it or (0, 1) for its first half, and a function that
+    returns the text of the child's lines of the next template.  From
+    _PARALLEL_LINES lines on, with a second CPU to run it, a forked child
+    sends pieces(*args, (1, 2)), the second half of every template, through
+    a pipe, each after its byte length; otherwise this process writes every
+    line and relay returns no text."""
     pid = None
     if (n_lines >= _PARALLEL_LINES and hasattr(os, "fork") and threading.active_count() == 1
             and (not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) > 1)):
@@ -76,9 +85,8 @@ def _second_half(templates: list[tuple], n_lines: int) -> Iterator[tuple[int, It
             os.close(read_end)
             os.close(write_end)
     if pid is None:
-        yield n_lines, ()
+        yield (0, 2), lambda: ()
         return
-    middle = n_lines // 2
     if pid == 0:
         # the child's only way out: it runs no exit hook and never flushes
         # the buffers it inherited
@@ -86,21 +94,33 @@ def _second_half(templates: list[tuple], n_lines: int) -> Iterator[tuple[int, It
         try:
             # so that a write fails, not blocks, once the parent stops reading
             os.close(read_end)
-            data = [text.encode() for text in _data_slices(templates, middle, n_lines)]
             with open(write_end, "wb") as pipe:
-                pipe.writelines(data)
+                for piece in pieces(*args, (1, 2)):
+                    data = [text.encode() for text in piece]
+                    pipe.writelines([sum(map(len, data)).to_bytes(8, "big"), *data])
+                    pipe.flush()
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
+
+    def relay() -> Iterator[str]:
+        size = int.from_bytes(b"".join(_read(read_end, 8)), "big")
+        yield from map(bytes.decode, _read(read_end, size))
+
+    ended = False
     try:
-        yield middle, map(bytes.decode, iter(lambda: os.read(read_end, _RELAY_BYTES), b""))
+        yield (0, 1), relay
+    except EOFError:
+        ended = True
     finally:
         # closed first, so that a child blocked on a full pipe ends
         os.close(read_end)
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status:
-        raise OSError(f"the child formatting lines {middle + 1}-{n_lines} exited with {status}")
+        raise OSError(f"the child formatting the second half of each block exited with {status}")
+    if ended:
+        raise OSError("the child formatting the second half of each block sent too little")
 
 
 class ResultTable(_Record):
@@ -142,57 +162,63 @@ class ResultTable(_Record):
     def write(self, handle: io.TextIOBase) -> None:
         """Write the CSV to a text handle: the metadata, warnings and header in
         one call, then the data lines in strings of at most _SLICE_LINES lines.
-        From _PARALLEL_LINES lines on, a forked child formats the second half
-        into its own memory, and this process relays that text after writing
-        the first half.  Without os.fork, beside another thread or if the fork
-        is refused, this process formats every line."""
+        From _PARALLEL_LINES lines on, each block and each run of rows of
+        floats splits at its middle line: a forked child formats the second
+        halves into its own memory, and this process writes the first half of
+        each, then relays the child's second half; each formats a shared
+        grid's text over its halves only.  Without os.fork, beside another
+        thread, with one usable CPU or if the fork is refused, this process
+        formats every line."""
         lines = [f"{_METADATA_PREFIX}{key} = {value}\n" for key, value in self.metadata]
         lines += [f"{_METADATA_PREFIX}{_WARNING_KEY}: {text}\n" for text in self.warnings]
         lines.append(",".join(self.columns) + "\n")
         handle.write("".join(lines))
-        templates = self._line_templates()
-        n_lines = sum(n for _, n, _ in templates)
-        with _second_half(templates, n_lines) as (middle, rest):
-            for text in chain(_data_slices(templates, 0, middle), rest):
-                handle.write(text)
+        rows, blocks = self.rows, _block_indices(self.rows)
+        # a block is as many lines as its tuples are long, any other row one
+        n_lines = len(rows) - len(blocks)
+        n_lines += sum(len(next(v for v in rows[i] if type(v) is tuple)) for i in blocks)
+        with _halves(n_lines, self._pieces, blocks) as (halves, relay):
+            for piece in self._pieces(blocks, halves):
+                for text in chain(piece, relay()):
+                    handle.write(text)
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
         self.write(buffer)
         return buffer.getvalue()
 
-    def _line_templates(self) -> list[tuple]:
-        """(line template, line count, values of lines a to b) of each block
-        and each run of rows of floats alone; a block's floats are formatted
-        into its template.  A tuple several blocks hold (a shared lambda grid)
-        is formatted once, here, so that both processes of a write share its
-        text; it is keyed by identity since equal tuples need not print alike
-        (0.0, -0.0)."""
-        rows = self.rows
-        blocks = _block_indices(rows)
+    def _pieces(self, blocks: list[int], halves: tuple[int, int]) -> Iterator[Iterator[str]]:
+        """The text of each block and each run of rows of floats alone, in
+        _slices of one line template: of its n lines, lines n * a // 2 to
+        n * b // 2 for halves (a, b).  A block's floats are formatted into its
+        template.  A tuple several blocks hold (a shared lambda grid) is as
+        long in each, so its text is formatted once, over those lines; it is
+        keyed by identity since equal tuples need not print alike (0.0, -0.0)."""
+        rows, (a, b) = self.rows, halves
         held = Counter(id(v) for i in blocks for v in rows[i] if type(v) is tuple)
         texts = {}
         flat = ",".join([_FLOAT_FORMAT] * len(self.columns)) + "\n"
-        templates, after = [], 0  # after: the first row past the last block
+        after = 0  # the first row past the last block
         for i in [*blocks, len(rows)]:
             if after < i:
-                templates.append((flat, i - after, lambda a, b, o=after: rows[o + a : o + b]))
+                n, lines = i - after, lambda x, y, o=after: rows[o + x : o + y]
+                yield _slices(flat, n * a // 2, n * b // 2, lines)
             after = i + 1
             if i == len(rows):
-                break
+                return
             cells, columns = [], []
             for v in rows[i]:
                 if type(v) is not tuple:
                     cells.append(_FLOAT_FORMAT % v)
                     continue
+                start, stop = len(v) * a // 2, len(v) * b // 2  # alike in a block
                 if held[id(v)] > 1 and id(v) not in texts:
-                    texts[id(v)] = list(map(_FLOAT_FORMAT.__mod__, v))
+                    texts[id(v)] = list(map(_FLOAT_FORMAT.__mod__, islice(v, start, stop)))
                 cells.append("%s" if id(v) in texts else _FLOAT_FORMAT)
-                columns.append(texts.get(id(v), v))
+                columns.append((texts[id(v)], start) if id(v) in texts else (v, 0))
             # the template holds one % field per tuple entry
-            lines = lambda a, b, columns=columns: zip(*(c[a:b] for c in columns))  # noqa: E731
-            templates.append((",".join(cells) + "\n", len(columns[0]), lines))
-        return templates
+            lines = lambda x, y, cs=columns: zip(*(c[x - o : y - o] for c, o in cs))  # noqa: E731
+            yield _slices(",".join(cells) + "\n", start, stop, lines)
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":

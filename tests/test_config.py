@@ -77,6 +77,11 @@ class TestParseLength:
             ("1e309 nm", 1e300),
             # 1 + 2**-53 exactly, the tie between 1 and the next double
             ("1.00000000000000011102230246251565404236316680908203125", 1.0),
+            # exponents with more leading zeros than int() reads digits
+            pytest.param("1e" + "0" * 5000 + "5 um", 0.1, id="zero-padded-exponent"),
+            pytest.param("1e+" + "0" * 5000 + "5 um", 0.1, id="zero-padded-plus-exponent"),
+            pytest.param("1e-" + "0" * 5000 + "1 m", 0.1, id="zero-padded-minus-exponent"),
+            pytest.param("1e-" + "0" * 5000 + " cm", 0.01, id="zero-padded-zero-exponent"),
         ],
     )
     def test_units(self, text, expected):

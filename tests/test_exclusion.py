@@ -23,7 +23,8 @@ from plateforces import (
 )
 from plateforces.cli import cmd_exclusion
 from plateforces.core import MAX_LAMBDA
-from plateforces.exclusion import MAX_SCAN_POINTS, _alpha_bounds
+from plateforces.exclusion import _SLICE_LAMBDAS, MAX_SCAN_POINTS, _alpha_bounds
+from plateforces.gravity import slab_coupling
 
 GOLD = 19.3e3
 RESOLUTION = 1e-12
@@ -323,6 +324,46 @@ class TestKernelBranches:
         assert thick[:9] == (math.inf,) * 9 and math.inf not in thick[9:]
         assert thin[-14:] == (math.inf,) * 14 and math.inf not in thin[13:-14]
         assert [lam for lam in grid if math.expm1(-1e-175 / lam) == 0.0] == list(grid[-14:])
+
+    def test_slices_match_alpha_bound_bit_for_bit(self):
+        # three slices and a few points: exp(gap/lam) overflows below lam of
+        # about 7.04 nm, inside the second slice, and the 1e-175 m film's
+        # bracket is zero above about 4e148 m, in the second of the slices
+        # walked past the overflow prefix
+        n = _SLICE_LAMBDAS
+        grid = (
+            *(1e-9 + k * 4.5e-9 / n for k in range(2 * n)),
+            *(10.0 ** (-8 + 158 * (j + 1) / (n + 5)) for j in range(n + 5)),
+        )
+        pairs = ((1e-5, 1e-175), (1e-5, 1e-5), (1e-175, 1e-5))
+        bounds = _alpha_bounds(grid, facing_plates(1e-5, 1e-175), pairs, RESOLUTION)
+        for pair, alphas in zip(pairs, bounds):
+            plates = facing_plates(*pair)
+            assert alphas == tuple(alpha_bound(lam, plates, RESOLUTION) for lam in grid)
+        thin, thick, _ = bounds
+        first = thick.count(math.inf)
+        assert n < first < 2 * n and thick[:first] == (math.inf,) * first
+        zero = [k for k, lam in enumerate(grid) if math.expm1(-1e-175 / lam) == 0.0]
+        assert first + n <= zero[0] and zero == list(range(zero[0], len(grid)))
+        assert thin[zero[0] :] == (math.inf,) * len(zero)
+
+    def test_scale_overflow_in_a_later_slice_names_its_lambda(self):
+        # 2 pi G rho^2 S lam^2 overflows for 1e40 kg/m^3 films from the
+        # 11 894th of these lambdas, in the third slice
+        film = PlateStack((MaterialLayer("dense", 1e40, 1e-5),))
+        plates = PlatePairConfig(film, film, PlateGeometry(0.1, 0.12), GapConfig(5e-6))
+        n = _SLICE_LAMBDAS
+        grid = tuple(10.0 ** (-6 + 130 * k / (3 * n + 4)) for k in range(3 * n + 5))
+        prefactor = slab_coupling(1e40, 1e40, 0.012)
+        first = next(k for k, lam in enumerate(grid) if prefactor * lam**2 == math.inf)
+        assert 2 * n < first < 3 * n
+        message = (
+            "facing densities 1e+40 and 1e+40 kg/m^3 with area 0.012 m^2: 2 pi G "
+            f"rho_a rho_b S lambda^2 overflows from lambda {grid[first]:g} m"
+        )
+        assert message.endswith(" 6.02812e+119 m")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            _alpha_bounds(grid, plates, ((1e-5, 1e-5),), RESOLUTION)
 
     def test_lambda_squared_underflow(self):
         # a gap of 1e-175 m keeps exp(gap/lam) near 1, so the inf comes

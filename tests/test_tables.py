@@ -197,11 +197,35 @@ def test_block_lines_are_seventeen_digit_values(width_items):
     assert table.to_csv().split("\n")[1:-1] == reference_lines(expand(items))
 
 
+ODD = (0.0, 1.5, -2.5)
+
+
 # slices of one line split every block; the empty block writes nothing, and
 # the second grid equals the first but prints "-0" where it has "0"
 @example(
     width_items=(3, [(3e-7, (), ()), (3e-7, GRID, (1.0, 2.0)), (0.0, (-0.0, 1.5), 3.0)]),
     slice_lines=1,
+)
+# runs of rows before, between and after blocks of odd length and an empty
+# one; each grid is held by two blocks, so its text is shared, and the two
+# are equal but print "0" and "-0"
+@example(
+    width_items=(
+        3,
+        [
+            (1.0, 2.0, 3.0),
+            (3e-7, ODD, (1.0, 2.0, 3.0)),
+            (0.0, (), ()),
+            (4.0, 5.0, 6.0),
+            (-0.0, ODD, 4.0),
+            (5e-324, (-0.0, *ODD[1:]), (5.0, 6.0, 7.0)),
+            (math.nan, ODD, (8.0, 9.0, 10.0)),
+            (1.0, (-0.0, *ODD[1:]), 11.0),
+            (7.0, 8.0, 9.0),
+            (10.0, 11.0, 12.0),
+        ],
+    ),
+    slice_lines=2,
 )
 @given(
     width_items=st.one_of(
@@ -341,6 +365,58 @@ class TestTwoProcessWriter:
         assert_closed(pipes)
         assert_no_child_left()
 
+    def test_parent_writes_its_half_before_reading_the_childs(self):
+        # the parent formats the first half of each block while the child
+        # formats the second, and reads the child's piece only after its own
+        events, real_read = [], os.read
+
+        def read(fd, size):
+            events.append("read")
+            return real_read(fd, size)
+
+        handle = mock.Mock(write=lambda text: events.append("write"))
+        with mock.patch.object(os, "read", read), time_limit(60):
+            two_block_table().write(handle)
+        half_block = tables._PARALLEL_LINES // 4
+        assert events.index("read") == 1 + math.ceil(half_block / tables._SLICE_LINES)
+
+    def test_parent_holds_half_the_shared_grid_text(self):
+        grid = tuple(1e-6 * 1.0001**k for k in range(tables._PARALLEL_LINES // 2))
+        table = ResultTable(
+            columns=("thickness_m", "lambda_m", "alpha_1"),
+            rows=tuple((t, grid, 2.0) for t in (1e-7, 3e-7, 1e-6, 3e-6)),
+        )
+        peaks = {}
+        for parallel_lines in (math.inf, tables._PARALLEL_LINES):
+            tracemalloc.start()
+            try:
+                with mock.patch.object(tables, "_PARALLEL_LINES", parallel_lines), time_limit(60):
+                    table.write(LengthRecorder())
+                peaks[parallel_lines] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the grid's text is most of a write's memory; each process formats
+        # its half of it
+        assert peaks[tables._PARALLEL_LINES] < 0.7 * peaks[math.inf]
+
+    @pytest.mark.parametrize("status", [0, 1])
+    def test_child_ending_after_its_first_piece_raises_oserror(self, status, pipes):
+        parent, real_slices, pieces = os.getpid(), tables._slices, []
+
+        def slices(*template):
+            if os.getpid() != parent:
+                pieces.append(template)
+                if len(pieces) == 2:  # the first piece is sent
+                    os._exit(status)
+            return real_slices(*template)
+
+        message = "exited with 1" if status else "sent too little"
+        with mock.patch.object(tables, "_slices", slices), time_limit(60):
+            with pytest.raises(OSError, match=message):
+                two_block_table().to_csv()
+        assert_closed(pipes)
+        assert_no_child_left()
+
     def test_failing_handle_leaves_no_child(self, pipes):
         with mock.patch.object(os, "fork", wraps=os.fork) as fork, time_limit(60):
             with pytest.raises(OSError, match="No space left"):
@@ -350,14 +426,14 @@ class TestTwoProcessWriter:
         assert_no_child_left()
 
     def test_failing_child_raises_oserror(self):
-        real_slices = tables._data_slices
+        real_slices = tables._slices
 
-        def slices(templates, first, stop):
-            if first:  # only the child starts past the first line
+        def slices(line_format, start, stop, lines):
+            if start:  # only the child starts past a block's first line
                 raise MemoryError
-            return real_slices(templates, first, stop)
+            return real_slices(line_format, start, stop, lines)
 
-        with mock.patch.object(tables, "_data_slices", slices), time_limit(60):
+        with mock.patch.object(tables, "_slices", slices), time_limit(60):
             with pytest.raises(OSError, match="exited with 1"):
                 two_block_table().to_csv()
         assert_no_child_left()
