@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from functools import cached_property
-from itertools import repeat, tee
+from itertools import repeat
 from operator import lt, mul, truediv
 
 from .core import _Record, require_lambda, require_positive
@@ -64,11 +64,11 @@ def _alpha_bounds(
     The grid past the overflow prefix is walked in slices of
     _SLICE_LAMBDAS lambdas: 2 pi G rho_a rho_b S * lam^2 and
     F_res * exp(d/lam) are taken once per slice for all pairs, which add
-    only their brackets; C-level maps form every alpha.  Python
-    multiplies left to right and negation is exact, so each alpha is the
-    same double as the full product.  alpha is inf on the prefix of the
-    grid where exp(d/lam) overflows, found by bisection, and where a
-    denominator is zero; only the slice of a pair with a zero
+    only their brackets; one comprehension per pair and slice forms every
+    alpha.  Python multiplies left to right and negation is exact, so each
+    alpha is the same double as the full product.  alpha is inf on the
+    prefix of the grid where exp(d/lam) overflows, found by bisection, and
+    where a denominator is zero; only the slice of a pair with a zero
     denominator is redone one lambda at a time.  Raises DomainError
     naming both facing densities and the area if 2 pi G rho_a rho_b S
     overflows or underflows to zero, or if its product with lam^2
@@ -101,15 +101,6 @@ def _alpha_bounds(
     top = prefactor * grid[-1] ** 2
     may_underflow = top > 0.0 and force_resolution / top == 0.0
 
-    def denominators(thickness_a: float, thickness_b: float) -> Iterator[float]:
-        # over the current slice's lams and scales.  expm1(-t/lam) is a
-        # bracket without its minus sign; the two signs cancel in the product
-        bracket_a = map(math.expm1, map(truediv, repeat(-thickness_a), lams))
-        bracket_b = map(math.expm1, map(truediv, repeat(-thickness_b), lams))
-        if thickness_b == thickness_a:  # read in step: tee holds one value
-            bracket_a, bracket_b = tee(bracket_a)
-        return map(mul, map(mul, scales, bracket_a), bracket_b)
-
     # full length from the start, inf on the overflow prefix; a slice is
     # assigned in place, and an assignment that raises leaves its list as it was
     bounds = [[math.inf] * len(grid) for _ in pairs]
@@ -121,14 +112,16 @@ def _alpha_bounds(
         exps = map(math.exp, map(truediv, repeat(gap), lams))
         signals = tuple(map(mul, repeat(force_resolution), exps))
         for bound, pair in zip(bounds, pairs):
+            # expm1(-t/lam) is a bracket without its minus sign, which cancels
+            # in the product; equal thicknesses share one tuple
+            brackets = {t: tuple(map(math.expm1, map(truediv, repeat(-t), lams))) for t in {*pair}}
+            factors = signals, scales, *map(brackets.__getitem__, pair)
             try:
-                bound[lo : lo + len(lams)] = map(truediv, signals, denominators(*pair))
-            except ZeroDivisionError:
-                # lam**2 or a bracket underflows to zero: alpha inf there
-                bound[lo : lo + len(lams)] = (
-                    signal / den if den else math.inf
-                    for signal, den in zip(signals, denominators(*pair))
-                )
+                bound[lo : lo + len(lams)] = [s / (c * a * b) for s, c, a, b in zip(*factors)]
+            except ZeroDivisionError:  # lam**2 or a bracket underflows to zero: alpha inf there
+                bound[lo : lo + len(lams)] = [
+                    s / d if (d := c * a * b) else math.inf for s, c, a, b in zip(*factors)
+                ]
     for k, bound in enumerate(bounds):
         if may_underflow and 0.0 in bound:
             raise DomainError(
@@ -262,10 +255,15 @@ def exclusion_scan(
         require_positive("thickness", thickness)
     bounds = _alpha_bounds(grid, plates, zip(thicknesses, thicknesses), force_resolution)
     try:
-        return [Curve(lambdas=grid, alphas=alphas) for alphas in bounds]
+        curves = [Curve(lambdas=grid, alphas=bounds[0])]
     except InvalidParameterError as exc:
         # the kernel refuses an alpha of zero or nan: only the grid can fail
         raise DomainError(
             f"degenerate scan: {n_points} points from lambda_min {lambda_min!r} "
             f"to lambda_max {lambda_max!r} m collide in double precision: {exc}"
         ) from None
+    # the grid is checked and every alpha is positive or inf: freeze the rest unchecked
+    for alphas in bounds[1:]:
+        curves.append(curve := object.__new__(Curve))
+        curve._freeze(grid, alphas, "")
+    return curves

@@ -21,7 +21,7 @@ import threading
 from collections import Counter
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import chain
 
 from .core import _Record
 from .errors import InvalidParameterError
@@ -51,10 +51,17 @@ def _block_indices(rows: tuple[tuple, ...]) -> list[int]:
 
 def _slices(line_format: str, start: int, stop: int, lines: Callable) -> Iterator[str]:
     """Lines start to stop of a template, at most _SLICE_LINES to a string:
-    one % call applies the line template to the values of a slice's lines."""
+    one % call applies the line template to the flat values lines(a, b)."""
     for a in range(start, stop, _SLICE_LINES):
         b = min(a + _SLICE_LINES, stop)
-        yield (line_format * (b - a)) % tuple(chain.from_iterable(lines(a, b)))
+        yield (line_format * (b - a)) % tuple(lines(a, b))
+
+
+def _joined(values: tuple, start: int, stop: int) -> dict[int, str]:
+    """values[start:stop] as text, one NUL-joined string per slice keyed by its first line."""
+    firsts = range(start, stop, _SLICE_LINES)
+    chunks = (values[x : min(x + _SLICE_LINES, stop)] for x in firsts)
+    return {x: "\0".join([_FLOAT_FORMAT] * len(c)) % c for x, c in zip(firsts, chunks)}
 
 
 def _read(fd: int, size: int) -> Iterator[bytes]:
@@ -192,8 +199,9 @@ class ResultTable(_Record):
         _slices of one line template: of its n lines, lines n * a // 2 to
         n * b // 2 for halves (a, b).  A block's floats are formatted into its
         template.  A tuple several blocks hold (a shared lambda grid) is as
-        long in each, so its text is formatted once, over those lines; it is
-        keyed by identity since equal tuples need not print alike (0.0, -0.0)."""
+        long in each, so its text is _joined once, over those lines, and split
+        as each block formats a slice; it is keyed by identity since equal
+        tuples need not print alike (0.0, -0.0)."""
         rows, (a, b) = self.rows, halves
         held = Counter(id(v) for i in blocks for v in rows[i] if type(v) is tuple)
         texts = {}
@@ -201,7 +209,7 @@ class ResultTable(_Record):
         after = 0  # the first row past the last block
         for i in [*blocks, len(rows)]:
             if after < i:
-                n, lines = i - after, lambda x, y, o=after: rows[o + x : o + y]
+                n, lines = i - after, lambda x, y, o=after: chain.from_iterable(rows[o + x : o + y])
                 yield _slices(flat, n * a // 2, n * b // 2, lines)
             after = i + 1
             if i == len(rows):
@@ -213,11 +221,15 @@ class ResultTable(_Record):
                     continue
                 start, stop = len(v) * a // 2, len(v) * b // 2  # alike in a block
                 if held[id(v)] > 1 and id(v) not in texts:
-                    texts[id(v)] = list(map(_FLOAT_FORMAT.__mod__, islice(v, start, stop)))
+                    texts[id(v)] = _joined(v, start, stop)
                 cells.append("%s" if id(v) in texts else _FLOAT_FORMAT)
-                columns.append((texts[id(v)], start) if id(v) in texts else (v, 0))
-            # the template holds one % field per tuple entry
-            lines = lambda x, y, cs=columns: zip(*(c[x - o : y - o] for c, o in cs))  # noqa: E731
+                columns.append(texts.get(id(v), v))
+            # one % field per tuple entry, filled a column at a time
+            def lines(x: int, y: int, columns: list = columns) -> list:
+                values = [None] * (len(columns) * (y - x))
+                for k, c in enumerate(columns):
+                    values[k :: len(columns)] = c[x].split("\0") if type(c) is dict else c[x:y]
+                return values
             yield _slices(",".join(cells) + "\n", start, stop, lines)
 
     @classmethod

@@ -229,6 +229,19 @@ class TestExclusionScan:
         curves = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 50, (3e-7, 1e-6, 1e-5))
         assert all(curve.lambdas is curves[0].lambdas for curve in curves)
 
+    def test_curves_built_on_the_checked_grid_equal_checked_curves(self):
+        # only the first curve checks the shared grid; the others, inf alphas
+        # below the gap included, are the same records as checked ones
+        thicknesses = (3e-7, 1e-6, 1e-5)
+        curves = exclusion_scan(gold_plates(), RESOLUTION, 1e-9, 1e-2, 50, thicknesses)
+        assert curves[1].alphas[0] == math.inf
+        for curve in curves[1:]:
+            checked = Curve(lambdas=curves[0].lambdas, alphas=curve.alphas)
+            assert curve == checked
+            assert hash(curve) == hash(checked)
+            assert repr(curve) == repr(checked)
+            assert curve.alphas_at(curve.lambdas[1:]) == checked.alphas_at(curve.lambdas[1:])
+
     def test_rejects_more_than_max_points(self):
         with pytest.raises(DomainError, match=f"at most {MAX_SCAN_POINTS} points"):
             exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, MAX_SCAN_POINTS + 1, (1e-5,))

@@ -4,10 +4,11 @@ import math
 import os
 import re
 import signal
+import sys
 import threading
 import tracemalloc
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import chain, repeat
 from operator import truediv
 from unittest import mock
 
@@ -198,6 +199,7 @@ def test_block_lines_are_seventeen_digit_values(width_items):
 
 
 ODD = (0.0, 1.5, -2.5)
+SEVEN = (0.0, 1.5, -2.5, 5e-324, math.inf, -0.0, 1e300)
 
 
 # slices of one line split every block; the empty block writes nothing, and
@@ -225,6 +227,12 @@ ODD = (0.0, 1.5, -2.5)
             (10.0, 11.0, 12.0),
         ],
     ),
+    slice_lines=2,
+)
+# two blocks share a grid of seven lines; in two processes the second half
+# of each starts at line 3, partway through the slice of lines 2 and 3
+@example(
+    width_items=(3, [(3e-7, SEVEN, tuple(reversed(SEVEN))), (1e-6, SEVEN, 2.0)]),
     slice_lines=2,
 )
 @given(
@@ -298,6 +306,27 @@ class TestStreamingWriter:
             tracemalloc.stop()
         # a writer that joins the whole file first peaks above its size
         assert peak < sum(handle.lengths) / 2
+
+    def test_one_process_holds_less_than_the_grid_as_one_string_per_value(self):
+        # as long as a 100 000-point scan's grid, so that one slice's text is
+        # small beside the whole grid's
+        grid = tuple(1e-6 * 1.0001**k for k in range(100_000))
+        table = ResultTable(
+            columns=("thickness_m", "lambda_m", "alpha_1"),
+            rows=tuple((t, grid, tuple(reversed(grid))) for t in (3e-7, 1e-6)),
+        )
+        strings = list(map(format_float, grid))
+        per_value = sys.getsizeof(strings) + sum(map(sys.getsizeof, strings))
+        del strings
+        tracemalloc.start()
+        try:
+            with mock.patch.object(tables, "_PARALLEL_LINES", math.inf):
+                table.write(LengthRecorder())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the grid's text is held as one string per slice, not per value
+        assert peak < per_value
 
 
 def two_block_table():
@@ -386,18 +415,20 @@ class TestTwoProcessWriter:
             columns=("thickness_m", "lambda_m", "alpha_1"),
             rows=tuple((t, grid, 2.0) for t in (1e-7, 3e-7, 1e-6, 3e-6)),
         )
-        peaks = {}
-        for parallel_lines in (math.inf, tables._PARALLEL_LINES):
-            tracemalloc.start()
-            try:
-                with mock.patch.object(tables, "_PARALLEL_LINES", parallel_lines), time_limit(60):
-                    table.write(LengthRecorder())
-                peaks[parallel_lines] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        # the grid's text is most of a write's memory; each process formats
-        # its half of it
-        assert peaks[tables._PARALLEL_LINES] < 0.7 * peaks[math.inf]
+        half = len(grid) // 2
+        with (
+            mock.patch.object(tables, "_joined", wraps=tables._joined) as joined,
+            mock.patch.object(os, "fork", wraps=os.fork) as fork,
+            time_limit(60),
+        ):
+            table.write(LengthRecorder())
+            assert fork.call_count == 1
+            # the parent formats the grid's text once, over its half only
+            assert joined.call_args_list == [mock.call(grid, 0, half)]
+            joined.reset_mock()
+            # and the child's half of each block formats the other half
+            list(chain.from_iterable(table._pieces(tables._block_indices(table.rows), (1, 2))))
+            assert joined.call_args_list == [mock.call(grid, half, len(grid))]
 
     @pytest.mark.parametrize("status", [0, 1])
     def test_child_ending_after_its_first_piece_raises_oserror(self, status, pipes):
