@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from array import array
 from collections.abc import Iterable, Sequence
 from itertools import compress
 from operator import truediv
@@ -218,7 +219,7 @@ def cmd_exclusion(
                 if alpha == math.inf:
                     unbounded["bound" if _exp_is_finite(gap / lam) else "exp"].append(lam)
         if prior is not None:
-            block += (improvements := tuple(map(truediv, prior_alphas, curve.alphas)),)
+            block += (improvements := array("d", map(truediv, prior_alphas, curve.alphas)),)
             unbounded["improvement"] += compress(curve.lambdas, map(math.isinf, improvements))
         rows.append(block)
     causes = {

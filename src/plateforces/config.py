@@ -355,4 +355,4 @@ def ingest_prior_bounds(path: str) -> Curve:
         alphas.append(alpha)
     if len(lambdas) < 2:
         raise ConfigError(f"{path}: needs at least 2 data rows, found {len(lambdas)}")
-    return Curve(lambdas=tuple(lambdas), alphas=tuple(alphas), source=path)
+    return Curve(lambdas=lambdas, alphas=alphas, source=path)

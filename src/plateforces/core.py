@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 
 from .errors import DomainError, InvalidParameterError
 
@@ -62,7 +63,7 @@ class _Record:
     which checks its arguments and stores them, in that order, with
     _freeze.  Instances refuse assignment and deletion, compare and hash
     by their field values (equal only to instances of the same class)
-    and repr as Name(field=value, ...).
+    and repr as Name(field=value, ...); an array hashes as a tuple.
     """
 
     _fields: tuple[str, ...] = ()
@@ -90,11 +91,17 @@ class _Record:
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(_hashable(self._values()))
 
     def __repr__(self) -> str:
         fields = (f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__name__}({', '.join(fields)})"
+
+
+def _hashable(value: object) -> object:
+    if type(value) is array:
+        return tuple(value)
+    return tuple(map(_hashable, value)) if type(value) is tuple else value
 
 
 class CODATA2018:

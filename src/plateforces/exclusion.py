@@ -10,8 +10,9 @@ the curve is an upper bound on allowed couplings.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import repeat
 from operator import lt, mul, truediv
@@ -53,13 +54,13 @@ def alpha_bound(lam: float, plates: PlatePairConfig, force_resolution: float) ->
 
 
 def _alpha_bounds(
-    grid: tuple[float, ...],
+    grid: Sequence[float],
     plates: PlatePairConfig,
     thickness_pairs: Iterable[tuple[float, float]],
     force_resolution: float,
-) -> list[tuple[float, ...]]:
+) -> list[array]:
     """alpha_bound at every lambda of grid for each (thickness_a,
-    thickness_b) pair of facing layers, one tuple per pair, unchecked.
+    thickness_b) pair of facing layers, one array('d') per pair, unchecked.
 
     The grid past the overflow prefix is walked in slices of
     _SLICE_LAMBDAS lambdas: 2 pi G rho_a rho_b S * lam^2 and
@@ -101,13 +102,13 @@ def _alpha_bounds(
     top = prefactor * grid[-1] ** 2
     may_underflow = top > 0.0 and force_resolution / top == 0.0
 
-    # full length from the start, inf on the overflow prefix; a slice is
-    # assigned in place, and an assignment that raises leaves its list as it was
-    bounds = [[math.inf] * len(grid) for _ in pairs]
+    # full length from the start, inf on the overflow prefix; each slice is
+    # assigned in place once all its alphas are formed
+    bounds = [array("d", [math.inf]) * len(grid) for _ in pairs]
     for lo in range(first, len(grid), _SLICE_LAMBDAS):
         # a slice at a time, so that no full-length temporary sits beside the
-        # alphas; tuples, not arrays: an array builds a float on every read
-        lams = grid[lo : lo + _SLICE_LAMBDAS]
+        # alphas; its factors are tuples, since an array builds a float on every read
+        lams = tuple(grid[lo : lo + _SLICE_LAMBDAS])
         scales = tuple(map(mul, repeat(prefactor), map(pow, lams, repeat(2))))
         exps = map(math.exp, map(truediv, repeat(gap), lams))
         signals = tuple(map(mul, repeat(force_resolution), exps))
@@ -117,18 +118,16 @@ def _alpha_bounds(
             brackets = {t: tuple(map(math.expm1, map(truediv, repeat(-t), lams))) for t in {*pair}}
             factors = signals, scales, *map(brackets.__getitem__, pair)
             try:
-                bound[lo : lo + len(lams)] = [s / (c * a * b) for s, c, a, b in zip(*factors)]
+                alphas = [s / (c * a * b) for s, c, a, b in zip(*factors)]
             except ZeroDivisionError:  # lam**2 or a bracket underflows to zero: alpha inf there
-                bound[lo : lo + len(lams)] = [
-                    s / d if (d := c * a * b) else math.inf for s, c, a, b in zip(*factors)
-                ]
-    for k, bound in enumerate(bounds):
+                alphas = [s / d if (d := c * a * b) else math.inf for s, c, a, b in zip(*factors)]
+            bound[lo : lo + len(lams)] = array("d", alphas)
+    for bound in bounds:
         if may_underflow and 0.0 in bound:
             raise DomainError(
                 f"force_resolution {force_resolution:g} N: alpha underflows to "
                 f"zero at lambda {grid[bound.index(0.0)]:g} m"
             )
-        bounds[k] = tuple(bound)
     return bounds
 
 
@@ -144,15 +143,20 @@ class Curve(_Record):
     or previously published bounds.
 
     alpha is positive, or inf where no finite coupling is detectable.
+    Both fields are array('d'), and one passed in is kept, not copied;
+    the record owns its arrays and nothing writes to them.
     Between knots alpha is interpolated linearly in (log lambda,
     log alpha), exact on power laws, from knot logs taken once per
     curve, on first use.
     """
 
     def __init__(
-        self, lambdas: tuple[float, ...], alphas: tuple[float, ...], source: str = ""
+        self, lambdas: Sequence[float], alphas: Sequence[float], source: str = ""
     ) -> None:
-        lams, alphas = tuple(lambdas), tuple(alphas)
+        lams, alphas = (
+            v if type(v) is array and v.typecode == "d" else array("d", v)
+            for v in (lambdas, alphas)
+        )
         if len(lams) != len(alphas):
             raise InvalidParameterError(
                 f"{len(lams)} lambda values but {len(alphas)} alpha values"
@@ -222,8 +226,8 @@ def exclusion_scan(
     its scan thickness; densities, area and gap are those of plates,
     and force_resolution is in N.  The lambda grid is log-spaced with
     n_points from lambda_min to lambda_max (at most MAX_LAMBDA)
-    inclusive; every curve shares it, and n_points is at most
-    MAX_SCAN_POINTS.  Points that collide in double precision make the
+    inclusive; every curve holds it as one array('d'), and n_points is
+    at most MAX_SCAN_POINTS.  Points that collide in double precision make the
     scan degenerate.  Output order follows the thicknesses argument.
     """
     require_positive("force_resolution", force_resolution)
@@ -246,11 +250,9 @@ def exclusion_scan(
     # pinned so the grid starts and ends at exactly the requested lambdas
     lo, hi = math.log10(lambda_min), math.log10(lambda_max)
     step = (hi - lo) / (n_points - 1)
-    grid = (
-        lambda_min,
-        *(10.0 ** (k * step + lo) for k in range(1, n_points - 1)),
-        lambda_max,
-    )
+    grid = array("d", [lambda_min])
+    grid.extend(10.0 ** (k * step + lo) for k in range(1, n_points - 1))
+    grid.append(lambda_max)
     for thickness in thicknesses:
         require_positive("thickness", thickness)
     bounds = _alpha_bounds(grid, plates, zip(thicknesses, thicknesses), force_resolution)

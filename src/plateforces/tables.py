@@ -3,14 +3,14 @@
 One table = named float columns (units embedded in the names, e.g.
 force_N, lambda_m, dimensionless columns end in _1), key=value
 metadata and free-text warnings.  Each item of ``rows`` is one line of
-floats or a block of lines: in a block a tuple entry gives one value
-per line and a float entry repeats on every line, so a long-format
-table holds (thickness, shared lambda grid, alphas) without a tuple
-per line.  Serialization is deterministic and round-trips bitwise:
-numbers are written with 17 significant digits, metadata keeps
-insertion order, and nothing time- or host-dependent is ever emitted.
-``from_csv`` returns flat rows, so ``from_csv(to_csv(t)) == t`` only
-for tables without blocks.
+floats or a block of lines: in a block a tuple or array('d') entry
+gives one value per line and a float entry repeats on every line, so
+a long-format table holds (thickness, shared lambda grid, alphas)
+without a tuple per line.  Serialization is deterministic and
+round-trips bitwise: numbers are written with 17 significant digits,
+metadata keeps insertion order, and nothing time- or host-dependent is
+ever emitted.  ``from_csv`` returns flat rows, so
+``from_csv(to_csv(t)) == t`` only for tables without blocks.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import os
 import threading
+from array import array
 from collections import Counter
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -42,11 +43,16 @@ def format_float(value: float) -> str:
     return _FLOAT_FORMAT % value
 
 
+def _is_column(value: object) -> bool:
+    """A block entry, which gives one value per line: a tuple or an array('d')."""
+    return type(value) is tuple or type(value) is array
+
+
 def _block_indices(rows: tuple[tuple, ...]) -> list[int]:
-    """Indices of the rows holding a tuple entry; rows are walked only if one does."""
-    if tuple not in set(map(type, chain.from_iterable(rows))):
+    """Indices of the rows holding a block entry; rows are walked only if one does."""
+    if not any(map(_is_column, chain.from_iterable(rows))):
         return []
-    return [i for i, row in enumerate(rows) if tuple in map(type, row)]
+    return [i for i, row in enumerate(rows) if any(map(_is_column, row))]
 
 
 def _slices(line_format: str, start: int, stop: int, lines: Callable) -> Iterator[str]:
@@ -57,10 +63,10 @@ def _slices(line_format: str, start: int, stop: int, lines: Callable) -> Iterato
         yield (line_format * (b - a)) % tuple(lines(a, b))
 
 
-def _joined(values: tuple, start: int, stop: int) -> dict[int, str]:
+def _joined(values: tuple | array, start: int, stop: int) -> dict[int, str]:
     """values[start:stop] as text, one NUL-joined string per slice keyed by its first line."""
     firsts = range(start, stop, _SLICE_LINES)
-    chunks = (values[x : min(x + _SLICE_LINES, stop)] for x in firsts)
+    chunks = (tuple(values[x : min(x + _SLICE_LINES, stop)]) for x in firsts)
     return {x: "\0".join([_FLOAT_FORMAT] * len(c)) % c for x, c in zip(firsts, chunks)}
 
 
@@ -136,7 +142,7 @@ class ResultTable(_Record):
     def __init__(
         self,
         columns: tuple[str, ...],
-        rows: tuple[tuple[float | tuple[float, ...], ...], ...],
+        rows: tuple[tuple[float | tuple[float, ...] | array, ...], ...],
         metadata: tuple[tuple[str, str], ...] = (),
         warnings: tuple[str, ...] = (),
     ) -> None:
@@ -150,7 +156,7 @@ class ResultTable(_Record):
             bad = next(len(row) for row in rows if len(row) != width)
             raise InvalidParameterError(f"row of {bad} values in a table of {width} columns")
         for i in _block_indices(rows):
-            if len({len(v) for v in rows[i] if type(v) is tuple}) > 1:
+            if len({len(v) for v in rows[i] if _is_column(v)}) > 1:
                 raise InvalidParameterError(f"block {i} holds tuples of different lengths")
         if any(key == _WARNING_KEY for key, _ in metadata):
             raise InvalidParameterError("metadata key 'warning' is reserved for the warnings list")
@@ -181,9 +187,9 @@ class ResultTable(_Record):
         lines.append(",".join(self.columns) + "\n")
         handle.write("".join(lines))
         rows, blocks = self.rows, _block_indices(self.rows)
-        # a block is as many lines as its tuples are long, any other row one
+        # a block is as many lines as its columns are long, any other row one
         n_lines = len(rows) - len(blocks)
-        n_lines += sum(len(next(v for v in rows[i] if type(v) is tuple)) for i in blocks)
+        n_lines += sum(len(next(filter(_is_column, rows[i]))) for i in blocks)
         with _halves(n_lines, self._pieces, blocks) as (halves, relay):
             for piece in self._pieces(blocks, halves):
                 for text in chain(piece, relay()):
@@ -198,12 +204,12 @@ class ResultTable(_Record):
         """The text of each block and each run of rows of floats alone, in
         _slices of one line template: of its n lines, lines n * a // 2 to
         n * b // 2 for halves (a, b).  A block's floats are formatted into its
-        template.  A tuple several blocks hold (a shared lambda grid) is as
+        template.  A column several blocks hold (a shared lambda grid) is as
         long in each, so its text is _joined once, over those lines, and split
         as each block formats a slice; it is keyed by identity since equal
-        tuples need not print alike (0.0, -0.0)."""
+        columns need not print alike (0.0, -0.0)."""
         rows, (a, b) = self.rows, halves
-        held = Counter(id(v) for i in blocks for v in rows[i] if type(v) is tuple)
+        held = Counter(id(v) for i in blocks for v in filter(_is_column, rows[i]))
         texts = {}
         flat = ",".join([_FLOAT_FORMAT] * len(self.columns)) + "\n"
         after = 0  # the first row past the last block
@@ -216,7 +222,7 @@ class ResultTable(_Record):
                 return
             cells, columns = [], []
             for v in rows[i]:
-                if type(v) is not tuple:
+                if not _is_column(v):
                     cells.append(_FLOAT_FORMAT % v)
                     continue
                 start, stop = len(v) * a // 2, len(v) * b // 2  # alike in a block
@@ -224,7 +230,7 @@ class ResultTable(_Record):
                     texts[id(v)] = _joined(v, start, stop)
                 cells.append("%s" if id(v) in texts else _FLOAT_FORMAT)
                 columns.append(texts.get(id(v), v))
-            # one % field per tuple entry, filled a column at a time
+            # one % field per column entry, filled a column at a time
             def lines(x: int, y: int, columns: list = columns) -> list:
                 values = [None] * (len(columns) * (y - x))
                 for k, c in enumerate(columns):

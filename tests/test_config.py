@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from array import array
 
 import pytest
 
@@ -362,8 +363,8 @@ class TestIngestPriorBounds:
             "prior.csv",
         )
         prior = ingest_prior_bounds(path)
-        assert prior.lambdas == (1e-6, 1e-5, 1e-4)
-        assert prior.alphas == (1e8, 1e4, 1e2)
+        assert prior.lambdas == array("d", (1e-6, 1e-5, 1e-4))
+        assert prior.alphas == array("d", (1e8, 1e4, 1e2))
         assert prior.source == path
 
     def test_non_monotone_names_line(self, tmp_path):

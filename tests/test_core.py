@@ -7,6 +7,7 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -237,7 +238,12 @@ _RECORDS = [
         "force_resolution",
         2e-12,
     ),
-    (Curve, {"lambdas": (1e-6, 1e-5), "alphas": (10.0, 1.0)}, "source", "prior.csv"),
+    (
+        Curve,
+        {"lambdas": array("d", (1e-6, 1e-5)), "alphas": array("d", (10.0, 1.0))},
+        "source",
+        "prior.csv",
+    ),
     (ResultTable, {"columns": ("gap_m",), "rows": ((5e-6,),)}, "warnings", ("note",)),
 ]
 

@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +23,7 @@ from plateforces import (
     exclusion_scan,
     plate_yukawa,
 )
-from plateforces.cli import cmd_exclusion
+from plateforces.cli import DEFAULT_SCAN_THICKNESSES, cmd_exclusion
 from plateforces.core import MAX_LAMBDA
 from plateforces.exclusion import _SLICE_LAMBDAS, MAX_SCAN_POINTS, _alpha_bounds
 from plateforces.gravity import slab_coupling
@@ -237,10 +239,27 @@ class TestExclusionScan:
         assert curves[1].alphas[0] == math.inf
         for curve in curves[1:]:
             checked = Curve(lambdas=curves[0].lambdas, alphas=curve.alphas)
+            assert checked.lambdas is curve.lambdas
             assert curve == checked
             assert hash(curve) == hash(checked)
             assert repr(curve) == repr(checked)
             assert curve.alphas_at(curve.lambdas[1:]) == checked.alphas_at(curve.lambdas[1:])
+
+    def test_stress_scan_holds_its_numbers_as_doubles(self, baseline_config):
+        # the 4 x 100 000 alphas and the shared grid, 500 000 values: 4.0 MB
+        # as 8-byte doubles, 16.0 MB as float objects in tuples
+        tracemalloc.start()
+        try:
+            curves = exclusion_scan(
+                baseline_config.plates, baseline_config.force_resolution,
+                1e-6, 1e-2, 100_000, DEFAULT_SCAN_THICKNESSES,
+            )
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(curves) == 4 and all(len(curve.alphas) == 100_000 for curve in curves)
+        assert all(curve.lambdas is curves[0].lambdas for curve in curves)
+        assert held < 6e6
 
     def test_rejects_more_than_max_points(self):
         with pytest.raises(DomainError, match=f"at most {MAX_SCAN_POINTS} points"):
@@ -334,8 +353,8 @@ class TestKernelBranches:
         # exp(gap/lam) overflows on the 9 lambdas below 7.04 nm; the thin
         # film's bracket is zero on the top 14
         thin, thick, _ = bounds
-        assert thick[:9] == (math.inf,) * 9 and math.inf not in thick[9:]
-        assert thin[-14:] == (math.inf,) * 14 and math.inf not in thin[13:-14]
+        assert thick[:9] == array("d", [math.inf] * 9) and math.inf not in thick[9:]
+        assert thin[-14:] == array("d", [math.inf] * 14) and math.inf not in thin[13:-14]
         assert [lam for lam in grid if math.expm1(-1e-175 / lam) == 0.0] == list(grid[-14:])
 
     def test_slices_match_alpha_bound_bit_for_bit(self):
@@ -352,13 +371,13 @@ class TestKernelBranches:
         bounds = _alpha_bounds(grid, facing_plates(1e-5, 1e-175), pairs, RESOLUTION)
         for pair, alphas in zip(pairs, bounds):
             plates = facing_plates(*pair)
-            assert alphas == tuple(alpha_bound(lam, plates, RESOLUTION) for lam in grid)
+            assert alphas == array("d", (alpha_bound(lam, plates, RESOLUTION) for lam in grid))
         thin, thick, _ = bounds
         first = thick.count(math.inf)
-        assert n < first < 2 * n and thick[:first] == (math.inf,) * first
+        assert n < first < 2 * n and thick[:first] == array("d", [math.inf] * first)
         zero = [k for k, lam in enumerate(grid) if math.expm1(-1e-175 / lam) == 0.0]
         assert first + n <= zero[0] and zero == list(range(zero[0], len(grid)))
-        assert thin[zero[0] :] == (math.inf,) * len(zero)
+        assert thin[zero[0] :] == array("d", [math.inf] * len(zero))
 
     def test_scale_overflow_in_a_later_slice_names_its_lambda(self):
         # 2 pi G rho^2 S lam^2 overflows for 1e40 kg/m^3 films from the
@@ -473,6 +492,27 @@ class TestCurveInterpolation:
             with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
                 Curve(lambdas=lambdas, alphas=alphas)
         assert Curve(lambdas=(1e-9, 1e-6), alphas=(math.inf, 1.0)).alphas[0] == math.inf
+
+
+def test_curve_holds_its_values_as_doubles():
+    lambdas, alphas = (1e-6, 1e-5, 1e-4), (10.0, 1.0, math.inf)
+    grid = array("d", lambdas)
+    from_tuples = Curve(lambdas=lambdas, alphas=alphas)
+    from_arrays = Curve(lambdas=grid, alphas=array("d", alphas))
+    # an array('d') is kept, anything else copied into one
+    assert from_arrays.lambdas is grid
+    for field in (from_tuples.lambdas, from_tuples.alphas, from_arrays.alphas):
+        assert type(field) is array and field.typecode == "d"
+    floats = array("f", (1.0, 2.0))
+    assert Curve(lambdas=floats, alphas=alphas[:2]).lambdas.typecode == "d"
+    assert from_tuples == from_arrays and hash(from_tuples) == hash(from_arrays)
+    assert Curve(lambdas=list(lambdas), alphas=list(alphas)) == from_arrays
+    assert from_tuples != Curve(lambdas=lambdas, alphas=(10.0, 2.0, math.inf))
+    expected = (
+        "Curve(lambdas=array('d', [1e-06, 1e-05, 0.0001]), "
+        "alphas=array('d', [10.0, 1.0, inf]), source='')"
+    )
+    assert repr(from_tuples) == repr(from_arrays) == expected
 
 
 class TestImprovementFactor:

@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import tracemalloc
+from array import array
 from contextlib import contextmanager
 from itertools import chain, repeat
 from operator import truediv
@@ -202,6 +203,16 @@ ODD = (0.0, 1.5, -2.5)
 SEVEN = (0.0, 1.5, -2.5, 5e-324, math.inf, -0.0, 1e300)
 
 
+def as_arrays(items):
+    """items with each tuple entry of a block as an array('d'): one array per
+    tuple object, so that a tuple several blocks hold becomes one shared array."""
+    arrays = {}
+    return [
+        tuple(arrays.setdefault(id(v), array("d", v)) if type(v) is tuple else v for v in item)
+        for item in items
+    ]
+
+
 # slices of one line split every block; the empty block writes nothing, and
 # the second grid equals the first but prints "-0" where it has "0"
 @example(
@@ -247,16 +258,26 @@ SEVEN = (0.0, 1.5, -2.5, 5e-324, math.inf, -0.0, 1e300)
 @pytest.mark.parametrize("parallel_lines", [tables._PARALLEL_LINES, 1], ids=["one", "two"])
 def test_write_in_any_slice_size_matches_to_csv(width_items, slice_lines, parallel_lines):
     width, items = width_items
-    table = ResultTable(columns=tuple(f"c{i}" for i in range(width)), rows=items)
+    columns = tuple(f"c{i}" for i in range(width))
+    table = ResultTable(columns=columns, rows=items)
     # these tables are shorter than a default slice, so to_csv writes one
     expected = table.to_csv()
-    handle = io.StringIO()
-    with (
-        mock.patch.object(tables, "_SLICE_LINES", slice_lines),
-        mock.patch.object(tables, "_PARALLEL_LINES", parallel_lines),
-    ):
-        table.write(handle)
-    assert handle.getvalue() == expected
+    # the same blocks with array('d') columns write the same bytes
+    for written in (table, ResultTable(columns=columns, rows=as_arrays(items))):
+        handle = io.StringIO()
+        with (
+            mock.patch.object(tables, "_SLICE_LINES", slice_lines),
+            mock.patch.object(tables, "_PARALLEL_LINES", parallel_lines),
+        ):
+            written.write(handle)
+        assert handle.getvalue() == expected
+
+
+def test_table_with_array_columns_hashes_by_value():
+    grid = (0.0, 1.5, math.inf)
+    table = ResultTable(columns=("t", "lambda_m"), rows=((3e-7, array("d", grid)),))
+    assert hash(table) == hash(ResultTable(columns=("t", "lambda_m"), rows=((3e-7, grid),)))
+    assert table == ResultTable(columns=("t", "lambda_m"), rows=((3e-7, array("d", grid)),))
 
 
 class LengthRecorder:
@@ -556,6 +577,8 @@ class TestValidation:
                 columns=("a", "b", "c"),
                 rows=((1.0, 2.0, 3.0), (1.0, (1.0, 2.0), (3.0,)), (1.0, (1.0,), (3.0,))),
             )
+        with pytest.raises(InvalidParameterError, match="block 0 holds tuples of different"):
+            ResultTable(columns=("a", "b"), rows=((array("d", (1.0, 2.0)), (3.0,)),))
 
     def test_needs_columns(self):
         with pytest.raises(InvalidParameterError):
