@@ -48,14 +48,6 @@ class TorsionWire(_Record):
             )
         self._freeze(material, shear_modulus, diameter, length)
 
-    @classmethod
-    def tungsten(cls, diameter: float, length: float = DEFAULT_WIRE_LENGTH) -> "TorsionWire":
-        return cls("tungsten", SHEAR_MODULUS["tungsten"], diameter, length)
-
-    @classmethod
-    def quartz(cls, diameter: float, length: float = DEFAULT_WIRE_LENGTH) -> "TorsionWire":
-        return cls("quartz", SHEAR_MODULUS["quartz"], diameter, length)
-
 
 class BalanceConfig(_Record):
     """Balance readout: torque sensitivity kappa (N m/rad), torque arm

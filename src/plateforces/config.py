@@ -16,6 +16,11 @@ the physics modules never see a unit string.  Example:
     separation = 5 um
     temperature = 300
 
+``_KEYS`` is the one list of sections and keys: each key's reader
+(length, number or lower-cased name) in its record's argument order.
+``_ABSENT`` holds the text an omitted optional section reads as, and
+``_DERIVED`` the two defaults taken from values read before them.
+
 Prior-bounds files are two-column CSV ``lambda_m,alpha`` with optional
 ``#`` comment lines and an optional literal header row.
 
@@ -57,11 +62,6 @@ from .gravity import PlatePairConfig
 _LENGTH_UNITS = {"nm": -9, "um": -6, "µm": -6, "mm": -3, "cm": -2, "m": 0}
 
 _LENGTH_RE = re.compile(r"^\s*([^\s]+?)\s*(nm|um|µm|mm|cm|m)?\s*$")
-
-# every section load_config reads; any other is refused
-_SECTIONS = ("geometry", "stack_a", "stack_b", "gap", "thermal", "electrostatic",
-             "wire", "balance", "tilt", "resolution", "yukawa")
-
 
 def parse_length(text: str) -> float:
     """Parse '5 um', '12cm', '0.1 m' or a bare number (meters) to meters.
@@ -126,68 +126,74 @@ class ExperimentConfig(_Record):
         )
 
 
-class _SectionReader:
-    """Wraps one INI section so errors carry their file location.
-
-    Used as a context manager around building the section's record, it
-    turns the record's InvalidParameterError into a ConfigError naming
-    the section, and once the record is built refuses any key of the
-    section that was never read.
-    """
-
-    def __init__(self, parser: configparser.ConfigParser, section: str):
-        if not parser.has_section(section):
-            raise ConfigError(f"missing section [{section}]")
-        self._section = section
-        self._proxy = parser[section]
-        self._read: set[str] = set()
-
-    def __enter__(self) -> _SectionReader:
-        return self
-
-    def __exit__(self, kind: type | None, exc: BaseException | None, traceback: object) -> None:
-        if isinstance(exc, InvalidParameterError):
-            raise ConfigError(f"[{self._section}] {exc}") from None
-        unknown = [key for key in self._proxy if key not in self._read]
-        if exc is None and unknown:
-            raise ConfigError(f"[{self._section}] {unknown[0]}: unknown key")
-
-    def raw(self, key: str) -> str:
-        self._read.add(key)
-        if key not in self._proxy:
-            raise ConfigError(f"[{self._section}] {key}: missing")
-        text = self._proxy[key].strip()
-        # an indented line continues the value; output metadata holds one line
-        if len(text.splitlines()) > 1:
-            raise ConfigError(f"[{self._section}] {key}: value spans lines: {text!r}")
-        return text
-
-    def number(self, key: str) -> float:
-        text = self.raw(key)
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"[{self._section}] {key}: not a number: {text!r}") from None
-
-    def length(self, key: str, default: float | None = None) -> float:
-        if default is not None and key not in self._proxy:
-            return default
-        text = self.raw(key)
-        try:
-            return parse_length(text)
-        except InvalidParameterError as exc:
-            raise ConfigError(f"[{self._section}] {key}: {exc}") from None
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise InvalidParameterError(f"not a number: {text!r}") from None
 
 
-def _parse_stack(parser: configparser.ConfigParser, section: str) -> PlateStack:
-    reader = _SectionReader(parser, section)
-    keys = list(parser[section])
+# each section in reading order: the record it builds from its keys, each
+# key with its reader, in the record's argument order; None marks the
+# layer_0, layer_1, ... lines of a stack
+_KEYS = {
+    "geometry": (PlateGeometry, {"length": parse_length, "width": parse_length}),
+    "stack_a": (PlateStack, None),
+    "stack_b": (PlateStack, None),
+    "gap": (GapConfig, {"separation": parse_length, "temperature": _number}),
+    "thermal": (ThermalModel, {"reduction_factor": _number}),
+    "electrostatic": (float, {"stray_voltage": _number}),
+    "wire": (TorsionWire, {"material": str.lower, "shear_modulus": _number,
+                           "diameter": parse_length, "length": parse_length}),
+    "balance": (BalanceConfig, {"torque_sensitivity": _number, "arm_length": parse_length,
+                                "min_displacement": parse_length}),
+    "tilt": (TiltConfig, {"angle": _number, "plate_length_along_tilt": parse_length}),
+    "resolution": (float, {"force_resolution": _number}),
+    "yukawa": (YukawaParams, {"alpha": _number, "lambda": parse_length}),
+}
+
+# what an omitted optional section reads as; a present one sets every key
+_ABSENT = {
+    "thermal": {"reduction_factor": "1.0"},
+    # the parallelism spec, over the wider plate side (_DERIVED)
+    "tilt": {"angle": "1e-6"},
+    "yukawa": {"alpha": "1.0", "lambda": "10 um"},
+}
+
+
+def _known_modulus(built: dict, values: dict) -> float:
+    material = values["material"]
+    if material in SHEAR_MODULUS:
+        return SHEAR_MODULUS[material]
+    known = ", ".join(sorted(SHEAR_MODULUS))
+    raise ConfigError(
+        f"[wire] material: unknown material {material!r} (known: {known}); set shear_modulus explicitly"
+    )
+
+
+# an omitted key's default from the records built and the section's values read
+_DERIVED = {
+    ("tilt", "plate_length_along_tilt"): lambda built, values: built["geometry"].width,
+    ("wire", "shear_modulus"): _known_modulus,
+}
+
+
+def _line(proxy, section: str, key: str) -> str:
+    text = proxy[key].strip()
+    # an indented line continues the value; output metadata holds one line
+    if len(text.splitlines()) > 1:
+        raise ConfigError(f"[{section}] {key}: value spans lines: {text!r}")
+    return text
+
+
+def _read_layers(proxy, section: str) -> tuple[MaterialLayer, ...]:
+    keys = list(proxy)
     expected = [f"layer_{i}" for i in range(len(keys))]
     if not keys or set(keys) != set(expected):
         raise ConfigError(f"[{section}]: keys must run layer_0, layer_1, ... without gaps")
     layers = []
     for key in expected:
-        text = reader.raw(key)
+        text = _line(proxy, section, key)
         parts = [part.strip() for part in text.split(",")]
         if len(parts) != 3:
             raise ConfigError(
@@ -197,37 +203,13 @@ def _parse_stack(parser: configparser.ConfigParser, section: str) -> PlateStack:
         try:
             density = float(density_text)
         except ValueError:
-            raise ConfigError(
-                f"[{section}] {key}: density not a number: {density_text!r}"
-            ) from None
+            raise ConfigError(f"[{section}] {key}: density not a number: {density_text!r}") from None
         try:
             thickness = parse_length(thickness_text)
             layers.append(MaterialLayer(name=name, density=density, thickness=thickness))
         except InvalidParameterError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from None
-    return PlateStack(layers=tuple(layers))
-
-
-def _parse_wire(parser: configparser.ConfigParser) -> TorsionWire:
-    reader = _SectionReader(parser, "wire")
-    material = reader.raw("material").lower()
-    if "shear_modulus" in parser["wire"]:
-        shear_modulus = reader.number("shear_modulus")
-    elif material in SHEAR_MODULUS:
-        shear_modulus = SHEAR_MODULUS[material]
-    else:
-        known = ", ".join(sorted(SHEAR_MODULUS))
-        raise ConfigError(
-            f"[wire] material: unknown material {material!r} "
-            f"(known: {known}); set shear_modulus explicitly"
-        )
-    with reader:
-        return TorsionWire(
-            material=material,
-            shear_modulus=shear_modulus,
-            diameter=reader.length("diameter"),
-            length=reader.length("length"),
-        )
+    return tuple(layers)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -250,59 +232,44 @@ def load_config(path: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _KEYS:
             raise ConfigError(f"[{section}]: unknown section")
 
-    with _SectionReader(parser, "geometry") as reader:
-        geometry = PlateGeometry(length=reader.length("length"), width=reader.length("width"))
-    stack_a = _parse_stack(parser, "stack_a")
-    stack_b = _parse_stack(parser, "stack_b")
-    with _SectionReader(parser, "gap") as reader:
-        gap = GapConfig(
-            separation=reader.length("separation"), temperature=reader.number("temperature")
-        )
-    if parser.has_section("thermal"):
-        with _SectionReader(parser, "thermal") as reader:
-            thermal = ThermalModel(reduction_factor=reader.number("reduction_factor"))
-    else:
-        thermal = ThermalModel()
-    with _SectionReader(parser, "electrostatic") as reader:
-        stray_voltage = reader.number("stray_voltage")
-    wire = _parse_wire(parser)
-    with _SectionReader(parser, "balance") as reader:
-        balance = BalanceConfig(
-            torque_sensitivity=reader.number("torque_sensitivity"),
-            arm_length=reader.length("arm_length"),
-            min_displacement=reader.length("min_displacement"),
-        )
-    if parser.has_section("tilt"):
-        with _SectionReader(parser, "tilt") as reader:
-            tilt = TiltConfig(
-                angle=reader.number("angle"),
-                plate_length_along_tilt=reader.length("plate_length_along_tilt", geometry.width),
-            )
-    else:
-        # default: the parallelism spec over the wider plate side
-        tilt = TiltConfig(angle=1e-6, plate_length_along_tilt=geometry.width)
-    with _SectionReader(parser, "resolution") as reader:
-        force_resolution = reader.number("force_resolution")
-    if parser.has_section("yukawa"):
-        with _SectionReader(parser, "yukawa") as reader:
-            yukawa = YukawaParams(alpha=reader.number("alpha"), lam=reader.length("lambda"))
-    else:
-        yukawa = YukawaParams(alpha=1.0, lam=1e-5)
+    built: dict = {}
+    for section, (record, keys) in _KEYS.items():
+        if parser.has_section(section):
+            proxy = parser[section]
+        elif section in _ABSENT:
+            proxy = _ABSENT[section]
+        else:
+            raise ConfigError(f"missing section [{section}]")
+        if keys is None:
+            built[section] = record(_read_layers(proxy, section))
+            continue
+        values: dict = {}
+        for key, read in keys.items():
+            if key in proxy:
+                try:
+                    values[key] = read(_line(proxy, section, key))
+                except InvalidParameterError as exc:
+                    raise ConfigError(f"[{section}] {key}: {exc}") from None
+            elif (section, key) in _DERIVED:
+                values[key] = _DERIVED[section, key](built, values)
+            else:
+                raise ConfigError(f"[{section}] {key}: missing")
+        try:
+            built[section] = record(*values.values())
+        except InvalidParameterError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
+        unknown = [key for key in proxy if key not in keys]
+        if unknown:
+            raise ConfigError(f"[{section}] {unknown[0]}: unknown key")
 
+    # the sections after [gap] are the rest of ExperimentConfig's arguments
+    geometry, stack_a, stack_b, gap, *rest = built.values()
     try:
         return ExperimentConfig(
-            plates=PlatePairConfig(stack_a, stack_b, geometry, gap),
-            thermal=thermal,
-            stray_voltage=stray_voltage,
-            wire=wire,
-            balance=balance,
-            tilt=tilt,
-            force_resolution=force_resolution,
-            yukawa=yukawa,
-            source_sha256=sha256(raw).hexdigest(),
+            PlatePairConfig(stack_a, stack_b, geometry, gap), *rest, sha256(raw).hexdigest()
         )
     except InvalidParameterError as exc:
         # the message already names the section and key

@@ -19,6 +19,7 @@ from plateforces import (
     PlateGeometry,
     PlatePairConfig,
     PlateStack,
+    SHEAR_MODULUS,
     TorsionWire,
     YukawaParams,
     alpha_bound,
@@ -237,8 +238,10 @@ def test_criterion_09_exclusion_scan_shape():
 def test_criterion_10_balance_sensitivity_band():
     diameters = [float(d) for d in np.linspace(50e-6, 150e-6, 11)]
     overlaps = {}
-    for label, make in (("tungsten", TorsionWire.tungsten), ("quartz", TorsionWire.quartz)):
-        kappas = [torsion_constant(make(d)) for d in diameters]
+    for label in ("tungsten", "quartz"):
+        kappas = [
+            torsion_constant(TorsionWire(label, SHEAR_MODULUS[label], d, 0.5)) for d in diameters
+        ]
         overlaps[label] = min(kappas) <= 1e-4 and max(kappas) >= 1e-6
     force = min_detectable_force(
         BalanceConfig(torque_sensitivity=1e-6, arm_length=0.1, min_displacement=1e-9)

@@ -27,46 +27,44 @@ class TestTorsionWire:
         assert SHEAR_MODULUS["tungsten"] == 1.61e11
         assert SHEAR_MODULUS["quartz"] == 3.1e10
 
-    def test_constructors_pick_modulus(self):
-        assert TorsionWire.tungsten(50e-6).shear_modulus == 1.61e11
-        assert TorsionWire.quartz(50e-6).shear_modulus == 3.1e10
-        assert TorsionWire.tungsten(50e-6).length == 0.5
+    def test_length_defaults_to_half_a_meter(self):
+        assert TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], 50e-6).length == 0.5
 
     @pytest.mark.parametrize("diameter", [5e-6, 9.9e-6, 1.1e-3, 1e-2])
     def test_rejects_unbuildable_diameters(self, diameter):
         with pytest.raises(InvalidParameterError):
-            TorsionWire.tungsten(diameter)
+            TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], diameter, 0.5)
 
     @pytest.mark.parametrize("diameter", [10e-6, 50e-6, 150e-6, 1e-3])
     def test_accepts_band(self, diameter):
-        TorsionWire.tungsten(diameter)
+        TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], diameter, 0.5)
 
 
 class TestTorsionConstant:
     def test_tungsten_50um(self):
-        kappa = torsion_constant(TorsionWire.tungsten(50e-6))
+        kappa = torsion_constant(TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], 50e-6, 0.5))
         expected = math.pi * 1.61e11 * (25e-6) ** 4 / (2 * 0.5)
         assert kappa == pytest.approx(expected, rel=1e-12)
         assert kappa == pytest.approx(1.976e-7, rel=1e-3)
 
     def test_tungsten_150um(self):
-        kappa = torsion_constant(TorsionWire.tungsten(150e-6))
+        kappa = torsion_constant(TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], 150e-6, 0.5))
         assert kappa == pytest.approx(1.600e-5, rel=1e-3)
 
     def test_fourth_power_of_diameter(self):
-        thin = torsion_constant(TorsionWire.tungsten(50e-6))
-        thick = torsion_constant(TorsionWire.tungsten(100e-6))
+        thin = torsion_constant(TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], 50e-6, 0.5))
+        thick = torsion_constant(TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], 100e-6, 0.5))
         assert thick / thin == pytest.approx(16.0, rel=1e-12)
 
     def test_inverse_in_length(self):
-        short = torsion_constant(TorsionWire.tungsten(50e-6, length=0.25))
-        long = torsion_constant(TorsionWire.tungsten(50e-6, length=0.5))
+        short = torsion_constant(TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], 50e-6, 0.25))
+        long = torsion_constant(TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], 50e-6, 0.5))
         assert short == pytest.approx(2 * long, rel=1e-12)
 
     def test_softer_material_softer_wire(self):
-        assert torsion_constant(TorsionWire.quartz(50e-6)) < torsion_constant(
-            TorsionWire.tungsten(50e-6)
-        )
+        quartz = TorsionWire("quartz", SHEAR_MODULUS["quartz"], 50e-6, 0.5)
+        tungsten = TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], 50e-6, 0.5)
+        assert torsion_constant(quartz) < torsion_constant(tungsten)
 
 
     @pytest.mark.parametrize("modulus, outcome", [(1e308, "overflows"), (1e-320, "underflows")])
@@ -100,7 +98,7 @@ class TestMinDetectableForce:
         assert short == pytest.approx(4 * long, rel=1e-12)
 
     def test_wire_torsion_constant_replaces_torque_sensitivity(self):
-        wire = TorsionWire.tungsten(50e-6)
+        wire = TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], 50e-6, 0.5)
         balance = BalanceConfig(1e-6, 0.1, 1e-9)
         assert min_detectable_force(balance, wire) == torsion_constant(wire) * 1e-9 / 0.1**2
 

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from plateforces import ResultTable, ingest_prior_bounds
 from plateforces.cli import main
+from plateforces.config import _KEYS
 from conftest import BASELINE_CONFIG_PATH, FullDiskHandle
 
 
@@ -40,12 +41,10 @@ def _baseline_sections() -> dict[str, dict[str, str]]:
 
 
 BASE = _baseline_sections()
-# every baseline key, the optional shear modulus, and two misspellings
-KEYS = [(section, key) for section, keys in BASE.items() for key in keys] + [
-    ("wire", "shear_modulus"),
-    ("tilt", "plate_lenght_along_tilt"),
-    ("yukwa", "alpha"),
-]
+# every key load_config reads, the stacks' baseline layers, and two misspellings
+KEYS = [
+    (section, key) for section, (_, keys) in _KEYS.items() for key in keys or BASE[section]
+] + [("tilt", "plate_lenght_along_tilt"), ("yukwa", "alpha")]
 NUMBERS = [
     "0", "-1", "1", "0.5", "2", "300", "5", "10", "19.3e3", "1e-320", "5e-324",
     "1e-305", "1e-160", "1e-149", "1e-110", "1e-30", "1e-9", "1e-6", "1e-3",

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -16,6 +18,7 @@ from plateforces import (
     load_config,
     parse_length,
 )
+from plateforces.config import _ABSENT, _KEYS, _number
 from conftest import BASELINE_CONFIG_PATH, with_fields
 
 GOOD = textwrap.dedent(
@@ -319,6 +322,76 @@ class TestLoadConfig:
         extended = GOOD + f"\n[{section}]\nalpha = 1e3\n"
         with pytest.raises(ConfigError, match=rf"^\[{section}\]: unknown section$"):
             load_config(write(tmp_path, extended))
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            # a key's parse error, before a later key that spans lines
+            (
+                [("width = 12 cm", "width = x\nnote = a\n  b")],
+                "[geometry] width: cannot parse length 'x'",
+            ),
+            # a section's record is checked before its unknown keys
+            (
+                [("width = 12 cm", "width = -1 m\nheight = 1 mm")],
+                "[geometry] width: must be finite and > 0, got -1.0",
+            ),
+            # the material is looked up before the diameter is read
+            (
+                [("material = tungsten", "material = unobtainium"), ("50 um", "5 um")],
+                "[wire] material: unknown material 'unobtainium' (known: quartz, tungsten); "
+                "set shear_modulus explicitly",
+            ),
+            # the stray voltage is checked once every section is read
+            (
+                [("stray_voltage = 0.1", "stray_voltage = -1"), ("50 um", "5 um")],
+                "[wire] diameter: must lie in the supported band [1e-05, 0.001] m, got 5e-06 m",
+            ),
+            # a present [tilt] must set its angle
+            (
+                [("force_resolution = 1e-12", "force_resolution = 1e-12\n\n"
+                  "[tilt]\nplate_length_along_tilt = ten")],
+                "[tilt] angle: missing",
+            ),
+            # layer keys in any file order are read in index order
+            (
+                [("layer_0 = gold, 19.3e3, 10 um\nlayer_1 = glass, 3.0e3, 15 mm",
+                  "layer_1 = glass, 3.0e3, 15 mm\nlayer_0 = gold, 19.3e3, 10 um")],
+                None,
+            ),
+        ],
+        ids=["parse-before-lines", "range-before-unknown", "material-before-diameter",
+             "wire-before-stray-voltage", "tilt-angle-missing", "layers-reordered"],
+    )
+    def test_first_defect_reported(self, tmp_path, edits, message):
+        text = GOOD
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        path = write(tmp_path, text)
+        if message is None:
+            layers = load_config(path).plates.stack_a.layers
+            assert [layer.name for layer in layers] == ["gold", "glass"]
+            return
+        with pytest.raises(ConfigError) as raised:
+            load_config(path)
+        assert str(raised.value) == message
+
+    def test_readme_lists_every_key(self):
+        kinds = {parse_length: "length", _number: "number", str.lower: "name"}
+        table = {
+            (section, key): kinds[read]
+            for section, (_, keys) in _KEYS.items()
+            for key, read in (keys or {}).items()
+        }
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| (\w+) \| (.*) \|$", readme, re.M)
+        assert {(section, key): kind for section, key, kind, _ in rows} == table
+        assert len(rows) == len(table)
+        defaults = {(section, key): default for section, key, _, default in rows}
+        for section, keys in _ABSENT.items():
+            for key, text in keys.items():
+                assert defaults[section, key] == f"`{text}`"
 
     def test_inline_comments_ignored(self, tmp_path):
         commented = GOOD.replace("separation = 5 um", "separation = 5 um  # nominal")

@@ -25,6 +25,7 @@ from plateforces import (
     PlatePairConfig,
     PlateStack,
     ResultTable,
+    SHEAR_MODULUS,
     ThermalModel,
     TiltConfig,
     TorsionWire,
@@ -229,7 +230,7 @@ _RECORDS = [
             "plates": PlatePairConfig(_STACK, _STACK, PlateGeometry(0.1, 0.12), _GAP),
             "thermal": ThermalModel(),
             "stray_voltage": 0.01,
-            "wire": TorsionWire.tungsten(25e-6),
+            "wire": TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], 25e-6, 0.5),
             "balance": BalanceConfig(1e-9, 0.1, 1e-9),
             "tilt": TiltConfig(1e-6, 0.1),
             "force_resolution": 1e-12,
