@@ -1,6 +1,9 @@
 """Force budget and Yukawa reach of a parallel-plate Casimir experiment.
 
-Library layout:
+The package root exports what a script needs to drive the four
+commands: the config and prior readers, the experiment record, the
+result table and the error types.  Everything else is imported from
+its module:
 
 - core: constants, geometry, materials
 - casimir: zero-T/thermal Casimir forces
@@ -11,82 +14,20 @@ Library layout:
 - config/tables/cli: experiment files, CSV tables, command line
 """
 
-from .balance import (
-    SHEAR_MODULUS,
-    BalanceConfig,
-    TiltConfig,
-    TorsionWire,
-    gap_variation_from_tilt,
-    min_detectable_force,
-    tilted_casimir,
-    torsion_constant,
-)
-from .budget import electrostatic_force
-from .casimir import (
-    THERMAL_TRUST_MIN_GAP,
-    ThermalModel,
-    casimir_zero_t,
-    thermal_casimir,
-)
 from .config import ExperimentConfig, ingest_prior_bounds, load_config, parse_length
-from .core import (
-    CODATA2018,
-    GapConfig,
-    MaterialLayer,
-    PlateGeometry,
-    PlateStack,
-    YukawaParams,
-)
 from .errors import ConfigError, DomainError, InvalidParameterError, PlateForcesError
-from .exclusion import Curve, alpha_bound, exclusion_scan
-from .gravity import (
-    LayerMode,
-    PlatePairConfig,
-    plate_newton,
-    plate_yukawa,
-    stack_newton,
-    stack_yukawa,
-)
 from .tables import ResultTable
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BalanceConfig",
-    "CODATA2018",
     "ConfigError",
-    "Curve",
     "DomainError",
     "ExperimentConfig",
-    "GapConfig",
     "InvalidParameterError",
-    "LayerMode",
-    "MaterialLayer",
     "PlateForcesError",
-    "PlateGeometry",
-    "PlatePairConfig",
-    "PlateStack",
     "ResultTable",
-    "SHEAR_MODULUS",
-    "THERMAL_TRUST_MIN_GAP",
-    "ThermalModel",
-    "TiltConfig",
-    "TorsionWire",
-    "YukawaParams",
-    "alpha_bound",
-    "casimir_zero_t",
-    "electrostatic_force",
-    "exclusion_scan",
-    "gap_variation_from_tilt",
     "ingest_prior_bounds",
     "load_config",
-    "min_detectable_force",
     "parse_length",
-    "plate_newton",
-    "plate_yukawa",
-    "stack_newton",
-    "stack_yukawa",
-    "thermal_casimir",
-    "tilted_casimir",
-    "torsion_constant",
 ]

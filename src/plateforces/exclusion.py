@@ -28,53 +28,33 @@ MAX_SCAN_POINTS = 1_000_000
 _SLICE_LAMBDAS = 4096
 
 
-def alpha_bound(lam: float, plates: PlatePairConfig, force_resolution: float) -> float:
-    """Smallest detectable |alpha| at range lam, dimensionless.
-
-    Exact inversion of the Yukawa force between the two facing layers
-    of plates, at their own thicknesses and the plate gap, at the
-    force resolution (N):
-
-        alpha = F_res * exp(d/lam) /
-                (2 pi G rho_a rho_b S lam^2
-                 * (1 - exp(-tau_a/lam)) * (1 - exp(-tau_b/lam)))
-
-    Uses the same cancellation-safe thickness bracket as the force
-    expression, so feeding the bound back into the force reproduces
-    the resolution exactly.  Where exp(d/lam) overflows (lam far below
-    the gap) no finite coupling is detectable and the bound is inf.
-    """
-    require_lambda("lam", lam)
-    require_positive("force_resolution", force_resolution)
-    facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
-    ((alpha,),) = _alpha_bounds(
-        (lam,), plates, ((facing_a.thickness, facing_b.thickness),), force_resolution
-    )
-    return alpha
-
-
 def _alpha_bounds(
     grid: Sequence[float],
     plates: PlatePairConfig,
     thickness_pairs: Iterable[tuple[float, float]],
     force_resolution: float,
 ) -> list[array]:
-    """alpha_bound at every lambda of grid for each (thickness_a,
-    thickness_b) pair of facing layers, one array('d') per pair, unchecked.
+    """Smallest detectable |alpha| at every lambda of grid for each
+    (thickness_a, thickness_b) pair of facing layers, one array('d') per
+    pair, unchecked: the Yukawa force between the facing layers of plates
+    (densities, area S, gap d) inverted at the force resolution (N),
 
-    The grid past the overflow prefix is walked in slices of
-    _SLICE_LAMBDAS lambdas: 2 pi G rho_a rho_b S * lam^2 and
-    F_res * exp(d/lam) are taken once per slice for all pairs, which add
-    only their brackets; one comprehension per pair and slice forms every
-    alpha.  Python multiplies left to right and negation is exact, so each
-    alpha is the same double as the full product.  alpha is inf on the
-    prefix of the grid where exp(d/lam) overflows, found by bisection, and
-    where a denominator is zero; only the slice of a pair with a zero
-    denominator is redone one lambda at a time.  Raises DomainError
-    naming both facing densities and the area if 2 pi G rho_a rho_b S
-    overflows or underflows to zero, or if its product with lam^2
-    overflows, and naming force_resolution if an alpha underflows to
-    zero, so every alpha is positive or inf.
+        alpha = F_res * exp(d/lam) / (2 pi G rho_a rho_b S lam^2
+                * (1 - exp(-tau_a/lam)) * (1 - exp(-tau_b/lam))),
+
+    with the force's cancellation-safe brackets.  The grid past the
+    overflow prefix is walked in slices of _SLICE_LAMBDAS lambdas:
+    2 pi G rho_a rho_b S * lam^2 and F_res * exp(d/lam) are taken once per
+    slice for all pairs, which add only their brackets; one comprehension per
+    pair and slice forms every alpha.  Python multiplies left to right and
+    negation is exact, so each alpha is the same double as the full
+    product.  alpha is inf on the prefix of the grid where exp(d/lam)
+    overflows, found by bisection, and where a denominator is zero; only
+    the slice of a pair with a zero denominator is redone one lambda at a
+    time.  Raises DomainError naming both facing densities and the area if
+    2 pi G rho_a rho_b S overflows or underflows to zero, or if its
+    product with lam^2 overflows, and naming force_resolution if an alpha
+    underflows to zero, so every alpha is positive or inf.
     """
     facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
     area = plates.geometry.area()
@@ -222,13 +202,13 @@ def exclusion_scan(
 ) -> list[Curve]:
     """One exclusion curve per facing-layer thickness.
 
-    Each curve is alpha_bound for plates with both facing layers set to
-    its scan thickness; densities, area and gap are those of plates,
-    and force_resolution is in N.  The lambda grid is log-spaced with
-    n_points from lambda_min to lambda_max (at most MAX_LAMBDA)
-    inclusive; every curve holds it as one array('d'), and n_points is
-    at most MAX_SCAN_POINTS.  Points that collide in double precision make the
-    scan degenerate.  Output order follows the thicknesses argument.
+    Each curve is _alpha_bounds on the grid for plates with both facing
+    layers set to its scan thickness; densities, area and gap are those of
+    plates, and force_resolution is in N.  The lambda grid is log-spaced
+    with n_points from lambda_min to lambda_max (at most MAX_LAMBDA)
+    inclusive; every curve holds it as one array('d'), and n_points is at
+    most MAX_SCAN_POINTS.  Points that collide in double precision make
+    the scan degenerate.  Output order follows the thicknesses argument.
     """
     require_positive("force_resolution", force_resolution)
     require_positive("lambda_min", lambda_min)

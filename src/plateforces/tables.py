@@ -38,11 +38,6 @@ _PARALLEL_LINES = 20_000
 _RELAY_BYTES = 1 << 14
 
 
-def format_float(value: float) -> str:
-    """17 significant digits: enough to reproduce any double exactly."""
-    return _FLOAT_FORMAT % value
-
-
 def _is_column(value: object) -> bool:
     """A block entry, which gives one value per line: a tuple or an array('d')."""
     return type(value) is tuple or type(value) is array

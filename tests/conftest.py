@@ -7,14 +7,10 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from plateforces import (
-    GapConfig,
-    MaterialLayer,
-    PlateGeometry,
-    PlatePairConfig,
-    PlateStack,
-    load_config,
-)
+from plateforces import load_config
+from plateforces.core import GapConfig, MaterialLayer, PlateGeometry, PlateStack
+from plateforces.exclusion import _alpha_bounds
+from plateforces.gravity import PlatePairConfig
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINE_CONFIG_PATH = REPO_ROOT / "configs" / "baseline.ini"
@@ -24,6 +20,13 @@ AREA = 0.012
 PERIMETER = 0.44
 GAP = 5e-6
 TEMPERATURE = 300.0
+
+
+def kernel_alpha(lam: float, plates: PlatePairConfig, force_resolution: float) -> float:
+    """The exclusion kernel's alpha at one lambda, for the thicknesses of
+    the two facing layers of plates."""
+    pair = (plates.stack_a.layers[0].thickness, plates.stack_b.layers[0].thickness)
+    return _alpha_bounds((lam,), plates, (pair,), force_resolution)[0][0]
 
 
 @pytest.fixture

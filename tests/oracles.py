@@ -204,7 +204,7 @@ def plate_yukawa_reference(
 
 
 def alpha_bound_reference(lam: float, spec, constants=CODATA2018) -> float:
-    """The Yukawa inversion one lambda at a time, as alpha_bound computed
+    """The Yukawa inversion one lambda at a time, as the package computed
     it before the kernel shared its per-lambda factors between
     thicknesses: the whole denominator as one left-to-right product of
     negated brackets, inf where exp(d/lam) overflows or the denominator
@@ -237,7 +237,7 @@ def csv_reference(table) -> str:
     lines = [f"# {key} = {value}\n" for key, value in table.metadata]
     lines.extend(f"# warning: {warning}\n" for warning in table.warnings)
     lines.append(",".join(table.columns) + "\n")
-    # one % call per row formats every value as format_float does
+    # one % call per row formats every value to 17 significant digits
     row_format = ",".join(["%.17g"] * len(table.columns)) + "\n"
     lines.extend(map(row_format.__mod__, table.rows))
     return "".join(lines)

@@ -11,32 +11,30 @@ import time
 import numpy as np
 import pytest
 
-from plateforces import (
-    CODATA2018,
-    BalanceConfig,
-    GapConfig,
-    MaterialLayer,
-    PlateGeometry,
-    PlatePairConfig,
-    PlateStack,
+from plateforces.balance import (
     SHEAR_MODULUS,
+    BalanceConfig,
     TorsionWire,
-    YukawaParams,
-    alpha_bound,
-    casimir_zero_t,
-    electrostatic_force,
-    exclusion_scan,
     min_detectable_force,
-    plate_newton,
-    plate_yukawa,
-    stack_newton,
-    thermal_casimir,
     tilted_casimir,
     torsion_constant,
 )
+from plateforces.budget import electrostatic_force
+from plateforces.casimir import casimir_zero_t, thermal_casimir
+from plateforces.core import (
+    CODATA2018,
+    GapConfig,
+    MaterialLayer,
+    PlateGeometry,
+    PlateStack,
+    YukawaParams,
+)
+from plateforces.exclusion import exclusion_scan
+from plateforces.gravity import PlatePairConfig, plate_newton, plate_yukawa, stack_newton
 from plateforces import ResultTable
 from plateforces.cli import cmd_forces
 
+from conftest import kernel_alpha
 from oracles import tilted_casimir_force, yukawa_slab_force
 
 AREA = 0.012
@@ -194,7 +192,7 @@ def test_criterion_08_inversion_round_trip():
     report(
         8,
         ok,
-        f"force(alpha_bound(lam)) reproduces the 1 pN resolution over 1000 "
+        f"force(alpha(lam)) of the scan reproduces the 1 pN resolution over 1000 "
         f"lambda points: worst rel dev {worst:.2e}",
     )
 
@@ -219,7 +217,7 @@ def test_criterion_09_exclusion_scan_shape():
         for thin, thick in zip(curves, curves[1:])
     )
     shapes = all(unimodal(list(curve.alphas)) for curve in curves)
-    derived = alpha_bound(1e-5, gold_plates(), 1e-12)
+    derived = kernel_alpha(1e-5, gold_plates(), 1e-12)
     print(
         "[acceptance] recorded bounds at lam = 10 um with 10 um films: exact "
         f"inversion gives alpha = {derived:.3f}; the ballpark ~1000 sometimes "

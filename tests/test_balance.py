@@ -4,20 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from plateforces import (
-    CODATA2018,
-    BalanceConfig,
-    DomainError,
-    InvalidParameterError,
+from plateforces import DomainError, InvalidParameterError
+from plateforces.balance import (
     SHEAR_MODULUS,
+    BalanceConfig,
     TiltConfig,
     TorsionWire,
-    casimir_zero_t,
     gap_variation_from_tilt,
     min_detectable_force,
     tilted_casimir,
     torsion_constant,
 )
+from plateforces.casimir import casimir_zero_t
+from plateforces.core import CODATA2018
 
 from oracles import tilt_factor, tilted_casimir_force
 

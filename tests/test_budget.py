@@ -3,14 +3,10 @@ import re
 
 import pytest
 
-from plateforces import (
-    DomainError,
-    GapConfig,
-    InvalidParameterError,
-    ThermalModel,
-    YukawaParams,
-    electrostatic_force,
-)
+from plateforces import DomainError, InvalidParameterError
+from plateforces.budget import electrostatic_force
+from plateforces.casimir import ThermalModel
+from plateforces.core import GapConfig, YukawaParams
 from conftest import with_fields
 from plateforces.cli import cmd_budget, cmd_forces
 

@@ -3,10 +3,9 @@ import re
 
 import pytest
 
-from plateforces import (
+from plateforces import DomainError, InvalidParameterError
+from plateforces.casimir import (
     THERMAL_TRUST_MIN_GAP,
-    DomainError,
-    InvalidParameterError,
     ThermalModel,
     casimir_zero_t,
     thermal_casimir,

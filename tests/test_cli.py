@@ -19,14 +19,10 @@ from plateforces.cli import (
     main,
 )
 from plateforces.exclusion import MAX_SCAN_POINTS
-from plateforces import (
-    alpha_bound,
-    casimir_zero_t,
-    min_detectable_force,
-    stack_newton,
-    torsion_constant,
-)
-from conftest import BASELINE_CONFIG_PATH, REPO_ROOT
+from plateforces.balance import min_detectable_force, torsion_constant
+from plateforces.casimir import casimir_zero_t
+from plateforces.gravity import stack_newton
+from conftest import BASELINE_CONFIG_PATH, REPO_ROOT, kernel_alpha
 
 BASELINE = str(BASELINE_CONFIG_PATH)
 PRIOR = str(REPO_ROOT / "tests" / "golden" / "prior_fixture.csv")
@@ -139,13 +135,13 @@ class TestExclusionCommand:
 
     def test_values_match_library(self, baseline_config):
         table = cmd_exclusion(baseline_config, 1e-6, 1e-2, 5, thicknesses=(1e-5,))
-        # alpha_bound reads the facing layers as configured: 10 um gold on 10 um gold
+        # the kernel reads the facing layers as configured: 10 um gold on 10 um gold
         plates = baseline_config.plates
         assert plates.stack_a.layers[0].thickness == plates.stack_b.layers[0].thickness == 1e-5
         ((thickness, lambdas, alphas),) = table.rows
         assert thickness == 1e-5 and len(lambdas) == len(alphas) == 5
         for lam, alpha in zip(lambdas, alphas):
-            assert alpha == alpha_bound(lam, plates, baseline_config.force_resolution)
+            assert alpha == kernel_alpha(lam, plates, baseline_config.force_resolution)
 
     def test_improvement_column_against_prior(self, tmp_path, baseline_config):
         scan = cmd_exclusion(baseline_config, 1e-6, 1e-2, 20, thicknesses=(1e-5,))

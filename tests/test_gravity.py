@@ -2,18 +2,16 @@ import math
 
 import pytest
 
-from plateforces import (
-    CODATA2018,
-    GapConfig,
+from plateforces.core import CODATA2018, GapConfig, YukawaParams
+from plateforces.gravity import (
     LayerMode,
     PlatePairConfig,
-    YukawaParams,
     plate_newton,
     plate_yukawa,
     stack_newton,
     stack_yukawa,
+    yukawa_thickness_bracket,
 )
-from plateforces.gravity import yukawa_thickness_bracket
 
 from oracles import yukawa_slab_force, yukawa_stack_force
 

@@ -12,7 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import LIBM_LOG, loglog_interp
-from plateforces import Curve
+from plateforces.exclusion import Curve
 
 @st.composite
 def curves_and_grids(draw):

@@ -7,29 +7,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BASELINE_CONFIG_PATH, with_fields
+from conftest import BASELINE_CONFIG_PATH, kernel_alpha, with_fields
 from oracles import plate_newton_reference, plate_yukawa_reference
 
-from plateforces import (
-    GapConfig,
-    MaterialLayer,
-    PlateGeometry,
+from plateforces import load_config, parse_length
+from plateforces.balance import tilted_casimir
+from plateforces.budget import electrostatic_force
+from plateforces.casimir import ThermalModel, casimir_zero_t, thermal_casimir
+from plateforces.core import GapConfig, MaterialLayer, PlateGeometry, PlateStack, YukawaParams
+from plateforces.gravity import (
     PlatePairConfig,
-    PlateStack,
-    ThermalModel,
-    YukawaParams,
-    alpha_bound,
-    casimir_zero_t,
-    electrostatic_force,
-    load_config,
-    parse_length,
     plate_newton,
     plate_yukawa,
-    thermal_casimir,
-    tilted_casimir,
+    yukawa_thickness_bracket,
 )
 from plateforces.cli import cmd_budget, cmd_forces
-from plateforces.gravity import yukawa_thickness_bracket
 
 sides = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
 gaps = st.floats(min_value=1e-8, max_value=1e-3, allow_nan=False)
@@ -146,7 +138,7 @@ def test_plate_yukawa_linear_in_alpha(density, area, thickness, gap, lam, alpha)
 def test_alpha_bound_strictly_decreasing(lam, step):
     gold = PlateStack((MaterialLayer("gold", 19.3e3, 1e-5),))
     plates = PlatePairConfig(gold, gold, PlateGeometry(0.1, 0.12), GapConfig(5e-6))
-    assert alpha_bound(lam * step, plates, 1e-12) < alpha_bound(lam, plates, 1e-12)
+    assert kernel_alpha(lam * step, plates, 1e-12) < kernel_alpha(lam, plates, 1e-12)
 
 
 @settings(max_examples=50)

@@ -23,7 +23,6 @@ from plateforces import InvalidParameterError, ResultTable, tables
 from plateforces.cli import DEFAULT_SCAN_THICKNESSES, cmd_exclusion
 from plateforces.config import ingest_prior_bounds
 from plateforces.exclusion import exclusion_scan
-from plateforces.tables import format_float
 
 
 def sample_table():
@@ -44,19 +43,24 @@ def sample_table():
     )
 
 
+def written(value: float) -> str:
+    """The text a one-row, one-column table writes for value."""
+    return ResultTable(columns=("x_1",), rows=((value,),)).to_csv().removeprefix("x_1\n")
+
+
 class TestFormatting:
     def test_seventeen_significant_digits(self):
-        assert format_float(math.pi) == "3.1415926535897931"
+        assert written(math.pi) == "3.1415926535897931\n"
 
     @pytest.mark.parametrize(
         "value",
         [0.0, 1.0, -1.0, 0.1, 0.1 + 0.2, 1e-300, 5e-324, 2.4962414830996872e-08, math.inf],
     )
     def test_value_survives_text(self, value):
-        assert float(format_float(value)) == value
+        assert float(written(value)) == value
 
     def test_negative_zero_keeps_its_sign(self):
-        assert format_float(-0.0) == "-0"
+        assert written(-0.0) == "-0\n"
 
 
 class TestRoundTrip:
@@ -336,7 +340,7 @@ class TestStreamingWriter:
             columns=("thickness_m", "lambda_m", "alpha_1"),
             rows=tuple((t, grid, tuple(reversed(grid))) for t in (3e-7, 1e-6)),
         )
-        strings = list(map(format_float, grid))
+        strings = list(map("%.17g".__mod__, grid))
         per_value = sys.getsizeof(strings) + sum(map(sys.getsizeof, strings))
         del strings
         tracemalloc.start()
