@@ -7,7 +7,9 @@ a record.  The record types here and in the other modules are
 immutable value objects built on _Record rather than the dataclasses
 module, which would add about 20 ms to every command's start-up:
 invariants are checked once in __init__, after which instances compare
-and hash by value and are safe to share.
+and hash by value and are safe to share.  _forked is the one place
+that forks: the alpha kernel and the table writer each form their second
+half in a child through it.
 
 Sign convention used throughout the package: attractive forces are
 reported as positive magnitudes.
@@ -15,13 +17,21 @@ reported as positive magnitudes.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import sys
+import threading
 from array import array
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 
 from .errors import DomainError, InvalidParameterError
 
 MAX_LAMBDA = math.sqrt(sys.float_info.max)  # largest Yukawa range, m: lambda**2 stays finite
+# from this many values on (table lines, or alphas past the overflow
+# prefix), work that splits in two halves forks a child for its second half
+_PARALLEL_LINES = 20_000
 
 
 def require_positive(name: str, value: float) -> None:
@@ -54,6 +64,68 @@ def separation_power(separation: float, exponent: int) -> float:
     size = "small" if (power == 0.0) == (exponent > 0) else "large"
     outcome = "underflows to zero" if power == 0.0 else "overflows"
     raise DomainError(f"separation {separation:g} m is too {size}: d^{exponent} {outcome}")
+
+
+def _fill(pipe: io.RawIOBase, buffer: object) -> None:
+    """Read into every byte of buffer from pipe; EOFError if the pipe ends first."""
+    view = memoryview(buffer).cast("B")
+    while view:
+        if not (size := pipe.readinto(view)):
+            raise EOFError
+        view = view[size:]
+
+
+@contextmanager
+def _forked(n_values: int, send: Callable[[io.BufferedWriter], object]) -> Iterator[Callable | None]:
+    """receive, a function that fills a buffer with the next bytes a forked
+    child sends, or None if this process is to do all the work.  From
+    _PARALLEL_LINES values on, with os.fork, no other Python thread and a
+    second usable CPU, a child runs send(pipe) on the write end of a pipe
+    while this process does its own half, then leaves; a refused pipe or
+    fork leaves one process.  The pipe is closed and the child reaped on
+    every path, and a child that fails or sends too little raises OSError."""
+    pid = None
+    if (n_values >= _PARALLEL_LINES and hasattr(os, "fork") and threading.active_count() == 1
+            and (not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) > 1)):
+        try:
+            read_end, write_end = os.pipe()
+        except OSError:
+            pass
+        else:
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+    if pid is None:
+        yield None
+        return
+    if pid == 0:
+        # the child's only way out: it runs no exit hook and never flushes
+        # the buffers it inherited
+        status = 1
+        try:
+            # so that a write fails, not blocks, once the parent stops reading
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                send(pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    ended = False
+    try:
+        # closed first, so that a child blocked on a full pipe ends
+        with open(read_end, "rb", buffering=0) as pipe:
+            yield lambda buffer: _fill(pipe, buffer)
+    except EOFError:
+        ended = True
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise OSError(f"the forked child forming the second half exited with {status}")
+    if ended:
+        raise OSError("the forked child forming the second half sent too little")
 
 
 class _Record:

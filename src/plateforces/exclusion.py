@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import lt, mul, truediv
 
-from .core import _Record, require_lambda, require_positive
+from .core import _forked, _Record, require_lambda, require_positive
 from .errors import DomainError, InvalidParameterError
 from .gravity import PlatePairConfig, slab_coupling
 
@@ -51,10 +51,15 @@ def _alpha_bounds(
     product.  alpha is inf on the prefix of the grid where exp(d/lam)
     overflows, found by bisection, and where a denominator is zero; only
     the slice of a pair with a zero denominator is redone one lambda at a
-    time.  Raises DomainError naming both facing densities and the area if
-    2 pi G rho_a rho_b S overflows or underflows to zero, or if its
-    product with lam^2 overflows, and naming force_resolution if an alpha
-    underflows to zero, so every alpha is positive or inf.
+    time.  Where core._forked forks (from core._PARALLEL_LINES alphas past
+    the prefix), a child forms the upper half of that part for every pair
+    and sends it as raw doubles, which this process reads into its arrays
+    once it has formed the lower half; the alphas are the same doubles.
+    Raises DomainError, always in this process, naming both facing
+    densities and the area if 2 pi G rho_a rho_b S overflows or underflows
+    to zero, or if its product with lam^2 overflows, and naming
+    force_resolution if an alpha underflows to zero, so every alpha is
+    positive or inf.
     """
     facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
     area = plates.geometry.area()
@@ -85,23 +90,36 @@ def _alpha_bounds(
     # full length from the start, inf on the overflow prefix; each slice is
     # assigned in place once all its alphas are formed
     bounds = [array("d", [math.inf]) * len(grid) for _ in pairs]
-    for lo in range(first, len(grid), _SLICE_LAMBDAS):
-        # a slice at a time, so that no full-length temporary sits beside the
-        # alphas; its factors are tuples, since an array builds a float on every read
-        lams = tuple(grid[lo : lo + _SLICE_LAMBDAS])
-        scales = tuple(map(mul, repeat(prefactor), map(pow, lams, repeat(2))))
-        exps = map(math.exp, map(truediv, repeat(gap), lams))
-        signals = tuple(map(mul, repeat(force_resolution), exps))
-        for bound, pair in zip(bounds, pairs):
-            # expm1(-t/lam) is a bracket without its minus sign, which cancels
-            # in the product; equal thicknesses share one tuple
-            brackets = {t: tuple(map(math.expm1, map(truediv, repeat(-t), lams))) for t in {*pair}}
-            factors = signals, scales, *map(brackets.__getitem__, pair)
-            try:
-                alphas = [s / (c * a * b) for s, c, a, b in zip(*factors)]
-            except ZeroDivisionError:  # lam**2 or a bracket underflows to zero: alpha inf there
-                alphas = [s / d if (d := c * a * b) else math.inf for s, c, a, b in zip(*factors)]
-            bound[lo : lo + len(lams)] = array("d", alphas)
+
+    def form(start: int, stop: int) -> None:
+        for lo in range(start, stop, _SLICE_LAMBDAS):
+            # a slice at a time, so that no full-length temporary sits beside the
+            # alphas; its factors are tuples, since an array builds a float on every read
+            lams = tuple(grid[lo : min(lo + _SLICE_LAMBDAS, stop)])
+            scales = tuple(map(mul, repeat(prefactor), map(pow, lams, repeat(2))))
+            exps = map(math.exp, map(truediv, repeat(gap), lams))
+            signals = tuple(map(mul, repeat(force_resolution), exps))
+            for bound, pair in zip(bounds, pairs):
+                # expm1(-t/lam) is a bracket without its minus sign, which cancels
+                # in the product; equal thicknesses share one tuple
+                brackets = {t: tuple(map(math.expm1, map(truediv, repeat(-t), lams))) for t in {*pair}}
+                factors = signals, scales, *map(brackets.__getitem__, pair)
+                try:
+                    alphas = [s / (c * a * b) for s, c, a, b in zip(*factors)]
+                except ZeroDivisionError:  # lam**2 or a bracket underflows to zero: alpha inf there
+                    alphas = [s / d if (d := c * a * b) else math.inf for s, c, a, b in zip(*factors)]
+                bound[lo : lo + len(lams)] = array("d", alphas)
+
+    def send(pipe: object) -> None:
+        form(mid, len(grid))
+        pipe.writelines(memoryview(bound)[mid:] for bound in bounds)
+
+    # past the prefix, a forked child forms the upper half of every curve
+    mid = first + (len(grid) - first) // 2
+    with _forked((len(grid) - first) * len(pairs), send) as receive:
+        form(first, mid if receive else len(grid))
+        for bound in bounds if receive else ():
+            receive(memoryview(bound)[mid:])
     for bound in bounds:
         if may_underflow and 0.0 in bound:
             raise DomainError(
@@ -209,6 +227,9 @@ def exclusion_scan(
     inclusive; every curve holds it as one array('d'), and n_points is at
     most MAX_SCAN_POINTS.  Points that collide in double precision make
     the scan degenerate.  Output order follows the thicknesses argument.
+    A scan of at least 20 000 alphas past the overflow prefix (the 4 x
+    100 000 stress scan, not the default 4 x 1 000) forms the upper half of
+    its grid in a forked child, with the same doubles as one process.
     """
     require_positive("force_resolution", force_resolution)
     require_positive("lambda_min", lambda_min)

@@ -16,15 +16,12 @@ ever emitted.  ``from_csv`` returns flat rows, so
 from __future__ import annotations
 
 import io
-import os
-import threading
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
 from itertools import chain
 
-from .core import _Record
+from .core import _forked, _Record
 from .errors import InvalidParameterError
 
 _METADATA_PREFIX = "# "
@@ -32,9 +29,7 @@ _WARNING_KEY = "warning"
 _FLOAT_FORMAT = "%.17g"
 # data lines formatted per % call and per write: bounds the text held at once
 _SLICE_LINES = 4096
-# from this many data lines on, write formats in two processes; a child's
-# text reaches the handle in strings of at most _RELAY_BYTES
-_PARALLEL_LINES = 20_000
+# a forked child's text reaches the handle in strings of at most _RELAY_BYTES
 _RELAY_BYTES = 1 << 14
 
 
@@ -65,70 +60,23 @@ def _joined(values: tuple | array, start: int, stop: int) -> dict[int, str]:
     return {x: "\0".join([_FLOAT_FORMAT] * len(c)) % c for x, c in zip(firsts, chunks)}
 
 
-def _read(fd: int, size: int) -> Iterator[bytes]:
-    """size bytes from fd in reads of at most _RELAY_BYTES; EOFError if it ends first."""
+def _relay(receive: Callable) -> Iterator[str]:
+    """The text of the child's next piece, after its byte length, in strings
+    of at most _RELAY_BYTES."""
+    receive(head := bytearray(8))
+    size = int.from_bytes(head, "big")
     while size:
-        if not (data := os.read(fd, min(size, _RELAY_BYTES))):
-            raise EOFError
+        receive(data := bytearray(min(size, _RELAY_BYTES)))
         size -= len(data)
-        yield data
+        yield data.decode()
 
 
-@contextmanager
-def _halves(n_lines: int, pieces: Callable, *args: object) -> Iterator[tuple[tuple, Callable]]:
-    """(halves, relay): the halves of each template this process writes,
-    (0, 2) for all of it or (0, 1) for its first half, and a function that
-    returns the text of the child's lines of the next template.  From
-    _PARALLEL_LINES lines on, with a second CPU to run it, a forked child
-    sends pieces(*args, (1, 2)), the second half of every template, through
-    a pipe, each after its byte length; otherwise this process writes every
-    line and relay returns no text."""
-    pid = None
-    if (n_lines >= _PARALLEL_LINES and hasattr(os, "fork") and threading.active_count() == 1
-            and (not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) > 1)):
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-    if pid is None:
-        yield (0, 2), lambda: ()
-        return
-    if pid == 0:
-        # the child's only way out: it runs no exit hook and never flushes
-        # the buffers it inherited
-        status = 1
-        try:
-            # so that a write fails, not blocks, once the parent stops reading
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                for piece in pieces(*args, (1, 2)):
-                    data = [text.encode() for text in piece]
-                    pipe.writelines([sum(map(len, data)).to_bytes(8, "big"), *data])
-                    pipe.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-
-    def relay() -> Iterator[str]:
-        size = int.from_bytes(b"".join(_read(read_end, 8)), "big")
-        yield from map(bytes.decode, _read(read_end, size))
-
-    ended = False
-    try:
-        yield (0, 1), relay
-    except EOFError:
-        ended = True
-    finally:
-        # closed first, so that a child blocked on a full pipe ends
-        os.close(read_end)
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status:
-        raise OSError(f"the child formatting the second half of each block exited with {status}")
-    if ended:
-        raise OSError("the child formatting the second half of each block sent too little")
+def _send(pipe: io.BufferedWriter, pieces: Iterator[Iterator[str]]) -> None:
+    """Each piece encoded, after its byte length, flushed as it is done."""
+    for piece in pieces:
+        data = [text.encode() for text in piece]
+        pipe.writelines([sum(map(len, data)).to_bytes(8, "big"), *data])
+        pipe.flush()
 
 
 class ResultTable(_Record):
@@ -170,13 +118,12 @@ class ResultTable(_Record):
     def write(self, handle: io.TextIOBase) -> None:
         """Write the CSV to a text handle: the metadata, warnings and header in
         one call, then the data lines in strings of at most _SLICE_LINES lines.
-        From _PARALLEL_LINES lines on, each block and each run of rows of
-        floats splits at its middle line: a forked child formats the second
-        halves into its own memory, and this process writes the first half of
-        each, then relays the child's second half; each formats a shared
-        grid's text over its halves only.  Without os.fork, beside another
-        thread, with one usable CPU or if the fork is refused, this process
-        formats every line."""
+        Where core._forked forks (from core._PARALLEL_LINES lines on), each
+        block and each run of rows of floats splits at its middle line: the
+        child formats the second halves into its own memory, and this process
+        writes the first half of each, then relays the child's second half;
+        each formats a shared grid's text over its halves only.  Otherwise
+        this process formats every line."""
         lines = [f"{_METADATA_PREFIX}{key} = {value}\n" for key, value in self.metadata]
         lines += [f"{_METADATA_PREFIX}{_WARNING_KEY}: {text}\n" for text in self.warnings]
         lines.append(",".join(self.columns) + "\n")
@@ -185,9 +132,9 @@ class ResultTable(_Record):
         # a block is as many lines as its columns are long, any other row one
         n_lines = len(rows) - len(blocks)
         n_lines += sum(len(next(filter(_is_column, rows[i]))) for i in blocks)
-        with _halves(n_lines, self._pieces, blocks) as (halves, relay):
-            for piece in self._pieces(blocks, halves):
-                for text in chain(piece, relay()):
+        with _forked(n_lines, lambda pipe: _send(pipe, self._pieces(blocks, (1, 2)))) as receive:
+            for piece in self._pieces(blocks, (0, 1) if receive else (0, 2)):
+                for text in chain(piece, _relay(receive) if receive else ()):
                     handle.write(text)
 
     def to_csv(self) -> str:

@@ -1,7 +1,12 @@
 import errno
 import io
+import os
 import pathlib
+import signal
 import sys
+import threading
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -83,3 +88,72 @@ class FullDiskHandle(io.StringIO):
         if self.tell():
             raise OSError(errno.ENOSPC, "No space left on device")
         return super().write(text)
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def pipes(monkeypatch):
+    """The file descriptor pairs of every os.pipe call."""
+    made, real_pipe = [], os.pipe
+
+    def pipe():
+        made.append(real_pipe())
+        return made[-1]
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    return made
+
+
+def assert_closed(pipes):
+    for fd in (fd for pair in pipes for fd in pair):
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+# each keeps core._forked to one process
+UNSAFE_FORKS = ["refused", "missing", "threads", "one-cpu", "no-pipe"]
+
+
+@contextmanager
+def unsafe_fork(cause, monkeypatch):
+    """One of UNSAFE_FORKS in force: os.fork refused or missing, another
+    thread running, one usable CPU, or os.pipe refused.  Yields the
+    stand-in for os.fork, which refuses every call."""
+    fork = mock.Mock(side_effect=OSError(errno.EAGAIN, "Resource temporarily unavailable"))
+    if cause == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    if cause == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    if cause == "no-pipe":
+        monkeypatch.setattr(os, "pipe", mock.Mock(side_effect=OSError(errno.EMFILE, "Too many open files")))
+    release = threading.Event()
+    worker = threading.Thread(target=release.wait)
+    if cause == "threads":
+        worker.start()
+    try:
+        yield fork
+    finally:
+        release.set()
+    if cause == "threads":
+        worker.join(timeout=10)
+        assert not worker.is_alive()

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -849,3 +850,28 @@ class TestDeterminism:
         stdout = capsys.readouterr().out
         _, out = run(["budget", "--config", BASELINE], tmp_path)
         assert stdout == out.read_text()
+
+
+class TestForks:
+    """With two usable CPUs only the 100 000-point scan forks: once for its
+    alpha kernel, then once for its write.  cli-small's commands and the
+    prior-merge scan stay in one process."""
+
+    @pytest.mark.parametrize(
+        "argv, forks",
+        [
+            (["forces"], 0),
+            (["budget"], 0),
+            (["sensitivity"], 0),
+            (["exclusion"], 0),
+            (["exclusion", "--prior", PRIOR], 0),
+            (["exclusion", "--points", "100000"], 2),
+        ],
+        ids=["forces", "budget", "sensitivity", "exclusion", "prior", "stress-scan"],
+    )
+    def test_only_the_stress_scan_forks(self, argv, forks, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            code, _ = run([argv[0], "--config", BASELINE, *argv[1:]], tmp_path)
+        assert code == 0
+        assert fork.call_count == forks

@@ -1,16 +1,27 @@
 import math
+import os
 import re
+import signal
 import tracemalloc
 from array import array
+from contextlib import contextmanager
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import kernel_alpha
+from conftest import (
+    UNSAFE_FORKS,
+    assert_closed,
+    assert_no_child_left,
+    kernel_alpha,
+    time_limit,
+    unsafe_fork,
+)
 from oracles import alpha_bound_reference
-from plateforces import DomainError, InvalidParameterError
+from plateforces import DomainError, InvalidParameterError, core, exclusion
 from plateforces.core import (
     MAX_LAMBDA,
     GapConfig,
@@ -272,9 +283,31 @@ def _log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda exponent: 10.0**exponent)
 
 
-@example(resolution=1e-12, gap=5e-6, thicknesses=[1e-5], lambda_min=1e-9,
-         decades=7.0, n_points=60)
-@given(
+@contextmanager
+def two_processes():
+    """The kernel forks for its upper half from two alphas past the overflow
+    prefix on, as on a host with two usable CPUs, so that a one-lambda
+    reference stays in one process.  Yields os.fork, wrapped; afterwards
+    every such split has forked once and no child is left."""
+    splits, real_forked = [], exclusion._forked
+
+    def forked(n_values, send):
+        splits.append(n_values)
+        return real_forked(n_values, send)
+
+    with (
+        mock.patch.object(core, "_PARALLEL_LINES", 2),
+        mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True),
+        mock.patch.object(os, "fork", wraps=os.fork) as fork,
+        mock.patch.object(exclusion, "_forked", forked),
+        time_limit(60),
+    ):
+        yield fork
+    assert fork.call_count == sum(n_values >= 2 for n_values in splits)
+    assert_no_child_left()
+
+
+SCAN_CASES = dict(
     resolution=_log_uniform(-16, -8),
     gap=_log_uniform(-7, -4),
     thicknesses=st.lists(_log_uniform(-8, -1), min_size=1, max_size=3),
@@ -282,9 +315,11 @@ def _log_uniform(lo, hi):
     decades=st.floats(0.1, 7.0),
     n_points=st.integers(2, 60),
 )
-def test_scan_alpha_equals_reference_bit_for_bit(
-    resolution, gap, thicknesses, lambda_min, decades, n_points
-):
+SCAN_EXAMPLE = dict(resolution=1e-12, gap=5e-6, thicknesses=[1e-5], lambda_min=1e-9,
+                    decades=7.0, n_points=60)
+
+
+def _scan_equals_reference(resolution, gap, thicknesses, lambda_min, decades, n_points):
     # lambda_min reaches 1 nm, below which exp(gap/lambda) overflows;
     # the scan sets both facing layers to each thickness in turn
     plates = gold_plates(gap=gap)
@@ -296,6 +331,23 @@ def test_scan_alpha_equals_reference_bit_for_bit(
         curve_spec = reference_spec(thickness, gap, resolution)
         expected = [alpha_bound_reference(lam, curve_spec) for lam in curve.lambdas]
         assert list(curve.alphas) == expected
+
+
+@example(**SCAN_EXAMPLE)
+@given(**SCAN_CASES)
+def test_scan_alpha_equals_reference_bit_for_bit(
+    resolution, gap, thicknesses, lambda_min, decades, n_points
+):
+    _scan_equals_reference(resolution, gap, thicknesses, lambda_min, decades, n_points)
+
+
+@example(**SCAN_EXAMPLE)
+@given(**SCAN_CASES)
+def test_scan_alpha_equals_reference_bit_for_bit_in_two_processes(
+    resolution, gap, thicknesses, lambda_min, decades, n_points
+):
+    with two_processes():
+        _scan_equals_reference(resolution, gap, thicknesses, lambda_min, decades, n_points)
 
 
 def test_reference_oracle_reaches_the_overflow_region():
@@ -410,6 +462,92 @@ class TestKernelBranches:
         for lam in (1e-6, 1e-3, 1e10, 1e20, 1e30):
             assert kernel_alpha(lam, plates, RESOLUTION) == alpha_bound_reference(lam, spec)
         assert kernel_alpha(1e20, plates, RESOLUTION) == math.inf
+
+
+class TestKernelBranchesInTwoProcesses(TestKernelBranches):
+    """The same branches with every alpha past the middle of the grid's
+    finite-exp part formed in a forked child."""
+
+    @pytest.fixture(autouse=True)
+    def forked(self):
+        with two_processes():
+            yield
+
+
+def one_process_bounds(grid, plates, pairs):
+    with mock.patch.object(core, "_PARALLEL_LINES", math.inf):
+        return _alpha_bounds(grid, plates, pairs, RESOLUTION)
+
+
+class TestTwoProcessKernel:
+    # the 1e-175 m film's bracket is zero above lam of about 4e148 m
+    PAIRS = ((1e-5, 1e-175), (1e-5, 1e-5), (1e-175, 1e-5))
+
+    @staticmethod
+    def split(grid):
+        first = sum(not exclusion._exp_is_finite(5e-6 / lam) for lam in grid)
+        return first, first + (len(grid) - first) // 2
+
+    def test_split_past_an_overflow_run_over_half_the_grid(self):
+        # exp(gap/lam) overflows below about 7.04 nm: on 60 of these 100 lambdas
+        grid = (*(1e-9 + k * 6e-9 / 60 for k in range(60)), *(10.0 ** (-8 + k / 8) for k in range(40)))
+        first, mid = self.split(grid)
+        assert first == 60 and first > len(grid) // 2 and mid == 80
+        plates = facing_plates(1e-5, 1e-175)
+        expected = one_process_bounds(grid, plates, self.PAIRS)
+        with two_processes() as fork:
+            assert _alpha_bounds(grid, plates, self.PAIRS, RESOLUTION) == expected
+        assert fork.call_count == 1
+
+    def test_split_inside_a_zero_bracket_run(self):
+        # the thin film's bracket is zero on the top 29 of these 50 lambdas,
+        # and the split at 25 falls inside that run
+        grid = tuple(10.0 ** (146 + k / 8) for k in range(50))
+        first, mid = self.split(grid)
+        zero = [k for k, lam in enumerate(grid) if math.expm1(-1e-175 / lam) == 0.0]
+        assert (first, mid, zero) == (0, 25, list(range(21, 50)))
+        plates = facing_plates(1e-5, 1e-175)
+        expected = one_process_bounds(grid, plates, self.PAIRS)
+        assert expected[0][zero[0] :] == array("d", [math.inf] * len(zero))
+        with two_processes() as fork:
+            assert _alpha_bounds(grid, plates, self.PAIRS, RESOLUTION) == expected
+        assert fork.call_count == 1
+
+    def test_child_dying_mid_send_raises_oserror(self, pipes):
+        # the child's upper halves, 20 000 doubles a pair, outgrow the pipe:
+        # it is still sending when the parent has read the first of them
+        grid = tuple(10.0 ** (-6 + k / 10_000) for k in range(40_000))
+        children, real_fork, real_fill = [], os.fork, core._fill
+
+        def fork():
+            children.append(pid := real_fork())
+            return pid
+
+        def fill(pipe, buffer):
+            if fill.calls == 1:
+                os.kill(children[0], signal.SIGKILL)
+            fill.calls += 1
+            return real_fill(pipe, buffer)
+
+        fill.calls = 0
+        with two_processes() as forks, mock.patch.object(core, "_fill", fill):
+            forks.side_effect = fork
+            with pytest.raises(OSError, match="exited with -9"):
+                _alpha_bounds(grid, gold_plates(), ((1e-5, 1e-5), (3e-7, 3e-7)), RESOLUTION)
+        assert fill.calls == 2
+        assert len(pipes) == 1
+        assert_closed(pipes)
+
+    @pytest.mark.parametrize("cause", UNSAFE_FORKS)
+    def test_one_process_without_a_safe_fork(self, cause, monkeypatch, pipes):
+        grid = tuple(10.0 ** (-9 + k / 4_000) for k in range(28_000))
+        pairs = tuple((t, t) for t in (1e-7, 3e-7, 1e-6))
+        expected = one_process_bounds(grid, gold_plates(), pairs)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with unsafe_fork(cause, monkeypatch) as fork:
+            assert _alpha_bounds(grid, gold_plates(), pairs, RESOLUTION) == expected
+        assert fork.call_count == (cause == "refused")
+        assert_closed(pipes)
 
 
 @given(

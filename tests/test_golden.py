@@ -20,6 +20,7 @@ import hashlib
 import os
 import pathlib
 import sys
+from unittest import mock
 
 import pytest
 
@@ -75,13 +76,28 @@ SCALE_HASHES = {
 }
 
 
+def _stress_scan_digest(name, tmp_path, monkeypatch, cpus):
+    """The SHA-256 of a stress scan's output, written with cpus usable CPUs,
+    and the number of forks it made."""
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    argv, _ = SCALE_HASHES[name]
+    out = tmp_path / f"{name}.csv"
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        assert main(argv + ["--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest(), fork.call_count
+
+
+# the alpha kernel and the write each form their second half in a forked child
 @pytest.mark.parametrize("name", sorted(SCALE_HASHES))
 def test_stress_scan_matches_pinned_sha256(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(REPO_ROOT)
-    argv, digest = SCALE_HASHES[name]
-    out = tmp_path / f"{name}.csv"
-    assert main(argv + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert _stress_scan_digest(name, tmp_path, monkeypatch, 2) == (SCALE_HASHES[name][1], 2)
+
+
+# the same bytes when one process forms and writes every line
+@pytest.mark.parametrize("name", sorted(SCALE_HASHES))
+def test_stress_scan_in_one_process_matches_pinned_sha256(name, tmp_path, monkeypatch):
+    assert _stress_scan_digest(name, tmp_path, monkeypatch, 1) == (SCALE_HASHES[name][1], 0)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,10 @@
-import errno
 import io
 import math
 import os
 import re
-import signal
 import sys
-import threading
 import tracemalloc
 from array import array
-from contextlib import contextmanager
 from itertools import chain, repeat
 from operator import truediv
 from unittest import mock
@@ -17,9 +13,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import REPO_ROOT, FullDiskHandle
+from conftest import (
+    REPO_ROOT,
+    UNSAFE_FORKS,
+    FullDiskHandle,
+    assert_closed,
+    assert_no_child_left,
+    time_limit,
+    unsafe_fork,
+)
 from oracles import csv_reference
-from plateforces import InvalidParameterError, ResultTable, tables
+from plateforces import InvalidParameterError, ResultTable, core, tables
 from plateforces.cli import DEFAULT_SCAN_THICKNESSES, cmd_exclusion
 from plateforces.config import ingest_prior_bounds
 from plateforces.exclusion import exclusion_scan
@@ -259,7 +263,7 @@ def as_arrays(items):
     slice_lines=st.integers(1, 4),
 )
 # at 1 line every table with a data line is formatted in two processes
-@pytest.mark.parametrize("parallel_lines", [tables._PARALLEL_LINES, 1], ids=["one", "two"])
+@pytest.mark.parametrize("parallel_lines", [core._PARALLEL_LINES, 1], ids=["one", "two"])
 def test_write_in_any_slice_size_matches_to_csv(width_items, slice_lines, parallel_lines):
     width, items = width_items
     columns = tuple(f"c{i}" for i in range(width))
@@ -271,7 +275,7 @@ def test_write_in_any_slice_size_matches_to_csv(width_items, slice_lines, parall
         handle = io.StringIO()
         with (
             mock.patch.object(tables, "_SLICE_LINES", slice_lines),
-            mock.patch.object(tables, "_PARALLEL_LINES", parallel_lines),
+            mock.patch.object(core, "_PARALLEL_LINES", parallel_lines),
         ):
             written.write(handle)
         assert handle.getvalue() == expected
@@ -312,7 +316,7 @@ class TestStreamingWriter:
 
     def test_flat_rows_arrive_in_slices(self):
         n = 3 * tables._SLICE_LINES + 5
-        assert n < tables._PARALLEL_LINES
+        assert n < core._PARALLEL_LINES
         rows = [(k / 3, -0.0 if k % 2 else 0.0) for k in range(n)]
         table = ResultTable(columns=("a", "b"), rows=rows)
         handle = LengthRecorder()
@@ -345,7 +349,7 @@ class TestStreamingWriter:
         del strings
         tracemalloc.start()
         try:
-            with mock.patch.object(tables, "_PARALLEL_LINES", math.inf):
+            with mock.patch.object(core, "_PARALLEL_LINES", math.inf):
                 table.write(LengthRecorder())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -357,49 +361,11 @@ class TestStreamingWriter:
 def two_block_table():
     """Two blocks sharing a grid, as long together as _PARALLEL_LINES, so
     write forks, and long enough that the child's text fills a pipe."""
-    grid = tuple(1e-6 * 1.0001**k for k in range(tables._PARALLEL_LINES // 2))
+    grid = tuple(1e-6 * 1.0001**k for k in range(core._PARALLEL_LINES // 2))
     return ResultTable(
         columns=("thickness_m", "lambda_m", "alpha_1"),
         rows=((3e-7, grid, tuple(reversed(grid))), (1e-6, grid, 2.0)),
     )
-
-
-@contextmanager
-def time_limit(seconds):
-    def expire(signum, frame):
-        pytest.fail(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def pipes(monkeypatch):
-    """The file descriptor pairs of every os.pipe call."""
-    made, real_pipe = [], os.pipe
-
-    def pipe():
-        made.append(real_pipe())
-        return made[-1]
-
-    monkeypatch.setattr(os, "pipe", pipe)
-    return made
-
-
-def assert_closed(pipes):
-    for fd in (fd for pair in pipes for fd in pair):
-        with pytest.raises(OSError):
-            os.fstat(fd)
 
 
 class TestTwoProcessWriter:
@@ -410,7 +376,7 @@ class TestTwoProcessWriter:
 
     def test_forked_write_matches_and_leaves_no_child(self, pipes):
         table = two_block_table()
-        with mock.patch.object(tables, "_PARALLEL_LINES", math.inf):
+        with mock.patch.object(core, "_PARALLEL_LINES", math.inf):
             expected = table.to_csv()
         with mock.patch.object(os, "fork", wraps=os.fork) as fork, time_limit(60):
             assert table.to_csv() == expected
@@ -422,20 +388,20 @@ class TestTwoProcessWriter:
     def test_parent_writes_its_half_before_reading_the_childs(self):
         # the parent formats the first half of each block while the child
         # formats the second, and reads the child's piece only after its own
-        events, real_read = [], os.read
+        events, real_fill = [], core._fill
 
-        def read(fd, size):
+        def fill(pipe, buffer):
             events.append("read")
-            return real_read(fd, size)
+            return real_fill(pipe, buffer)
 
         handle = mock.Mock(write=lambda text: events.append("write"))
-        with mock.patch.object(os, "read", read), time_limit(60):
+        with mock.patch.object(core, "_fill", fill), time_limit(60):
             two_block_table().write(handle)
-        half_block = tables._PARALLEL_LINES // 4
+        half_block = core._PARALLEL_LINES // 4
         assert events.index("read") == 1 + math.ceil(half_block / tables._SLICE_LINES)
 
     def test_parent_holds_half_the_shared_grid_text(self):
-        grid = tuple(1e-6 * 1.0001**k for k in range(tables._PARALLEL_LINES // 2))
+        grid = tuple(1e-6 * 1.0001**k for k in range(core._PARALLEL_LINES // 2))
         table = ResultTable(
             columns=("thickness_m", "lambda_m", "alpha_1"),
             rows=tuple((t, grid, 2.0) for t in (1e-7, 3e-7, 1e-6, 3e-6)),
@@ -494,29 +460,13 @@ class TestTwoProcessWriter:
                 two_block_table().to_csv()
         assert_no_child_left()
 
-    @pytest.mark.parametrize("cause", ["refused", "missing", "threads", "one-cpu"])
+    @pytest.mark.parametrize("cause", UNSAFE_FORKS)
     def test_one_process_without_a_safe_fork(self, cause, monkeypatch, pipes):
         table = two_block_table()
-        with mock.patch.object(tables, "_PARALLEL_LINES", math.inf):
+        with mock.patch.object(core, "_PARALLEL_LINES", math.inf):
             expected = table.to_csv()
-        fork = mock.Mock(side_effect=OSError(errno.EAGAIN, "Resource temporarily unavailable"))
-        if cause == "missing":
-            monkeypatch.delattr(os, "fork")
-        else:
-            monkeypatch.setattr(os, "fork", fork)
-        if cause == "one-cpu":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        release = threading.Event()
-        worker = threading.Thread(target=release.wait)
-        if cause == "threads":
-            worker.start()
-        try:
+        with unsafe_fork(cause, monkeypatch) as fork:
             assert table.to_csv() == expected
-        finally:
-            release.set()
-        if cause == "threads":
-            worker.join(timeout=10)
-            assert not worker.is_alive()
         assert fork.call_count == (cause == "refused")
         assert_closed(pipes)
 
