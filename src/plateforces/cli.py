@@ -157,7 +157,7 @@ def cmd_budget(config: ExperimentConfig) -> ResultTable:
     """Single-row force budget at the config gap, with signal/background
     and signal/resolution ratios.
 
-    The Yukawa signal is that of the facing layers (LayerMode.METAL_ONLY)
+    The Yukawa signal is that of the facing layers (gravity.stack_yukawa)
     for the [yukawa] reference coupling, as a positive magnitude.
     """
     row = _quantities(config, config.plates.gap.separation)

@@ -233,14 +233,6 @@ class PlateStack(_Record):
             raise InvalidParameterError("a plate stack needs at least one layer")
         self._freeze(layers)
 
-    def layer_offset(self, index: int) -> float:
-        """Distance from the facing surface to the near face of layer ``index``."""
-        if not 0 <= index < len(self.layers):
-            raise InvalidParameterError(
-                f"layer index {index} out of range for a stack of {len(self.layers)} layers"
-            )
-        return sum(layer.thickness for layer in self.layers[:index])
-
 
 class GapConfig(_Record):
     """Face-to-face plate separation (m) and ambient temperature (K)."""

@@ -31,33 +31,33 @@ _SLICE_LAMBDAS = 4096
 def _alpha_bounds(
     grid: Sequence[float],
     plates: PlatePairConfig,
-    thickness_pairs: Iterable[tuple[float, float]],
+    thicknesses: Iterable[float],
     force_resolution: float,
 ) -> list[array]:
     """Smallest detectable |alpha| at every lambda of grid for each
-    (thickness_a, thickness_b) pair of facing layers, one array('d') per
-    pair, unchecked: the Yukawa force between the facing layers of plates
-    (densities, area S, gap d) inverted at the force resolution (N),
+    thickness tau of both facing layers, one array('d') per thickness:
+    the Yukawa force between the facing layers of plates (densities,
+    area S, gap d) inverted at the force resolution (N),
 
         alpha = F_res * exp(d/lam) / (2 pi G rho_a rho_b S lam^2
-                * (1 - exp(-tau_a/lam)) * (1 - exp(-tau_b/lam))),
+                * (1 - exp(-tau/lam))^2),
 
-    with the force's cancellation-safe brackets.  The grid past the
-    overflow prefix is walked in slices of _SLICE_LAMBDAS lambdas:
-    2 pi G rho_a rho_b S * lam^2 and F_res * exp(d/lam) are taken once per
-    slice for all pairs, which add only their brackets; one comprehension per
-    pair and slice forms every alpha.  Python multiplies left to right and
-    negation is exact, so each alpha is the same double as the full
-    product.  alpha is inf on the prefix of the grid where exp(d/lam)
-    overflows, found by bisection, and where a denominator is zero; only
-    the slice of a pair with a zero denominator is redone one lambda at a
-    time.  Where core._forked forks (from core._PARALLEL_LINES alphas past
-    the prefix), a child forms the upper half of that part for every pair
-    and sends it as raw doubles, which this process reads into its arrays
-    once it has formed the lower half; the alphas are the same doubles.
-    Raises DomainError, always in this process, naming both facing
-    densities and the area if 2 pi G rho_a rho_b S overflows or underflows
-    to zero, or if its product with lam^2 overflows, and naming
+    with the force's cancellation-safe bracket.  grid must be strictly
+    increasing within (0, MAX_LAMBDA]; exclusion_scan checks that before
+    calling, and this function does not.  Past the prefix where
+    exp(d/lam) overflows (alpha inf, found by bisection), the grid is
+    walked in slices of _SLICE_LAMBDAS lambdas: the scales
+    2 pi G rho_a rho_b S lam^2 and signals F_res exp(d/lam) are taken once
+    per slice, each thickness adds its bracket b, and one comprehension
+    forms its alphas, s / (c * b * b).  Python multiplies left to right
+    and negation is exact, so each alpha is the same double as the full
+    product.  A slice with a zero denominator (alpha inf there) is redone
+    one lambda at a time.  Where core._forked forks (from
+    core._PARALLEL_LINES alphas past the prefix), a child forms the upper
+    half of every curve there and sends it as raw doubles; the alphas are
+    the same.  Raises DomainError, always in this process, naming both
+    facing densities and the area if 2 pi G rho_a rho_b S overflows or
+    underflows to zero or its product with lam^2 overflows, and naming
     force_resolution if an alpha underflows to zero, so every alpha is
     positive or inf.
     """
@@ -70,7 +70,7 @@ def _alpha_bounds(
             f"facing densities {facing_a.density:g} and {facing_b.density:g} "
             f"kg/m^3 with area {area:g} m^2: 2 pi G rho_a rho_b S {outcome}"
         )
-    gap, pairs = plates.gap.separation, tuple(thickness_pairs)
+    gap, thicknesses = plates.gap.separation, tuple(thicknesses)
     # exp(gap/lam) falls as lam rises, so the lambdas where it overflows
     # (alpha inf) are a prefix of the grid; the maps take the rest.  The
     # scales rise with lam, so any overflow is at the end
@@ -89,7 +89,7 @@ def _alpha_bounds(
 
     # full length from the start, inf on the overflow prefix; each slice is
     # assigned in place once all its alphas are formed
-    bounds = [array("d", [math.inf]) * len(grid) for _ in pairs]
+    bounds = [array("d", [math.inf]) * len(grid) for _ in thicknesses]
 
     def form(start: int, stop: int) -> None:
         for lo in range(start, stop, _SLICE_LAMBDAS):
@@ -99,15 +99,14 @@ def _alpha_bounds(
             scales = tuple(map(mul, repeat(prefactor), map(pow, lams, repeat(2))))
             exps = map(math.exp, map(truediv, repeat(gap), lams))
             signals = tuple(map(mul, repeat(force_resolution), exps))
-            for bound, pair in zip(bounds, pairs):
-                # expm1(-t/lam) is a bracket without its minus sign, which cancels
-                # in the product; equal thicknesses share one tuple
-                brackets = {t: tuple(map(math.expm1, map(truediv, repeat(-t), lams))) for t in {*pair}}
-                factors = signals, scales, *map(brackets.__getitem__, pair)
+            for bound, thickness in zip(bounds, thicknesses):
+                # expm1(-t/lam) is a bracket without its minus sign, which
+                # cancels in the square
+                brackets = tuple(map(math.expm1, map(truediv, repeat(-thickness), lams)))
                 try:
-                    alphas = [s / (c * a * b) for s, c, a, b in zip(*factors)]
-                except ZeroDivisionError:  # lam**2 or a bracket underflows to zero: alpha inf there
-                    alphas = [s / d if (d := c * a * b) else math.inf for s, c, a, b in zip(*factors)]
+                    alphas = [s / (c * b * b) for s, c, b in zip(signals, scales, brackets)]
+                except ZeroDivisionError:  # lam**2 or the bracket underflows to zero: alpha inf there
+                    alphas = [s / d if (d := c * b * b) else math.inf for s, c, b in zip(signals, scales, brackets)]
                 bound[lo : lo + len(lams)] = array("d", alphas)
 
     def send(pipe: object) -> None:
@@ -116,7 +115,7 @@ def _alpha_bounds(
 
     # past the prefix, a forked child forms the upper half of every curve
     mid = first + (len(grid) - first) // 2
-    with _forked((len(grid) - first) * len(pairs), send) as receive:
+    with _forked((len(grid) - first) * len(thicknesses), send) as receive:
         form(first, mid if receive else len(grid))
         for bound in bounds if receive else ():
             receive(memoryview(bound)[mid:])
@@ -127,6 +126,18 @@ def _alpha_bounds(
                 f"zero at lambda {grid[bound.index(0.0)]:g} m"
             )
     return bounds
+
+
+def _require_increasing(lams: Sequence[float]) -> None:
+    """Raise InvalidParameterError unless lams is strictly increasing,
+    naming the first lambda that does not exceed the one before it."""
+    if all(map(lt, lams, lams[1:])):
+        return
+    for left, right in zip(lams, lams[1:]):
+        if not right > left:
+            raise InvalidParameterError(
+                f"lambda grid must be strictly increasing; {right!r} follows {left!r}"
+            )
 
 
 def _exp_is_finite(x: float) -> bool:
@@ -174,11 +185,7 @@ class Curve(_Record):
                 require_positive("lambda", lam)
                 if alpha != math.inf:
                     require_positive("alpha", alpha)
-            for left, right in zip(lams, lams[1:]):
-                if not right > left:
-                    raise InvalidParameterError(
-                        f"lambda grid must be strictly increasing; {right!r} follows {left!r}"
-                    )
+            _require_increasing(lams)
         self._freeze(lams, alphas, source)
 
     @cached_property
@@ -226,7 +233,9 @@ def exclusion_scan(
     with n_points from lambda_min to lambda_max (at most MAX_LAMBDA)
     inclusive; every curve holds it as one array('d'), and n_points is at
     most MAX_SCAN_POINTS.  Points that collide in double precision make
-    the scan degenerate.  Output order follows the thicknesses argument.
+    the scan degenerate; that is checked before any alpha is formed, so a
+    grid that rounds past lambda_max never reaches the kernel.  Output
+    order follows the thicknesses argument.
     A scan of at least 20 000 alphas past the overflow prefix (the 4 x
     100 000 stress scan, not the default 4 x 1 000) forms the upper half of
     its grid in a forked child, with the same doubles as one process.
@@ -256,17 +265,17 @@ def exclusion_scan(
     grid.append(lambda_max)
     for thickness in thicknesses:
         require_positive("thickness", thickness)
-    bounds = _alpha_bounds(grid, plates, zip(thicknesses, thicknesses), force_resolution)
     try:
-        curves = [Curve(lambdas=grid, alphas=bounds[0])]
+        _require_increasing(grid)
     except InvalidParameterError as exc:
-        # the kernel refuses an alpha of zero or nan: only the grid can fail
         raise DomainError(
             f"degenerate scan: {n_points} points from lambda_min {lambda_min!r} "
             f"to lambda_max {lambda_max!r} m collide in double precision: {exc}"
         ) from None
-    # the grid is checked and every alpha is positive or inf: freeze the rest unchecked
-    for alphas in bounds[1:]:
+    # the grid is checked and the kernel makes every alpha positive or inf:
+    # each curve is built on the one grid without Curve's checks
+    curves = []
+    for alphas in _alpha_bounds(grid, plates, thicknesses, force_resolution):
         curves.append(curve := object.__new__(Curve))
         curve._freeze(grid, alphas, "")
     return curves

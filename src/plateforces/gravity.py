@@ -1,15 +1,17 @@
 """Newtonian and Yukawa forces between layered plates.
 
 The plate expressions treat the plates as laterally infinite slabs of
-the given area (edge effects in gravity are negligible for gaps
-microns wide and plates centimeters wide).  Attractive forces are
-positive magnitudes; a negative Yukawa coupling alpha yields a
-negative (repulsive) Yukawa contribution.
+the given area.  That holds for the micron-thick facing films, which
+the Yukawa force sees, but not for substrates as thick as 15 mm under
+a 10 x 12 cm footprint: finite plates of that shape pull at about
+0.615 of the slab value, so stack_newton overstates the Newtonian
+force of such stacks (by about 3.9 nN for configs/baseline.ini).
+Attractive forces are positive magnitudes; a negative Yukawa coupling
+alpha yields a negative (repulsive) Yukawa contribution.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 
 from .core import (
@@ -32,27 +34,14 @@ class PlatePairConfig(_Record):
         self._freeze(stack_a, stack_b, geometry, gap)
 
 
-class LayerMode(enum.Enum):
-    """Which layer pairs contribute to a stack-stack Yukawa force.
-
-    METAL_ONLY keeps just the two facing layers; for micron ranges the
-    films screen everything behind them and this is the conservative
-    choice.  FULL_STACK sums every layer pair including the substrates,
-    which matters once the range approaches the substrate thickness.
-    """
-
-    METAL_ONLY = "metal-only"
-    FULL_STACK = "full-stack"
-
-
 def yukawa_thickness_bracket(thickness: float, lam: float) -> float:
     """(1 - exp(-thickness/lam)) evaluated without cancellation.
 
     expm1 keeps full precision when thickness/lam is tiny, where the
     naive form loses all significant digits.  The inversion side,
     exclusion._alpha_bounds, does not call this helper: it multiplies
-    two math.expm1(-thickness/lam) values directly, whose minus signs
-    cancel, so force and bound still take the same brackets.
+    math.expm1(-thickness/lam) by itself, so the minus signs cancel and
+    force and bound still take the same brackets.
     """
     return -math.expm1(-thickness / lam)
 
@@ -137,37 +126,10 @@ def stack_newton(config: PlatePairConfig) -> float:
     return total
 
 
-def stack_yukawa(
-    config: PlatePairConfig,
-    yukawa: YukawaParams,
-    mode: LayerMode = LayerMode.METAL_ONLY,
-) -> float:
-    """Yukawa force between two layered plates, in N.
-
-    Sums plate_yukawa over layer pairs, each at the bare gap plus the
-    two layers' depth offsets: every pair for FULL_STACK, only the
-    facing pair (offsets 0, so the bare gap) for METAL_ONLY.
-    """
-    if mode is LayerMode.METAL_ONLY:
-        depth = 1
-    elif mode is LayerMode.FULL_STACK:
-        depth = None
-    else:
-        raise ValueError(f"unknown layer mode: {mode!r}")
-    area = config.geometry.area()
-    d = config.gap.separation
-    total = 0.0
-    for i, layer_a in enumerate(config.stack_a.layers[:depth]):
-        offset_a = config.stack_a.layer_offset(i)
-        for j, layer_b in enumerate(config.stack_b.layers[:depth]):
-            gap_ij = d + offset_a + config.stack_b.layer_offset(j)
-            total += plate_yukawa(
-                layer_a.density,
-                layer_b.density,
-                area,
-                layer_a.thickness,
-                layer_b.thickness,
-                gap_ij,
-                yukawa,
-            )
-    return total
+def stack_yukawa(config: PlatePairConfig, yukawa: YukawaParams) -> float:
+    """Yukawa force between the facing layers (layers[0]) of two layered
+    plates at the bare gap, in N: in magnitude a lower bound on the
+    stacks' force, and nearly all of it for lam well below the films."""
+    a, b = config.stack_a.layers[0], config.stack_b.layers[0]
+    area, gap = config.geometry.area(), config.gap.separation
+    return plate_yukawa(a.density, b.density, area, a.thickness, b.thickness, gap, yukawa)

@@ -28,10 +28,10 @@ TEMPERATURE = 300.0
 
 
 def kernel_alpha(lam: float, plates: PlatePairConfig, force_resolution: float) -> float:
-    """The exclusion kernel's alpha at one lambda, for the thicknesses of
-    the two facing layers of plates."""
-    pair = (plates.stack_a.layers[0].thickness, plates.stack_b.layers[0].thickness)
-    return _alpha_bounds((lam,), plates, (pair,), force_resolution)[0][0]
+    """The exclusion kernel's alpha at one lambda, with both facing layers
+    of plates as thick as the facing layer of stack_a."""
+    thickness = plates.stack_a.layers[0].thickness
+    return _alpha_bounds((lam,), plates, (thickness,), force_resolution)[0][0]
 
 
 @pytest.fixture

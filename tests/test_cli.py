@@ -345,6 +345,21 @@ class TestExitCodes:
             "to lambda_max 1.000000000000001 m collide in double precision: "
         )
 
+    def test_grid_that_rounds_past_max_lambda_is_degenerate(self):
+        # lambda_max is MAX_LAMBDA's double; interior points round above it,
+        # where lambda**2 overflows, so the grid is refused before the kernel
+        result = run_fresh(
+            [
+                "exclusion", "--config", BASELINE, "--points", "1000",
+                "--lambda-min", "1.3407807929942e154", "--lambda-max", "1.3407807929942596e154",
+            ]
+        )
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith(
+            "domain error: degenerate scan: 1000 points from lambda_min 1.3407807929942e+154"
+        )
+
     def test_too_many_points(self, capsys):
         code = main(
             ["exclusion", "--config", BASELINE, "--points", str(MAX_SCAN_POINTS + 1)]

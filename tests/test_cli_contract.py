@@ -271,6 +271,13 @@ TILT_LENGTH = "plate_length_along_tilt"
         flags=("--lambda-min=1 m", "--lambda-max=1.000000000000001 m", "--points=100"),
     )
 )
+# a grid whose interior points round past lambda_max = MAX_LAMBDA
+@example(
+    case=Case(
+        "exclusion",
+        flags=("--lambda-min=1.3407807929942e154", "--lambda-max=1.3407807929942596e154", "--points=1000"),
+    )
+)
 @example(case=Case("exclusion", flags=("--points=5",), prior="1e-6,1\n1e-2,1\n", prior_name=" p9.csv "))
 @example(case=Case("exclusion", edits=DENSE_FILMS, flags=("--lambda-max=1e150", "--points=50")))
 @example(

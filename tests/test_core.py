@@ -74,32 +74,6 @@ class TestMaterialLayer:
 
 
 class TestPlateStack:
-    def test_offsets_accumulate(self):
-        stack = PlateStack(
-            (
-                MaterialLayer("gold", 19.3e3, 10e-6),
-                MaterialLayer("glass", 3.0e3, 15e-3),
-                MaterialLayer("backing", 2.7e3, 1e-3),
-            )
-        )
-        assert stack.layer_offset(0) == 0.0
-        assert stack.layer_offset(1) == pytest.approx(10e-6, rel=1e-15)
-        assert stack.layer_offset(2) == pytest.approx(10e-6 + 15e-3, rel=1e-15)
-
-    def test_offsets_strictly_increase(self):
-        stack = PlateStack(
-            tuple(MaterialLayer(f"l{i}", 1e3, 1e-6 * (i + 1)) for i in range(5))
-        )
-        offsets = [stack.layer_offset(i) for i in range(5)]
-        assert all(b > a for a, b in zip(offsets, offsets[1:]))
-
-    def test_index_out_of_range(self):
-        stack = PlateStack((MaterialLayer("glass", 3.0e3, 15e-3),))
-        with pytest.raises(InvalidParameterError):
-            stack.layer_offset(1)
-        with pytest.raises(InvalidParameterError):
-            stack.layer_offset(-1)
-
     def test_rejects_empty(self):
         with pytest.raises(InvalidParameterError):
             PlateStack(())

@@ -97,19 +97,6 @@ class TestAlphaBound:
         ]
         assert all(b < a for a, b in zip(bounds, bounds[1:]))
 
-    def test_uses_each_facing_layer_thickness(self):
-        # an asymmetric pair: the bound sees the facing layer of each stack,
-        # not the substrate behind it
-        gold = gold_plates()
-        thin = PlateStack(
-            (MaterialLayer("gold", GOLD, 1e-6), MaterialLayer("glass", 3e3, 1e-2))
-        )
-        pair = PlatePairConfig(gold.stack_a, thin, gold.geometry, gold.gap)
-        spec = reference_spec()
-        spec.thickness_b = 1e-6
-        for lam in (1e-9, 1e-8, 1e-6, 1e-5, 1e-3, 1.0):
-            assert kernel_alpha(lam, pair, RESOLUTION) == alpha_bound_reference(lam, spec)
-
     def test_approaches_thick_plate_floor_from_above(self):
         floor = RESOLUTION / (2 * math.pi * 6.674e-11 * GOLD**2 * 0.012 * 1e-5 * 1e-5)
         far = kernel_alpha(1e4 * 1e-5, gold_plates(), RESOLUTION)
@@ -202,6 +189,26 @@ class TestExclusionScan:
         with pytest.raises(DomainError):
             exclusion_scan(gold_plates(), RESOLUTION, 1e-6, 1e-2, 1, (1e-5,))
 
+    def test_grid_past_max_lambda_is_refused_before_the_kernel(self):
+        # the interior points of this grid round above lambda_max, which is
+        # MAX_LAMBDA: lam**2 overflows there, so the kernel must not see them
+        lambda_min, lambda_max = 1.3407807929942e154, 1.3407807929942596e154
+        assert lambda_max <= MAX_LAMBDA
+        message = "^" + re.escape(
+            "degenerate scan: 1000 points from lambda_min 1.3407807929942e+154 to "
+            "lambda_max 1.3407807929942596e+154 m collide in double precision: "
+            "lambda grid must be strictly increasing; "
+        )
+        with mock.patch.object(exclusion, "_alpha_bounds") as kernel:
+            with pytest.raises(DomainError, match=message):
+                exclusion_scan(gold_plates(), RESOLUTION, lambda_min, lambda_max, 1000, (1e-5,))
+        kernel.assert_not_called()
+        # a grid that collides is named before a slab prefactor that overflows
+        film = PlateStack((MaterialLayer("gold", 1e200, 1e-5),))
+        plates = PlatePairConfig(film, film, PlateGeometry(0.1, 0.12), GapConfig(5e-6))
+        with pytest.raises(DomainError, match=message):
+            exclusion_scan(plates, RESOLUTION, lambda_min, lambda_max, 1000, (1e-5,))
+
     def test_grid_whose_points_collide_is_degenerate(self):
         # 100 log-spaced points within five ulps of 1 m cannot all be distinct
         message = (
@@ -231,12 +238,13 @@ class TestExclusionScan:
         assert all(curve.lambdas is curves[0].lambdas for curve in curves)
 
     def test_curves_built_on_the_checked_grid_equal_checked_curves(self):
-        # only the first curve checks the shared grid; the others, inf alphas
-        # below the gap included, are the same records as checked ones
+        # the scan checks the shared grid once and builds no curve through
+        # Curve's checks; every curve, inf alphas below the gap included, is
+        # the same record as a checked one
         thicknesses = (3e-7, 1e-6, 1e-5)
         curves = exclusion_scan(gold_plates(), RESOLUTION, 1e-9, 1e-2, 50, thicknesses)
         assert curves[1].alphas[0] == math.inf
-        for curve in curves[1:]:
+        for curve in curves:
             checked = Curve(lambdas=curves[0].lambdas, alphas=curve.alphas)
             assert checked.lambdas is curve.lambdas
             assert curve == checked
@@ -357,11 +365,9 @@ def test_reference_oracle_reaches_the_overflow_region():
     assert expected.count(math.inf) == 8
 
 
-def facing_plates(thickness_a, thickness_b, gap=5e-6):
-    """gold_plates with facing films of two thicknesses."""
-    gold = gold_plates(thickness_a, gap)
-    other = PlateStack((MaterialLayer("gold", GOLD, thickness_b),))
-    return PlatePairConfig(gold.stack_a, other, gold.geometry, gold.gap)
+# two curves: 1e-175 m films, whose alpha denominator underflows to zero at
+# every lambda (their bracket itself is zero above about 4e148 m), and 10 um
+THICKNESSES = (1e-175, 1e-5)
 
 
 def _scan_matches_reference(thickness, gap, lambda_min, lambda_max, n_points):
@@ -381,25 +387,24 @@ class TestKernelBranches:
         # exp(gap/lam) overflows below lam = 5 um / 709.78, about 7.04 nm
         expected = _scan_matches_reference(1e-5, 5e-6, 1e-9, 1e-7, 200)
         assert 0 < expected.count(math.inf) < len(expected)
-        # one grid across the overflow and, for a 1e-175 m film against a
-        # 10 um one, into the zero bracket above lam of about 4e148 m
+        # one grid across the overflow and, for 1e-175 m films, into the
+        # zero bracket above lam of about 4e148 m
         grid = tuple(10.0 ** (k / 10) for k in range(-90, 1501))
-        pairs = ((1e-5, 1e-175), (1e-5, 1e-5), (1e-175, 1e-5))
-        bounds = _alpha_bounds(grid, facing_plates(1e-5, 1e-175), pairs, RESOLUTION)
-        for (thickness_a, thickness_b), alphas in zip(pairs, bounds):
-            spec = reference_spec(thickness_a)
-            spec.thickness_b = thickness_b
+        bounds = _alpha_bounds(grid, gold_plates(), THICKNESSES, RESOLUTION)
+        for thickness, alphas in zip(THICKNESSES, bounds):
+            spec = reference_spec(thickness)
             assert list(alphas) == [alpha_bound_reference(lam, spec) for lam in grid]
         # exp(gap/lam) overflows on the 9 lambdas below 7.04 nm; the thin
-        # film's bracket is zero on the top 14
-        thin, thick, _ = bounds
+        # films' bracket is zero on the top 14, and their denominator
+        # underflows to zero on all the others
+        thin, thick = bounds
         assert thick[:9] == array("d", [math.inf] * 9) and math.inf not in thick[9:]
-        assert thin[-14:] == array("d", [math.inf] * 14) and math.inf not in thin[13:-14]
+        assert thin == array("d", [math.inf]) * len(grid)
         assert [lam for lam in grid if math.expm1(-1e-175 / lam) == 0.0] == list(grid[-14:])
 
     def test_slices_match_alpha_bound_bit_for_bit(self):
         # three slices and a few points: exp(gap/lam) overflows below lam of
-        # about 7.04 nm, inside the second slice, and the 1e-175 m film's
+        # about 7.04 nm, inside the second slice, and the 1e-175 m films'
         # bracket is zero above about 4e148 m, in the second of the slices
         # walked past the overflow prefix
         n = _SLICE_LAMBDAS
@@ -407,12 +412,11 @@ class TestKernelBranches:
             *(1e-9 + k * 4.5e-9 / n for k in range(2 * n)),
             *(10.0 ** (-8 + 158 * (j + 1) / (n + 5)) for j in range(n + 5)),
         )
-        pairs = ((1e-5, 1e-175), (1e-5, 1e-5), (1e-175, 1e-5))
-        bounds = _alpha_bounds(grid, facing_plates(1e-5, 1e-175), pairs, RESOLUTION)
-        for pair, alphas in zip(pairs, bounds):
-            plates = facing_plates(*pair)
+        bounds = _alpha_bounds(grid, gold_plates(), THICKNESSES, RESOLUTION)
+        for thickness, alphas in zip(THICKNESSES, bounds):
+            plates = gold_plates(thickness)
             assert alphas == array("d", (kernel_alpha(lam, plates, RESOLUTION) for lam in grid))
-        thin, thick, _ = bounds
+        thin, thick = bounds
         first = thick.count(math.inf)
         assert n < first < 2 * n and thick[:first] == array("d", [math.inf] * first)
         zero = [k for k, lam in enumerate(grid) if math.expm1(-1e-175 / lam) == 0.0]
@@ -435,7 +439,7 @@ class TestKernelBranches:
         )
         assert message.endswith(" 6.02812e+119 m")
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            _alpha_bounds(grid, plates, ((1e-5, 1e-5),), RESOLUTION)
+            _alpha_bounds(grid, plates, (1e-5,), RESOLUTION)
 
     def test_lambda_squared_underflow(self):
         # a gap of 1e-175 m keeps exp(gap/lam) near 1, so the inf comes
@@ -455,13 +459,18 @@ class TestKernelBranches:
         assert math.expm1(-thickness / 1e150) == 0.0
 
     def test_one_zero_bracket_of_distinct_thicknesses(self):
-        # only the thin film's bracket is zero; the thick one stays finite
-        plates = facing_plates(1e-5, 1e-310)
-        spec = reference_spec()
-        spec.thickness_b = 1e-310
-        for lam in (1e-6, 1e-3, 1e10, 1e20, 1e30):
-            assert kernel_alpha(lam, plates, RESOLUTION) == alpha_bound_reference(lam, spec)
-        assert kernel_alpha(1e20, plates, RESOLUTION) == math.inf
+        # one scan, two thicknesses: the 1e-310 m films' bracket is zero
+        # from lam = 1e20 m, and their denominator underflows to zero below,
+        # so every alpha of that curve is inf; the 10 um curve stays finite
+        grid = (1e-6, 1e-3, 1e10, 1e20, 1e30)
+        bounds = _alpha_bounds(grid, gold_plates(), (1e-310, 1e-5), RESOLUTION)
+        for thickness, alphas in zip((1e-310, 1e-5), bounds):
+            spec, plates = reference_spec(thickness), gold_plates(thickness)
+            assert list(alphas) == [alpha_bound_reference(lam, spec) for lam in grid]
+            assert all(kernel_alpha(lam, plates, RESOLUTION) == a for lam, a in zip(grid, alphas))
+        thin, thick = bounds
+        assert thin == array("d", [math.inf]) * len(grid) and math.inf not in thick
+        assert [math.expm1(-1e-310 / lam) == 0.0 for lam in grid] == [False] * 3 + [True] * 2
 
 
 class TestKernelBranchesInTwoProcesses(TestKernelBranches):
@@ -474,15 +483,12 @@ class TestKernelBranchesInTwoProcesses(TestKernelBranches):
             yield
 
 
-def one_process_bounds(grid, plates, pairs):
+def one_process_bounds(grid, plates, thicknesses):
     with mock.patch.object(core, "_PARALLEL_LINES", math.inf):
-        return _alpha_bounds(grid, plates, pairs, RESOLUTION)
+        return _alpha_bounds(grid, plates, thicknesses, RESOLUTION)
 
 
 class TestTwoProcessKernel:
-    # the 1e-175 m film's bracket is zero above lam of about 4e148 m
-    PAIRS = ((1e-5, 1e-175), (1e-5, 1e-5), (1e-175, 1e-5))
-
     @staticmethod
     def split(grid):
         first = sum(not exclusion._exp_is_finite(5e-6 / lam) for lam in grid)
@@ -493,28 +499,28 @@ class TestTwoProcessKernel:
         grid = (*(1e-9 + k * 6e-9 / 60 for k in range(60)), *(10.0 ** (-8 + k / 8) for k in range(40)))
         first, mid = self.split(grid)
         assert first == 60 and first > len(grid) // 2 and mid == 80
-        plates = facing_plates(1e-5, 1e-175)
-        expected = one_process_bounds(grid, plates, self.PAIRS)
+        plates = gold_plates()
+        expected = one_process_bounds(grid, plates, THICKNESSES)
         with two_processes() as fork:
-            assert _alpha_bounds(grid, plates, self.PAIRS, RESOLUTION) == expected
+            assert _alpha_bounds(grid, plates, THICKNESSES, RESOLUTION) == expected
         assert fork.call_count == 1
 
     def test_split_inside_a_zero_bracket_run(self):
-        # the thin film's bracket is zero on the top 29 of these 50 lambdas,
+        # the thin films' bracket is zero on the top 29 of these 50 lambdas,
         # and the split at 25 falls inside that run
         grid = tuple(10.0 ** (146 + k / 8) for k in range(50))
         first, mid = self.split(grid)
         zero = [k for k, lam in enumerate(grid) if math.expm1(-1e-175 / lam) == 0.0]
         assert (first, mid, zero) == (0, 25, list(range(21, 50)))
-        plates = facing_plates(1e-5, 1e-175)
-        expected = one_process_bounds(grid, plates, self.PAIRS)
-        assert expected[0][zero[0] :] == array("d", [math.inf] * len(zero))
+        plates = gold_plates()
+        expected = one_process_bounds(grid, plates, THICKNESSES)
+        assert expected[0] == array("d", [math.inf]) * len(grid)
         with two_processes() as fork:
-            assert _alpha_bounds(grid, plates, self.PAIRS, RESOLUTION) == expected
+            assert _alpha_bounds(grid, plates, THICKNESSES, RESOLUTION) == expected
         assert fork.call_count == 1
 
     def test_child_dying_mid_send_raises_oserror(self, pipes):
-        # the child's upper halves, 20 000 doubles a pair, outgrow the pipe:
+        # the child's upper halves, 20 000 doubles a curve, outgrow the pipe:
         # it is still sending when the parent has read the first of them
         grid = tuple(10.0 ** (-6 + k / 10_000) for k in range(40_000))
         children, real_fork, real_fill = [], os.fork, core._fill
@@ -533,7 +539,7 @@ class TestTwoProcessKernel:
         with two_processes() as forks, mock.patch.object(core, "_fill", fill):
             forks.side_effect = fork
             with pytest.raises(OSError, match="exited with -9"):
-                _alpha_bounds(grid, gold_plates(), ((1e-5, 1e-5), (3e-7, 3e-7)), RESOLUTION)
+                _alpha_bounds(grid, gold_plates(), (1e-5, 3e-7), RESOLUTION)
         assert fill.calls == 2
         assert len(pipes) == 1
         assert_closed(pipes)
@@ -541,11 +547,11 @@ class TestTwoProcessKernel:
     @pytest.mark.parametrize("cause", UNSAFE_FORKS)
     def test_one_process_without_a_safe_fork(self, cause, monkeypatch, pipes):
         grid = tuple(10.0 ** (-9 + k / 4_000) for k in range(28_000))
-        pairs = tuple((t, t) for t in (1e-7, 3e-7, 1e-6))
-        expected = one_process_bounds(grid, gold_plates(), pairs)
+        thicknesses = (1e-7, 3e-7, 1e-6)
+        expected = one_process_bounds(grid, gold_plates(), thicknesses)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         with unsafe_fork(cause, monkeypatch) as fork:
-            assert _alpha_bounds(grid, gold_plates(), pairs, RESOLUTION) == expected
+            assert _alpha_bounds(grid, gold_plates(), thicknesses, RESOLUTION) == expected
         assert fork.call_count == (cause == "refused")
         assert_closed(pipes)
 
@@ -553,18 +559,14 @@ class TestTwoProcessKernel:
 @given(
     resolution=_log_uniform(-20, -5),
     gap=_log_uniform(-180, -1),
-    thickness_a=_log_uniform(-310, 1),
-    thickness_b=_log_uniform(-310, 1),
+    thickness=_log_uniform(-310, 1),
     lam=_log_uniform(-200, 150),
 )
-def test_alpha_bound_equals_reference_bit_for_bit(
-    resolution, gap, thickness_a, thickness_b, lam
-):
+def test_alpha_bound_equals_reference_bit_for_bit(resolution, gap, thickness, lam):
     # gap, films and lambda span every branch: exp(gap/lam) overflow,
     # lam**2 and bracket underflow, and the finite bound
-    spec = reference_spec(thickness_a, gap, resolution)
-    spec.thickness_b = thickness_b
-    plates = facing_plates(thickness_a, thickness_b, gap)
+    spec = reference_spec(thickness, gap, resolution)
+    plates = gold_plates(thickness, gap)
     assert kernel_alpha(lam, plates, resolution) == alpha_bound_reference(lam, spec)
 
 

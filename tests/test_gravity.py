@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from plateforces.core import CODATA2018, GapConfig, YukawaParams
+from plateforces.core import CODATA2018, GapConfig, PlateStack, YukawaParams
 from plateforces.gravity import (
-    LayerMode,
     PlatePairConfig,
     plate_newton,
     plate_yukawa,
@@ -156,41 +155,14 @@ class TestStackForces:
     def test_metal_only_equals_facing_layers(self, gold_glass_pair):
         y = YukawaParams(1.0, 1e-5)
         direct = plate_yukawa(GOLD, GOLD, AREA, 1e-5, 1e-5, 5e-6, y)
-        assert stack_yukawa(gold_glass_pair, y, LayerMode.METAL_ONLY) == direct
+        assert stack_yukawa(gold_glass_pair, y) == direct
 
-    def test_full_stack_anchors(self, gold_glass_pair):
-        assert stack_yukawa(
-            gold_glass_pair, YukawaParams(1.0, 1e-5), LayerMode.FULL_STACK
-        ) == pytest.approx(5.401770821759178e-14, rel=1e-12)
-        assert stack_yukawa(
-            gold_glass_pair, YukawaParams(1.0, 1e-3), LayerMode.FULL_STACK
-        ) == pytest.approx(5.006692139946777e-11, rel=1e-12)
-
-    def test_full_stack_exceeds_metal_only(self, gold_glass_pair):
-        for lam in (1e-6, 1e-5, 1e-4, 1e-3):
-            y = YukawaParams(1.0, lam)
-            assert stack_yukawa(gold_glass_pair, y, LayerMode.FULL_STACK) > stack_yukawa(
-                gold_glass_pair, y, LayerMode.METAL_ONLY
-            )
-
-    def test_full_stack_matches_profile_quadrature(self, gold_glass_pair):
+    def test_facing_films_match_profile_quadrature(self, gold_glass_pair):
+        # the quadrature oracle over the facing films alone: the substrates
+        # behind them add nothing to stack_yukawa
+        film_a = PlateStack(gold_glass_pair.stack_a.layers[:1])
+        film_b = PlateStack(gold_glass_pair.stack_b.layers[:1])
         for lam in (1e-6, 1e-5, 1e-3):
-            closed = stack_yukawa(
-                gold_glass_pair, YukawaParams(1.0, lam), LayerMode.FULL_STACK
-            )
-            brute = yukawa_stack_force(
-                gold_glass_pair.stack_a,
-                gold_glass_pair.stack_b,
-                AREA,
-                5e-6,
-                1.0,
-                lam,
-                G,
-            )
+            closed = stack_yukawa(gold_glass_pair, YukawaParams(1.0, lam))
+            brute = yukawa_stack_force(film_a, film_b, AREA, 5e-6, 1.0, lam, G)
             assert closed == pytest.approx(brute, rel=1e-9), lam
-
-    def test_single_layer_stack_modes_agree(self, glass_pair):
-        y = YukawaParams(1.0, 1e-4)
-        assert stack_yukawa(glass_pair, y, LayerMode.METAL_ONLY) == stack_yukawa(
-            glass_pair, y, LayerMode.FULL_STACK
-        )
