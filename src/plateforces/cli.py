@@ -17,7 +17,7 @@ import argparse
 import math
 import sys
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import compress
 from operator import truediv
 
@@ -56,83 +56,89 @@ def _metadata(
     )
 
 
-FORCES_COLUMNS = (
-    "gap_m",
-    "casimir_zero_t_N",
-    "thermal_N",
-    "total_N",
-    "newton_N",
-    "electrostatic_N",
-    "thermal_trusted_1",
-)
 PATCH_WARNING = (
     "electrostatic: assumes a uniform stray potential; patch-potential "
     "patterns are not modeled"
 )
 
+# One entry per output column of forces, budget and sensitivity: its value
+# as a function of c, the config, g, the gap, and r, the row so far.  Each
+# entry calls the physics through this module's globals when it runs, so a
+# function rebound here (as the benchmark's tracer does) is the one called.
+# A row keeps the previous gap's values until they are overwritten, so
+# newton_N, which does not depend on the gap, is computed once per table.
+_COLUMNS: dict[str, Callable[[ExperimentConfig, float, dict[str, float]], float]] = {
+    "gap_m": lambda c, g, r: g,
+    "casimir_zero_t_N": lambda c, g, r: casimir_zero_t(c.plates.geometry.area(), g),
+    "thermal_N": lambda c, g, r: thermal_casimir(
+        c.plates.geometry.area(), g, c.plates.gap.temperature
+    ),
+    # the thermal force is unweighted; eta applies only to the total
+    "total_N": lambda c, g, r: r["casimir_zero_t_N"] + c.thermal.reduction_factor * r["thermal_N"],
+    "newton_N": lambda c, g, r: r["newton_N"] if "newton_N" in r else stack_newton(c.plates),
+    "yukawa_N": lambda c, g, r: abs(stack_yukawa(c.plates, c.yukawa)),
+    "electrostatic_N": lambda c, g, r: electrostatic_force(
+        c.plates.geometry.area(), g, c.stray_voltage
+    ),
+    "thermal_trusted_1": lambda c, g, r: float(g >= THERMAL_TRUST_MIN_GAP),
+    "resolution_N": lambda c, g, r: c.force_resolution,
+    "ratio_electrostatic_casimir_zero_t_1": lambda c, g, r: (
+        r["electrostatic_N"] / r["casimir_zero_t_N"]
+    ),
+    "ratio_newton_casimir_zero_t_1": lambda c, g, r: r["newton_N"] / r["casimir_zero_t_N"],
+    "ratio_total_casimir_resolution_1": lambda c, g, r: r["total_casimir_N"] / r["resolution_N"],
+    "ratio_yukawa_resolution_1": lambda c, g, r: r["yukawa_N"] / r["resolution_N"],
+    "kappa_wire_Nm_per_rad": lambda c, g, r: torsion_constant(c.wire),
+    "f_min_wire_N": lambda c, g, r: min_detectable_force(c.balance, c.wire),
+    "kappa_balance_Nm_per_rad": lambda c, g, r: c.balance.torque_sensitivity,
+    "f_min_balance_N": lambda c, g, r: min_detectable_force(c.balance),
+    "gap_variation_m": lambda c, g, r: gap_variation_from_tilt(c.tilt),
+    "casimir_tilted_N": lambda c, g, r: tilted_casimir(
+        c.plates.geometry.area(), c.tilt.plate_length_along_tilt, g, c.tilt.angle
+    ),
+    "tilted_flat_ratio_1": lambda c, g, r: r["casimir_tilted_N"] / r["casimir_flat_N"],
+    "resolution_met_1": lambda c, g, r: float(r["f_min_balance_N"] <= c.force_resolution),
+}
+# one entry, two names
+_COLUMNS["total_casimir_N"] = _COLUMNS["total_N"]
+_COLUMNS["casimir_flat_N"] = _COLUMNS["casimir_zero_t_N"]
 
-def _quantities(
-    config: ExperimentConfig, gap: float, newton: float | None = None
-) -> dict[str, float]:
-    """Every per-gap quantity, keyed by its FORCES_COLUMNS name: the
-    forces in N and 1.0 where the classical thermal expression is
-    trusted at gap.  The thermal force is unweighted; eta applies only
-    to the total.  The gap-independent Newton force is computed last
-    unless given."""
-    area = config.plates.geometry.area()
-    zero_t = casimir_zero_t(area, gap)
-    thermal = thermal_casimir(area, gap, config.plates.gap.temperature)
-    total = zero_t + config.thermal.reduction_factor * thermal
-    electrostatic = electrostatic_force(area, gap, config.stray_voltage)
-    if newton is None:
-        newton = stack_newton(config.plates)
-    trusted = float(gap >= THERMAL_TRUST_MIN_GAP)
-    return dict(zip(FORCES_COLUMNS, (gap, zero_t, thermal, total, newton, electrostatic, trusted)))
 
-
-def _finite_row(gap: float, row: dict[str, float]) -> tuple[float, ...]:
-    """The values of row, a column -> value mapping, once each is finite.
-
-    Raises DomainError naming the first column whose value overflowed
-    to inf (or went nan) and the gap it was evaluated at.
-    """
-    for column, value in row.items():
-        if not math.isfinite(value):
-            raise DomainError(
-                f"{column} at gap {gap:g} m is {value!r}: the value "
-                "overflows a double"
-            )
-    return tuple(row.values())
-
-
-def _gap_table(
-    command: str,
-    config: ExperimentConfig,
-    columns: tuple[str, ...],
-    rows: Iterable[dict[str, float]],
-    *extra: tuple[str, str],
+def _table(
+    command: str, config: ExperimentConfig, gaps: Iterable[float], columns: tuple[str, ...],
+    warnings: Iterable[str], *extra: tuple[str, str],
 ) -> ResultTable:
-    """The forces or budget table: the given columns of each row, gated
-    as it is computed so that the first failing gap in input order names
-    the error, and a warning at each gap where the thermal force is not
-    trusted, then the patch-potential warning."""
-    values = []
-    warnings = []
-    for row in rows:
-        gap = row["gap_m"]
-        values.append(_finite_row(gap, {column: row[column] for column in columns}))
-        if not row["thermal_trusted_1"]:
-            warnings.append(
-                f"thermal force at gap {gap:g} m extrapolates the classical "
-                f"expression below its {THERMAL_TRUST_MIN_GAP:g} m trust gap"
-            )
-    warnings.append(PATCH_WARNING)
-    eta = ("eta", format(config.thermal.reduction_factor, "g"))
-    return ResultTable(
-        columns=columns,
-        rows=tuple(values),
-        metadata=_metadata(command, config, eta, *extra),
-        warnings=tuple(warnings),
+    """One row of the given columns per gap, each evaluated in column order
+    and then checked in that order, a row at a time.
+
+    Raises DomainError naming the first gap, in input order, with a value
+    that overflowed to inf (or went nan), and the first such column.
+    """
+    rows = []
+    row: dict[str, float] = {}
+    for gap in gaps:
+        for column in columns:
+            row[column] = _COLUMNS[column](config, gap, row)
+        for column, value in row.items():
+            if not math.isfinite(value):
+                raise DomainError(
+                    f"{column} at gap {gap:g} m is {value!r}: the value overflows a double"
+                )
+        rows.append(tuple(row.values()))
+    return ResultTable(columns, rows, _metadata(command, config, *extra), warnings)
+
+
+def _gap_warnings(gaps: Sequence[float]) -> tuple[str, ...]:
+    """A warning at each gap where the thermal force is not trusted, then
+    the patch-potential warning."""
+    return (
+        *(
+            f"thermal force at gap {gap:g} m extrapolates the classical "
+            f"expression below its {THERMAL_TRUST_MIN_GAP:g} m trust gap"
+            for gap in gaps
+            if not gap >= THERMAL_TRUST_MIN_GAP
+        ),
+        PATCH_WARNING,
     )
 
 
@@ -147,37 +153,39 @@ def cmd_forces(
     """
     if gaps is None:
         gaps = [config.plates.gap.separation]
-    newton = stack_newton(config.plates)
-    rows = (_quantities(config, gap, newton) for gap in gaps)
-    temperature = ("temperature_K", format(config.plates.gap.temperature, "g"))
-    return _gap_table("forces", config, FORCES_COLUMNS, rows, temperature)
+    columns = (
+        "gap_m", "casimir_zero_t_N", "thermal_N", "total_N", "newton_N", "electrostatic_N",
+        "thermal_trusted_1",
+    )
+    return _table(
+        "forces", config, gaps, columns, _gap_warnings(gaps),
+        ("eta", format(config.thermal.reduction_factor, "g")),
+        ("temperature_K", format(config.plates.gap.temperature, "g")),
+    )
 
 
 def cmd_budget(config: ExperimentConfig) -> ResultTable:
     """Single-row force budget at the config gap, with signal/background
     and signal/resolution ratios.
 
+    Its forces are the `_COLUMNS` entries of the `forces` row at the
+    config gap.
     The Yukawa signal is that of the facing layers (gravity.stack_yukawa)
     for the [yukawa] reference coupling, as a positive magnitude.
     """
-    row = _quantities(config, config.plates.gap.separation)
-    zero_t, total = row["casimir_zero_t_N"], row["total_N"]
-    yukawa = abs(stack_yukawa(config.plates, config.yukawa))
-    resolution = config.force_resolution
-    ratios = {
-        "ratio_electrostatic_casimir_zero_t_1": row["electrostatic_N"] / zero_t,
-        "ratio_newton_casimir_zero_t_1": row["newton_N"] / zero_t,
-        "ratio_total_casimir_resolution_1": total / resolution,
-        "ratio_yukawa_resolution_1": yukawa / resolution,
-    }
-    row.update(total_casimir_N=total, yukawa_N=yukawa, resolution_N=resolution, **ratios)
+    gaps = [config.plates.gap.separation]
     columns = (
         "gap_m", "casimir_zero_t_N", "thermal_N", "total_casimir_N", "newton_N", "yukawa_N",
-        "electrostatic_N", "resolution_N", *ratios,
+        "electrostatic_N", "resolution_N", "ratio_electrostatic_casimir_zero_t_1",
+        "ratio_newton_casimir_zero_t_1", "ratio_total_casimir_resolution_1",
+        "ratio_yukawa_resolution_1",
     )
-    alpha = ("yukawa_alpha", format(config.yukawa.alpha, "g"))
-    lam = ("yukawa_lambda_m", format(config.yukawa.lam, "g"))
-    return _gap_table("budget", config, columns, [row], alpha, lam)
+    return _table(
+        "budget", config, gaps, columns, _gap_warnings(gaps),
+        ("eta", format(config.thermal.reduction_factor, "g")),
+        ("yukawa_alpha", format(config.yukawa.alpha, "g")),
+        ("yukawa_lambda_m", format(config.yukawa.lam, "g")),
+    )
 
 
 def cmd_exclusion(
@@ -251,35 +259,15 @@ def cmd_exclusion(
 
 def cmd_sensitivity(config: ExperimentConfig) -> ResultTable:
     """Balance sensitivity and tilt effects for the configured setup."""
-    kappa_wire = torsion_constant(config.wire)
-    balance = config.balance
-    f_min_wire = min_detectable_force(balance, config.wire)
-    f_min_balance = min_detectable_force(balance)
-    tilt = config.tilt
-    gap = config.plates.gap.separation
-    area = config.plates.geometry.area()
-    flat = casimir_zero_t(area, gap)
-    tilted = tilted_casimir(area, tilt.plate_length_along_tilt, gap, tilt.angle)
-    row = {
-        "kappa_wire_Nm_per_rad": kappa_wire,
-        "f_min_wire_N": f_min_wire,
-        "kappa_balance_Nm_per_rad": balance.torque_sensitivity,
-        "f_min_balance_N": f_min_balance,
-        "gap_variation_m": gap_variation_from_tilt(tilt),
-        "casimir_flat_N": flat,
-        "casimir_tilted_N": tilted,
-        "tilted_flat_ratio_1": tilted / flat,
-        "resolution_met_1": 1.0 if f_min_balance <= config.force_resolution else 0.0,
-    }
-    return ResultTable(
-        columns=tuple(row),
-        rows=(_finite_row(gap, row),),
-        metadata=_metadata(
-            "sensitivity",
-            config,
-            ("wire_material", config.wire.material),
-            ("tilt_angle_rad", format(tilt.angle, "g")),
-        ),
+    columns = (
+        "kappa_wire_Nm_per_rad", "f_min_wire_N", "kappa_balance_Nm_per_rad", "f_min_balance_N",
+        "gap_variation_m", "casimir_flat_N", "casimir_tilted_N", "tilted_flat_ratio_1",
+        "resolution_met_1",
+    )
+    return _table(
+        "sensitivity", config, [config.plates.gap.separation], columns, (),
+        ("wire_material", config.wire.material),
+        ("tilt_angle_rad", format(config.tilt.angle, "g")),
     )
 
 

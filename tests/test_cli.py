@@ -3,20 +3,24 @@ import inspect
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from unittest import mock
 
 import pytest
 
+import plateforces.cli
 from plateforces import ResultTable
 from plateforces.cli import (
     DEFAULT_SCAN_LAMBDA_MAX,
     DEFAULT_SCAN_LAMBDA_MIN,
     DEFAULT_SCAN_POINTS,
     DEFAULT_SCAN_THICKNESSES,
+    cmd_budget,
     cmd_exclusion,
     cmd_forces,
+    cmd_sensitivity,
     main,
 )
 from plateforces.exclusion import MAX_SCAN_POINTS
@@ -119,6 +123,48 @@ class TestBudgetCommand:
         code, out = run(["budget", "--config", BASELINE], tmp_path)
         table = ResultTable.from_csv(out.read_text())
         assert any("patch" in w for w in table.warnings)
+
+
+class TestColumnTable:
+    UNITS = {"Nm_per_rad": "N m/rad", "N": "N", "m": "m", "1": "1"}
+
+    def test_readme_lists_every_column(self, tmp_path):
+        argvs = {
+            "forces": [], "budget": [], "exclusion": ["--prior", PRIOR], "sensitivity": [],
+        }
+        writers = {}
+        for command, extra in argvs.items():
+            code, out = run([command, "--config", BASELINE, *extra], tmp_path, f"{command}.csv")
+            assert code == 0
+            for column in ResultTable.from_csv(out.read_text()).columns:
+                writers.setdefault(column, []).append(command)
+        readme = (REPO_ROOT / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([a-z, ]+) \| .+ \|$", readme, re.M)
+        assert {column: commands for column, _, commands in rows} == {
+            column: ", ".join(commands) for column, commands in writers.items()
+        }
+        assert len(rows) == len(writers)
+        for column, unit, _ in rows:
+            suffix = next(s for s in self.UNITS if column.endswith("_" + s))
+            assert unit == self.UNITS[suffix], column
+
+    def test_rebound_physics_function_reaches_every_command(self, baseline_config, monkeypatch):
+        # the benchmark's tracer rebinds names in plateforces.cli; a column
+        # entry holding its own reference to the function would bypass it
+        calls = []
+        real = plateforces.cli.casimir_zero_t
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(plateforces.cli, "casimir_zero_t", counting)
+        cmd_forces(baseline_config, gaps=[1e-6, 5e-6, 1e-5])
+        assert len(calls) == 3
+        cmd_budget(baseline_config)
+        assert len(calls) == 4
+        cmd_sensitivity(baseline_config)
+        assert len(calls) == 5
 
 
 class TestExclusionCommand:

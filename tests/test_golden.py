@@ -11,7 +11,7 @@ A change that moves output on purpose regenerates the files with
 
 and names every changed value, and why, in CHANGES.md.  The two
 100 000-point scans are pinned by SHA-256 in SCALE_HASHES, which such a
-change updates by hand.
+change updates by hand from the digests that the same command prints.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import hashlib
 import os
 import pathlib
 import sys
+import tempfile
 from unittest import mock
 
 import pytest
@@ -105,3 +106,10 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         code = _run(case, GOLDEN_DIR / f"{case}.csv")
         print(f"{case}: exit {code}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (argv, pinned) in sorted(SCALE_HASHES.items()):
+            out = pathlib.Path(tmp) / f"{name}.csv"
+            code = main(argv + ["--out", str(out)])
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            status = "pinned" if digest == pinned else "differs from the pin"
+            print(f"{name}: exit {code}, sha256 {digest} ({status})", file=sys.stderr)
