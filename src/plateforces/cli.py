@@ -21,6 +21,7 @@ from collections.abc import Callable, Iterable, Sequence
 from itertools import compress
 from operator import truediv
 
+from . import __version__
 from .balance import (
     gap_variation_from_tilt,
     min_detectable_force,
@@ -48,6 +49,7 @@ def _metadata(
     """The metadata every table starts with, then the command's extra pairs."""
     return (
         ("tool", "plateforces"),
+        ("version", __version__),
         ("command", command),
         ("constants", CODATA2018.name),
         ("sign_convention", "attractive forces reported as positive magnitudes"),

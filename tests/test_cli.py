@@ -89,6 +89,7 @@ class TestForcesCommand:
         code, out = run(["forces", "--config", BASELINE], tmp_path)
         table = ResultTable.from_csv(out.read_text())
         meta = dict(table.metadata)
+        assert meta["version"] == plateforces.__version__
         assert meta["constants"] == "CODATA-2018"
         assert meta["config_sha256"] == baseline_config.source_sha256
         assert meta["eta"] == "1"

@@ -70,10 +70,10 @@ def test_output_matches_golden_bytes(name, tmp_path, monkeypatch):
 # where only the bound itself does, each named by its own warning.
 SCALE_HASHES = {
     "scan": (["exclusion", "--config", CONFIG, "--points", "100000"],
-             "c2a1a1fff38a1144921e51755d71b73e649e061fc056140c6d17889dfd84aad2"),
+             "bc26bd8670bf33057198a870bbe72207f1cb77ecfea0cb97720b1dea1e60c665"),
     "scan_from_1nm": (["exclusion", "--config", CONFIG, "--points", "100000",
                        "--lambda-min", "1 nm"],
-                      "00e10e7a0195a8b520d4ca87581f16c9ce1dd9d8b3a8aa71c5c24bd162321c00"),
+                      "438fcdc8aefd959dbd65f40aad6e87baf1a0c9a8d21db0561d67c5d0d68891ad"),
 }
 
 
