@@ -21,8 +21,10 @@ the physics modules never see a unit string.  Example:
 ``_ABSENT`` holds the text an omitted optional section reads as, and
 ``_DERIVED`` the two defaults taken from values read before them.
 
-Prior-bounds files are two-column CSV ``lambda_m,alpha`` with optional
-``#`` comment lines and an optional literal header row.
+A prior-bounds file holds ``lambda_m,alpha`` rows in increasing lambda;
+blank lines, ``#`` comments and the header (spaces ignored) may stand
+anywhere, lines end in LF, CR or CRLF and a leading BOM is skipped.  Rows
+are read in one pass and walked line by line only to name a bad one.
 
 ``config_sha256`` is taken with the interpreter's builtin SHA-256, the
 same bytes as ``hashlib``'s without loading OpenSSL.
@@ -33,6 +35,8 @@ from __future__ import annotations
 import configparser
 import math
 import re
+from array import array
+from itertools import islice, repeat
 
 try:  # hashlib loads OpenSSL, megabytes of memory for one digest
     from _sha2 import sha256  # CPython 3.12+
@@ -276,25 +280,54 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def ingest_prior_bounds(path: str) -> Curve:
-    """Read a prior-bounds CSV: columns lambda_m,alpha, '#' comments.
+# rows per joined string: a slice's fields, not the file's, are alive at once
+_ROWS_PER_PARSE = 512
 
-    Lines must come in strictly increasing lambda.  Errors name the
-    offending line; a file with no data rows is rejected.  The curve's
-    source is the path.  A leading UTF-8 byte-order mark is skipped.
+
+def _comment_or_header(text: str) -> bool:
+    return not text or text.startswith("#") or text.replace(" ", "") == "lambda_m,alpha"
+
+
+def ingest_prior_bounds(path: str) -> Curve:
+    """Read a prior-bounds CSV into a Curve whose source is the path.
+
+    Rows are lambda_m,alpha, both finite and > 0, at least two, in
+    strictly increasing lambda.  Blank lines, '#' comments and the header
+    (spaces ignored) may stand anywhere; lines end in LF, CR or CRLF; a
+    leading UTF-8 byte-order mark is skipped.  The rows are read in one
+    pass in C, and walked line by line only to name a bad one or to skip
+    a blank, comment or header line between them.
     """
     with open(path, "r", encoding="utf-8-sig") as handle:
         try:
-            lines = handle.readlines()
+            # universal newlines: the lines of readlines(), trailing blank ones aside
+            lines = handle.read().rstrip("\n").split("\n")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
+    start = 0
+    while start < len(lines) and _comment_or_header(lines[start].strip()):
+        start += 1
+    # the same rows as the walk's when every other line holds one comma
+    if set(map(str.count, islice(lines, start, None), repeat(","))) == {1}:
+        try:
+            values = array("d")
+            for first in range(start, len(lines), _ROWS_PER_PARSE):
+                values.extend(map(float, ",".join(lines[first : first + _ROWS_PER_PARSE]).split(",")))
+            curve = Curve(values[0::2], values[1::2], source=path)
+            if math.inf not in curve.alphas:  # which Curve takes and a prior row does not
+                return curve
+        except (ValueError, InvalidParameterError):
+            pass
+    return _walk_prior(lines, path)
+
+
+def _walk_prior(lines: list[str], path: str) -> Curve:
+    """ingest_prior_bounds one line at a time, naming the first bad one."""
     lambdas: list[float] = []
     alphas: list[float] = []
     for line_no, line in enumerate(lines, start=1):
         text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if text.replace(" ", "") == "lambda_m,alpha":
+        if _comment_or_header(text):
             continue
         parts = [part.strip() for part in text.split(",")]
         if len(parts) != 2:

@@ -1,4 +1,5 @@
 import errno
+import importlib
 import io
 import os
 import pathlib
@@ -157,3 +158,15 @@ def unsafe_fork(cause, monkeypatch):
     if cause == "threads":
         worker.join(timeout=10)
         assert not worker.is_alive()
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """bench/checker and bench/inputs, imported without writing bytecode
+    under bench/ and without leaving bench/ on sys.path."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    checker = importlib.import_module("checker")
+    yield checker, importlib.import_module("inputs")
+    for name in ("checker", "inputs"):
+        sys.modules.pop(name, None)

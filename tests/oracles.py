@@ -14,6 +14,8 @@ import numpy as np
 from scipy.integrate import dblquad, quad
 
 from plateforces.core import CODATA2018, require_positive
+from plateforces.errors import ConfigError, InvalidParameterError
+from plateforces.exclusion import Curve
 from plateforces.gravity import yukawa_thickness_bracket
 
 # Beyond this many interaction ranges the integrand has decayed to
@@ -241,3 +243,54 @@ def csv_reference(table) -> str:
     row_format = ",".join(["%.17g"] * len(table.columns)) + "\n"
     lines.extend(map(row_format.__mod__, table.rows))
     return "".join(lines)
+
+
+# config.ingest_prior_bounds as it was before rows were read in one pass:
+# every line stripped, split and checked on its own
+def prior_reference(path: str) -> Curve:
+    """Read a prior-bounds CSV: columns lambda_m,alpha, '#' comments.
+
+    Lines must come in strictly increasing lambda.  Errors name the
+    offending line; a file with no data rows is rejected.  The curve's
+    source is the path.  A leading UTF-8 byte-order mark is skipped.
+    """
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
+    lambdas: list[float] = []
+    alphas: list[float] = []
+    for line_no, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if text.replace(" ", "") == "lambda_m,alpha":
+            continue
+        parts = [part.strip() for part in text.split(",")]
+        if len(parts) != 2:
+            raise ConfigError(
+                f"{path}: line {line_no}: expected 2 columns (lambda_m,alpha), "
+                f"got {len(parts)}: {text!r}"
+            )
+        try:
+            lam, alpha = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ConfigError(
+                f"{path}: line {line_no}: not numeric: {text!r}"
+            ) from None
+        try:
+            require_positive("lambda", lam)
+            require_positive("alpha", alpha)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"{path}: line {line_no}: {exc}") from None
+        if lambdas and not lam > lambdas[-1]:
+            raise ConfigError(
+                f"{path}: line {line_no}: lambda {lam!r} does not increase "
+                f"past {lambdas[-1]!r}"
+            )
+        lambdas.append(lam)
+        alphas.append(alpha)
+    if len(lambdas) < 2:
+        raise ConfigError(f"{path}: needs at least 2 data rows, found {len(lambdas)}")
+    return Curve(lambdas=lambdas, alphas=alphas, source=path)

@@ -11,7 +11,6 @@ there.
 
 import ast
 import contextlib
-import importlib
 import io
 import os
 import subprocess
@@ -22,18 +21,6 @@ import pytest
 from plateforces.cli import main
 from plateforces.tables import ResultTable
 from conftest import REPO_ROOT
-
-
-@pytest.fixture
-def bench(monkeypatch):
-    """bench/checker and bench/inputs, imported without writing bytecode
-    under bench/ and without leaving bench/ on sys.path."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
-    checker = importlib.import_module("checker")
-    yield checker, importlib.import_module("inputs")
-    for name in ("checker", "inputs"):
-        sys.modules.pop(name, None)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ Each case edits a copy of configs/baseline.ini (values replaced, keys or
 sections dropped or added), picks a command and its flags, and may write
 a prior-bounds file; main(argv) then runs in process.  Whatever the
 input, the run must end in a documented exit code without a traceback,
-an exit 2 must read "config error: ...", a stdout that fails must end
+an exit 2 must read "config error: ...", one about a prior file must
+name its line unless the file has too few rows, a stdout that fails must end
 in exit 4 and "i/o error: ...", a reported grid collision must
 be one of the grid's own points, an exit-0 CSV must parse and name the
 --prior argument as its prior_source, and every inf or nan in it must
@@ -13,7 +14,8 @@ lambda outside the prior's domain.
 
 The search is derandomized, so every run tries the same inputs.  The
 @example cases are inputs that once ended in a traceback, a silent inf
-or a misleading message.
+or a misleading message, and prior layouts that the reader's one-pass
+read leaves to its line-by-line walk.
 """
 
 from __future__ import annotations
@@ -290,6 +292,22 @@ TILT_LENGTH = "plate_length_along_tilt"
 @example(
     case=Case("exclusion", edits={**DENSE_FILMS, ("resolution", "force_resolution"): "1e-300"})
 )
+# prior layouts the one-pass reader hands to its line-by-line walk: read
+# alike (exit 0) or refused naming their line (exit 2)
+@example(case=Case("exclusion", flags=("--points=5",), prior="1e-6,1\n\n1e-2,1\n"))
+@example(case=Case("exclusion", flags=("--points=5",), prior="1e-6,1\n1e-2,1\n# end\n"))
+@example(
+    case=Case(
+        "exclusion",
+        flags=("--points=5",),
+        prior="lambda_m,alpha\n1e-6,1\nlambda_m,alpha\n1e-2,1\n",
+    )
+)
+@example(
+    case=Case("exclusion", flags=("--points=5",), prior="\ufefflambda_m,alpha\r\n1e-6,1\r\n1e-2,1\r\n")
+)
+@example(case=Case("exclusion", flags=("--points=5",), prior="1e-6,1\n1e-2,1,3\n"))
+@example(case=Case("exclusion", flags=("--points=5",), prior="1e-6,\n1e-2,1\n"))
 # 4 x 10 000 lines, formatted in two processes, to a stdout that fails on the
 # first data slice
 @example(case=Case("exclusion", flags=("--points=10000",), stdout_fails=True))
@@ -302,7 +320,7 @@ def test_every_input_ends_in_a_documented_exit(case, tmp_path_factory):
     if case.prior is not None:
         prior_path = str(work / case.prior_name)
         if case.prior_name != "missing.csv":
-            with open(prior_path, "w") as handle:
+            with open(prior_path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(case.prior)
         argv.append(f"--prior={prior_path}")
     out, err = FullDiskHandle() if case.stdout_fails else io.StringIO(), io.StringIO()
@@ -313,6 +331,10 @@ def test_every_input_ends_in_a_documented_exit(case, tmp_path_factory):
     assert "Traceback" not in stderr
     if code == 2:
         assert stderr.startswith("config error: "), stderr
+        detail = stderr.removeprefix(f"config error: {prior_path}: ")
+        if prior_path and detail != stderr:
+            # a refused prior names its line, unless it has too few rows
+            assert re.match(r"line \d+: |needs at least 2 data rows", detail), stderr
     if case.stdout_fails:
         assert code == 4 and stderr.startswith("i/o error: "), (code, stderr)
     if "collide in double precision" in stderr:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import textwrap
 from array import array
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plateforces import (
     ConfigError,
@@ -17,9 +20,11 @@ from plateforces import (
     load_config,
     parse_length,
 )
+from plateforces import config
 from plateforces.core import PlateGeometry
 from plateforces.config import _ABSENT, _KEYS, _number
-from conftest import BASELINE_CONFIG_PATH, with_fields
+from conftest import BASELINE_CONFIG_PATH, REPO_ROOT, with_fields
+from oracles import prior_reference
 
 GOOD = textwrap.dedent(
     """\
@@ -484,3 +489,102 @@ class TestIngestPriorBounds:
         path.write_bytes(b"\xff\xfe1\x00e\x00")
         with pytest.raises(ConfigError, match=f"{path}: not valid UTF-8"):
             ingest_prior_bounds(str(path))
+
+    def test_non_utf8_byte_past_8_kib_names_its_file_offset(self, tmp_path):
+        path = tmp_path / "prior.csv"
+        path.write_bytes(b"#" + b"a" * 20_999 + b"\xff\n1e-6,1\n1e-5,2\n")
+        with pytest.raises(ConfigError, match="in position 21000: invalid start byte"):
+            ingest_prior_bounds(str(path))
+
+
+def _fast_path_only(monkeypatch):
+    def refuse(lines, path):
+        raise AssertionError(f"{path} was walked line by line")
+
+    monkeypatch.setattr(config, "_walk_prior", refuse)
+
+
+class TestPriorOnePass:
+    """The common prior files are read without the line-by-line walk."""
+
+    def test_bench_prior(self, bench, monkeypatch, tmp_path):
+        _, inputs = bench
+        prior = inputs.make_prior(random.Random(401), str(tmp_path / "prior.csv"))
+        with open(prior.path, "w", encoding="utf-8") as handle:
+            handle.write(prior.text)
+        expected = prior_reference(prior.path)
+        assert len(expected.lambdas) == inputs.PRIOR_ROWS
+        _fast_path_only(monkeypatch)
+        assert ingest_prior_bounds(prior.path) == expected
+
+    def test_golden_fixture(self, monkeypatch):
+        path = str(REPO_ROOT / "tests" / "golden" / "prior_fixture.csv")
+        expected = prior_reference(path)
+        _fast_path_only(monkeypatch)
+        assert ingest_prior_bounds(path) == expected
+
+    def test_comment_after_the_rows_is_walked(self, monkeypatch, tmp_path):
+        path = write(tmp_path, "1e-6,1e8\n1e-5,1e4\n# end\n", "prior.csv")
+        _fast_path_only(monkeypatch)
+        with pytest.raises(AssertionError, match="walked line by line"):
+            ingest_prior_bounds(path)
+
+
+# lines that hold no row, two near-headers that are refused, and value texts
+# that are not a positive double
+PRIOR_FILLERS = [
+    "", "  ", "\t", "# survey", "#1e-6,1", "  # x, y", "lambda_m,alpha", " lambda_m , alpha ",
+    "lambda_m,alpha,", "lambda,alpha",
+]
+ODD_VALUES = ["inf", "-inf", "nan", "0", "-0", "-1e-6", "", "x", "1_0", "1e400", "1e-400", "1e-6 1"]
+PADS = ["", "", " ", "\t", " \t "]
+
+
+@st.composite
+def prior_texts(draw) -> str:
+    """A prior file's text: mostly increasing rows of two positive values,
+    with fillers before, between and after them, odd values and column
+    counts, and every line end the reader takes."""
+
+    def rarely(strategy, usual):
+        return draw(strategy) if draw(st.integers(0, 15)) == 15 else usual
+
+    lines = draw(st.lists(st.sampled_from(PRIOR_FILLERS), max_size=3))
+    lam = 1e-6
+    for _ in range(draw(st.integers(0, 6))):
+        # x1 repeats the lambda before and x0.5 goes back
+        lam *= rarely(st.sampled_from([1.0, 0.5]), draw(st.sampled_from([10.0, 3.0])))
+        lam_text = rarely(st.sampled_from(ODD_VALUES), repr(lam))
+        alpha = draw(st.sampled_from(["1e8", "25.5", "1_0", "3e-300"]))
+        alpha_text = rarely(st.sampled_from(ODD_VALUES), alpha)
+        pad = st.sampled_from(PADS)
+        fields = [draw(pad) + text + draw(pad) for text in (lam_text, alpha_text)]
+        fields += rarely(st.sampled_from([[""], ["7"], ["", ""]]), [])
+        lines.append(",".join(rarely(st.just(fields[:1]), fields)))
+        lines += rarely(st.sampled_from(PRIOR_FILLERS).map(lambda filler: [filler]), [])
+    lines += draw(st.lists(st.sampled_from(PRIOR_FILLERS), max_size=1))
+    ends = draw(st.sampled_from([["\n"], ["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]]))
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    return draw(st.sampled_from(["", "", "\ufeff"])) + text
+
+
+def _read(reader, path):
+    try:
+        return reader(path)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(text=prior_texts())
+# an inf alpha, which Curve takes; rows of 1 and 3 columns whose fields pair up
+@example(text="1e-6,1e8\n1e-5,inf\n")
+@example(text="1e-6\n1,1e-5,2\n")
+def test_prior_reader_matches_line_by_line_reference(text, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "oracle_prior.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, expected = _read(ingest_prior_bounds, str(path)), _read(prior_reference, str(path))
+    assert type(got) is type(expected)
+    assert got == expected
