@@ -18,6 +18,8 @@ the physics modules never see a unit string.  Example:
 
 ``_KEYS`` is the one list of sections and keys: each key's reader
 (length, number or lower-cased name) in its record's argument order.
+A stack's layer_0, layer_1, ... lines go through the same key loop,
+each read by ``_layer``.
 ``_ABSENT`` holds the text an omitted optional section reads as, and
 ``_DERIVED`` the two defaults taken from values read before them.
 
@@ -137,13 +139,25 @@ def _number(text: str) -> float:
         raise InvalidParameterError(f"not a number: {text!r}") from None
 
 
+def _layer(text: str) -> MaterialLayer:
+    parts = [part.strip() for part in text.split(",")]
+    if len(parts) != 3:
+        raise InvalidParameterError(f"expected 'name, density_kg_m3, thickness', got {text!r}")
+    name, density, thickness = parts
+    try:
+        density = float(density)
+    except ValueError:
+        raise InvalidParameterError(f"density not a number: {density!r}") from None
+    return MaterialLayer(name, density, parse_length(thickness))
+
+
 # each section in reading order: the record it builds from its keys, each
-# key with its reader, in the record's argument order; None marks the
-# layer_0, layer_1, ... lines of a stack
+# key with its reader, in the record's argument order; None marks a stack,
+# whose keys are the layer_0, layer_1, ... lines the key loop reads by _layer
 _KEYS = {
     "geometry": (PlateGeometry, {"length": parse_length, "width": parse_length}),
-    "stack_a": (PlateStack, None),
-    "stack_b": (PlateStack, None),
+    "stack_a": (lambda *layers: PlateStack(layers), None),
+    "stack_b": (lambda *layers: PlateStack(layers), None),
     "gap": (GapConfig, {"separation": parse_length, "temperature": _number}),
     "thermal": (ThermalModel, {"reduction_factor": _number}),
     "electrostatic": (float, {"stray_voltage": _number}),
@@ -190,32 +204,6 @@ def _line(proxy, section: str, key: str) -> str:
     return text
 
 
-def _read_layers(proxy, section: str) -> tuple[MaterialLayer, ...]:
-    keys = list(proxy)
-    expected = [f"layer_{i}" for i in range(len(keys))]
-    if not keys or set(keys) != set(expected):
-        raise ConfigError(f"[{section}]: keys must run layer_0, layer_1, ... without gaps")
-    layers = []
-    for key in expected:
-        text = _line(proxy, section, key)
-        parts = [part.strip() for part in text.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(
-                f"[{section}] {key}: expected 'name, density_kg_m3, thickness', got {text!r}"
-            )
-        name, density_text, thickness_text = parts
-        try:
-            density = float(density_text)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: density not a number: {density_text!r}") from None
-        try:
-            thickness = parse_length(thickness_text)
-            layers.append(MaterialLayer(name=name, density=density, thickness=thickness))
-        except InvalidParameterError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from None
-    return tuple(layers)
-
-
 def load_config(path: str) -> ExperimentConfig:
     """Parse an experiment config file.
 
@@ -248,8 +236,9 @@ def load_config(path: str) -> ExperimentConfig:
         else:
             raise ConfigError(f"missing section [{section}]")
         if keys is None:
-            built[section] = record(_read_layers(proxy, section))
-            continue
+            keys = dict.fromkeys([f"layer_{i}" for i in range(len(proxy))], _layer)
+            if not keys or set(proxy) != set(keys):
+                raise ConfigError(f"[{section}]: keys must run layer_0, layer_1, ... without gaps")
         values: dict = {}
         for key, read in keys.items():
             if key in proxy:

@@ -6,7 +6,8 @@ metadata and free-text warnings.  Each item of ``rows`` is one line of
 floats or a block of lines: in a block a tuple or array('d') entry
 gives one value per line and a float entry repeats on every line, so
 a long-format table holds (thickness, shared lambda grid, alphas)
-without a tuple per line.  Serialization is deterministic and
+without a tuple per line.  The writer writes a run of rows of floats
+as the block of its columns.  Serialization is deterministic and
 round-trips bitwise: numbers are written with 17 significant digits,
 metadata keeps insertion order, and nothing time- or host-dependent is
 ever emitted.  ``from_csv`` returns flat rows, so
@@ -19,7 +20,7 @@ import io
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterator
-from itertools import chain
+from itertools import chain, groupby
 
 from .core import _forked, _Record
 from .errors import InvalidParameterError
@@ -79,6 +80,36 @@ def _send(pipe: io.BufferedWriter, pieces: Iterator[Iterator[str]]) -> None:
         pipe.flush()
 
 
+def _pieces(blocks: list[tuple], halves: tuple[int, int]) -> Iterator[Iterator[str]]:
+    """The text of each block alone, in _slices of one line template: of its
+    n lines, lines n * a // 2 to n * b // 2 for halves (a, b).  A block's
+    floats are formatted into its template.  A column several blocks hold
+    (a shared lambda grid) is as long in each, so its text is _joined once,
+    over those lines, and split as each block formats a slice; it is keyed
+    by identity since equal columns need not print alike (0.0, -0.0)."""
+    a, b = halves
+    held = Counter(id(v) for block in blocks for v in filter(_is_column, block))
+    texts = {}
+    for block in blocks:
+        cells, columns = [], []
+        for v in block:
+            if not _is_column(v):
+                cells.append(_FLOAT_FORMAT % v)
+                continue
+            start, stop = len(v) * a // 2, len(v) * b // 2  # alike in a block
+            if held[id(v)] > 1 and id(v) not in texts:
+                texts[id(v)] = _joined(v, start, stop)
+            cells.append("%s" if id(v) in texts else _FLOAT_FORMAT)
+            columns.append(texts.get(id(v), v))
+        # one % field per column entry, filled a column at a time
+        def lines(x: int, y: int, columns: list = columns) -> list:
+            values = [None] * (len(columns) * (y - x))
+            for k, c in enumerate(columns):
+                values[k :: len(columns)] = c[x].split("\0") if type(c) is dict else c[x:y]
+            return values
+        yield _slices(",".join(cells) + "\n", start, stop, lines)
+
+
 class ResultTable(_Record):
     """Immutable table of float rows and blocks with metadata and warnings."""
 
@@ -118,22 +149,24 @@ class ResultTable(_Record):
     def write(self, handle: io.TextIOBase) -> None:
         """Write the CSV to a text handle: the metadata, warnings and header in
         one call, then the data lines in strings of at most _SLICE_LINES lines.
+        A run of rows of floats is written as the block of its columns.
         Where core._forked forks (from core._PARALLEL_LINES lines on), each
-        block and each run of rows of floats splits at its middle line: the
-        child formats the second halves into its own memory, and this process
-        writes the first half of each, then relays the child's second half;
-        each formats a shared grid's text over its halves only.  Otherwise
-        this process formats every line."""
+        block splits at its middle line: the child formats the second halves
+        into its own memory, and this process writes the first half of each,
+        then relays the child's second half; each formats a shared grid's
+        text over its halves only.  Otherwise this process formats every
+        line."""
         lines = [f"{_METADATA_PREFIX}{key} = {value}\n" for key, value in self.metadata]
         lines += [f"{_METADATA_PREFIX}{_WARNING_KEY}: {text}\n" for text in self.warnings]
         lines.append(",".join(self.columns) + "\n")
         handle.write("".join(lines))
-        rows, blocks = self.rows, _block_indices(self.rows)
-        # a block is as many lines as its columns are long, any other row one
-        n_lines = len(rows) - len(blocks)
-        n_lines += sum(len(next(filter(_is_column, rows[i]))) for i in blocks)
-        with _forked(n_lines, lambda pipe: _send(pipe, self._pieces(blocks, (1, 2)))) as receive:
-            for piece in self._pieces(blocks, (0, 1) if receive else (0, 2)):
+        blocks = []
+        for flat, run in groupby(self.rows, lambda row: not any(map(_is_column, row))):
+            blocks += [tuple(zip(*run))] if flat else run
+        # a block is as many lines as its columns are long
+        n_lines = sum(len(next(filter(_is_column, block))) for block in blocks)
+        with _forked(n_lines, lambda pipe: _send(pipe, _pieces(blocks, (1, 2)))) as receive:
+            for piece in _pieces(blocks, (0, 1) if receive else (0, 2)):
                 for text in chain(piece, _relay(receive) if receive else ()):
                     handle.write(text)
 
@@ -141,44 +174,6 @@ class ResultTable(_Record):
         buffer = io.StringIO()
         self.write(buffer)
         return buffer.getvalue()
-
-    def _pieces(self, blocks: list[int], halves: tuple[int, int]) -> Iterator[Iterator[str]]:
-        """The text of each block and each run of rows of floats alone, in
-        _slices of one line template: of its n lines, lines n * a // 2 to
-        n * b // 2 for halves (a, b).  A block's floats are formatted into its
-        template.  A column several blocks hold (a shared lambda grid) is as
-        long in each, so its text is _joined once, over those lines, and split
-        as each block formats a slice; it is keyed by identity since equal
-        columns need not print alike (0.0, -0.0)."""
-        rows, (a, b) = self.rows, halves
-        held = Counter(id(v) for i in blocks for v in filter(_is_column, rows[i]))
-        texts = {}
-        flat = ",".join([_FLOAT_FORMAT] * len(self.columns)) + "\n"
-        after = 0  # the first row past the last block
-        for i in [*blocks, len(rows)]:
-            if after < i:
-                n, lines = i - after, lambda x, y, o=after: chain.from_iterable(rows[o + x : o + y])
-                yield _slices(flat, n * a // 2, n * b // 2, lines)
-            after = i + 1
-            if i == len(rows):
-                return
-            cells, columns = [], []
-            for v in rows[i]:
-                if not _is_column(v):
-                    cells.append(_FLOAT_FORMAT % v)
-                    continue
-                start, stop = len(v) * a // 2, len(v) * b // 2  # alike in a block
-                if held[id(v)] > 1 and id(v) not in texts:
-                    texts[id(v)] = _joined(v, start, stop)
-                cells.append("%s" if id(v) in texts else _FLOAT_FORMAT)
-                columns.append(texts.get(id(v), v))
-            # one % field per column entry, filled a column at a time
-            def lines(x: int, y: int, columns: list = columns) -> list:
-                values = [None] * (len(columns) * (y - x))
-                for k, c in enumerate(columns):
-                    values[k :: len(columns)] = c[x].split("\0") if type(c) is dict else c[x:y]
-                return values
-            yield _slices(",".join(cells) + "\n", start, stop, lines)
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":

@@ -418,7 +418,7 @@ class TestTwoProcessWriter:
             assert joined.call_args_list == [mock.call(grid, 0, half)]
             joined.reset_mock()
             # and the child's half of each block formats the other half
-            list(chain.from_iterable(table._pieces(tables._block_indices(table.rows), (1, 2))))
+            list(chain.from_iterable(tables._pieces(table.rows, (1, 2))))
             assert joined.call_args_list == [mock.call(grid, half, len(grid))]
 
     @pytest.mark.parametrize("status", [0, 1])
