@@ -204,6 +204,19 @@ def _line(proxy, section: str, key: str) -> str:
     return text
 
 
+def _read(path: str) -> tuple[bytes, str]:
+    """A file's bytes and their UTF-8 text, after any leading byte-order mark."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    bom = 3 if raw.startswith(b"\xef\xbb\xbf") else 0
+    try:
+        return raw, str(memoryview(raw)[bom:], "utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's offset in the file, the mark counted
+        exc = UnicodeDecodeError(exc.encoding, raw, exc.start + bom, exc.end + bom, exc.reason)
+        raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse an experiment config file.
 
@@ -211,16 +224,13 @@ def load_config(path: str) -> ExperimentConfig:
     and lets OSError propagate for unreadable paths.  A leading UTF-8
     byte-order mark is skipped; source_sha256 hashes the raw bytes.
     """
-    with open(path, "rb") as handle:
-        raw = handle.read()
+    raw, text = _read(path)
     # a % in a value is literal text; [DEFAULT] is just an unknown section
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
     )
     try:
-        parser.read_string(raw.decode("utf-8-sig"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
+        parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     for section in parser.sections():
@@ -287,12 +297,9 @@ def ingest_prior_bounds(path: str) -> Curve:
     pass in C, and walked line by line only to name a bad one or to skip
     a blank, comment or header line between them.
     """
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        try:
-            # universal newlines: the lines of readlines(), trailing blank ones aside
-            lines = handle.read().rstrip("\n").split("\n")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
+    # universal newlines: the lines of readlines(), trailing blank ones aside
+    text = _read(path)[1].replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.rstrip("\n").split("\n")
     start = 0
     while start < len(lines) and _comment_or_header(lines[start].strip()):
         start += 1

@@ -16,7 +16,6 @@ from scipy.integrate import dblquad, quad
 from plateforces.core import CODATA2018, require_positive
 from plateforces.errors import ConfigError, InvalidParameterError
 from plateforces.exclusion import Curve
-from plateforces.gravity import yukawa_thickness_bracket
 
 # Beyond this many interaction ranges the integrand has decayed to
 # ~1e-27 of its surface value; truncating there keeps the adaptive
@@ -200,8 +199,8 @@ def plate_yukawa_reference(
         * yukawa.alpha
         * lam**2
         * math.exp(-separation / lam)
-        * yukawa_thickness_bracket(thickness_a, lam)
-        * yukawa_thickness_bracket(thickness_b, lam)
+        * -math.expm1(-thickness_a / lam)
+        * -math.expm1(-thickness_b / lam)
     )
 
 
@@ -221,8 +220,8 @@ def alpha_bound_reference(lam: float, spec, constants=CODATA2018) -> float:
         * spec.density_b
         * spec.area
         * lam**2
-        * yukawa_thickness_bracket(spec.thickness_a, lam)
-        * yukawa_thickness_bracket(spec.thickness_b, lam)
+        * -math.expm1(-spec.thickness_a / lam)
+        * -math.expm1(-spec.thickness_b / lam)
     )
     try:
         return spec.force_resolution * math.exp(spec.gap / lam) / denominator

@@ -482,6 +482,14 @@ class TestExitCodes:
         assert "Traceback" not in result.stderr
         assert "separation 1e+80 m" in result.stderr
 
+    def test_non_utf8_config_is_a_config_error(self, tmp_path):
+        config = tmp_path / "exp.ini"
+        config.write_bytes(BASELINE_CONFIG_PATH.read_bytes().replace(b"gold", b"gol\xe9"))
+        result = run_fresh(["budget", "--config", str(config)])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"{config}: not valid UTF-8" in result.stderr
+
     def test_non_utf8_prior_is_a_config_error(self, tmp_path):
         prior = tmp_path / "prior.csv"
         prior.write_bytes(b"\xff\xfe1\x00e\x00")

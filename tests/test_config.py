@@ -497,6 +497,21 @@ class TestIngestPriorBounds:
             ingest_prior_bounds(str(path))
 
 
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+@pytest.mark.parametrize(
+    "read,name,head",
+    [(load_config, "exp.ini", b"[geometry]\nlength = 0.1 m"), (ingest_prior_bounds, "prior.csv", b"1e-6,1\n")],
+    ids=["config", "prior"],
+)
+def test_non_utf8_byte_is_named_by_its_file_offset(tmp_path, read, name, head, mark):
+    # a leading byte-order mark counts toward the offset like any other byte
+    path = tmp_path / name
+    path.write_bytes(mark + head + b"\xff\n")
+    message = f"{path}: not valid UTF-8: .* in position {len(mark + head)}: invalid start byte"
+    with pytest.raises(ConfigError, match=message):
+        read(str(path))
+
+
 def _fast_path_only(monkeypatch):
     def refuse(lines, path):
         raise AssertionError(f"{path} was walked line by line")

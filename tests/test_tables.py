@@ -566,6 +566,14 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             ResultTable.from_csv("# only = metadata\n")
 
+    def test_parse_skips_blank_lines(self):
+        parsed = ResultTable.from_csv("a,b\n\n1.0,2.0\n  \n3.0,4.0\n")
+        assert parsed == ResultTable(columns=("a", "b"), rows=((1.0, 2.0), (3.0, 4.0)))
+
+    def test_parse_rejects_comment_that_is_neither_metadata_nor_warning(self):
+        with pytest.raises(InvalidParameterError, match="line 2: comment line is neither"):
+            ResultTable.from_csv("# k = v\n# just a note\na\n1.0\n")
+
     def test_parse_rejects_text_rows(self):
         with pytest.raises(InvalidParameterError):
             ResultTable.from_csv("a,b\n1.0,oops\n")
