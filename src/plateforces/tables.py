@@ -81,12 +81,13 @@ def _send(pipe: io.BufferedWriter, pieces: Iterator[Iterator[str]]) -> None:
 
 
 def _pieces(blocks: list[tuple], halves: tuple[int, int]) -> Iterator[Iterator[str]]:
-    """The text of each block alone, in _slices of one line template: of its
-    n lines, lines n * a // 2 to n * b // 2 for halves (a, b).  A block's
-    floats are formatted into its template.  A column several blocks hold
-    (a shared lambda grid) is as long in each, so its text is _joined once,
-    over those lines, and split as each block formats a slice; it is keyed
-    by identity since equal columns need not print alike (0.0, -0.0)."""
+    """The text of each block (a run of rows of floats comes as the block of
+    its columns) alone, in _slices of one line template: of its n lines,
+    lines n * a // 2 to n * b // 2 for halves (a, b).  A block's floats are
+    formatted into its template.  A column several blocks hold (a shared
+    lambda grid) is as long in each, so its text is _joined once, over
+    those lines, and split as each block formats a slice; it is keyed by
+    identity since equal columns need not print alike (0.0, -0.0)."""
     a, b = halves
     held = Counter(id(v) for block in blocks for v in filter(_is_column, block))
     texts = {}
