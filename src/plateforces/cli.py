@@ -4,8 +4,13 @@ Four subcommands, each writing one CSV table to stdout or --out:
 
     plateforces forces      --config exp.ini [--gap '5 um' ...]
     plateforces budget      --config exp.ini
-    plateforces exclusion   --config exp.ini [--lambda-min ...] [--prior prior.csv]
+    plateforces exclusion   --config exp.ini [--lambda-min ...] [--lambda-max ...]
+                            [--points N] [--thickness '1 um' ...] [--prior prior.csv]
     plateforces sensitivity --config exp.ini
+
+Each is one entry of _COMMANDS, from which main builds the parser.  main
+reads the config first, then each flag given, in table order, and passes
+them to cmd_<subcommand>; a flag left out takes that function's default.
 
 Exit codes: 0 success, 2 config/parse error, 3 domain error (e.g.
 plate contact), 4 I/O error.
@@ -273,61 +278,34 @@ def cmd_sensitivity(config: ExperimentConfig) -> ResultTable:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="plateforces",
-        description="Force budget and Yukawa reach of a parallel-plate "
-        "Casimir experiment",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", required=True, help="experiment config file (INI)")
-        p.add_argument(
-            "--out",
-            default="-",
-            help="output CSV path (default: stdout)",
-        )
-
-    p_forces = sub.add_parser("forces", help="forces vs gap")
-    common(p_forces)
-    p_forces.add_argument(
-        "--gap",
-        action="append",
-        metavar="LENGTH",
-        help="gap to evaluate, unit suffix allowed (repeatable; "
-        "default: the config gap)",
-    )
-
-    p_budget = sub.add_parser("budget", help="full force budget at the config gap")
-    common(p_budget)
-
-    p_excl = sub.add_parser("exclusion", help="alpha-lambda exclusion curves")
-    common(p_excl)
-    p_excl.add_argument(
-        "--lambda-min",
-        metavar="LENGTH",
-        help=f"first grid lambda (default: {DEFAULT_SCAN_LAMBDA_MIN:g} m)",
-    )
-    p_excl.add_argument(
-        "--lambda-max",
-        metavar="LENGTH",
-        help=f"last grid lambda (default: {DEFAULT_SCAN_LAMBDA_MAX:g} m)",
-    )
-    p_excl.add_argument("--points", type=int, help=f"grid points (default: {DEFAULT_SCAN_POINTS})")
-    p_excl.add_argument(
-        "--thickness",
-        action="append",
-        metavar="LENGTH",
-        help="facing-layer thickness (repeatable; default: "
-        f"{', '.join(format(t, 'g') for t in DEFAULT_SCAN_THICKNESSES)} m)",
-    )
-    p_excl.add_argument("--prior", default=None, help="prior-bounds CSV for the improvement column")
-
-    p_sens = sub.add_parser("sensitivity", help="balance sensitivity and tilt effects")
-    common(p_sens)
-
-    return parser
+# One entry per subcommand: its help line and its flags past --config and
+# --out, each the cmd_<subcommand> keyword it sets, the reader of its text
+# and its argparse options.  As in _COLUMNS, the readers call this module's
+# globals when they run, and main finds cmd_<subcommand> there, so a
+# function rebound here (as the benchmark's tracer does) is the one called.
+_COMMANDS: dict[str, tuple[str, tuple[tuple[str, str, Callable, dict], ...]]] = {
+    "forces": ("forces vs gap", (
+        ("--gap", "gaps", lambda texts: tuple(map(parse_length, texts)), dict(
+            action="append", metavar="LENGTH",
+            help="gap to evaluate, unit suffix allowed (repeatable; default: the config gap)")),
+    )),
+    "budget": ("full force budget at the config gap", ()),
+    "exclusion": ("alpha-lambda exclusion curves", (
+        ("--lambda-min", "lambda_min", lambda text: parse_length(text), dict(
+            metavar="LENGTH", help=f"first grid lambda (default: {DEFAULT_SCAN_LAMBDA_MIN:g} m)")),
+        ("--lambda-max", "lambda_max", lambda text: parse_length(text), dict(
+            metavar="LENGTH", help=f"last grid lambda (default: {DEFAULT_SCAN_LAMBDA_MAX:g} m)")),
+        # argparse reads --points, so a non-integer is refused before the config
+        ("--points", "n_points", int, dict(
+            type=int, metavar="POINTS", help=f"grid points (default: {DEFAULT_SCAN_POINTS})")),
+        ("--thickness", "thicknesses", lambda texts: tuple(map(parse_length, texts)), dict(
+            action="append", metavar="LENGTH", help="facing-layer thickness (repeatable; "
+            f"default: {', '.join(format(t, 'g') for t in DEFAULT_SCAN_THICKNESSES)} m)")),
+        ("--prior", "prior", lambda path: ingest_prior_bounds(path), dict(
+            metavar="PRIOR", help="prior-bounds CSV for the improvement column")),
+    )),
+    "sensitivity": ("balance sensitivity and tilt effects", ()),
+}
 
 
 def _write(table: ResultTable, out: str) -> None:
@@ -339,34 +317,27 @@ def _write(table: ResultTable, out: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = argparse.ArgumentParser(
+        prog="plateforces",
+        description="Force budget and Yukawa reach of a parallel-plate Casimir experiment",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        command.add_argument("--config", required=True, help="experiment config file (INI)")
+        command.add_argument("--out", default="-", help="output CSV path (default: stdout)")
+        for flag, keyword, _, options in flags:
+            command.add_argument(flag, dest=keyword, **options)
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.command == "forces":
-            gaps = None
-            if args.gap is not None:
-                gaps = [parse_length(text) for text in args.gap]
-            table = cmd_forces(config, gaps)
-        elif args.command == "budget":
-            table = cmd_budget(config)
-        elif args.command == "exclusion":
-            # only the flags given: cmd_exclusion's signature holds the defaults
-            scan = {}
-            if args.lambda_min is not None:
-                scan["lambda_min"] = parse_length(args.lambda_min)
-            if args.lambda_max is not None:
-                scan["lambda_max"] = parse_length(args.lambda_max)
-            if args.points is not None:
-                scan["n_points"] = args.points
-            if args.thickness is not None:
-                scan["thicknesses"] = tuple(map(parse_length, args.thickness))
-            if args.prior is not None:
-                scan["prior"] = ingest_prior_bounds(args.prior)
-            table = cmd_exclusion(config, **scan)
-        else:
-            table = cmd_sensitivity(config)
-        _write(table, args.out)
+        # only the flags given, in table order: cmd_exclusion's signature holds the defaults
+        given = {
+            keyword: read(text)
+            for _, keyword, read, _ in _COMMANDS[args.command][1]
+            if (text := getattr(args, keyword)) is not None
+        }
+        _write(globals()[f"cmd_{args.command}"](config, **given), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -100,14 +100,15 @@ def plate_yukawa(
     require_positive("thickness_b", thickness_b)
     require_positive("separation", separation)
     lam = yukawa.lam
-    return (
-        slab_coupling(density_a, density_b, area)
-        * yukawa.alpha
-        * lam**2
-        * math.exp(-separation / lam)
-        * yukawa_thickness_bracket(thickness_a, lam)
-        * yukawa_thickness_bracket(thickness_b, lam)
-    )
+    coupling = slab_coupling(density_a, density_b, area) * yukawa.alpha
+    decay = math.exp(-separation / lam)
+    bracket_a = yukawa_thickness_bracket(thickness_a, lam)
+    bracket_b = yukawa_thickness_bracket(thickness_b, lam)
+    force = coupling * lam**2 * decay * bracket_a * bracket_b
+    if not math.isfinite(force):
+        # lam**2 can overflow the product where lam times each bracket does not
+        force = coupling * (lam * bracket_a) * (lam * bracket_b) * decay
+    return force
 
 
 def stack_newton(config: PlatePairConfig) -> float:

@@ -17,6 +17,7 @@ from plateforces.cli import (
     DEFAULT_SCAN_LAMBDA_MIN,
     DEFAULT_SCAN_POINTS,
     DEFAULT_SCAN_THICKNESSES,
+    _COMMANDS,
     cmd_budget,
     cmd_exclusion,
     cmd_forces,
@@ -166,6 +167,53 @@ class TestColumnTable:
         assert len(calls) == 4
         cmd_sensitivity(baseline_config)
         assert len(calls) == 5
+
+
+class TestCommandTable:
+    def test_readme_lists_every_flag(self):
+        readme = (REPO_ROOT / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        flags = {"--config", "--out"}
+        for command, (_, command_flags) in _COMMANDS.items():
+            assert f"`{command}`" in section, command
+            flags.update(flag for flag, *_ in command_flags)
+        assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section)) == flags
+
+    def test_config_is_read_before_the_flags(self, tmp_path, capsys):
+        code = main(["exclusion", "--config", str(tmp_path / "ghost.ini"), "--lambda-min", "bad"])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
+    def test_flags_are_read_in_table_order(self, tmp_path, capsys):
+        argv = ["--prior", str(tmp_path / "missing.csv"), "--lambda-min", "bad"]
+        code = main(["exclusion", "--config", BASELINE, *argv])
+        assert code == 3
+        assert capsys.readouterr().err == "domain error: cannot parse length 'bad'\n"
+
+    def test_non_integer_points_is_refused_before_the_config(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["exclusion", "--config", str(tmp_path / "ghost.ini"), "--points", "x"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: plateforces exclusion ")
+        assert err.endswith("argument --points: invalid int value: 'x'\n")
+
+    def test_rebound_command_and_readers_are_the_ones_called(self, tmp_path, monkeypatch):
+        # the benchmark's tracer rebinds names in plateforces.cli; a table
+        # entry holding its own reference to a function would bypass it
+        calls = []
+        for name in ("cmd_exclusion", "parse_length", "ingest_prior_bounds"):
+            real = getattr(plateforces.cli, name)
+
+            def counting(*args, real=real, name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(plateforces.cli, name, counting)
+        argv = ["--thickness", "1 um", "--lambda-min", "2 um", "--points", "5", "--prior", PRIOR]
+        code, _ = run(["exclusion", "--config", BASELINE, *argv], tmp_path)
+        assert code == 0
+        assert calls == ["parse_length", "parse_length", "ingest_prior_bounds", "cmd_exclusion"]
 
 
 class TestExclusionCommand:

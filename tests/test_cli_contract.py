@@ -31,7 +31,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from plateforces import ResultTable, ingest_prior_bounds
-from plateforces.cli import main
+from plateforces.cli import _COMMANDS, main
 from plateforces.config import _KEYS
 from conftest import BASELINE_CONFIG_PATH, FullDiskHandle
 
@@ -125,7 +125,7 @@ def _config_text(case: Case) -> str:
 
 @st.composite
 def cases(draw) -> Case:
-    command = draw(st.sampled_from(["forces", "budget", "sensitivity", "exclusion"]))
+    command = draw(st.sampled_from(list(_COMMANDS)))
     edits = dict(draw(st.lists(st.sampled_from(KEYS).flatmap(_edit), max_size=3)))
     # one case in three drops a section
     dropped = draw(st.sampled_from([()] * 2 * len(BASE) + [(name,) for name in BASE]))
@@ -257,6 +257,8 @@ TILT_LENGTH = "plate_length_along_tilt"
     )
 )
 @example(case=Case("budget", edits={("yukawa", "lambda"): "1e200 m"}))
+# lambda**2 overflows a Yukawa force of about 0.19 N
+@example(case=Case("budget", edits={("yukawa", "alpha"): "1e12", ("yukawa", "lambda"): "1e150 m"}))
 @example(case=Case("budget", edits={("yukwa", "alpha"): "1e3"}))
 @example(case=Case("sensitivity", edits={("tilt", "plate_lenght_along_tilt"): "0.05 m"}))
 @example(

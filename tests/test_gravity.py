@@ -100,6 +100,15 @@ class TestPlateYukawa:
             GOLD, GOLD, AREA, tau, tau, d, YukawaParams(1.0, lam)
         ) == pytest.approx(sheet, rel=1e-7)
 
+    def test_long_range_keeps_the_thin_film_force_finite(self):
+        # lam**2 overflows the left-to-right product; lam cancels against
+        # each bracket, tau/lam, to leave the thin-film limit
+        alpha, lam, tau, d = 1e12, 1e150, 1e-5, 5e-6
+        sheet = 2 * math.pi * G * GOLD**2 * AREA * alpha * tau * tau
+        assert plate_yukawa(
+            GOLD, GOLD, AREA, tau, tau, d, YukawaParams(alpha, lam)
+        ) == pytest.approx(sheet, rel=1e-12)
+
     def test_alpha_zero_gives_exactly_zero(self):
         assert (
             plate_yukawa(GOLD, GOLD, AREA, 1e-5, 1e-5, 5e-6, YukawaParams(0.0, 1e-5))
