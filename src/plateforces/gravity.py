@@ -13,6 +13,7 @@ alpha yields a negative (repulsive) Yukawa contribution.
 from __future__ import annotations
 
 import math
+import sys
 
 from .core import (
     CODATA2018,
@@ -105,8 +106,9 @@ def plate_yukawa(
     bracket_a = yukawa_thickness_bracket(thickness_a, lam)
     bracket_b = yukawa_thickness_bracket(thickness_b, lam)
     force = coupling * lam**2 * decay * bracket_a * bracket_b
-    if not math.isfinite(force):
-        # lam**2 can overflow the product where lam times each bracket does not
+    if math.isinf(force) and min(bracket_a, bracket_b) >= sys.float_info.min:
+        # lam**2 can overflow where lam times each bracket does not; a zero or
+        # subnormal bracket would lose the force, so that inf or nan stands
         force = coupling * (lam * bracket_a) * (lam * bracket_b) * decay
     return force
 

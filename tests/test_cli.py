@@ -761,6 +761,23 @@ class TestExitCodes:
         assert message in result.stderr
         assert "inf" not in result.stdout and "nan" not in result.stdout
 
+    @pytest.mark.parametrize(
+        "thickness, alpha, value", [("1e-170 m", "1e300", "nan"), ("1e-165 m", "1e12", "inf")]
+    )
+    def test_long_range_yukawa_on_a_vanishing_film_is_refused(
+        self, tmp_path, capsys, thickness, alpha, value
+    ):
+        # tau/lam is zero or subnormal, so the force cannot be re-formed
+        # without losing it; the run refuses instead of writing 0
+        text = BASELINE_CONFIG_PATH.read_text()
+        text = text.replace("gold, 19.3e3, 10 um", f"gold, 19.3e3, {thickness}")
+        text = text.replace("alpha = 1.0", f"alpha = {alpha}").replace("lambda = 10 um", "lambda = 1e154 m")
+        config = tmp_path / "thin.ini"
+        config.write_text(text)
+        code = main(["budget", "--config", str(config), "--out", str(tmp_path / "out.csv")])
+        assert code == 3
+        assert f"yukawa_N at gap 5e-06 m is {value}" in capsys.readouterr().err
+
     def test_wire_force_floor_underflow_names_the_wire(self, tmp_path):
         # kappa_wire is a positive subnormal, but kappa x_min / arm^2 rounds
         # to zero; the error names the wire, not [balance] torque_sensitivity

@@ -259,6 +259,9 @@ TILT_LENGTH = "plate_length_along_tilt"
 @example(case=Case("budget", edits={("yukawa", "lambda"): "1e200 m"}))
 # lambda**2 overflows a Yukawa force of about 0.19 N
 @example(case=Case("budget", edits={("yukawa", "alpha"): "1e12", ("yukawa", "lambda"): "1e150 m"}))
+# ... but a film far thinner than lambda leaves a zero or subnormal bracket
+@example(case=Case("budget", edits={("stack_a", "layer_0"): "gold, 19.3e3, 1e-170 m", ("yukawa", "alpha"): "1e300", ("yukawa", "lambda"): "1e154 m"}))
+@example(case=Case("budget", edits={("stack_a", "layer_0"): "gold, 19.3e3, 1e-165 m", ("yukawa", "alpha"): "1e12", ("yukawa", "lambda"): "1e154 m"}))
 @example(case=Case("budget", edits={("yukwa", "alpha"): "1e3"}))
 @example(case=Case("sensitivity", edits={("tilt", "plate_lenght_along_tilt"): "0.05 m"}))
 @example(

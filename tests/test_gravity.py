@@ -109,6 +109,15 @@ class TestPlateYukawa:
             GOLD, GOLD, AREA, tau, tau, d, YukawaParams(alpha, lam)
         ) == pytest.approx(sheet, rel=1e-12)
 
+    def test_long_range_with_vanishing_bracket_is_not_finite(self):
+        # tau/lam rounds to zero or to a subnormal: re-forming the product
+        # would return 0 or a value that lost its digits, so nan or inf stands
+        alpha, lam = 1e300, 1e154
+        zero = plate_yukawa(GOLD, GOLD, AREA, 1e-170, 1e-170, 5e-6, YukawaParams(alpha, lam))
+        assert math.isnan(zero)
+        tiny = plate_yukawa(GOLD, GOLD, AREA, 1e-165, 1e-165, 5e-6, YukawaParams(1e12, lam))
+        assert tiny == math.inf
+
     def test_alpha_zero_gives_exactly_zero(self):
         assert (
             plate_yukawa(GOLD, GOLD, AREA, 1e-5, 1e-5, 5e-6, YukawaParams(0.0, 1e-5))
