@@ -8,6 +8,7 @@ forces are attractive and returned as positive magnitudes in newtons.
 from __future__ import annotations
 
 import math
+import sys
 
 from .core import CODATA2018, _Record, require_non_negative, require_positive, separation_power
 from .errors import DomainError, InvalidParameterError
@@ -38,10 +39,19 @@ class ThermalModel(_Record):
         self._freeze(reduction_factor)
 
 
+def _per_power(coeff: float, area: float, power: float) -> float:
+    """coeff * area / power; coeff * (area / power), where finite, if
+    coeff * area is below the normal doubles and so has lost digits."""
+    if coeff * area < sys.float_info.min and (quotient := area / power) < math.inf:
+        return coeff * quotient
+    return coeff * area / power
+
+
 def casimir_zero_t(area: float, separation: float) -> float:
     """Zero-temperature Casimir force between ideal mirrors.
 
-    F = (pi^2 hbar c / 240) * S / d^4
+    F = (pi^2 hbar c / 240) * S / d^4, with S / d^4 taken first below an
+    area of about 1.7e-281 m^2, where the coefficient times S is subnormal.
 
     Parameters
     ----------
@@ -64,7 +74,7 @@ def casimir_zero_t(area: float, separation: float) -> float:
     """
     require_positive("area", area)
     require_positive("separation", separation)
-    force = CASIMIR_COEFF * area / separation_power(separation, 4)
+    force = _per_power(CASIMIR_COEFF, area, separation_power(separation, 4))
     if force > 0.0:
         return force
     raise DomainError(
@@ -80,7 +90,8 @@ def thermal_casimir(area: float, separation: float, temperature: float) -> float
 
     This is the large-separation limit where the thermal photon
     wavelength is small compared to the gap; see THERMAL_TRUST_MIN_GAP
-    for where that assumption starts to strain.  T = 0 returns 0.
+    for where that assumption starts to strain.  T = 0 returns 0.  S / d^3
+    is taken first below an area of about 5.6e-287 m^2 at 300 K.
 
     Raises DomainError if d^3 underflows to zero or overflows (d below
     about 1.4e-108 m or above about 5.6e102 m).
@@ -89,5 +100,5 @@ def thermal_casimir(area: float, separation: float, temperature: float) -> float
     require_positive("separation", separation)
     require_non_negative("temperature", temperature)
     coeff = CODATA2018.zeta3 * CODATA2018.k_B * temperature / (4.0 * math.pi)
-    return coeff * area / separation_power(separation, 3)
+    return _per_power(coeff, area, separation_power(separation, 3))
 

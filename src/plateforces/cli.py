@@ -23,7 +23,7 @@ import math
 import sys
 from array import array
 from collections.abc import Callable, Iterable, Sequence
-from itertools import compress
+from itertools import compress, islice
 from operator import truediv
 
 from . import __version__
@@ -38,7 +38,7 @@ from .casimir import THERMAL_TRUST_MIN_GAP, casimir_zero_t, thermal_casimir
 from .config import ExperimentConfig, ingest_prior_bounds, load_config, parse_length
 from .core import CODATA2018
 from .errors import ConfigError, DomainError, InvalidParameterError
-from .exclusion import Curve, _exp_is_finite, exclusion_scan
+from .exclusion import Curve, exclusion_scan, overflow_prefix
 from .gravity import stack_newton, stack_yukawa
 from .tables import ResultTable
 
@@ -223,16 +223,17 @@ def cmd_exclusion(
         # every curve shares the grid, so the prior is interpolated once
         prior_alphas = prior.alphas_at(curves[0].lambdas)
     # the thickness repeats down its block; every block holds one grid object.
-    # alpha's inf rows split by the kernel's own test of exp(gap/lambda)
+    # alpha's inf rows split at the kernel's own overflow prefix of the grid
     gap = config.plates.gap.separation
+    prefix = overflow_prefix(curves[0].lambdas, gap)
     unbounded: dict[str, list[float]] = {"exp": [], "bound": [], "improvement": []}
     rows = []
     for thickness, curve in zip(thicknesses, curves):
         block = (thickness, curve.lambdas, curve.alphas)
+        unbounded["exp"] += islice(curve.lambdas, prefix)
         if math.inf in curve.alphas:
-            for lam, alpha in zip(curve.lambdas, curve.alphas):
-                if alpha == math.inf:
-                    unbounded["bound" if _exp_is_finite(gap / lam) else "exp"].append(lam)
+            lams, alphas = islice(curve.lambdas, prefix, None), islice(curve.alphas, prefix, None)
+            unbounded["bound"] += compress(lams, map(math.isinf, alphas))
         if prior is not None:
             block += (improvements := array("d", map(truediv, prior_alphas, curve.alphas)),)
             unbounded["improvement"] += compress(curve.lambdas, map(math.isinf, improvements))

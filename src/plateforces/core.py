@@ -7,7 +7,7 @@ a record.  The record types here and in the other modules are
 immutable value objects built on _Record rather than the dataclasses
 module, which would add about 20 ms to every command's start-up:
 invariants are checked once in __init__, after which instances compare
-and hash by value and are safe to share.  _forked is the one place
+by value and are safe to share.  _forked is the one place
 that forks: the alpha kernel and the table writer each form their second
 half in a child through it.
 
@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import threading
-from array import array
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
@@ -133,9 +132,9 @@ class _Record:
 
     A subclass's fields, _fields, are the parameters of its __init__,
     which checks its arguments and stores them, in that order, with
-    _freeze.  Instances refuse assignment and deletion, compare and hash
-    by their field values (equal only to instances of the same class)
-    and repr as Name(field=value, ...); an array hashes as a tuple.
+    _freeze.  Instances refuse assignment and deletion, compare by their
+    field values (equal only to instances of the same class) and repr as
+    Name(field=value, ...).  Defining __eq__ leaves them unhashable.
     """
 
     _fields: tuple[str, ...] = ()
@@ -162,18 +161,9 @@ class _Record:
             return NotImplemented
         return self._values() == other._values()
 
-    def __hash__(self) -> int:
-        return hash(_hashable(self._values()))
-
     def __repr__(self) -> str:
         fields = (f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__name__}({', '.join(fields)})"
-
-
-def _hashable(value: object) -> object:
-    if type(value) is array:
-        return tuple(value)
-    return tuple(map(_hashable, value)) if type(value) is tuple else value
 
 
 class CODATA2018:

@@ -13,7 +13,6 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from functools import cached_property
 from itertools import repeat
 from operator import lt, mul, truediv
 
@@ -71,10 +70,9 @@ def _alpha_bounds(
             f"kg/m^3 with area {area:g} m^2: 2 pi G rho_a rho_b S {outcome}"
         )
     gap, thicknesses = plates.gap.separation, tuple(thicknesses)
-    # exp(gap/lam) falls as lam rises, so the lambdas where it overflows
-    # (alpha inf) are a prefix of the grid; the maps take the rest.  The
+    # alpha is inf on the overflow prefix; the maps take the rest.  The
     # scales rise with lam, so any overflow is at the end
-    first = bisect_left(grid, True, key=lambda lam: _exp_is_finite(gap / lam))
+    first = overflow_prefix(grid, gap)
     overflow = bisect_left(grid, math.inf, first, key=lambda lam: prefactor * lam**2)
     if overflow < len(grid):
         raise DomainError(
@@ -140,11 +138,15 @@ def _require_increasing(lams: Sequence[float]) -> None:
             )
 
 
-def _exp_is_finite(x: float) -> bool:
-    try:
-        return math.exp(x) < math.inf
-    except OverflowError:
-        return False
+def overflow_prefix(grid: Sequence[float], gap: float) -> int:
+    """How many leading lambdas of the increasing grid overflow exp(gap/lam),
+    alpha inf there: it falls as lam rises, so bisection finds them."""
+    def exp_is_finite(lam: float) -> bool:
+        try:
+            return math.exp(gap / lam) < math.inf
+        except OverflowError:
+            return False
+    return bisect_left(grid, True, key=exp_is_finite)
 
 
 class Curve(_Record):
@@ -156,7 +158,7 @@ class Curve(_Record):
     the record owns its arrays and nothing writes to them.
     Between knots alpha is interpolated linearly in (log lambda,
     log alpha), exact on power laws, from knot logs taken once per
-    curve, on first use.
+    call of alphas_at.
     """
 
     def __init__(
@@ -188,33 +190,28 @@ class Curve(_Record):
             _require_increasing(lams)
         self._freeze(lams, alphas, source)
 
-    @cached_property
-    def _logs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        return tuple(map(math.log, self.lambdas)), tuple(map(math.log, self.alphas))
-
     def domain(self) -> tuple[float, float]:
         return self.lambdas[0], self.lambdas[-1]
 
     def alphas_at(self, grid: Iterable[float]) -> list[float]:
         """alpha at every lambda of grid in one pass; nan outside the domain."""
         lo, hi = self.domain()
-        return [self._interp(lam) if lo <= lam <= hi else math.nan for lam in grid]
-
-    def _interp(self, lam: float) -> float:
-        # numpy.interp's arithmetic and retries on the logs: bit for bit
-        # numpy.interp(log(lam), log(lambdas), log(alphas))
-        xs, ys = self._logs
-        x = math.log(lam)
-        j = bisect_right(xs, x) - 1
-        if j == len(xs) - 1 or xs[j] == x:
-            return math.exp(ys[j])
-        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-        y = slope * (x - xs[j]) + ys[j]
-        if y != y:  # an infinite knot
-            y = slope * (x - xs[j + 1]) + ys[j + 1]
-            if y != y and ys[j] == ys[j + 1]:
-                y = ys[j]
-        return math.exp(y)
+        xs, ys = tuple(map(math.log, self.lambdas)), tuple(map(math.log, self.alphas))
+        def interp(lam: float) -> float:
+            # numpy.interp's arithmetic and retries on the knot logs: bit for
+            # bit numpy.interp(log(lam), log(lambdas), log(alphas))
+            x = math.log(lam)
+            j = bisect_right(xs, x) - 1
+            if j == len(xs) - 1 or xs[j] == x:
+                return math.exp(ys[j])
+            slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+            y = slope * (x - xs[j]) + ys[j]
+            if y != y:  # an infinite knot
+                y = slope * (x - xs[j + 1]) + ys[j + 1]
+                if y != y and ys[j] == ys[j + 1]:
+                    y = ys[j]
+            return math.exp(y)
+        return [interp(lam) if lo <= lam <= hi else math.nan for lam in grid]
 
 
 def exclusion_scan(

@@ -1,9 +1,11 @@
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
 from plateforces import DomainError, InvalidParameterError
+from plateforces.core import CODATA2018
 from plateforces.casimir import (
     THERMAL_TRUST_MIN_GAP,
     ThermalModel,
@@ -98,6 +100,23 @@ class TestThermalCasimir:
         # S and d^4 are both in range, but the force rounds to zero
         with pytest.raises(DomainError, match=re.escape(f"area {area:g} m^2 at separation {gap:g} m")):
             casimir_zero_t(area, gap)
+
+    @pytest.mark.parametrize("area", [1e-285, 1e-290, 1e-295, 1e-299])
+    def test_tiny_area_matches_exact_rationals(self, area):
+        # the coefficient times S is subnormal at these areas, but both
+        # forces at 5 um (about 2e-305 and 3e-305 N at 1e-299 m^2) are
+        # normal doubles
+        gap, temperature = Fraction(5e-6), 300
+        pi, hbar, c = Fraction(math.pi), Fraction(CODATA2018.hbar), Fraction(CODATA2018.c)
+        zeta3, k_B = Fraction(CODATA2018.zeta3), Fraction(CODATA2018.k_B)
+        exact = {
+            casimir_zero_t(area, 5e-6): pi**2 * hbar * c / 240 * Fraction(area) / gap**4,
+            thermal_casimir(area, 5e-6, 300.0): (
+                zeta3 * k_B * temperature / (4 * pi) * Fraction(area) / gap**3
+            ),
+        }
+        for force, want in exact.items():
+            assert abs(Fraction(force) - want) <= want / 10**15
 
     def test_trust_gap_constant(self):
         assert THERMAL_TRUST_MIN_GAP == 5e-6

@@ -620,6 +620,22 @@ class TestExitCodes:
         assert "ratio_total_casimir_resolution_1 at gap 5e-06 m is inf" in result.stderr
         assert "inf" not in result.stdout
 
+    def test_plate_area_whose_casimir_coefficient_product_is_subnormal(self, tmp_path):
+        # pi^2 hbar c / 240 times 1e-299 m^2 is subnormal, but every force at
+        # 5 um is a normal double: about 2.08e-305 N zero-temperature
+        text = BASELINE_CONFIG_PATH.read_text()
+        for line, tiny in (("length = 0.10 m", "length = 1e-150 m"), ("width = 0.12 m", "width = 1e-149 m")):
+            assert line in text
+            text = text.replace(line, tiny)
+        config = tmp_path / "tiny.ini"
+        config.write_text(text)
+        result = run_fresh(["forces", "--config", str(config)])
+        assert (result.returncode, result.stderr) == (0, "")
+        row = dict(zip(*(line.split(",") for line in result.stdout.splitlines()[-2:])))
+        assert float(row["casimir_zero_t_N"]) == casimir_zero_t(1e-150 * 1e-149, 5e-6)
+        assert 2.08e-305 < float(row["casimir_zero_t_N"]) < 2.09e-305
+        assert float(row["thermal_N"]) > 0.0
+
     @pytest.mark.parametrize(
         "line, bad, message",
         [

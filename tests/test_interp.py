@@ -111,3 +111,13 @@ def test_unbounded_knot_interpolates_to_inf_like_numpy():
     (at_knot,) = curve.alphas_at([1e-9])
     assert at_knot == loglog_interp(1e-9, lambdas, alphas[::-1], LIBM_LOG)
     assert math.isfinite(at_knot)
+
+
+def test_interpolation_leaves_the_curve_as_built():
+    # the knot logs are taken per call and kept nowhere: a second pass is
+    # the same, and the record holds only its three fields
+    prior = Curve(lambdas=(1e-6, 3e-6, 1e-5), alphas=(1e8, 2.5e6, 7e4), source="prior.csv")
+    grid = (1e-7, 1e-6, 2e-6, 5e-6, 1e-5)
+    first = prior.alphas_at(grid)
+    assert all(map(same, prior.alphas_at(grid), first))
+    assert vars(prior).keys() == {"lambdas", "alphas", "source"}
