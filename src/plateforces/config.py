@@ -57,7 +57,7 @@ from .core import (
     PlateStack,
     YukawaParams,
     _Record,
-    require_non_negative,
+    require_in_box,
     require_positive,
 )
 from .errors import ConfigError, InvalidParameterError
@@ -74,7 +74,8 @@ def parse_length(text: str) -> float:
 
     The number is read as float() reads it and the unit shifts its
     exponent: '5 um' is the literal 5e-6, and a length past the double
-    range is +-inf or 0, which the range check of its quantity refuses.
+    range is +-inf or 0.  Any value is returned: the record or function
+    that takes it refuses one outside the BOX of core.
     """
     match = _LENGTH_RE.match(text)
     number, unit = match.groups() if match else ("", None)
@@ -101,9 +102,9 @@ class ExperimentConfig(_Record):
     plates holds the two stacks, their footprint and their gap.
     source_sha256 is the hash of the config file bytes, recorded in
     output metadata so results can be traced to their inputs.  The
-    plate area, the stray voltage and the force resolution are checked
-    here, so no command divides by a zero resolution or area; errors
-    name the INI section and key.
+    stray voltage and the force resolution are checked against the BOX
+    here, with errors that name the INI section and key; the plate area
+    needs no check, since two in-box sides give an area in its box.
     """
 
     def __init__(
@@ -118,14 +119,8 @@ class ExperimentConfig(_Record):
         yukawa: YukawaParams,
         source_sha256: str = "",
     ) -> None:
-        area = plates.geometry.area()
-        if not 0 < area < math.inf:
-            raise InvalidParameterError(
-                f"[geometry] length and width: their product, the plate area, "
-                f"must be finite and > 0, got {area!r} m^2"
-            )
-        require_non_negative("[electrostatic] stray_voltage", stray_voltage)
-        require_positive("[resolution] force_resolution", force_resolution)
+        require_in_box("[electrostatic] stray_voltage", stray_voltage, "voltage")
+        require_in_box("[resolution] force_resolution", force_resolution, "force")
         self._freeze(
             plates, thermal, stray_voltage, wire, balance, tilt,
             force_resolution, yukawa, source_sha256,

@@ -7,7 +7,9 @@ a record.  The record types here and in the other modules are
 immutable value objects built on _Record rather than the dataclasses
 module, which would add about 20 ms to every command's start-up:
 invariants are checked once in __init__, after which instances compare
-by value and are safe to share.  _forked is the one place
+by value and are safe to share.  BOX is the one table of the input
+range: the records and the public physics functions check each input
+against it with require_in_box.  _forked is the one place
 that forks: the alpha kernel and the table writer each form their second
 half in a child through it.
 
@@ -20,17 +22,43 @@ from __future__ import annotations
 import io
 import math
 import os
-import sys
 import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
-from .errors import DomainError, InvalidParameterError
+from .errors import InvalidParameterError
 
-MAX_LAMBDA = math.sqrt(sys.float_info.max)  # largest Yukawa range, m: lambda**2 stays finite
 # from this many values on (table lines, or alphas past the overflow
 # prefix), work that splits in two halves forks a child for its second half
 _PARALLEL_LINES = 20_000
+
+# The physical box: each input quantity's smallest and largest value, its
+# unit and whether it may also be exactly 0 (alpha: its magnitude, of either
+# sign).  No product of in-box inputs that a force, kappa, F_min or alpha
+# forms overflows, and none underflows unless its true value or a named
+# factor (exp(-d/lam), a thickness bracket, a force divided in a ratio) is
+# below the normal doubles.
+BOX = {
+    "length": (1e-10, 1e6, "m", False),
+    "area": (1e-20, 1e12, "m^2", False),
+    "density": (1e-3, 1e5, "kg/m^3", False),
+    "temperature": (1e-3, 1e4, "K", True),
+    "voltage": (1e-12, 1e3, "V", True),
+    "force": (1e-30, 1.0, "N", False),
+    "alpha": (1e-50, 1e50, "in magnitude", True),
+    "shear_modulus": (1e6, 1e13, "Pa", False),
+    "torque_sensitivity": (1e-30, 1e3, "N m/rad", False),
+    "angle": (1e-15, 1.0, "rad", True),
+    # hardware a balance can be wound from, and the Drude-to-plasma span
+    "diameter": (1e-5, 1e-3, "m", False),
+    "reduction_factor": (0.5, 1.0, "", False),
+}
+
+
+def box_range(quantity: str) -> str:
+    """The box of quantity as its error message and the README give it."""
+    lo, hi, unit, zero = BOX[quantity]
+    return f"{'0 or ' if zero else ''}[{lo:g}, {hi:g}] {unit}".rstrip()
 
 
 def require_positive(name: str, value: float) -> None:
@@ -39,30 +67,14 @@ def require_positive(name: str, value: float) -> None:
         raise InvalidParameterError(f"{name}: must be finite and > 0, got {value!r}")
 
 
-def require_non_negative(name: str, value: float) -> None:
-    """Raise InvalidParameterError unless value is a finite number >= 0."""
-    if not 0 <= value < math.inf:
-        raise InvalidParameterError(f"{name}: must be finite and >= 0, got {value!r}")
-
-
-def require_lambda(name: str, value: float) -> None:
-    """Raise InvalidParameterError unless value is a Yukawa range in (0, MAX_LAMBDA] m."""
-    require_positive(name, value)
-    if value > MAX_LAMBDA:
-        raise InvalidParameterError(f"{name}: must be at most {MAX_LAMBDA:.3g} m, got {value!r}")
-
-
-def separation_power(separation: float, exponent: int) -> float:
-    """d**exponent, or DomainError naming d when it overflows or underflows to zero."""
-    try:
-        power = separation**exponent
-    except OverflowError:
-        power = math.inf
-    if 0.0 < power < math.inf:
-        return power
-    size = "small" if (power == 0.0) == (exponent > 0) else "large"
-    outcome = "underflows to zero" if power == 0.0 else "overflows"
-    raise DomainError(f"separation {separation:g} m is too {size}: d^{exponent} {outcome}")
+def require_in_box(name: str, value: float, quantity: str) -> None:
+    """Raise InvalidParameterError unless value lies in the BOX of quantity."""
+    lo, hi, _, zero = BOX[quantity]
+    size = abs(value) if quantity == "alpha" else value
+    if not (lo <= size <= hi or zero and size == 0):
+        raise InvalidParameterError(
+            f"{name}: must lie in {box_range(quantity)}, got {value!r}"
+        )
 
 
 def _fill(pipe: io.RawIOBase, buffer: object) -> None:
@@ -188,8 +200,8 @@ class PlateGeometry(_Record):
     """Rectangular plate footprint, lengths in meters."""
 
     def __init__(self, length: float, width: float) -> None:
-        require_positive("length", length)
-        require_positive("width", width)
+        require_in_box("length", length, "length")
+        require_in_box("width", width, "length")
         self._freeze(length, width)
 
     def area(self) -> float:
@@ -205,8 +217,8 @@ class MaterialLayer(_Record):
     """
 
     def __init__(self, name: str, density: float, thickness: float) -> None:
-        require_positive("density", density)
-        require_positive("thickness", thickness)
+        require_in_box("density", density, "density")
+        require_in_box("thickness", thickness, "length")
         self._freeze(name, density, thickness)
 
 
@@ -228,21 +240,20 @@ class GapConfig(_Record):
     """Face-to-face plate separation (m) and ambient temperature (K)."""
 
     def __init__(self, separation: float, temperature: float = 300.0) -> None:
-        require_positive("separation", separation)
-        require_non_negative("temperature", temperature)
+        require_in_box("separation", separation, "length")
+        require_in_box("temperature", temperature, "temperature")
         self._freeze(separation, temperature)
 
 
 class YukawaParams(_Record):
     """Strength and range of a Yukawa-type correction to gravity.
 
-    alpha is the dimensionless coupling relative to Newtonian gravity
-    (finite, any sign); lam is the range in meters, at most MAX_LAMBDA,
-    lambda in errors.
+    alpha is the dimensionless coupling relative to Newtonian gravity,
+    of either sign; lam is the range in meters, lambda in errors.  Both
+    lie in the BOX.
     """
 
     def __init__(self, alpha: float, lam: float) -> None:
-        if not math.isfinite(alpha):
-            raise InvalidParameterError(f"alpha: must be finite, got {alpha!r}")
-        require_lambda("lambda", lam)
+        require_in_box("alpha", alpha, "alpha")
+        require_in_box("lambda", lam, "length")
         self._freeze(alpha, lam)

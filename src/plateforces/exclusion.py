@@ -16,7 +16,7 @@ from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import lt, mul, truediv
 
-from .core import _forked, _Record, require_lambda, require_positive
+from .core import _forked, _Record, require_in_box, require_positive
 from .errors import DomainError, InvalidParameterError
 from .gravity import PlatePairConfig, slab_coupling
 
@@ -42,48 +42,26 @@ def _alpha_bounds(
                 * (1 - exp(-tau/lam))^2),
 
     with the force's cancellation-safe bracket.  grid must be strictly
-    increasing within (0, MAX_LAMBDA]; exclusion_scan checks that before
-    calling, and this function does not.  Past the prefix where
-    exp(d/lam) overflows (alpha inf, found by bisection), the grid is
-    walked in slices of _SLICE_LAMBDAS lambdas: the scales
-    2 pi G rho_a rho_b S lam^2 and signals F_res exp(d/lam) are taken once
-    per slice, each thickness adds its bracket b, and one comprehension
-    forms its alphas, s / (c * b * b).  Python multiplies left to right
-    and negation is exact, so each alpha is the same double as the full
-    product.  A slice with a zero denominator (alpha inf there) is redone
-    one lambda at a time.  Where core._forked forks (from
-    core._PARALLEL_LINES alphas past the prefix), a child forms the upper
-    half of every curve there and sends it as raw doubles; the alphas are
-    the same.  Raises DomainError, always in this process, naming both
-    facing densities and the area if 2 pi G rho_a rho_b S overflows or
-    underflows to zero or its product with lam^2 overflows, and naming
-    force_resolution if an alpha underflows to zero, so every alpha is
-    positive or inf.
+    increasing, and it, plates, thicknesses and force_resolution must lie
+    in the BOX; exclusion_scan checks that before calling, and this
+    function does not.  There every denominator is at least about 1.7e-56
+    and every alpha at least about 6e-55: positive, or inf where it
+    exceeds the largest double.  Past the prefix where exp(d/lam)
+    overflows (alpha inf, found by bisection), the grid is walked in
+    slices of _SLICE_LAMBDAS lambdas: the scales 2 pi G rho_a rho_b S
+    lam^2 and signals F_res exp(d/lam) are taken once per slice, each
+    thickness adds its bracket b, and one comprehension forms its
+    alphas, s / (c * b * b).  Python multiplies left to right and
+    negation is exact, so each alpha is the same double as the full
+    product.  Where core._forked forks (from core._PARALLEL_LINES alphas
+    past the prefix), a child forms the upper half of every curve there
+    and sends it as raw doubles; the alphas are the same.
     """
     facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
-    area = plates.geometry.area()
-    prefactor = slab_coupling(facing_a.density, facing_b.density, area)
-    if not 0.0 < prefactor < math.inf:
-        outcome = "underflows to zero" if prefactor == 0.0 else "overflows"
-        raise DomainError(
-            f"facing densities {facing_a.density:g} and {facing_b.density:g} "
-            f"kg/m^3 with area {area:g} m^2: 2 pi G rho_a rho_b S {outcome}"
-        )
+    prefactor = slab_coupling(facing_a.density, facing_b.density, plates.geometry.area())
     gap, thicknesses = plates.gap.separation, tuple(thicknesses)
-    # alpha is inf on the overflow prefix; the maps take the rest.  The
-    # scales rise with lam, so any overflow is at the end
+    # alpha is inf on the overflow prefix; the maps take the rest
     first = overflow_prefix(grid, gap)
-    overflow = bisect_left(grid, math.inf, first, key=lambda lam: prefactor * lam**2)
-    if overflow < len(grid):
-        raise DomainError(
-            f"facing densities {facing_a.density:g} and {facing_b.density:g} "
-            f"kg/m^3 with area {area:g} m^2: 2 pi G rho_a rho_b S lambda^2 "
-            f"overflows from lambda {grid[overflow]:g} m"
-        )
-    # every signal is at least F_res and every denominator at most the last
-    # scale, so an alpha can underflow to zero only where F_res / scale does
-    top = prefactor * grid[-1] ** 2
-    may_underflow = top > 0.0 and force_resolution / top == 0.0
 
     # full length from the start, inf on the overflow prefix; each slice is
     # assigned in place once all its alphas are formed
@@ -101,10 +79,7 @@ def _alpha_bounds(
                 # expm1(-t/lam) is a bracket without its minus sign, which
                 # cancels in the square
                 brackets = tuple(map(math.expm1, map(truediv, repeat(-thickness), lams)))
-                try:
-                    alphas = [s / (c * b * b) for s, c, b in zip(signals, scales, brackets)]
-                except ZeroDivisionError:  # lam**2 or the bracket underflows to zero: alpha inf there
-                    alphas = [s / d if (d := c * b * b) else math.inf for s, c, b in zip(signals, scales, brackets)]
+                alphas = [s / (c * b * b) for s, c, b in zip(signals, scales, brackets)]
                 bound[lo : lo + len(lams)] = array("d", alphas)
 
     def send(pipe: object) -> None:
@@ -117,12 +92,6 @@ def _alpha_bounds(
         form(first, mid if receive else len(grid))
         for bound in bounds if receive else ():
             receive(memoryview(bound)[mid:])
-    for bound in bounds:
-        if may_underflow and 0.0 in bound:
-            raise DomainError(
-                f"force_resolution {force_resolution:g} N: alpha underflows to "
-                f"zero at lambda {grid[bound.index(0.0)]:g} m"
-            )
     return bounds
 
 
@@ -227,9 +196,10 @@ def exclusion_scan(
     Each curve is _alpha_bounds on the grid for plates with both facing
     layers set to its scan thickness; densities, area and gap are those of
     plates, and force_resolution is in N.  The lambda grid is log-spaced
-    with n_points from lambda_min to lambda_max (at most MAX_LAMBDA)
-    inclusive; every curve holds it as one array('d'), and n_points is at
-    most MAX_SCAN_POINTS.  Points that collide in double precision make
+    with n_points from lambda_min to lambda_max inclusive; every curve
+    holds it as one array('d'), and n_points is at most MAX_SCAN_POINTS.
+    force_resolution, both lambdas and every thickness must lie in the
+    BOX, and plates' records already do.  Points that collide in double precision make
     the scan degenerate; that is checked before any alpha is formed, so a
     grid that rounds past lambda_max never reaches the kernel.  Output
     order follows the thicknesses argument.
@@ -237,9 +207,9 @@ def exclusion_scan(
     100 000 stress scan, not the default 4 x 1 000) forms the upper half of
     its grid in a forked child, with the same doubles as one process.
     """
-    require_positive("force_resolution", force_resolution)
-    require_positive("lambda_min", lambda_min)
-    require_lambda("lambda_max", lambda_max)
+    require_in_box("force_resolution", force_resolution, "force")
+    require_in_box("lambda_min", lambda_min, "length")
+    require_in_box("lambda_max", lambda_max, "length")
     if not lambda_max > lambda_min:
         raise DomainError(
             f"degenerate scan: lambda_max {lambda_max:g} must exceed "
@@ -261,7 +231,7 @@ def exclusion_scan(
     grid.extend(10.0 ** (k * step + lo) for k in range(1, n_points - 1))
     grid.append(lambda_max)
     for thickness in thicknesses:
-        require_positive("thickness", thickness)
+        require_in_box("thickness", thickness, "length")
     try:
         _require_increasing(grid)
     except InvalidParameterError as exc:

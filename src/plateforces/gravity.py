@@ -13,7 +13,6 @@ alpha yields a negative (repulsive) Yukawa contribution.
 from __future__ import annotations
 
 import math
-import sys
 
 from .core import (
     CODATA2018,
@@ -22,7 +21,7 @@ from .core import (
     PlateStack,
     YukawaParams,
     _Record,
-    require_positive,
+    require_in_box,
 )
 
 
@@ -68,11 +67,11 @@ def plate_newton(
     Independent of the gap: an infinite slab pulls like an infinite
     sheet, and the sheet field does not decay with distance.
     """
-    require_positive("density_a", density_a)
-    require_positive("density_b", density_b)
-    require_positive("area", area)
-    require_positive("thickness_a", thickness_a)
-    require_positive("thickness_b", thickness_b)
+    require_in_box("density_a", density_a, "density")
+    require_in_box("density_b", density_b, "density")
+    require_in_box("area", area, "area")
+    require_in_box("thickness_a", thickness_a, "length")
+    require_in_box("thickness_b", thickness_b, "length")
     return slab_coupling(density_a, density_b, area) * thickness_a * thickness_b
 
 
@@ -92,25 +91,21 @@ def plate_yukawa(
 
     Obtained by integrating the point-point Yukawa force over both slab
     volumes.  Only material within about one range lam of each facing
-    surface contributes, hence the thickness brackets.
+    surface contributes, hence the thickness brackets.  Over the BOX no
+    partial product overflows, and |F| is at most about 4.2e74 N.
     """
-    require_positive("density_a", density_a)
-    require_positive("density_b", density_b)
-    require_positive("area", area)
-    require_positive("thickness_a", thickness_a)
-    require_positive("thickness_b", thickness_b)
-    require_positive("separation", separation)
+    require_in_box("density_a", density_a, "density")
+    require_in_box("density_b", density_b, "density")
+    require_in_box("area", area, "area")
+    require_in_box("thickness_a", thickness_a, "length")
+    require_in_box("thickness_b", thickness_b, "length")
+    require_in_box("separation", separation, "length")
     lam = yukawa.lam
     coupling = slab_coupling(density_a, density_b, area) * yukawa.alpha
     decay = math.exp(-separation / lam)
     bracket_a = yukawa_thickness_bracket(thickness_a, lam)
     bracket_b = yukawa_thickness_bracket(thickness_b, lam)
-    force = coupling * lam**2 * decay * bracket_a * bracket_b
-    if math.isinf(force) and min(bracket_a, bracket_b) >= sys.float_info.min:
-        # lam**2 can overflow where lam times each bracket does not; a zero or
-        # subnormal bracket would lose the force, so that inf or nan stands
-        force = coupling * (lam * bracket_a) * (lam * bracket_b) * decay
-    return force
+    return coupling * lam**2 * decay * bracket_a * bracket_b
 
 
 def stack_newton(config: PlatePairConfig) -> float:

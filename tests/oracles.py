@@ -8,6 +8,7 @@ expressions under test beyond the point-interaction kernel itself.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -228,6 +229,79 @@ def alpha_bound_reference(lam: float, spec, constants=CODATA2018) -> float:
     except (OverflowError, ZeroDivisionError):
         # exp(d/lam) overflows, or lam**2 or a bracket underflows to zero
         return math.inf
+
+
+def exact_exp(x: Fraction) -> Fraction:
+    """e**x to 60 significant digits, as a rational, for x below 710, where
+    the doubles end; 0 at or below -1000, far under the smallest double."""
+    if x <= -1000:
+        return Fraction(0)
+    with localcontext() as context:
+        context.prec = 60
+        return Fraction((Decimal(x.numerator) / Decimal(x.denominator)).exp())
+
+
+def exact_row(p: dict) -> tuple[dict, dict]:
+    """The physics columns of a forces, budget and sensitivity row in exact
+    rationals, and the factors each names: exp(-d/lam) and both thickness
+    brackets for the Yukawa force, and those and the force for its ratio
+    to the resolution.
+
+    p holds one plate pair with one layer each and its balance, flat: sides
+    length and width, rho_a, tau_a, rho_b, tau_b, gap, temperature, eta,
+    voltage, shear, diameter, wire_length, kappa, arm, x_min, angle,
+    tilt_length, resolution, alpha and lam, all SI.  The constants are the
+    package's doubles, pi included; exp is taken to 60 digits.  The tilted
+    columns are None where the tilt closes the gap.
+    """
+    q = {key: Fraction(value) for key, value in p.items()}
+    pi, constants = Fraction(math.pi), CODATA2018
+    hbar, c, k_B, G = (Fraction(getattr(constants, k)) for k in ("hbar", "c", "k_B", "G"))
+    epsilon0, zeta3 = Fraction(constants.epsilon0), Fraction(constants.zeta3)
+    area, d, lam = q["length"] * q["width"], q["gap"], q["lam"]
+    casimir = pi**2 * hbar * c / 240 * area / d**4
+    thermal = zeta3 * k_B * q["temperature"] / (4 * pi) * area / d**3
+    coupling = 2 * pi * G * q["rho_a"] * q["rho_b"] * area
+    factors = (exact_exp(-d / lam), 1 - exact_exp(-q["tau_a"] / lam), 1 - exact_exp(-q["tau_b"] / lam))
+    yukawa = abs(coupling * q["alpha"] * lam**2 * factors[0] * factors[1] * factors[2])
+    kappa_wire = pi * q["shear"] * (q["diameter"] / 2) ** 4 / (2 * q["wire_length"])
+    rise = q["angle"] * q["tilt_length"]
+    tilted = None if rise >= d else casimir * tilt_factor(rise / d)
+    row = {
+        "casimir_zero_t_N": casimir,
+        "casimir_flat_N": casimir,
+        "thermal_N": thermal,
+        "total_N": casimir + q["eta"] * thermal,
+        "total_casimir_N": casimir + q["eta"] * thermal,
+        "newton_N": coupling * q["tau_a"] * q["tau_b"],
+        "yukawa_N": yukawa,
+        "electrostatic_N": epsilon0 * area * q["voltage"] ** 2 / (2 * d**2),
+        "kappa_wire_Nm_per_rad": kappa_wire,
+        "f_min_wire_N": kappa_wire * q["x_min"] / q["arm"] ** 2,
+        "f_min_balance_N": q["kappa"] * q["x_min"] / q["arm"] ** 2,
+        "gap_variation_m": rise,
+        "casimir_tilted_N": tilted,
+        "tilted_flat_ratio_1": None if tilted is None else tilted / casimir,
+    }
+    row["ratio_electrostatic_casimir_zero_t_1"] = row["electrostatic_N"] / casimir
+    row["ratio_newton_casimir_zero_t_1"] = row["newton_N"] / casimir
+    row["ratio_total_casimir_resolution_1"] = row["total_N"] / q["resolution"]
+    row["ratio_yukawa_resolution_1"] = yukawa / q["resolution"]
+    return row, {"yukawa_N": factors, "ratio_yukawa_resolution_1": (*factors, yukawa)}
+
+
+def exact_alpha(lam: float, spec) -> Fraction:
+    """The smallest detectable |alpha| at lam for alpha_bound_reference's
+    spec, in exact rationals with exp taken to 60 digits."""
+    lam, gap = Fraction(lam), Fraction(spec.gap)
+    brackets = (1 - exact_exp(-Fraction(spec.thickness_a) / lam)) * (
+        1 - exact_exp(-Fraction(spec.thickness_b) / lam)
+    )
+    coupling = (
+        2 * Fraction(math.pi) * Fraction(CODATA2018.G) * Fraction(spec.density_a)
+        * Fraction(spec.density_b) * Fraction(spec.area)
+    )
+    return Fraction(spec.force_resolution) * exact_exp(gap / lam) / (coupling * lam**2 * brackets)
 
 
 def csv_reference(table) -> str:

@@ -68,9 +68,10 @@ class TestTorsionConstant:
 
     @pytest.mark.parametrize("modulus, outcome", [(1e308, "overflows"), (1e-320, "underflows")])
     def test_out_of_range_is_a_domain_error_naming_the_wire(self, modulus, outcome):
-        wire = TorsionWire("custom", modulus, 50e-6, 0.5)
-        with pytest.raises(DomainError, match=f"^shear_modulus .* diameter 5e-05 m and length 0.5 m: .*{outcome}"):
-            torsion_constant(wire)
+        # kappa would overflow or underflow to zero: the wire refuses the modulus
+        message = re.escape(f"shear_modulus: must lie in [1e+06, 1e+13] Pa, got {modulus!r}")
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            TorsionWire("custom", modulus, 50e-6, 0.5)
 
 
 class TestMinDetectableForce:
@@ -105,9 +106,10 @@ class TestMinDetectableForce:
         "arm, outcome", [(1e200, "underflows to zero"), (1e-170, "overflows")]
     )
     def test_arm_out_of_range_is_a_domain_error(self, arm, outcome):
-        # arm^2 overflows, or underflows to zero
-        with pytest.raises(DomainError, match=re.escape(f"arm_length {arm:g} m ") + f".*{outcome}"):
-            min_detectable_force(BalanceConfig(1e-6, arm, 1e-9))
+        # F_min would underflow to zero or overflow: the balance refuses the arm
+        message = re.escape(f"arm_length: must lie in [1e-10, 1e+06] m, got {arm!r}")
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            BalanceConfig(1e-6, arm, 1e-9)
 
 
 class TestGapVariation:
@@ -153,15 +155,17 @@ class TestTiltedCasimir:
 
     def test_matches_exact_tilt_factor(self):
         # flat force times g(u), u = angle * L / d, against g in exact
-        # rationals over twelve decades of u, 1e-4 among them
-        flat = casimir_zero_t(self.W * self.L, self.D)
+        # rationals over twelve decades of u, 1e-4 among them; below
+        # u = 2.4e-11 the angle stays at the box's smallest nonzero tilt,
+        # 1e-15 rad, and the gap widens instead
         us = [10.0 ** (k / 8.0) for k in range(-96, 0)] + [0.99e-4, 1e-4, 1.01e-4, 0.5, 0.99]
         worst = 0.0
         for target in us:
-            angle = target * self.D / self.L
-            u = angle * self.L / self.D  # the u the code forms from angle
-            exact = Fraction(flat) * tilt_factor(u)
-            tilted = tilted_casimir(self.W * self.L, self.L, self.D, angle)
+            angle = max(target * self.D / self.L, 1e-15)
+            gap = max(self.D, angle * self.L / target)
+            u = angle * self.L / gap  # the u the code forms from angle
+            exact = Fraction(casimir_zero_t(self.W * self.L, gap)) * tilt_factor(u)
+            tilted = tilted_casimir(self.W * self.L, self.L, gap, angle)
             worst = max(worst, abs(float((Fraction(tilted) - exact) / exact)))
         assert worst <= 1e-15
 
@@ -195,17 +199,14 @@ class TestTiltedCasimir:
             tilted_casimir(self.W * self.L, self.L, self.D, self.D / self.L)
 
     @pytest.mark.parametrize(
-        "separation, angle, message",
-        [
-            (1e80, 0.0, "1e\\+80 m is too large: d\\^4 overflows"),
-            (1e80, 1e-6, "1e\\+80 m is too large: d\\^4 overflows"),
-            (1e-300, 0.0, "1e-300 m is too small: d\\^4 underflows"),
-            (1e-110, 1e-111 / 12e-2, "1e-110 m is too small: d\\^4 underflows to zero"),
-        ],
+        "separation, angle",
+        [(1e80, 0.0), (1e80, 1e-6), (1e-300, 0.0), (1e-110, 1e-111 / 12e-2)],
         ids=["flat-huge", "series-huge", "flat-tiny", "closed-form-tiny"],
     )
-    def test_gap_powers_out_of_range_are_domain_errors(self, separation, angle, message):
-        with pytest.raises(DomainError, match=f"separation {message}"):
+    def test_gap_powers_out_of_range_are_domain_errors(self, separation, angle):
+        # d^4 would overflow or underflow to zero: the gap is refused
+        message = re.escape(f"separation: must lie in [1e-10, 1e+06] m, got {separation!r}")
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
             tilted_casimir(self.W * self.L, self.L, separation, angle)
 
     def test_rejects_negative_angle(self):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from plateforces import DomainError, InvalidParameterError
+from plateforces import InvalidParameterError
 from plateforces.budget import electrostatic_force
 from plateforces.casimir import ThermalModel
 from plateforces.core import GapConfig, YukawaParams
@@ -50,6 +50,8 @@ class TestElectrostaticForce:
         "area, gap, voltage, name",
         [
             (0.0, 5e-6, 0.1, "area"),
+            # epsilon0 S would be subnormal
+            (1e-299, 5e-6, 0.1, "area"),
             (AREA, -5e-6, 0.1, "separation"),
             (AREA, 5e-6, math.nan, "stray_voltage"),
             (AREA, 5e-6, math.inf, "stray_voltage"),
@@ -61,13 +63,19 @@ class TestElectrostaticForce:
 
     @pytest.mark.parametrize("gap, message", [(1e160, "d\\^2 overflows"), (1e-170, "underflows")])
     def test_gap_powers_out_of_range_are_domain_errors(self, gap, message):
-        with pytest.raises(DomainError, match=message):
+        # d^2 would overflow or underflow to zero: the gap is refused
+        refused = re.escape(f"separation: must lie in [1e-10, 1e+06] m, got {gap!r}")
+        with pytest.raises(InvalidParameterError, match=f"^{refused}$"):
             electrostatic_force(AREA, gap, 0.1)
 
     @pytest.mark.parametrize("gap, voltage", [(5e-6, 1e200), (1e-150, 1e100)])
     def test_overflowing_force_names_stray_voltage(self, gap, voltage):
-        # V^2 overflows, or the finite V^2 / d^2 does
-        with pytest.raises(DomainError, match=re.escape(f"stray_voltage {voltage:g} V ") + ".*overflows"):
+        # V^2, or the finite V^2 / d^2, would overflow: the voltage is
+        # refused, and so is a gap outside the box
+        refused = re.escape(f"stray_voltage: must lie in 0 or [1e-12, 1000] V, got {voltage!r}")
+        with pytest.raises(InvalidParameterError, match=f"^{refused}$"):
+            electrostatic_force(AREA, 5e-6, voltage)
+        with pytest.raises(InvalidParameterError, match="^separation: " if gap < 1e-10 else "^stray_voltage: "):
             electrostatic_force(AREA, gap, voltage)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from plateforces import DomainError, InvalidParameterError
+from plateforces import InvalidParameterError
 from plateforces.core import CODATA2018
 from plateforces.casimir import (
     THERMAL_TRUST_MIN_GAP,
@@ -80,39 +80,48 @@ class TestThermalCasimir:
         # below the trust gap the value is flagged downstream, not refused
         assert thermal_casimir(AREA, 1e-6, 300.0) > 0.0
 
+    # a gap or area outside the box is refused before any power of it is
+    # formed; from a --gap flag the refusal exits 3 as a domain error
     def test_underflowing_gap_is_a_domain_error(self):
-        # d^3 is 0.0 in double precision; the zero-T force guards d^4 alike
-        with pytest.raises(DomainError, match="separation 1e-110 m"):
+        # d^3 and d^4 would be 0.0 in double precision
+        message = re.escape("separation: must lie in [1e-10, 1e+06] m, got ")
+        with pytest.raises(InvalidParameterError, match=f"^{message}1e-110$"):
             thermal_casimir(AREA, 1e-110, 300.0)
-        with pytest.raises(DomainError, match="separation 1e-300 m"):
+        with pytest.raises(InvalidParameterError, match=f"^{message}1e-300$"):
             casimir_zero_t(AREA, 1e-300)
 
     def test_overflowing_gap_is_a_domain_error(self):
-        # d^4 overflows above about 1.16e77 m and d^3 above about 5.6e102 m
-        with pytest.raises(DomainError, match="separation 1e\\+80 m is too large: d\\^4"):
+        # d^4 would overflow above about 1.16e77 m and d^3 above about 5.6e102 m
+        message = re.escape("separation: must lie in [1e-10, 1e+06] m, got ")
+        with pytest.raises(InvalidParameterError, match=f"^{message}1e\\+80$"):
             casimir_zero_t(AREA, 1e80)
-        assert thermal_casimir(AREA, 1e80, 300.0) > 0.0
-        with pytest.raises(DomainError, match="separation 1e\\+103 m is too large: d\\^3"):
+        with pytest.raises(InvalidParameterError, match=f"^{message}1e\\+80$"):
+            thermal_casimir(AREA, 1e80, 300.0)
+        with pytest.raises(InvalidParameterError, match=f"^{message}1e\\+103$"):
             thermal_casimir(AREA, 1e103, 300.0)
 
     @pytest.mark.parametrize("area, gap", [(1e-320, 5e-6), (AREA, 1e76)])
     def test_underflowing_force_is_a_domain_error(self, area, gap):
-        # S and d^4 are both in range, but the force rounds to zero
-        with pytest.raises(DomainError, match=re.escape(f"area {area:g} m^2 at separation {gap:g} m")):
+        # the force would round to zero; the area or the gap is refused first
+        name, value = ("area", area) if area < 1e-20 else ("separation", gap)
+        with pytest.raises(InvalidParameterError, match=f"^{name}: must lie in .* got {re.escape(repr(value))}$"):
             casimir_zero_t(area, gap)
 
     @pytest.mark.parametrize("area", [1e-285, 1e-290, 1e-295, 1e-299])
     def test_tiny_area_matches_exact_rationals(self, area):
-        # the coefficient times S is subnormal at these areas, but both
-        # forces at 5 um (about 2e-305 and 3e-305 N at 1e-299 m^2) are
-        # normal doubles
-        gap, temperature = Fraction(5e-6), 300
+        # the coefficient times S would be subnormal at these areas, which
+        # the box refuses; at its smallest area, 1e-20 m^2, and the smallest
+        # temperature, both forces match exact rationals
+        for force in (lambda s: casimir_zero_t(s, 5e-6), lambda s: thermal_casimir(s, 5e-6, 1e-3)):
+            with pytest.raises(InvalidParameterError, match=f"^area: must lie in .* got {re.escape(repr(area))}$"):
+                force(area)
+        gap, temperature, smallest = Fraction(5e-6), Fraction(1e-3), Fraction(1e-20)
         pi, hbar, c = Fraction(math.pi), Fraction(CODATA2018.hbar), Fraction(CODATA2018.c)
         zeta3, k_B = Fraction(CODATA2018.zeta3), Fraction(CODATA2018.k_B)
         exact = {
-            casimir_zero_t(area, 5e-6): pi**2 * hbar * c / 240 * Fraction(area) / gap**4,
-            thermal_casimir(area, 5e-6, 300.0): (
-                zeta3 * k_B * temperature / (4 * pi) * Fraction(area) / gap**3
+            casimir_zero_t(1e-20, 5e-6): pi**2 * hbar * c / 240 * smallest / gap**4,
+            thermal_casimir(1e-20, 5e-6, 1e-3): (
+                zeta3 * k_B * temperature / (4 * pi) * smallest / gap**3
             ),
         }
         for force, want in exact.items():

@@ -281,19 +281,20 @@ class TestExclusionCommand:
         assert "4 rows" in warning and "1e-09" in warning
 
     def test_inf_alpha_from_a_vanishing_film_names_its_own_cause(self, tmp_path):
-        # at lambda 1e-6 to 1e-2 m exp(gap/lambda) is finite; the 1e-200 m
-        # film's force per unit alpha underflows to zero
-        code, out = run(
-            ["exclusion", "--config", BASELINE, "--thickness", "1e-200 m", "--points", "5"],
-            tmp_path,
-        )
+        # just past the lambdas where exp(gap/lambda) overflows, the bound of
+        # the box's thinnest film, 1e-10 m, exceeds the largest double
+        argv = ["--thickness", "1e-10 m", "--lambda-min", "1 nm", "--lambda-max", "10 nm"]
+        code, out = run(["exclusion", "--config", BASELINE, *argv, "--points", "200"], tmp_path)
         assert code == 0
         table = ResultTable.from_csv(out.read_text())
-        assert all(row[2] == math.inf for row in table.rows)
-        (warning,) = table.warnings
-        assert "5 rows with lambda from 1e-06 to 0.01 m" in warning
-        assert "exp(gap/lambda) overflows" not in warning
-        assert "underflows to zero" in warning
+        assert [row[2] for row in table.rows[:172]] == [math.inf] * 172
+        assert math.inf not in [row[2] for row in table.rows[172:]]
+        exp, bound = table.warnings
+        assert "169 rows with lambda from 1e-09 to 6.98588e-09 m: exp(gap/lambda) overflows" in exp
+        assert bound == (
+            "alpha is inf on 3 rows with lambda from 7.06718e-09 to 7.23263e-09 m: the bound "
+            "exceeds the largest double, or the Yukawa force per unit alpha underflows to zero"
+        )
 
     def test_overflowing_improvement_is_inf_with_a_warning(self, tmp_path):
         # prior alpha 1e308 over the alpha of a 1e-30 N resolution overflows
@@ -440,9 +441,14 @@ class TestExitCodes:
             "to lambda_max 1.000000000000001 m collide in double precision: "
         )
 
+    # An input outside the box is refused by the box of its quantity before
+    # it can overflow or underflow anything: a flag value exits 3 as a domain
+    # error naming the flag's keyword, a config value exits 2 naming its
+    # [section] key.  The tests below are named for what the input would do.
+
     def test_grid_that_rounds_past_max_lambda_is_degenerate(self):
-        # lambda_max is MAX_LAMBDA's double; interior points round above it,
-        # where lambda**2 overflows, so the grid is refused before the kernel
+        # a grid this far past the box's 1e6 m (where interior points would
+        # round above lambda_max) is refused for its range before it is built
         result = run_fresh(
             [
                 "exclusion", "--config", BASELINE, "--points", "1000",
@@ -451,8 +457,8 @@ class TestExitCodes:
         )
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
-        assert result.stderr.startswith(
-            "domain error: degenerate scan: 1000 points from lambda_min 1.3407807929942e+154"
+        assert result.stderr == (
+            "domain error: lambda_min: must lie in [1e-10, 1e+06] m, got 1.3407807929942e+154\n"
         )
 
     def test_too_many_points(self, capsys):
@@ -480,7 +486,7 @@ class TestExitCodes:
         result = run_fresh(["forces", "--config", BASELINE, "--gap", "1e-300"])
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
-        assert "separation 1e-300 m" in result.stderr
+        assert "domain error: separation: must lie in [1e-10, 1e+06] m, got 1e-300" in result.stderr
 
     def test_lambda_max_whose_square_overflows_is_a_domain_error(self):
         result = run_fresh(
@@ -488,7 +494,7 @@ class TestExitCodes:
         )
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
-        assert "domain error: lambda_max: must be at most 1.34e+154 m, got 1e+300" in result.stderr
+        assert "domain error: lambda_max: must lie in [1e-10, 1e+06] m, got 1e+300" in result.stderr
 
     @pytest.mark.parametrize("command", ["forces", "budget", "sensitivity"])
     def test_overflowing_gap_is_a_domain_error(self, tmp_path, command):
@@ -498,17 +504,23 @@ class TestExitCodes:
         config = tmp_path / "huge.ini"
         config.write_text(text)
         result = run_fresh([command, "--config", str(config)])
-        assert result.returncode == 3
+        assert result.returncode == 2
         assert "Traceback" not in result.stderr
-        assert "separation 1e+80 m is too large" in result.stderr
+        assert result.stderr == (
+            "config error: [gap] separation: must lie in [1e-10, 1e+06] m, got 1e+80\n"
+        )
 
     @pytest.mark.parametrize(
         "command, line, bad, message",
         [
-            ("forces", "stray_voltage = 0.1", "stray_voltage = 1e200", "stray_voltage 1e+200 V"),
-            ("budget", "stray_voltage = 0.1", "stray_voltage = 1e200", "stray_voltage 1e+200 V"),
-            ("sensitivity", "arm_length = 0.1 m", "arm_length = 1e200 m", "arm_length 1e+200 m"),
-            ("sensitivity", "arm_length = 0.1 m", "arm_length = 1e-170 m", "arm_length 1e-170 m"),
+            ("forces", "stray_voltage = 0.1", "stray_voltage = 1e200",
+             "[electrostatic] stray_voltage: must lie in 0 or [1e-12, 1000] V, got 1e+200"),
+            ("budget", "stray_voltage = 0.1", "stray_voltage = 1e200",
+             "[electrostatic] stray_voltage: must lie in 0 or [1e-12, 1000] V, got 1e+200"),
+            ("sensitivity", "arm_length = 0.1 m", "arm_length = 1e200 m",
+             "[balance] arm_length: must lie in [1e-10, 1e+06] m, got 1e+200"),
+            ("sensitivity", "arm_length = 0.1 m", "arm_length = 1e-170 m",
+             "[balance] arm_length: must lie in [1e-10, 1e+06] m, got 1e-170"),
         ],
         ids=["forces-voltage", "budget-voltage", "sensitivity-long-arm", "sensitivity-short-arm"],
     )
@@ -520,15 +532,15 @@ class TestExitCodes:
         config = tmp_path / "bad.ini"
         config.write_text(text.replace(line, bad))
         result = run_fresh([command, "--config", str(config)])
-        assert result.returncode == 3
+        assert result.returncode == 2
         assert "Traceback" not in result.stderr
-        assert message in result.stderr
+        assert result.stderr == f"config error: {message}\n"
 
     def test_overflowing_gap_flag_is_a_domain_error(self):
         result = run_fresh(["forces", "--config", BASELINE, "--gap", "1e80"])
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
-        assert "separation 1e+80 m" in result.stderr
+        assert result.stderr == "domain error: separation: must lie in [1e-10, 1e+06] m, got 1e+80\n"
 
     def test_non_utf8_config_is_a_config_error(self, tmp_path):
         config = tmp_path / "exp.ini"
@@ -551,11 +563,11 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["forces", "--gap", "1e9999999"], "separation: must be finite and > 0, got inf"),
-            (["forces", "--gap", "1e-320 um"], "separation: must be finite and > 0, got 0.0"),
+            (["forces", "--gap", "1e9999999"], "separation: must lie in [1e-10, 1e+06] m, got inf"),
+            (["forces", "--gap", "1e-320 um"], "separation: must lie in [1e-10, 1e+06] m, got 0.0"),
             (
                 ["exclusion", "--lambda-max", "1e99999999 um", "--points", "4"],
-                "lambda_max: must be finite and > 0, got inf",
+                "lambda_max: must lie in [1e-10, 1e+06] m, got inf",
             ),
         ],
     )
@@ -593,7 +605,7 @@ class TestExitCodes:
         config.write_text(text.replace(f"{key} = {good}", f"{key} = {bad}"))
         code = main([command, "--config", str(config), "--out", str(tmp_path / "o.csv")])
         assert code == 2
-        assert f"[{section}] {key}: must be finite" in capsys.readouterr().err
+        assert f"[{section}] {key}: must lie in " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["forces", "budget", "exclusion", "sensitivity"])
     def test_plate_area_that_overflows_is_a_config_error(self, tmp_path, command):
@@ -606,45 +618,57 @@ class TestExitCodes:
         result = run_fresh([command, "--config", str(config)])
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
-        assert "[geometry] length and width" in result.stderr
+        assert result.stderr == "config error: [geometry] length: must lie in [1e-10, 1e+06] m, got 1e+200\n"
         assert result.stdout == ""
 
-    def test_ratio_that_overflows_is_a_domain_error(self, tmp_path):
+    def test_ratio_that_overflows_is_a_domain_error(self, tmp_path, capsys, monkeypatch):
+        # a temperature whose ratio would overflow is refused; the finite
+        # gate still names a value that overflows, here from a rebound force
         text = BASELINE_CONFIG_PATH.read_text()
         assert "temperature = 300" in text
         config = tmp_path / "hot.ini"
         config.write_text(text.replace("temperature = 300", "temperature = 1e308"))
-        result = run_fresh(["budget", "--config", str(config)])
-        assert result.returncode == 3
-        assert "Traceback" not in result.stderr
-        assert "ratio_total_casimir_resolution_1 at gap 5e-06 m is inf" in result.stderr
-        assert "inf" not in result.stdout
+        assert main(["budget", "--config", str(config)]) == 2
+        assert "[gap] temperature: must lie in 0 or [0.001, 10000] K, got 1e+308" in capsys.readouterr().err
+        monkeypatch.setattr(plateforces.cli, "thermal_casimir", lambda *args: 1e308)
+        out = tmp_path / "o.csv"
+        assert main(["budget", "--config", BASELINE, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "domain error: ratio_total_casimir_resolution_1 at gap 5e-06 m is inf: "
+            "the value overflows a double\n"
+        )
+        assert not out.exists()
 
     def test_plate_area_whose_casimir_coefficient_product_is_subnormal(self, tmp_path):
-        # pi^2 hbar c / 240 times 1e-299 m^2 is subnormal, but every force at
-        # 5 um is a normal double: about 2.08e-305 N zero-temperature
+        # pi^2 hbar c / 240 times 1e-299 m^2 would be subnormal: such sides
+        # are refused, and at the box's smallest sides, 1e-10 m, the
+        # coefficient times the area is about 1.3e-47
         text = BASELINE_CONFIG_PATH.read_text()
-        for line, tiny in (("length = 0.10 m", "length = 1e-150 m"), ("width = 0.12 m", "width = 1e-149 m")):
-            assert line in text
-            text = text.replace(line, tiny)
-        config = tmp_path / "tiny.ini"
-        config.write_text(text)
-        result = run_fresh(["forces", "--config", str(config)])
-        assert (result.returncode, result.stderr) == (0, "")
+        sides = ("length = 0.10 m", "width = 0.12 m", "plate_length_along_tilt = 0.12 m")
+        for tiny, code in (("1e-150 m", 2), ("1e-10 m", 0)):
+            edited = text
+            for line in sides:
+                assert line in text
+                edited = edited.replace(line, line.split("=")[0] + f"= {tiny}")
+            config = tmp_path / "tiny.ini"
+            config.write_text(edited)
+            result = run_fresh(["forces", "--config", str(config)])
+            assert result.returncode == code
+        assert result.stderr == ""
         row = dict(zip(*(line.split(",") for line in result.stdout.splitlines()[-2:])))
-        assert float(row["casimir_zero_t_N"]) == casimir_zero_t(1e-150 * 1e-149, 5e-6)
-        assert 2.08e-305 < float(row["casimir_zero_t_N"]) < 2.09e-305
+        assert float(row["casimir_zero_t_N"]) == casimir_zero_t(1e-10 * 1e-10, 5e-6)
+        assert 2.08e-26 < float(row["casimir_zero_t_N"]) < 2.09e-26
         assert float(row["thermal_N"]) > 0.0
 
     @pytest.mark.parametrize(
         "line, bad, message",
         [
-            ("length = 0.10 m", "length = -0.10 m", "[geometry] length: must be"),
-            ("length = 0.5 m", "length = -0.5 m", "[wire] length: must be"),
-            ("lambda = 10 um", "lambda = -10 um", "[yukawa] lambda: must be"),
-            ("separation = 5 um", "separation = -5 um", "[gap] separation: must be"),
-            ("arm_length = 0.1 m", "arm_length = -0.1 m", "[balance] arm_length: must be"),
-            ("angle = 1e-6", "angle = -1e-6", "[tilt] angle: must be"),
+            ("length = 0.10 m", "length = -0.10 m", "[geometry] length: must lie in"),
+            ("length = 0.5 m", "length = -0.5 m", "[wire] length: must lie in"),
+            ("lambda = 10 um", "lambda = -10 um", "[yukawa] lambda: must lie in"),
+            ("separation = 5 um", "separation = -5 um", "[gap] separation: must lie in"),
+            ("arm_length = 0.1 m", "arm_length = -0.1 m", "[balance] arm_length: must lie in"),
+            ("angle = 1e-6", "angle = -1e-6", "[tilt] angle: must lie in"),
         ],
         ids=["geometry", "wire", "yukawa", "gap", "balance", "tilt"],
     )
@@ -688,6 +712,8 @@ class TestExitCodes:
     MORE_BAD_VALUES = {
         "yukawa-lambda-whose-square-overflows":
             ("yukawa", "lambda", "lambda = 10 um", "lambda = 1e200 m"),
+        "yukawa-lambda-far-beyond-the-films":
+            ("yukawa", "lambda", "lambda = 10 um", "lambda = 1e150 m"),
     }
 
     @pytest.mark.parametrize(
@@ -708,13 +734,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: [{section}] {key}: ")
 
     def test_subnormal_tilt_length_leaves_the_flat_force(self, tmp_path):
-        # the rise over a 1e-320 m tilt length is below the smallest
-        # double's resolution of the gap: the tilted force is the flat one
+        # a 1e-320 m tilt length is refused; the rise over the box's
+        # shortest, 1e-10 m, at its smallest tilt, 1e-15 rad, is below the
+        # resolution of the gap: the tilted force is the flat one
         text = BASELINE_CONFIG_PATH.read_text()
         line = "plate_length_along_tilt = 0.12 m"
-        assert line in text
+        assert line in text and "angle = 1e-6" in text
         config = tmp_path / "thin.ini"
         config.write_text(text.replace(line, "plate_length_along_tilt = 1e-320 m"))
+        result = run_fresh(["sensitivity", "--config", str(config)])
+        assert result.returncode == 2
+        assert "config error: [tilt] plate_length_along_tilt: must lie in " in result.stderr
+        text = text.replace("angle = 1e-6", "angle = 1e-15")
+        config.write_text(text.replace(line, "plate_length_along_tilt = 1e-10 m"))
         result = run_fresh(["sensitivity", "--config", str(config)])
         assert result.returncode == 0
         assert result.stderr == ""
@@ -732,39 +764,43 @@ class TestExitCodes:
         assert "[yukawa] alpha" in capsys.readouterr().err
 
 
+    LENGTH = "must lie in [1e-10, 1e+06] m, got "
+
     @pytest.mark.parametrize(
         "edits, argv, message",
         [
             ({"length = 0.10 m": "length = 1e150 m", "width = 0.12 m": "width = 1e150 m"},
-             ["forces", "--gap", "1e-10 m"], "casimir_zero_t_N at gap 1e-10 m is inf"),
+             ["forces", "--gap", "1e-10 m"], f"[geometry] length: {LENGTH}1e+150"),
             ({"length = 0.10 m": "length = 1e150 m", "width = 0.12 m": "width = 1e150 m"},
-             ["forces", "--gap", "1e-10 m", "--gap", "1e80 m"],
-             "casimir_zero_t_N at gap 1e-10 m is inf"),
+             ["forces", "--gap", "1e-10 m", "--gap", "1e80 m"], f"[geometry] length: {LENGTH}1e+150"),
             ({"temperature = 300": "temperature = 1e308"},
-             ["forces", "--gap", "1 nm"], "thermal_N at gap 1e-09 m is inf"),
+             ["forces", "--gap", "1 nm"],
+             "[gap] temperature: must lie in 0 or [0.001, 10000] K, got 1e+308"),
             ({"gold, 19.3e3, 10 um": "gold, 1e200, 10 um"},
-             ["forces"], "newton_N at gap 5e-06 m is inf"),
+             ["forces"], "[stack_a] layer_0: density: must lie in [0.001, 100000] kg/m^3, got 1e+200"),
             ({"gold, 19.3e3, 10 um": "gold, 1e200, 10 um"},
-             ["budget"], "newton_N at gap 5e-06 m is inf"),
+             ["budget"], "[stack_a] layer_0: density: must lie in [0.001, 100000] kg/m^3, got 1e+200"),
             ({"length = 0.10 m": "length = 1e150 m", "width = 0.12 m": "width = 1e150 m",
               "separation = 5 um": "separation = 1e-10 m", "angle = 1e-6": "angle = 0"},
-             ["sensitivity"], "casimir_flat_N at gap 1e-10 m is inf"),
+             ["sensitivity"], f"[geometry] length: {LENGTH}1e+150"),
             ({"gold, 19.3e3, 10 um": "gold, 1e200, 10 um"},
              ["exclusion", "--points", "4"],
-             "facing densities 1e+200 and 1e+200 kg/m^3 with area 0.012 m^2"),
+             "[stack_a] layer_0: density: must lie in [0.001, 100000] kg/m^3, got 1e+200"),
             ({"gold, 19.3e3, 10 um": "gold, 1e-200, 10 um"},
              ["exclusion", "--points", "4"],
-             "facing densities 1e-200 and 1e-200 kg/m^3 with area 0.012 m^2"),
+             "[stack_a] layer_0: density: must lie in [0.001, 100000] kg/m^3, got 1e-200"),
             ({"material = tungsten": "material = tungsten\nshear_modulus = 1e308"},
-             ["sensitivity"], "shear_modulus 1e+308 Pa with diameter 5e-05 m and length 0.5 m"),
+             ["sensitivity"], "[wire] shear_modulus: must lie in [1e+06, 1e+13] Pa, got 1e+308"),
             ({"material = tungsten": "material = tungsten\nshear_modulus = 1e-320"},
-             ["sensitivity"], "shear_modulus 9.99989e-321 Pa with diameter 5e-05 m"),
+             ["sensitivity"], "[wire] shear_modulus: must lie in [1e+06, 1e+13] Pa, got 1e-320"),
         ],
         ids=["forces-area", "forces-area-two-gaps", "forces-temperature", "forces-density",
              "budget-density", "sensitivity-area", "exclusion-dense", "exclusion-light",
              "sensitivity-stiff-wire", "sensitivity-soft-wire"],
     )
     def test_overflowing_force_or_factor_is_a_domain_error(self, tmp_path, edits, argv, message):
+        # each force, prefactor or torsion constant would overflow or
+        # underflow to zero: the config value is refused before any is formed
         text = BASELINE_CONFIG_PATH.read_text()
         for line, bad in edits.items():
             assert line in text
@@ -772,10 +808,10 @@ class TestExitCodes:
         config = tmp_path / "bad.ini"
         config.write_text(text)
         result = run_fresh([*argv, "--config", str(config)])
-        assert result.returncode == 3
+        assert result.returncode == 2
         assert "Traceback" not in result.stderr
-        assert message in result.stderr
-        assert "inf" not in result.stdout and "nan" not in result.stdout
+        assert result.stderr == f"config error: {message}\n"
+        assert result.stdout == ""
 
     @pytest.mark.parametrize(
         "thickness, alpha, value", [("1e-170 m", "1e300", "nan"), ("1e-165 m", "1e12", "inf")]
@@ -783,40 +819,43 @@ class TestExitCodes:
     def test_long_range_yukawa_on_a_vanishing_film_is_refused(
         self, tmp_path, capsys, thickness, alpha, value
     ):
-        # tau/lam is zero or subnormal, so the force cannot be re-formed
-        # without losing it; the run refuses instead of writing 0
+        # tau/lam would be zero or subnormal, and the force lost, or nan or
+        # inf: the film is refused before any force is formed, and so is the
+        # range once the film is in the box
         text = BASELINE_CONFIG_PATH.read_text()
-        text = text.replace("gold, 19.3e3, 10 um", f"gold, 19.3e3, {thickness}")
         text = text.replace("alpha = 1.0", f"alpha = {alpha}").replace("lambda = 10 um", "lambda = 1e154 m")
         config = tmp_path / "thin.ini"
+        out = tmp_path / "out.csv"
+        config.write_text(text.replace("gold, 19.3e3, 10 um", f"gold, 19.3e3, {thickness}"))
+        assert main(["budget", "--config", str(config), "--out", str(out)]) == 2
+        assert "config error: [stack_a] layer_0: thickness: must lie in " in capsys.readouterr().err
         config.write_text(text)
-        code = main(["budget", "--config", str(config), "--out", str(tmp_path / "out.csv")])
-        assert code == 3
-        assert f"yukawa_N at gap 5e-06 m is {value}" in capsys.readouterr().err
+        assert main(["budget", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: [yukawa] ")
+        assert not out.exists()
 
     def test_wire_force_floor_underflow_names_the_wire(self, tmp_path):
-        # kappa_wire is a positive subnormal, but kappa x_min / arm^2 rounds
-        # to zero; the error names the wire, not [balance] torque_sensitivity
+        # kappa_wire would be a positive subnormal, and kappa x_min / arm^2
+        # zero: the error names the wire's modulus, not [balance]
+        # torque_sensitivity
         text = BASELINE_CONFIG_PATH.read_text().replace(
             "material = tungsten", "material = tungsten\nshear_modulus = 1e-305"
         )
         config = tmp_path / "soft.ini"
         config.write_text(text)
         result = run_fresh(["sensitivity", "--config", str(config)])
-        assert result.returncode == 3
+        assert result.returncode == 2
         assert "Traceback" not in result.stderr
-        assert (
-            "arm_length 0.1 m with wire torsion constant 9.88131e-324 N m/rad "
-            "(shear_modulus 1e-305 Pa, diameter 5e-05 m, length 0.5 m) and "
-            "min_displacement 1e-09 m: kappa x_min / arm_length^2 underflows to zero"
-        ) in result.stderr
+        assert result.stderr == (
+            "config error: [wire] shear_modulus: must lie in [1e+06, 1e+13] Pa, got 1e-305\n"
+        )
         assert "torque_sensitivity" not in result.stderr
         assert result.stdout == ""
 
     @pytest.mark.parametrize("command", ["forces", "budget", "sensitivity"])
     def test_casimir_force_underflow_is_a_domain_error(self, tmp_path, command):
-        # area 1e-320 m^2 passes the config check, but S / d^4 times the
-        # Casimir coefficient rounds to zero
+        # the Casimir force on 1e-320 m^2 would round to zero: sides of
+        # 1e-160 m are refused before any force is formed
         text = BASELINE_CONFIG_PATH.read_text()
         for line in ("length = 0.10 m", "width = 0.12 m", "plate_length_along_tilt = 0.12 m"):
             assert line in text
@@ -824,11 +863,9 @@ class TestExitCodes:
         config = tmp_path / "tiny.ini"
         config.write_text(text)
         result = run_fresh([command, "--config", str(config)])
-        assert result.returncode == 3
+        assert result.returncode == 2
         assert "Traceback" not in result.stderr
-        area = 1e-160 * 1e-160
-        assert f"area {area:g} m^2 at separation 5e-06 m" in result.stderr
-        assert "underflows to zero" in result.stderr
+        assert result.stderr == "config error: [geometry] length: must lie in [1e-10, 1e+06] m, got 1e-160\n"
         assert result.stdout == ""
 
     def test_material_spanning_lines_is_a_config_error(self, tmp_path):

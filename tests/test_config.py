@@ -1,4 +1,7 @@
+import configparser
+import contextlib
 import hashlib
+import io
 import math
 import os
 import pathlib
@@ -21,7 +24,9 @@ from plateforces import (
     parse_length,
 )
 from plateforces import config
-from plateforces.core import PlateGeometry
+from plateforces.casimir import casimir_zero_t
+from plateforces.cli import main
+from plateforces.core import BOX, PlateGeometry, box_range
 from plateforces.config import _ABSENT, _KEYS, _number
 from conftest import BASELINE_CONFIG_PATH, REPO_ROOT, with_fields
 from oracles import prior_reference
@@ -60,6 +65,29 @@ GOOD = textwrap.dedent(
     force_resolution = 1e-12
     """
 )
+
+
+# the quantity in core.BOX of each _KEYS key; None for a name
+KEY_QUANTITIES = {
+    ("geometry", "length"): "length",
+    ("geometry", "width"): "length",
+    ("gap", "separation"): "length",
+    ("gap", "temperature"): "temperature",
+    ("thermal", "reduction_factor"): "reduction_factor",
+    ("electrostatic", "stray_voltage"): "voltage",
+    ("wire", "material"): None,
+    ("wire", "shear_modulus"): "shear_modulus",
+    ("wire", "diameter"): "diameter",
+    ("wire", "length"): "length",
+    ("balance", "torque_sensitivity"): "torque_sensitivity",
+    ("balance", "arm_length"): "length",
+    ("balance", "min_displacement"): "length",
+    ("tilt", "angle"): "angle",
+    ("tilt", "plate_length_along_tilt"): "length",
+    ("resolution", "force_resolution"): "force",
+    ("yukawa", "alpha"): "alpha",
+    ("yukawa", "lambda"): "length",
+}
 
 
 def write(tmp_path, text, name="exp.ini"):
@@ -218,7 +246,7 @@ class TestLoadConfig:
     def test_non_finite_yukawa_named(self, tmp_path, key, text):
         yukawa = {"alpha": "1.0", "lambda": "10 um", key: text}
         extended = GOOD + f"\n[yukawa]\nalpha = {yukawa['alpha']}\nlambda = {yukawa['lambda']}\n"
-        with pytest.raises(ConfigError, match=rf"\[yukawa\] {key}: must be finite"):
+        with pytest.raises(ConfigError, match=rf"\[yukawa\] {key}: must lie in "):
             load_config(write(tmp_path, extended))
 
     @pytest.mark.parametrize(
@@ -237,7 +265,7 @@ class TestLoadConfig:
     def test_out_of_range_numbers_named(self, tmp_path, section, key, text):
         good = {"force_resolution": "1e-12", "stray_voltage": "0.1"}[key]
         broken = GOOD.replace(f"{key} = {good}", f"{key} = {text}")
-        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: must be finite"):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: must lie in "):
             load_config(write(tmp_path, broken))
 
     def test_zero_stray_voltage_allowed(self, tmp_path):
@@ -261,7 +289,8 @@ class TestLoadConfig:
 
     def test_length_out_of_range_named(self, tmp_path):
         broken = GOOD.replace("separation = 5 um", "separation = 1e9999999 um")
-        with pytest.raises(ConfigError, match=r"^\[gap\] separation: must be finite and > 0, got inf$"):
+        message = r"^\[gap\] separation: must lie in \[1e-10, 1e\+06\] m, got inf$"
+        with pytest.raises(ConfigError, match=message):
             load_config(write(tmp_path, broken))
 
     def test_layer_numbering_must_be_dense(self, tmp_path):
@@ -339,7 +368,7 @@ class TestLoadConfig:
             # a section's record is checked before its unknown keys
             (
                 [("width = 12 cm", "width = -1 m\nheight = 1 mm")],
-                "[geometry] width: must be finite and > 0, got -1.0",
+                "[geometry] width: must lie in [1e-10, 1e+06] m, got -1.0",
             ),
             # the material is looked up before the diameter is read
             (
@@ -350,7 +379,7 @@ class TestLoadConfig:
             # the stray voltage is checked once every section is read
             (
                 [("stray_voltage = 0.1", "stray_voltage = -1"), ("50 um", "5 um")],
-                "[wire] diameter: must lie in the supported band [1e-05, 0.001] m, got 5e-06 m",
+                "[wire] diameter: must lie in [1e-05, 0.001] m, got 5e-06",
             ),
             # a present [tilt] must set its angle
             (
@@ -390,10 +419,19 @@ class TestLoadConfig:
             for key, read in (keys or {}).items()
         }
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
-        rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| (\w+) \| (.*) \|$", readme, re.M)
-        assert {(section, key): kind for section, key, kind, _ in rows} == table
+        rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| (\w+) \| (.*?) \| (.*) \|$", readme, re.M)
+        assert {(section, key): kind for section, key, kind, _, _ in rows} == table
         assert len(rows) == len(table)
-        defaults = {(section, key): default for section, key, _, default in rows}
+        # each key's Range is the box of its quantity in core.BOX
+        assert set(KEY_QUANTITIES) == set(table)
+        ranges = {(section, key): box for section, key, _, box, _ in rows}
+        assert ranges == {
+            key: "any" if quantity is None else box_range(quantity)
+            for key, quantity in KEY_QUANTITIES.items()
+        }
+        layers = f"density in {box_range('density')} and the thickness in\n{box_range('length')}."
+        assert layers in readme
+        defaults = {(section, key): default for section, key, _, _, default in rows}
         for section, keys in _ABSENT.items():
             for key, text in keys.items():
                 assert defaults[section, key] == f"`{text}`"
@@ -411,26 +449,122 @@ class TestLoadConfig:
             load_config(str(tmp_path / "nope.ini"))
 
 
+def _edges(quantity: str) -> list[tuple[float, bool]]:
+    """(value, accepted) at each edge of the quantity's box: both ends, the
+    next double outside each, nan, 0, and alpha's negative ends."""
+    lo, hi, _, zero = BOX[quantity]
+    edges = [(lo, True), (hi, True), (math.nextafter(lo, -math.inf), False),
+             (math.nextafter(hi, math.inf), False), (math.nan, False), (0.0, zero)]
+    if quantity == "alpha":
+        edges += [(-lo, True), (-hi, True), (math.nextafter(-lo, 0.0), False),
+                  (math.nextafter(-hi, -math.inf), False)]
+    return edges
+
+
+# (route, where, quantity): a config key, a layer field, a flag (its
+# command and the keyword its errors name) or a physics function argument
+BOX_ROUTES = [
+    *(("config", key, quantity) for key, quantity in KEY_QUANTITIES.items() if quantity),
+    ("layer", "density", "density"),
+    ("layer", "thickness", "length"),
+    ("flag", ("forces", "--gap", "separation"), "length"),
+    ("flag", ("exclusion", "--lambda-min", "lambda_min"), "length"),
+    ("flag", ("exclusion", "--lambda-max", "lambda_max"), "length"),
+    ("flag", ("exclusion", "--thickness", "thickness"), "length"),
+    ("function", "area", "area"),
+]
+BOX_EDGES = [
+    (route, where, quantity, value, accepted)
+    for route, where, quantity in BOX_ROUTES
+    for value, accepted in _edges(quantity)
+]
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _edge_id(route, where, value) -> str:
+    name = "[{}] {}".format(*where) if route == "config" else where[1] if route == "flag" else where
+    return f"{route}-{name}-{value!r}"
+
+
+@pytest.mark.parametrize(
+    "route, where, quantity, value, accepted", BOX_EDGES,
+    ids=[_edge_id(route, where, value) for route, where, _, value, _ in BOX_EDGES],
+)
+def test_box_edges(tmp_path, route, where, quantity, value, accepted):
+    # a value is accepted from lo to hi (and at 0 where the box allows it)
+    # and refused just outside, by name: a config key exits 2 naming
+    # [section] key, a flag exits 3 naming its keyword
+    refusal = f"must lie in {box_range(quantity)}, got {value!r}"
+    length = "" if quantity != "length" else " m"
+    if route == "function":
+        if accepted:
+            assert casimir_zero_t(value, 5e-6) > 0.0
+        else:
+            with pytest.raises(InvalidParameterError, match=f"^{re.escape(f'{where}: {refusal}')}$"):
+                casimir_zero_t(value, 5e-6)
+        return
+    if route == "flag":
+        command, flag, name = where
+        points = ["--points", "2"] if command == "exclusion" else []
+        out = ["--out", str(tmp_path / "out.csv")]
+        code, err = _run([command, "--config", str(BASELINE_CONFIG_PATH), flag, repr(value), *points, *out])
+        if accepted:
+            # a --lambda-min at the top of the box leaves a degenerate scan
+            assert code in (0, 3) and "must lie in" not in err, err
+        else:
+            assert (code, err) == (3, f"domain error: {name}: {refusal}\n")
+        return
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read(BASELINE_CONFIG_PATH)
+    if route == "layer":
+        fields = {"density": "19.3e3", "thickness": "10 um", where: f"{value!r}{length}"}
+        section, key, text = "stack_a", "layer_0", f"gold, {fields['density']}, {fields['thickness']}"
+        refusal = f"{where}: {refusal}"
+    else:
+        (section, key), text = where, f"{value!r}{length}"
+    parser[section][key] = text
+    path = tmp_path / "exp.ini"
+    with open(path, "w") as handle:
+        parser.write(handle)
+    if accepted:
+        load_config(str(path))
+    else:
+        code, err = _run(["budget", "--config", str(path), "--out", str(tmp_path / "out.csv")])
+        assert (code, err) == (2, f"config error: [{section}] {key}: {refusal}\n")
+
+
 class TestExperimentConfigInvariants:
     """A record built in code is checked as strictly as a parsed file."""
 
     @pytest.mark.parametrize("value", [0.0, -1e-12, math.nan, math.inf])
     def test_force_resolution_must_be_finite_and_positive(self, baseline_config, value):
         with pytest.raises(
-            InvalidParameterError, match=r"\[resolution\] force_resolution: must be finite and > 0"
+            InvalidParameterError, match=r"^\[resolution\] force_resolution: must lie in \[1e-30, 1\] N, got "
         ):
             with_fields(baseline_config, force_resolution=value)
 
     def test_negative_stray_voltage_refused(self, baseline_config):
         with pytest.raises(
-            InvalidParameterError, match=r"\[electrostatic\] stray_voltage: must be finite and >= 0"
+            InvalidParameterError,
+            match=r"^\[electrostatic\] stray_voltage: must lie in 0 or \[1e-12, 1000\] V, got -0.1$",
         ):
             with_fields(baseline_config, stray_voltage=-0.1)
 
     def test_area_that_overflows_refused(self, baseline_config):
-        plates = with_fields(baseline_config.plates, geometry=PlateGeometry(1e200, 1e200))
-        with pytest.raises(InvalidParameterError, match=r"\[geometry\] length and width: .* got inf m\^2"):
-            with_fields(baseline_config, plates=plates)
+        # sides whose area would overflow are outside the box; two sides in
+        # it give an area in the area box, so no config checks the product
+        with pytest.raises(InvalidParameterError, match=r"^length: must lie in .* got 1e\+200$"):
+            PlateGeometry(1e200, 1e200)
+        for side in BOX["length"][:2]:
+            geometry = PlateGeometry(side, side)
+            assert BOX["area"][0] <= geometry.area() <= BOX["area"][1]
+            with_fields(baseline_config, plates=with_fields(baseline_config.plates, geometry=geometry))
 
 
 class TestIngestPriorBounds:

@@ -19,7 +19,6 @@ from plateforces.balance import SHEAR_MODULUS, BalanceConfig, TiltConfig, Torsio
 from plateforces.casimir import ThermalModel
 from plateforces.core import (
     CODATA2018,
-    MAX_LAMBDA,
     GapConfig,
     MaterialLayer,
     PlateGeometry,
@@ -106,11 +105,12 @@ class TestYukawaParams:
             YukawaParams(alpha=math.nan, lam=1e-5)
 
     def test_lambda_up_to_the_largest_squarable_range(self):
-        # lam**2 in the force stays finite up to MAX_LAMBDA, and past it
-        # the record refuses
-        assert YukawaParams(alpha=1.0, lam=MAX_LAMBDA).lam == MAX_LAMBDA
-        assert math.isfinite(MAX_LAMBDA**2)
-        with pytest.raises(InvalidParameterError, match=r"^lambda: must be at most .* got 1e\+200$"):
+        # the box ends at 1e6 m, far below where lam**2 overflows, and past
+        # it the record refuses
+        assert YukawaParams(alpha=1.0, lam=1e6).lam == 1e6
+        with pytest.raises(
+            InvalidParameterError, match=r"^lambda: must lie in \[1e-10, 1e\+06\] m, got 1e\+200$"
+        ):
             YukawaParams(alpha=1.0, lam=1e200)
 
 

@@ -1,6 +1,9 @@
 import math
+import sys
 
 import pytest
+
+from plateforces import InvalidParameterError
 
 from plateforces.core import CODATA2018, GapConfig, PlateStack, YukawaParams
 from plateforces.gravity import (
@@ -101,22 +104,27 @@ class TestPlateYukawa:
         ) == pytest.approx(sheet, rel=1e-7)
 
     def test_long_range_keeps_the_thin_film_force_finite(self):
-        # lam**2 overflows the left-to-right product; lam cancels against
-        # each bracket, tau/lam, to leave the thin-film limit
-        alpha, lam, tau, d = 1e12, 1e150, 1e-5, 5e-6
+        # at the box's largest range lam**2 is 1e12 and lam cancels against
+        # each bracket, tau/lam, to leave the thin-film limit, to within
+        # (d + tau)/lam = 1.5e-11; a range of 1e150 m is refused
+        alpha, lam, tau, d = 1e12, 1e6, 1e-5, 5e-6
         sheet = 2 * math.pi * G * GOLD**2 * AREA * alpha * tau * tau
         assert plate_yukawa(
             GOLD, GOLD, AREA, tau, tau, d, YukawaParams(alpha, lam)
-        ) == pytest.approx(sheet, rel=1e-12)
+        ) == pytest.approx(sheet, rel=2e-11)
+        with pytest.raises(InvalidParameterError, match=r"^lambda: must lie in .* got 1e\+150$"):
+            YukawaParams(alpha, 1e150)
 
     def test_long_range_with_vanishing_bracket_is_not_finite(self):
-        # tau/lam rounds to zero or to a subnormal: re-forming the product
-        # would return 0 or a value that lost its digits, so nan or inf stands
-        alpha, lam = 1e300, 1e154
-        zero = plate_yukawa(GOLD, GOLD, AREA, 1e-170, 1e-170, 5e-6, YukawaParams(alpha, lam))
-        assert math.isnan(zero)
-        tiny = plate_yukawa(GOLD, GOLD, AREA, 1e-165, 1e-165, 5e-6, YukawaParams(1e12, lam))
-        assert tiny == math.inf
+        # tau/lam would round to zero or to a subnormal at these films and
+        # range: the films are refused, and at the box corner (1e-10 m films,
+        # lam 1e6 m) the bracket is 1e-16 and the force a normal double
+        for thickness in (1e-170, 1e-165):
+            with pytest.raises(InvalidParameterError, match="^thickness_a: must lie in "):
+                plate_yukawa(GOLD, GOLD, AREA, thickness, thickness, 5e-6, YukawaParams(1e12, 1e6))
+        assert yukawa_thickness_bracket(1e-10, 1e6) == pytest.approx(1e-16, rel=1e-15)
+        corner = plate_yukawa(1e-3, 1e-3, 1e-20, 1e-10, 1e-10, 5e-6, YukawaParams(1e-50, 1e6))
+        assert corner > sys.float_info.min
 
     def test_alpha_zero_gives_exactly_zero(self):
         assert (
