@@ -23,7 +23,7 @@ import math
 import sys
 from array import array
 from collections.abc import Callable, Iterable, Sequence
-from itertools import compress, islice
+from itertools import compress
 from operator import truediv
 
 from . import __version__
@@ -230,9 +230,9 @@ def cmd_exclusion(
     rows = []
     for thickness, curve in zip(thicknesses, curves):
         block = (thickness, curve.lambdas, curve.alphas)
-        unbounded["exp"] += islice(curve.lambdas, prefix)
+        unbounded["exp"] += memoryview(curve.lambdas)[:prefix]
         if math.inf in curve.alphas:
-            lams, alphas = islice(curve.lambdas, prefix, None), islice(curve.alphas, prefix, None)
+            lams, alphas = memoryview(curve.lambdas)[prefix:], memoryview(curve.alphas)[prefix:]
             unbounded["bound"] += compress(lams, map(math.isinf, alphas))
         if prior is not None:
             block += (improvements := array("d", map(truediv, prior_alphas, curve.alphas)),)

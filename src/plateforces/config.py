@@ -25,8 +25,8 @@ each read by ``_layer``.
 
 A prior-bounds file holds ``lambda_m,alpha`` rows in increasing lambda;
 blank lines, ``#`` comments and the header (spaces ignored) may stand
-anywhere, lines end in LF, CR or CRLF and a leading BOM is skipped.  Rows
-are read in one pass and walked line by line only to name a bad one.
+anywhere, lines end in LF, CR or CRLF and a leading BOM is skipped.  One
+walk over the lines reads the rows and names the first bad one.
 
 ``config_sha256`` is taken with the interpreter's builtin SHA-256, the
 same bytes as ``hashlib``'s without loading OpenSSL.
@@ -38,7 +38,6 @@ import configparser
 import math
 import re
 from array import array
-from itertools import islice, repeat
 
 try:  # hashlib loads OpenSSL, megabytes of memory for one digest
     from _sha2 import sha256  # CPython 3.12+
@@ -90,10 +89,9 @@ def parse_length(text: str) -> float:
         power = int(digits) * (-1 if exponent.startswith("-") else 1)
         return float(f"{mantissa}e{power + _LENGTH_UNITS[unit or 'm']}")
     except ValueError:
-        # inf or nan as text, or an exponent still too long for int(): 0 or inf
-        if value == 0 or not math.isfinite(value):
-            return value
-        raise InvalidParameterError(f"cannot parse length {text!r}") from None
+        # inf or nan as text, or an exponent still too long for int(), whose
+        # value float() read as 0 or +-inf
+        return value
 
 
 class ExperimentConfig(_Record):
@@ -274,76 +272,46 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-# rows per joined string: a slice's fields, not the file's, are alive at once
-_ROWS_PER_PARSE = 512
-
-
-def _comment_or_header(text: str) -> bool:
-    return not text or text.startswith("#") or text.replace(" ", "") == "lambda_m,alpha"
-
-
 def ingest_prior_bounds(path: str) -> Curve:
     """Read a prior-bounds CSV into a Curve whose source is the path.
 
     Rows are lambda_m,alpha, both finite and > 0, at least two, in
     strictly increasing lambda.  Blank lines, '#' comments and the header
     (spaces ignored) may stand anywhere; lines end in LF, CR or CRLF; a
-    leading UTF-8 byte-order mark is skipped.  The rows are read in one
-    pass in C, and walked line by line only to name a bad one or to skip
-    a blank, comment or header line between them.
+    leading UTF-8 byte-order mark is skipped.  One walk over the lines
+    checks each row in turn and names the line of the first bad one.
     """
-    # universal newlines: the lines of readlines(), trailing blank ones aside
+    # universal newlines: the lines of readlines()
     text = _read(path)[1].replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.rstrip("\n").split("\n")
-    start = 0
-    while start < len(lines) and _comment_or_header(lines[start].strip()):
-        start += 1
-    # the same rows as the walk's when every other line holds one comma
-    if set(map(str.count, islice(lines, start, None), repeat(","))) == {1}:
-        try:
-            values = array("d")
-            for first in range(start, len(lines), _ROWS_PER_PARSE):
-                values.extend(map(float, ",".join(lines[first : first + _ROWS_PER_PARSE]).split(",")))
-            curve = Curve(values[0::2], values[1::2], source=path)
-            if math.inf not in curve.alphas:  # which Curve takes and a prior row does not
-                return curve
-        except (ValueError, InvalidParameterError):
-            pass
-    return _walk_prior(lines, path)
-
-
-def _walk_prior(lines: list[str], path: str) -> Curve:
-    """ingest_prior_bounds one line at a time, naming the first bad one."""
-    lambdas: list[float] = []
-    alphas: list[float] = []
-    for line_no, line in enumerate(lines, start=1):
-        text = line.strip()
-        if _comment_or_header(text):
+    lambdas, alphas = array("d"), array("d")
+    previous = 0.0  # the last row's lambda; the first must only be > 0
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        row = line.strip()
+        # a row starts with neither '#' nor 'l', so only such lines need the test
+        if not row or row[0] in "#l" and (
+            row[0] == "#" or row.replace(" ", "") == "lambda_m,alpha"
+        ):
             continue
-        parts = [part.strip() for part in text.split(",")]
-        if len(parts) != 2:
-            raise ConfigError(
-                f"{path}: line {line_no}: expected 2 columns (lambda_m,alpha), "
-                f"got {len(parts)}: {text!r}"
-            )
+        fields = row.split(",")
         try:
-            lam, alpha = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ConfigError(
-                f"{path}: line {line_no}: not numeric: {text!r}"
-            ) from None
-        try:
-            require_positive("lambda", lam)
-            require_positive("alpha", alpha)
+            if len(fields) != 2:
+                raise InvalidParameterError(
+                    f"expected 2 columns (lambda_m,alpha), got {len(fields)}: {row!r}"
+                )
+            try:
+                lam, alpha = float(fields[0]), float(fields[1])
+            except ValueError:
+                raise InvalidParameterError(f"not numeric: {row!r}") from None
+            if not (previous < lam < math.inf and 0 < alpha < math.inf):
+                # name the first check the row fails
+                require_positive("lambda", lam)
+                require_positive("alpha", alpha)
+                raise InvalidParameterError(f"lambda {lam!r} does not increase past {previous!r}")
         except InvalidParameterError as exc:
             raise ConfigError(f"{path}: line {line_no}: {exc}") from None
-        if lambdas and not lam > lambdas[-1]:
-            raise ConfigError(
-                f"{path}: line {line_no}: lambda {lam!r} does not increase "
-                f"past {lambdas[-1]!r}"
-            )
         lambdas.append(lam)
         alphas.append(alpha)
+        previous = lam
     if len(lambdas) < 2:
         raise ConfigError(f"{path}: needs at least 2 data rows, found {len(lambdas)}")
-    return Curve(lambdas=lambdas, alphas=alphas, source=path)
+    return Curve(lambdas, alphas, source=path)

@@ -34,18 +34,6 @@ class PlatePairConfig(_Record):
         self._freeze(stack_a, stack_b, geometry, gap)
 
 
-def yukawa_thickness_bracket(thickness: float, lam: float) -> float:
-    """(1 - exp(-thickness/lam)) evaluated without cancellation.
-
-    expm1 keeps full precision when thickness/lam is tiny, where the
-    naive form loses all significant digits.  The inversion side,
-    exclusion._alpha_bounds, does not call this helper: it multiplies
-    math.expm1(-thickness/lam) by itself, so the minus signs cancel and
-    force and bound still take the same brackets.
-    """
-    return -math.expm1(-thickness / lam)
-
-
 def slab_coupling(density_a: float, density_b: float, area: float) -> float:
     """2 pi G rho_a rho_b S, unchecked: the factor every slab-slab force
     starts with.  Python multiplies left to right, so this factor times
@@ -103,9 +91,11 @@ def plate_yukawa(
     lam = yukawa.lam
     coupling = slab_coupling(density_a, density_b, area) * yukawa.alpha
     decay = math.exp(-separation / lam)
-    bracket_a = yukawa_thickness_bracket(thickness_a, lam)
-    bracket_b = yukawa_thickness_bracket(thickness_b, lam)
-    return coupling * lam**2 * decay * bracket_a * bracket_b
+    # each bracket is -expm1(-tau/lam), exact at tau << lam; the signs cancel
+    return (
+        coupling * lam**2 * decay
+        * math.expm1(-thickness_a / lam) * math.expm1(-thickness_b / lam)
+    )
 
 
 def stack_newton(config: PlatePairConfig) -> float:

@@ -318,8 +318,8 @@ def csv_reference(table) -> str:
     return "".join(lines)
 
 
-# config.ingest_prior_bounds as it was before rows were read in one pass:
-# every line stripped, split and checked on its own
+# a prior reader written apart from config.ingest_prior_bounds: the lines of
+# readlines(), every one stripped, split into stripped fields and checked
 def prior_reference(path: str) -> Curve:
     """Read a prior-bounds CSV: columns lambda_m,alpha, '#' comments.
 

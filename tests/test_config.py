@@ -23,7 +23,6 @@ from plateforces import (
     load_config,
     parse_length,
 )
-from plateforces import config
 from plateforces.casimir import casimir_zero_t
 from plateforces.cli import main
 from plateforces.core import BOX, PlateGeometry, box_range
@@ -579,6 +578,14 @@ class TestIngestPriorBounds:
         assert prior.alphas == array("d", (1e8, 1e4, 1e2))
         assert prior.source == path
 
+    def test_readme_example(self, tmp_path):
+        readme = (REPO_ROOT / "README.md").read_text()
+        section = readme.split("\n### Prior bounds file\n", 1)[1]
+        path = write(tmp_path, section.split("\n```\n", 1)[1].split("```", 1)[0], "prior.csv")
+        prior = ingest_prior_bounds(path)
+        assert prior.lambdas == array("d", (1e-6, 1e-5, 1e-4))
+        assert prior.alphas == array("d", (1e8, 1e4, 1e2))
+
     def test_non_monotone_names_line(self, tmp_path):
         path = write(tmp_path, "1e-6,1e8\n1e-6,1e4\n", "prior.csv")
         with pytest.raises(ConfigError, match="line 2"):
@@ -646,37 +653,28 @@ def test_non_utf8_byte_is_named_by_its_file_offset(tmp_path, read, name, head, m
         read(str(path))
 
 
-def _fast_path_only(monkeypatch):
-    def refuse(lines, path):
-        raise AssertionError(f"{path} was walked line by line")
-
-    monkeypatch.setattr(config, "_walk_prior", refuse)
-
-
 class TestPriorOnePass:
-    """The common prior files are read without the line-by-line walk."""
+    """One walk over the lines reads a prior as the line-by-line reference does."""
 
-    def test_bench_prior(self, bench, monkeypatch, tmp_path):
+    def test_bench_prior(self, bench, tmp_path):
         _, inputs = bench
         prior = inputs.make_prior(random.Random(401), str(tmp_path / "prior.csv"))
         with open(prior.path, "w", encoding="utf-8") as handle:
             handle.write(prior.text)
         expected = prior_reference(prior.path)
         assert len(expected.lambdas) == inputs.PRIOR_ROWS
-        _fast_path_only(monkeypatch)
         assert ingest_prior_bounds(prior.path) == expected
 
-    def test_golden_fixture(self, monkeypatch):
+    def test_golden_fixture(self):
         path = str(REPO_ROOT / "tests" / "golden" / "prior_fixture.csv")
-        expected = prior_reference(path)
-        _fast_path_only(monkeypatch)
-        assert ingest_prior_bounds(path) == expected
+        assert ingest_prior_bounds(path) == prior_reference(path)
 
-    def test_comment_after_the_rows_is_walked(self, monkeypatch, tmp_path):
-        path = write(tmp_path, "1e-6,1e8\n1e-5,1e4\n# end\n", "prior.csv")
-        _fast_path_only(monkeypatch)
-        with pytest.raises(AssertionError, match="walked line by line"):
-            ingest_prior_bounds(path)
+    def test_fillers_between_rows(self, tmp_path):
+        text = "1e-6,1e8\n\n# mid\n lambda_m , alpha\n1e-5,1e4\n  # end\n1e-4,1e2\nlambda_m,alpha\n"
+        path = write(tmp_path, text, "prior.csv")
+        prior = ingest_prior_bounds(path)
+        assert prior == prior_reference(path)
+        assert prior.lambdas == array("d", (1e-6, 1e-5, 1e-4))
 
 
 # lines that hold no row, two near-headers that are refused, and value texts
@@ -731,6 +729,12 @@ def _read(reader, path):
 # an inf alpha, which Curve takes; rows of 1 and 3 columns whose fields pair up
 @example(text="1e-6,1e8\n1e-5,inf\n")
 @example(text="1e-6\n1,1e-5,2\n")
+# fillers between every row, a bad row right after a comment, a header after the last row
+@example(text="\n1e-6,1e8\n# a\n1e-5,1e4\n lambda_m , alpha \n1e-4,1e2\n\t\n1e-3,1\n  # z\n")
+@example(text="1e-6,1e8\n# survey\n1e-5,-1e4\n1e-4,1e2\n")
+@example(text="1e-6,1e8\n1e-5,1e4\nlambda_m,alpha")
+# a row that fails every value check: lambda is named first
+@example(text="1e-6,1e8\n-1,nan\n")
 def test_prior_reader_matches_line_by_line_reference(text, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "oracle_prior.csv"
     path.write_bytes(text.encode("utf-8"))

@@ -10,9 +10,9 @@ from plateforces.gravity import (
     PlatePairConfig,
     plate_newton,
     plate_yukawa,
+    slab_coupling,
     stack_newton,
     stack_yukawa,
-    yukawa_thickness_bracket,
 )
 
 from oracles import yukawa_slab_force, yukawa_stack_force
@@ -44,21 +44,36 @@ class TestPlateNewton:
         assert ab == pytest.approx(ba, rel=1e-14)
 
 
+def _thick_film_force(lam):
+    """plate_yukawa of gold films 5 um apart with both brackets at 1: its bound."""
+    return slab_coupling(GOLD, GOLD, AREA) * 1.0 * lam**2 * math.exp(-5e-6 / lam)
+
+
 class TestThicknessBracket:
+    """Each thickness bracket 1 - exp(-tau/lam), seen through the force."""
+
     def test_tiny_ratio_no_cancellation(self):
-        # naive 1 - exp(-x) at x = 1e-12 is wrong in the 5th digit;
-        # the bracket must stay exact
-        assert yukawa_thickness_bracket(1e-12, 1.0) == pytest.approx(
-            1e-12 * (1 - 0.5e-12), rel=1e-10
-        )
+        # naive 1 - exp(-x) at x = 1e-12 is wrong in the 5th digit; each
+        # bracket must stay x (1 - x/2), so the force keeps its digits
+        lam, tau = 100.0, 1e-10
+        x = tau / lam
+        force = plate_yukawa(GOLD, GOLD, AREA, tau, tau, 5e-6, YukawaParams(1.0, lam))
+        assert force / _thick_film_force(lam) == pytest.approx((x * (1 - 0.5 * x)) ** 2, rel=1e-10)
 
     def test_thick_saturates_to_one(self):
-        assert yukawa_thickness_bracket(50.0, 1.0) == 1.0
+        # at tau = 50 lam both brackets are exactly 1.0 in floating point
+        lam = 1.0
+        force = plate_yukawa(GOLD, GOLD, AREA, 50.0, 50.0, 5e-6, YukawaParams(1.0, lam))
+        assert force == _thick_film_force(lam)
 
     def test_bounded_and_increasing(self):
-        values = [yukawa_thickness_bracket(t, 1e-5) for t in (1e-7, 1e-6, 1e-5, 1e-4)]
-        assert all(0.0 < v <= 1.0 for v in values)
-        assert all(b > a for a, b in zip(values, values[1:]))
+        lam = 1e-5
+        forces = [
+            plate_yukawa(GOLD, GOLD, AREA, tau, tau, 5e-6, YukawaParams(1.0, lam))
+            for tau in (1e-7, 1e-6, 1e-5, 1e-4)
+        ]
+        assert all(0.0 < force <= _thick_film_force(lam) for force in forces)
+        assert all(b > a for a, b in zip(forces, forces[1:]))
 
 
 class TestPlateYukawa:
@@ -122,9 +137,11 @@ class TestPlateYukawa:
         for thickness in (1e-170, 1e-165):
             with pytest.raises(InvalidParameterError, match="^thickness_a: must lie in "):
                 plate_yukawa(GOLD, GOLD, AREA, thickness, thickness, 5e-6, YukawaParams(1e12, 1e6))
-        assert yukawa_thickness_bracket(1e-10, 1e6) == pytest.approx(1e-16, rel=1e-15)
         corner = plate_yukawa(1e-3, 1e-3, 1e-20, 1e-10, 1e-10, 5e-6, YukawaParams(1e-50, 1e6))
         assert corner > sys.float_info.min
+        # each bracket is 1e-16, so the force is the thin-film one, lam**2 cancelled
+        sheet = slab_coupling(1e-3, 1e-3, 1e-20) * 1e-50 * 1e-10 * 1e-10
+        assert corner == pytest.approx(sheet, rel=1e-15)
 
     def test_alpha_zero_gives_exactly_zero(self):
         assert (

@@ -15,12 +15,7 @@ from plateforces.balance import tilted_casimir
 from plateforces.budget import electrostatic_force
 from plateforces.casimir import ThermalModel, casimir_zero_t, thermal_casimir
 from plateforces.core import GapConfig, MaterialLayer, PlateGeometry, PlateStack, YukawaParams
-from plateforces.gravity import (
-    PlatePairConfig,
-    plate_newton,
-    plate_yukawa,
-    yukawa_thickness_bracket,
-)
+from plateforces.gravity import PlatePairConfig, plate_newton, plate_yukawa, slab_coupling
 from plateforces.cli import cmd_budget, cmd_forces
 
 sides = st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)
@@ -110,10 +105,14 @@ def test_plate_yukawa_equals_reference_bit_for_bit(
     assert plate_yukawa(*args) == plate_yukawa_reference(*args)
 
 
-@given(thickness=thicknesses, lam=lams)
-def test_bracket_in_unit_interval(thickness, lam):
-    value = yukawa_thickness_bracket(thickness, lam)
-    assert 0.0 < value <= 1.0
+@given(thickness_a=thicknesses, thickness_b=thicknesses, gap=gaps, lam=lams)
+def test_bracket_in_unit_interval(thickness_a, thickness_b, gap, lam):
+    # plate_yukawa's brackets lie in (0, 1], so |F| <= |2 pi G rho_a rho_b S alpha lam^2 exp(-d/lam)|
+    alpha = -2.5
+    bound = slab_coupling(19.3e3, 3.0e3, 0.012) * alpha * lam**2 * math.exp(-gap / lam)
+    force = plate_yukawa(19.3e3, 3.0e3, 0.012, thickness_a, thickness_b, gap, YukawaParams(alpha, lam))
+    assert abs(force) <= abs(bound)
+    assert force * alpha >= 0.0  # of alpha's sign, or 0 where exp(-d/lam) underflows
 
 
 @given(
