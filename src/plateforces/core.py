@@ -31,6 +31,8 @@ from .errors import InvalidParameterError
 # from this many values on (table lines, or alphas past the overflow
 # prefix), work that splits in two halves forks a child for its second half
 _PARALLEL_LINES = 20_000
+# table lines, or alpha kernel lambdas, a process forms at once: its scratch
+_SLICE_LINES = 1024
 
 # The physical box: each input quantity's smallest and largest value, its
 # unit and whether it may also be exactly 0 (alpha: its magnitude, of either

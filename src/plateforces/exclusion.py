@@ -16,6 +16,7 @@ from collections.abc import Iterable, Sequence
 from itertools import repeat
 from operator import lt, mul, truediv
 
+from . import core
 from .core import _forked, _Record, require_in_box, require_positive
 from .errors import DomainError, InvalidParameterError
 from .gravity import PlatePairConfig, slab_coupling
@@ -23,8 +24,6 @@ from .gravity import PlatePairConfig, slab_coupling
 # ten times the 100 000-point stress scan; a larger one is refused before
 # its grid is built
 MAX_SCAN_POINTS = 1_000_000
-# lambdas whose scales and signals the alpha kernel holds at once
-_SLICE_LAMBDAS = 4096
 
 
 def _alpha_bounds(
@@ -48,14 +47,15 @@ def _alpha_bounds(
     and every alpha at least about 6e-55: positive, or inf where it
     exceeds the largest double.  Past the prefix where exp(d/lam)
     overflows (alpha inf, found by bisection), the grid is walked in
-    slices of _SLICE_LAMBDAS lambdas: the scales 2 pi G rho_a rho_b S
-    lam^2 and signals F_res exp(d/lam) are taken once per slice, each
-    thickness adds its bracket b, and one comprehension forms its
-    alphas, s / (c * b * b).  Python multiplies left to right and
-    negation is exact, so each alpha is the same double as the full
-    product.  Where core._forked forks (from core._PARALLEL_LINES alphas
-    past the prefix), a child forms the upper half of every curve there
-    and sends it as raw doubles; the alphas are the same.
+    slices of core._SLICE_LINES lambdas, the table writer's slice: the
+    scales 2 pi G rho_a rho_b S lam^2 and signals F_res exp(d/lam) are
+    taken once per slice, each thickness adds its bracket b, and one
+    comprehension forms its alphas, s / (c * b * b).  Python multiplies
+    left to right and negation is exact, so each alpha is the same double
+    as the full product.  Where core._forked forks (from
+    core._PARALLEL_LINES alphas past the prefix), a child forms the upper
+    half of every curve there and sends it as raw doubles; the alphas
+    are the same.
     """
     facing_a, facing_b = plates.stack_a.layers[0], plates.stack_b.layers[0]
     prefactor = slab_coupling(facing_a.density, facing_b.density, plates.geometry.area())
@@ -68,10 +68,10 @@ def _alpha_bounds(
     bounds = [array("d", [math.inf]) * len(grid) for _ in thicknesses]
 
     def form(start: int, stop: int) -> None:
-        for lo in range(start, stop, _SLICE_LAMBDAS):
+        for lo in range(start, stop, core._SLICE_LINES):
             # a slice at a time, so that no full-length temporary sits beside the
             # alphas; its factors are tuples, since an array builds a float on every read
-            lams = tuple(grid[lo : min(lo + _SLICE_LAMBDAS, stop)])
+            lams = tuple(grid[lo : min(lo + core._SLICE_LINES, stop)])
             scales = tuple(map(mul, repeat(prefactor), map(pow, lams, repeat(2))))
             exps = map(math.exp, map(truediv, repeat(gap), lams))
             signals = tuple(map(mul, repeat(force_resolution), exps))

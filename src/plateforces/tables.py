@@ -22,14 +22,12 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from itertools import chain, groupby
 
-from .core import _forked, _Record
+from . import core
 from .errors import InvalidParameterError
 
 _METADATA_PREFIX = "# "
 _WARNING_KEY = "warning"
 _FLOAT_FORMAT = "%.17g"
-# data lines formatted per % call and per write: bounds the text held at once
-_SLICE_LINES = 4096
 # a forked child's text reaches the handle in strings of at most _RELAY_BYTES
 _RELAY_BYTES = 1 << 14
 
@@ -47,17 +45,17 @@ def _block_indices(rows: tuple[tuple, ...]) -> list[int]:
 
 
 def _slices(line_format: str, start: int, stop: int, lines: Callable) -> Iterator[str]:
-    """Lines start to stop of a template, at most _SLICE_LINES to a string:
-    one % call applies the line template to the flat values lines(a, b)."""
-    for a in range(start, stop, _SLICE_LINES):
-        b = min(a + _SLICE_LINES, stop)
+    """Lines start to stop of a template, at most core._SLICE_LINES to a
+    string: one % call applies the line template to the flat values lines(a, b)."""
+    for a in range(start, stop, core._SLICE_LINES):
+        b = min(a + core._SLICE_LINES, stop)
         yield (line_format * (b - a)) % tuple(lines(a, b))
 
 
 def _joined(values: tuple | array, start: int, stop: int) -> dict[int, str]:
     """values[start:stop] as text, one NUL-joined string per slice keyed by its first line."""
-    firsts = range(start, stop, _SLICE_LINES)
-    chunks = (tuple(values[x : min(x + _SLICE_LINES, stop)]) for x in firsts)
+    firsts = range(start, stop, core._SLICE_LINES)
+    chunks = (tuple(values[x : min(x + core._SLICE_LINES, stop)]) for x in firsts)
     return {x: "\0".join([_FLOAT_FORMAT] * len(c)) % c for x, c in zip(firsts, chunks)}
 
 
@@ -111,7 +109,7 @@ def _pieces(blocks: list[tuple], halves: tuple[int, int]) -> Iterator[Iterator[s
         yield _slices(",".join(cells) + "\n", start, stop, lines)
 
 
-class ResultTable(_Record):
+class ResultTable(core._Record):
     """Immutable table of float rows and blocks with metadata and warnings."""
 
     def __init__(
@@ -149,7 +147,7 @@ class ResultTable(_Record):
 
     def write(self, handle: io.TextIOBase) -> None:
         """Write the CSV to a text handle: the metadata, warnings and header in
-        one call, then the data lines in strings of at most _SLICE_LINES lines.
+        one call, then the data lines in strings of at most core._SLICE_LINES lines.
         A run of rows of floats is written as the block of its columns.
         Where core._forked forks (from core._PARALLEL_LINES lines on), each
         block splits at its middle line: the child formats the second halves
@@ -166,7 +164,7 @@ class ResultTable(_Record):
             blocks += [tuple(zip(*run))] if flat else run
         # a block is as many lines as its columns are long
         n_lines = sum(len(next(filter(_is_column, block))) for block in blocks)
-        with _forked(n_lines, lambda pipe: _send(pipe, _pieces(blocks, (1, 2)))) as receive:
+        with core._forked(n_lines, lambda pipe: _send(pipe, _pieces(blocks, (1, 2)))) as receive:
             for piece in _pieces(blocks, (0, 1) if receive else (0, 2)):
                 for text in chain(piece, _relay(receive) if receive else ()):
                     handle.write(text)

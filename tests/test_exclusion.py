@@ -31,7 +31,6 @@ from plateforces.core import (
 )
 from plateforces.exclusion import (
     MAX_SCAN_POINTS,
-    _SLICE_LAMBDAS,
     Curve,
     _alpha_bounds,
     exclusion_scan,
@@ -257,12 +256,14 @@ class TestExclusionScan:
                 baseline_config.plates, baseline_config.force_resolution,
                 1e-6, 1e-2, 100_000, DEFAULT_SCAN_THICKNESSES,
             )
-            held = tracemalloc.get_traced_memory()[0]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(curves) == 4 and all(len(curve.alphas) == 100_000 for curve in curves)
         assert all(curve.lambdas is curves[0].lambdas for curve in curves)
         assert held < 6e6
+        # beside that the kernel holds one slice's factors and alphas at a time
+        assert peak - held < 0.4e6
 
     def test_rejects_more_than_max_points(self):
         with pytest.raises(DomainError, match=f"at most {MAX_SCAN_POINTS} points"):
@@ -416,7 +417,7 @@ class TestKernelBranches:
         # three slices and a few points: exp(gap/lam) overflows below lam of
         # about 7.04 nm, inside the second slice, and the last slice reaches
         # the box's largest lambda, where the thin films' bracket is 1e-16
-        n = _SLICE_LAMBDAS
+        n = core._SLICE_LINES
         grid = (
             *(1e-9 + k * 4.5e-9 / n for k in range(2 * n)),
             *(10.0 ** (-8 + 14 * (j + 1) / (n + 5)) for j in range(n + 5)),
@@ -441,7 +442,7 @@ class TestKernelBranches:
             MaterialLayer("dense", 1e40, 1e-5)
         film = PlateStack((MaterialLayer("dense", 1e5, 1e-5),))
         plates = PlatePairConfig(film, film, PlateGeometry(1e6, 1e6), GapConfig(5e-6))
-        n = _SLICE_LAMBDAS
+        n = core._SLICE_LINES
         grid = tuple(10.0 ** (-6 + 12 * k / (3 * n + 4)) for k in range(3 * n + 5))
         assert slab_coupling(1e5, 1e5, 1e12) * grid[-1] ** 2 < 4.2e24
         spec = SimpleNamespace(

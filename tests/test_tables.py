@@ -23,10 +23,10 @@ from conftest import (
     unsafe_fork,
 )
 from oracles import csv_reference
-from plateforces import InvalidParameterError, ResultTable, core, tables
+from plateforces import InvalidParameterError, ResultTable, core, exclusion, tables
 from plateforces.cli import DEFAULT_SCAN_THICKNESSES, cmd_exclusion
 from plateforces.config import ingest_prior_bounds
-from plateforces.exclusion import exclusion_scan
+from plateforces.exclusion import _alpha_bounds, exclusion_scan
 
 
 def sample_table():
@@ -274,7 +274,7 @@ def test_write_in_any_slice_size_matches_to_csv(width_items, slice_lines, parall
     for written in (table, ResultTable(columns=columns, rows=as_arrays(items))):
         handle = io.StringIO()
         with (
-            mock.patch.object(tables, "_SLICE_LINES", slice_lines),
+            mock.patch.object(core, "_SLICE_LINES", slice_lines),
             mock.patch.object(core, "_PARALLEL_LINES", parallel_lines),
         ):
             written.write(handle)
@@ -311,17 +311,29 @@ class TestStreamingWriter:
         assert sum(handle.lengths) == len(text)
         # the first write is the header; the block follows in several
         assert len(handle.lengths[1:]) > 1
-        assert max(handle.lengths) <= tables._SLICE_LINES * longest
+        assert max(handle.lengths) <= core._SLICE_LINES * longest
 
-    def test_flat_rows_arrive_in_slices(self):
-        n = 3 * tables._SLICE_LINES + 5
+    def test_flat_rows_arrive_in_slices(self, baseline_config):
+        n = 3 * core._SLICE_LINES + 5
         assert n < core._PARALLEL_LINES
         rows = [(k / 3, -0.0 if k % 2 else 0.0) for k in range(n)]
         table = ResultTable(columns=("a", "b"), rows=rows)
         handle = LengthRecorder()
         table.write(handle)
         assert sum(handle.lengths) == len(table.to_csv())
-        assert len(handle.lengths) <= 1 + math.ceil(n / tables._SLICE_LINES)
+        assert len(handle.lengths) <= 1 + math.ceil(n / core._SLICE_LINES)
+        # one patch of core's slice bounds the writer's writes and the alpha
+        # kernel's slices alike: the kernel builds one array per curve, then
+        # one per slice
+        grid = tuple(1e-6 * 2.0**k for k in range(30))
+        with (
+            mock.patch.object(core, "_SLICE_LINES", 7),
+            mock.patch.object(exclusion, "array", wraps=array) as arrays,
+        ):
+            table.write(handle := LengthRecorder())
+            _alpha_bounds(grid, baseline_config.plates, (1e-5,), 1e-12)
+        assert len(handle.lengths) == 1 + math.ceil(n / 7)
+        assert arrays.call_count == 1 + math.ceil(30 / 7)
 
     def test_memory_stays_below_half_the_output(self, baseline_config):
         table = cmd_exclusion(baseline_config, n_points=20_000)
@@ -355,6 +367,32 @@ class TestStreamingWriter:
             tracemalloc.stop()
         # the grid's text is held as one string per slice, not per value
         assert peak < per_value
+
+
+@pytest.mark.parametrize("parallel_lines", [math.inf, core._PARALLEL_LINES], ids=["one", "two"])
+def test_write_holds_one_slice_beside_its_grid_text(baseline_config, parallel_lines, monkeypatch):
+    # the 4 x 100 000 stress table; this process formats the shared grid's
+    # text over its share of the lines, all of them or the first half
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    table = cmd_exclusion(baseline_config, n_points=100_000)
+    grid = table.rows[0][1]
+    share = len(grid) if parallel_lines == math.inf else len(grid) // 2
+    text = sum(len("%.17g" % lam) + 1 for lam in grid[:share])
+    tracemalloc.start()
+    try:
+        with (
+            mock.patch.object(core, "_PARALLEL_LINES", parallel_lines),
+            mock.patch.object(os, "fork", wraps=os.fork) as fork,
+            time_limit(60),
+        ):
+            table.write(LengthRecorder())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fork.call_count == (parallel_lines != math.inf)
+    assert_no_child_left()
+    # beside that text the writer holds one slice's values, lines and string
+    assert peak - text < 0.6e6
 
 
 def two_block_table():
@@ -397,7 +435,7 @@ class TestTwoProcessWriter:
         with mock.patch.object(core, "_fill", fill), time_limit(60):
             two_block_table().write(handle)
         half_block = core._PARALLEL_LINES // 4
-        assert events.index("read") == 1 + math.ceil(half_block / tables._SLICE_LINES)
+        assert events.index("read") == 1 + math.ceil(half_block / core._SLICE_LINES)
 
     def test_parent_holds_half_the_shared_grid_text(self):
         grid = tuple(1e-6 * 1.0001**k for k in range(core._PARALLEL_LINES // 2))
