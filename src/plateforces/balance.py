@@ -19,18 +19,12 @@ SHEAR_MODULUS = {
     "quartz": 3.1e10,
 }
 
-DEFAULT_WIRE_LENGTH = 0.5
-
 
 class TorsionWire(_Record):
     """Torsion fiber: material label, shear modulus (Pa), diameter and length (m)."""
 
     def __init__(
-        self,
-        material: str,
-        shear_modulus: float,
-        diameter: float,
-        length: float = DEFAULT_WIRE_LENGTH,
+        self, material: str, shear_modulus: float, diameter: float, length: float
     ) -> None:
         require_in_box("shear_modulus", shear_modulus, "shear_modulus")
         require_in_box("diameter", diameter, "diameter")

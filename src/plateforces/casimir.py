@@ -29,7 +29,7 @@ class ThermalModel(_Record):
     spread between the two is an honest model uncertainty, not noise.
     """
 
-    def __init__(self, reduction_factor: float = 1.0) -> None:
+    def __init__(self, reduction_factor: float) -> None:
         require_in_box("reduction_factor", reduction_factor, "reduction_factor")
         self._freeze(reduction_factor)
 

@@ -224,13 +224,12 @@ def cmd_exclusion(
         prior_alphas = prior.alphas_at(curves[0].lambdas)
     # the thickness repeats down its block; every block holds one grid object.
     # alpha's inf rows split at the kernel's own overflow prefix of the grid
-    gap = config.plates.gap.separation
-    prefix = overflow_prefix(curves[0].lambdas, gap)
-    unbounded: dict[str, list[float]] = {"exp": [], "bound": [], "improvement": []}
+    gap, grid = config.plates.gap.separation, curves[0].lambdas
+    prefix = overflow_prefix(grid, gap)
+    unbounded: dict[str, list[float]] = {"bound": [], "improvement": []}
     rows = []
     for thickness, curve in zip(thicknesses, curves):
         block = (thickness, curve.lambdas, curve.alphas)
-        unbounded["exp"] += memoryview(curve.lambdas)[:prefix]
         if math.inf in curve.alphas:
             lams, alphas = memoryview(curve.lambdas)[prefix:], memoryview(curve.alphas)[prefix:]
             unbounded["bound"] += compress(lams, map(math.isinf, alphas))
@@ -246,7 +245,9 @@ def cmd_exclusion(
         "improvement": "improvement_1 is inf on {} rows with lambda from {:g} to {:g} m: "
         "prior alpha / alpha exceeds the largest double",
     }
-    warnings = [
+    # the prefix is the same lambdas of every curve, so its span is read off the grid
+    warnings = [causes["exp"].format(prefix * len(curves), grid[0], grid[prefix - 1])] if prefix else []
+    warnings += [
         causes[cause].format(len(lams), min(lams), max(lams))
         for cause, lams in unbounded.items()
         if lams

@@ -115,7 +115,7 @@ class ExperimentConfig(_Record):
         tilt: TiltConfig,
         force_resolution: float,
         yukawa: YukawaParams,
-        source_sha256: str = "",
+        source_sha256: str,
     ) -> None:
         require_in_box("[electrostatic] stray_voltage", stray_voltage, "voltage")
         require_in_box("[resolution] force_resolution", force_resolution, "force")

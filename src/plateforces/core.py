@@ -241,7 +241,7 @@ class PlateStack(_Record):
 class GapConfig(_Record):
     """Face-to-face plate separation (m) and ambient temperature (K)."""
 
-    def __init__(self, separation: float, temperature: float = 300.0) -> None:
+    def __init__(self, separation: float, temperature: float) -> None:
         require_in_box("separation", separation, "length")
         require_in_box("temperature", temperature, "temperature")
         self._freeze(separation, temperature)

@@ -177,7 +177,7 @@ def test_criterion_07_yukawa_force_vs_quadrature():
 def gold_plates(thickness=1e-5):
     """10 x 12 cm gold films 5 um apart; PlateGeometry(0.1, 0.12).area() == AREA."""
     gold = PlateStack((MaterialLayer("gold", GOLD, thickness),))
-    return PlatePairConfig(gold, gold, PlateGeometry(0.1, 0.12), GapConfig(5e-6))
+    return PlatePairConfig(gold, gold, PlateGeometry(0.1, 0.12), GapConfig(5e-6, 300.0))
 
 
 def test_criterion_08_inversion_round_trip():

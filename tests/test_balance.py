@@ -26,9 +26,6 @@ class TestTorsionWire:
         assert SHEAR_MODULUS["tungsten"] == 1.61e11
         assert SHEAR_MODULUS["quartz"] == 3.1e10
 
-    def test_length_defaults_to_half_a_meter(self):
-        assert TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], 50e-6).length == 0.5
-
     @pytest.mark.parametrize("diameter", [5e-6, 9.9e-6, 1.1e-3, 1e-2])
     def test_rejects_unbuildable_diameters(self, diameter):
         with pytest.raises(InvalidParameterError):

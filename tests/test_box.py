@@ -107,7 +107,7 @@ def config_of(p: dict) -> ExperimentConfig:
         plates, ThermalModel(p["eta"]), p["voltage"],
         TorsionWire("w", p["shear"], p["diameter"], p["wire_length"]),
         BalanceConfig(p["kappa"], p["arm"], p["x_min"]), TiltConfig(p["angle"], p["tilt_length"]),
-        p["resolution"], YukawaParams(p["alpha"], p["lam"]),
+        p["resolution"], YukawaParams(p["alpha"], p["lam"]), "",
     )
 
 

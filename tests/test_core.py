@@ -88,7 +88,7 @@ class TestGapConfig:
 
     def test_rejects_bad_values(self):
         with pytest.raises(InvalidParameterError):
-            GapConfig(separation=0.0)
+            GapConfig(separation=0.0, temperature=300.0)
         with pytest.raises(InvalidParameterError):
             GapConfig(separation=5e-6, temperature=-1.0)
 
@@ -175,17 +175,17 @@ def test_readme_library_example_prints_its_comments():
 
 _GOLD = MaterialLayer("gold", 19.3e3, 10e-6)
 _STACK = PlateStack((_GOLD,))
-_GAP = GapConfig(5e-6)
+_GAP = GapConfig(5e-6, 300.0)
 # (type, constructor arguments, a field, another value of that field)
 _RECORDS = [
     (PlateGeometry, {"length": 0.10, "width": 0.12}, "width", 0.13),
     (MaterialLayer, {"name": "gold", "density": 19.3e3, "thickness": 10e-6}, "thickness", 1e-6),
     (PlateStack, {"layers": (_GOLD,)}, "layers", (_GOLD, _GOLD)),
-    (GapConfig, {"separation": 5e-6}, "temperature", 4.0),
+    (GapConfig, {"separation": 5e-6, "temperature": 300.0}, "temperature", 4.0),
     (YukawaParams, {"alpha": 1.0, "lam": 1e-5}, "alpha", -1.0),
     (
         TorsionWire,
-        {"material": "tungsten", "shear_modulus": 1.61e11, "diameter": 25e-6},
+        {"material": "tungsten", "shear_modulus": 1.61e11, "diameter": 25e-6, "length": 0.5},
         "length",
         1.0,
     ),
@@ -196,24 +196,25 @@ _RECORDS = [
         0.2,
     ),
     (TiltConfig, {"angle": 1e-6, "plate_length_along_tilt": 0.1}, "angle", 0.0),
-    (ThermalModel, {}, "reduction_factor", 0.5),
+    (ThermalModel, {"reduction_factor": 1.0}, "reduction_factor", 0.5),
     (
         PlatePairConfig,
         {"stack_a": _STACK, "stack_b": _STACK, "geometry": PlateGeometry(0.1, 0.12), "gap": _GAP},
         "gap",
-        GapConfig(1e-6),
+        GapConfig(1e-6, 300.0),
     ),
     (
         ExperimentConfig,
         {
             "plates": PlatePairConfig(_STACK, _STACK, PlateGeometry(0.1, 0.12), _GAP),
-            "thermal": ThermalModel(),
+            "thermal": ThermalModel(1.0),
             "stray_voltage": 0.01,
             "wire": TorsionWire("tungsten", SHEAR_MODULUS["tungsten"], 25e-6, 0.5),
             "balance": BalanceConfig(1e-9, 0.1, 1e-9),
             "tilt": TiltConfig(1e-6, 0.1),
             "force_resolution": 1e-12,
             "yukawa": YukawaParams(1.0, 1e-5),
+            "source_sha256": "",
         },
         "force_resolution",
         2e-12,

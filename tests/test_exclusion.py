@@ -46,7 +46,7 @@ RESOLUTION = 1e-12
 def gold_plates(thickness=1e-5, gap=5e-6):
     """Two gold films of one thickness on 10 x 12 cm plates (area 0.012 m^2)."""
     gold = PlateStack((MaterialLayer("gold", GOLD, thickness),))
-    return PlatePairConfig(gold, gold, PlateGeometry(0.1, 0.12), GapConfig(gap))
+    return PlatePairConfig(gold, gold, PlateGeometry(0.1, 0.12), GapConfig(gap, 300.0))
 
 
 def reference_spec(thickness=1e-5, gap=5e-6, resolution=RESOLUTION):
@@ -142,7 +142,7 @@ class TestAlphaBound:
         with pytest.raises(InvalidParameterError, match=message):
             exclusion_scan(gold_plates(), 1e-300, 1e-6, 1e-2, 10, (1e-5,))
         film = PlateStack((MaterialLayer("dense", 1e5, 1e6),))
-        plates = PlatePairConfig(film, film, PlateGeometry(1e6, 1e6), GapConfig(1e-10))
+        plates = PlatePairConfig(film, film, PlateGeometry(1e6, 1e6), GapConfig(1e-10, 300.0))
         assert 5.9e-55 < kernel_alpha(1e6, plates, 1e-30) < 6e-55
 
 
@@ -441,7 +441,7 @@ class TestKernelBranches:
         with pytest.raises(InvalidParameterError, match=r"^density: must lie in .* got 1e\+40$"):
             MaterialLayer("dense", 1e40, 1e-5)
         film = PlateStack((MaterialLayer("dense", 1e5, 1e-5),))
-        plates = PlatePairConfig(film, film, PlateGeometry(1e6, 1e6), GapConfig(5e-6))
+        plates = PlatePairConfig(film, film, PlateGeometry(1e6, 1e6), GapConfig(5e-6, 300.0))
         n = core._SLICE_LINES
         grid = tuple(10.0 ** (-6 + 12 * k / (3 * n + 4)) for k in range(3 * n + 5))
         assert slab_coupling(1e5, 1e5, 1e12) * grid[-1] ** 2 < 4.2e24

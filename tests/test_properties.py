@@ -137,7 +137,7 @@ def test_plate_yukawa_linear_in_alpha(density, area, thickness, gap, lam, alpha)
 )
 def test_alpha_bound_strictly_decreasing(lam, step):
     gold = PlateStack((MaterialLayer("gold", 19.3e3, 1e-5),))
-    plates = PlatePairConfig(gold, gold, PlateGeometry(0.1, 0.12), GapConfig(5e-6))
+    plates = PlatePairConfig(gold, gold, PlateGeometry(0.1, 0.12), GapConfig(5e-6, 300.0))
     assert kernel_alpha(lam * step, plates, 1e-12) < kernel_alpha(lam, plates, 1e-12)
 
 
