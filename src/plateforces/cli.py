@@ -239,9 +239,9 @@ def cmd_exclusion(
         rows.append(block)
     causes = {
         "exp": "alpha is inf on {} rows with lambda from {:g} to {:g} m: exp(gap/lambda) "
-        "overflows, so no finite coupling is detectable there",
+        "overflows a double there, so alpha is not formed",
         "bound": "alpha is inf on {} rows with lambda from {:g} to {:g} m: the bound "
-        "exceeds the largest double, or the Yukawa force per unit alpha underflows to zero",
+        "exceeds the largest double",
         "improvement": "improvement_1 is inf on {} rows with lambda from {:g} to {:g} m: "
         "prior alpha / alpha exceeds the largest double",
     }

@@ -122,7 +122,8 @@ class Curve(_Record):
     """alpha on a strictly increasing lambda grid: an exclusion curve
     or previously published bounds.
 
-    alpha is positive, or inf where no finite coupling is detectable.
+    alpha is positive, or inf where the scan forms no finite double:
+    where exp(gap/lambda) overflows, or the bound exceeds the largest double.
     Both fields are array('d'), and one passed in is kept, not copied;
     the record owns its arrays and nothing writes to them.
     Between knots alpha is interpolated linearly in (log lambda,

@@ -73,7 +73,7 @@ SCALE_HASHES = {
              "bc26bd8670bf33057198a870bbe72207f1cb77ecfea0cb97720b1dea1e60c665"),
     "scan_from_1nm": (["exclusion", "--config", CONFIG, "--points", "100000",
                        "--lambda-min", "1 nm"],
-                      "438fcdc8aefd959dbd65f40aad6e87baf1a0c9a8d21db0561d67c5d0d68891ad"),
+                      "302dd3818f135179cb29ab6097bd38a2b8ae27851220b4e95b09316e65eaeeab"),
 }
 
 
