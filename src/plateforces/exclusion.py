@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import lt, mul, truediv
 
 from . import core
-from .core import _forked, _Record, require_in_box, require_positive
+from .core import _Record, require_in_box, require_positive
 from .errors import DomainError, InvalidParameterError
 from .gravity import PlatePairConfig, slab_coupling
 
@@ -88,7 +88,7 @@ def _alpha_bounds(
 
     # past the prefix, a forked child forms the upper half of every curve
     mid = first + (len(grid) - first) // 2
-    with _forked((len(grid) - first) * len(thicknesses), send) as receive:
+    with core._forked((len(grid) - first) * len(thicknesses), send) as receive:
         form(first, mid if receive else len(grid))
         for bound in bounds if receive else ():
             receive(memoryview(bound)[mid:])

@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -295,6 +296,20 @@ class TestExclusionCommand:
             "alpha is inf on 3 rows with lambda from 7.06718e-09 to 7.23263e-09 m: the bound "
             "exceeds the largest double"
         )
+
+    def test_overflow_warning_is_read_off_the_grid(self, baseline_config):
+        # about 46 000 lambdas of each of the 4 curves overflow exp(gap/lambda):
+        # a list of them as floats would take about 6 MB beside the arrays
+        tracemalloc.start()
+        try:
+            table = cmd_exclusion(baseline_config, lambda_min=1e-10, n_points=200_000)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        exp, bound = table.warnings
+        assert exp.startswith("alpha is inf on 18") and "m: exp(gap/lambda) overflows" in exp
+        # held is the grid and the four alpha curves the table keeps
+        assert held > 4e6 and peak - held < 1e6
 
     def test_overflowing_improvement_is_inf_with_a_warning(self, tmp_path):
         # prior alpha 1e308 over the alpha of a 1e-30 N resolution overflows

@@ -1,6 +1,7 @@
 import configparser
 import contextlib
 import hashlib
+import inspect
 import io
 import math
 import os
@@ -25,8 +26,9 @@ from plateforces import (
 )
 from plateforces.casimir import casimir_zero_t
 from plateforces.cli import main
-from plateforces.core import BOX, PlateGeometry, box_range
-from plateforces.config import _ABSENT, _KEYS, _number
+from plateforces.core import BOX, MaterialLayer, PlateGeometry, PlateStack, box_range
+from plateforces.config import _ABSENT, _KEYS, ExperimentConfig, _number
+from plateforces.gravity import PlatePairConfig
 from conftest import BASELINE_CONFIG_PATH, REPO_ROOT, with_fields
 from oracles import prior_reference
 
@@ -123,7 +125,8 @@ class TestParseLength:
     def test_units(self, text, expected):
         assert parse_length(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "abc", "5 parsec", "1 2 m"])
+    # the Greek letter mu (U+03BC) is not the micro sign (U+00B5)
+    @pytest.mark.parametrize("text", ["", "abc", "5 parsec", "1 2 m", "5 \u03bcm", "5\u03bcm"])
     def test_rejects_garbage(self, text):
         with pytest.raises(InvalidParameterError):
             parse_length(text)
@@ -540,6 +543,17 @@ def test_box_edges(tmp_path, route, where, quantity, value, accepted):
 
 class TestExperimentConfigInvariants:
     """A record built in code is checked as strictly as a parsed file."""
+
+    def test_records_take_every_field(self):
+        # what an omitted section or key reads as is said only in _ABSENT
+        # and _DERIVED, never by a record's parameter default
+        records = {record for record, _ in _KEYS.values() if isinstance(record, type)}
+        records -= {float}
+        records |= {MaterialLayer, PlateStack, PlatePairConfig, ExperimentConfig}
+        assert len(records) == 11
+        for record in records:
+            parameters = inspect.signature(record).parameters.values()
+            assert [p.name for p in parameters if p.default is not p.empty] == [], record
 
     @pytest.mark.parametrize("value", [0.0, -1e-12, math.nan, math.inf])
     def test_force_resolution_must_be_finite_and_positive(self, baseline_config, value):

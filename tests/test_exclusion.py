@@ -294,7 +294,7 @@ def two_processes():
     prefix on, as on a host with two usable CPUs, so that a one-lambda
     reference stays in one process.  Yields os.fork, wrapped; afterwards
     every such split has forked once and no child is left."""
-    splits, real_forked = [], exclusion._forked
+    splits, real_forked = [], core._forked
 
     def forked(n_values, send):
         splits.append(n_values)
@@ -304,7 +304,7 @@ def two_processes():
         mock.patch.object(core, "_PARALLEL_LINES", 2),
         mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True),
         mock.patch.object(os, "fork", wraps=os.fork) as fork,
-        mock.patch.object(exclusion, "_forked", forked),
+        mock.patch.object(core, "_forked", forked),
         time_limit(60),
     ):
         yield fork
