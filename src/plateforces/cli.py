@@ -245,8 +245,10 @@ def cmd_exclusion(
         "improvement": "improvement_1 is inf on {} rows with lambda from {:g} to {:g} m: "
         "prior alpha / alpha exceeds the largest double",
     }
-    # the prefix is the same lambdas of every curve, so its span is read off the grid
-    warnings = [causes["exp"].format(prefix * len(curves), grid[0], grid[prefix - 1])] if prefix else []
+    warnings = []
+    if prefix:
+        # every curve shares the grid, so the prefix's count and span are read off it
+        warnings.append(causes["exp"].format(prefix * len(curves), grid[0], grid[prefix - 1]))
     warnings += [
         causes[cause].format(len(lams), min(lams), max(lams))
         for cause, lams in unbounded.items()

@@ -1,7 +1,7 @@
 """Experiment description files and prior-bounds files.
 
-Config files are INI.  Lengths accept a unit suffix (nm, um or µm with
-the micro sign, mm, cm, m); bare numbers are meters.  Everything is normalized to SI here so
+Config files are INI.  Lengths accept a unit suffix (nm, um, mm, cm,
+m); bare numbers are meters.  Everything is normalized to SI here so
 the physics modules never see a unit string.  Example:
 
     [geometry]
