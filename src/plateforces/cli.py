@@ -8,9 +8,10 @@ Four subcommands, each writing one CSV table to stdout or --out:
                             [--points N] [--thickness '1 um' ...] [--prior prior.csv]
     plateforces sensitivity --config exp.ini
 
-Each is one entry of _COMMANDS, from which main builds the parser.  main
-reads the config first, then each flag given, in table order, and passes
-them to cmd_<subcommand>; a flag left out takes that function's default.
+Each is one entry of _COMMANDS.  main reads a plain argv straight from
+it, and builds argparse's parser from it for any other argv.  It reads
+the config first, then each flag given, in table order, and passes them
+to cmd_<subcommand>; a flag left out takes that function's default.
 
 Exit codes: 0 success, 2 config/parse error, 3 domain error (e.g.
 plate contact), 4 I/O error.
@@ -18,7 +19,6 @@ plate contact), 4 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from array import array
@@ -299,7 +299,7 @@ _COMMANDS: dict[str, tuple[str, tuple[tuple[str, str, Callable, dict], ...]]] = 
             metavar="LENGTH", help=f"first grid lambda (default: {DEFAULT_SCAN_LAMBDA_MIN:g} m)")),
         ("--lambda-max", "lambda_max", lambda text: parse_length(text), dict(
             metavar="LENGTH", help=f"last grid lambda (default: {DEFAULT_SCAN_LAMBDA_MAX:g} m)")),
-        # argparse reads --points, so a non-integer is refused before the config
+        # --points is read by its type, so a non-integer is refused before the config
         ("--points", "n_points", int, dict(
             type=int, metavar="POINTS", help=f"grid points (default: {DEFAULT_SCAN_POINTS})")),
         ("--thickness", "thicknesses", lambda texts: tuple(map(parse_length, texts)), dict(
@@ -320,7 +320,10 @@ def _write(table: ResultTable, out: str) -> None:
             table.write(handle)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _parser():
+    """argparse's reading of _COMMANDS, built only for an argv _plain leaves to it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="plateforces",
         description="Force budget and Yukawa reach of a parallel-plate Casimir experiment",
@@ -332,16 +335,41 @@ def main(argv: Sequence[str] | None = None) -> int:
         command.add_argument("--out", default="-", help="output CSV path (default: stdout)")
         for flag, keyword, _, options in flags:
             command.add_argument(flag, dest=keyword, **options)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _plain(argv: Sequence[str]) -> dict | None:
+    """What _parser() reads from `command --flag value ...` with each flag
+    exact and each value "-" or not starting with "-"; else None."""
+    if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
+        return None
+    flags = {"--config": ("config", {}), "--out": ("out", {})}
+    flags.update((flag, (keyword, options)) for flag, keyword, _, options in _COMMANDS[argv[0]][1])
+    args: dict = {"command": argv[0], "out": "-"}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or text.startswith("-") and text != "-":
+            return None
+        keyword, options = flags[flag]
+        try:
+            text = options.get("type", str)(text)
+        except ValueError:  # argparse refuses it with its usage line
+            return None
+        args[keyword] = [*args.get(keyword, ()), text] if options.get("action") == "append" else text
+    return args if "config" in args else None
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain(argv) or vars(_parser().parse_args(argv))
     try:
-        config = load_config(args.config)
+        config = load_config(args["config"])
         # only the flags given, in table order: cmd_exclusion's signature holds the defaults
         given = {
             keyword: read(text)
-            for _, keyword, read, _ in _COMMANDS[args.command][1]
-            if (text := getattr(args, keyword)) is not None
+            for _, keyword, read, _ in _COMMANDS[args["command"]][1]
+            if (text := args.get(keyword)) is not None
         }
-        _write(globals()[f"cmd_{args.command}"](config, **given), args.out)
+        _write(globals()[f"cmd_{args['command']}"](config, **given), args["out"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -132,7 +132,7 @@ class Curve(_Record):
     """
 
     def __init__(
-        self, lambdas: Sequence[float], alphas: Sequence[float], source: str = ""
+        self, lambdas: Sequence[float], alphas: Sequence[float], source: str
     ) -> None:
         lams, alphas = (
             v if type(v) is array and v.typecode == "d" else array("d", v)

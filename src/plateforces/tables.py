@@ -116,8 +116,8 @@ class ResultTable(core._Record):
         self,
         columns: tuple[str, ...],
         rows: tuple[tuple[float | tuple[float, ...] | array, ...], ...],
-        metadata: tuple[tuple[str, str], ...] = (),
-        warnings: tuple[str, ...] = (),
+        metadata: tuple[tuple[str, str], ...],
+        warnings: tuple[str, ...],
     ) -> None:
         columns, rows = tuple(columns), tuple(map(tuple, rows))
         metadata, warnings = tuple(tuple(item) for item in metadata), tuple(warnings)

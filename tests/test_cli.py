@@ -4,12 +4,15 @@ import math
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import plateforces.cli
 from plateforces import ResultTable
@@ -19,6 +22,8 @@ from plateforces.cli import (
     DEFAULT_SCAN_POINTS,
     DEFAULT_SCAN_THICKNESSES,
     _COMMANDS,
+    _parser,
+    _plain,
     cmd_budget,
     cmd_exclusion,
     cmd_forces,
@@ -199,6 +204,18 @@ class TestCommandTable:
         assert err.startswith("usage: plateforces exclusion ")
         assert err.endswith("argument --points: invalid int value: 'x'\n")
 
+    @pytest.mark.parametrize("argv", [[name, "--help"] for name in _COMMANDS] + [["--help"]])
+    def test_help_exits_0_with_its_usage_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(" ".join(["usage: plateforces", *argv[:-1]]))
+        if argv == ["--help"]:
+            assert "{" + ",".join(_COMMANDS) + "}" in out
+            for name, (help_line, _) in _COMMANDS.items():
+                assert re.search(rf"^ +{name} +{help_line}$", out, re.M), name
+
     def test_rebound_command_and_readers_are_the_ones_called(self, tmp_path, monkeypatch):
         # the benchmark's tracer rebinds names in plateforces.cli; a table
         # entry holding its own reference to a function would bypass it
@@ -215,6 +232,79 @@ class TestCommandTable:
         code, _ = run(["exclusion", "--config", BASELINE, *argv], tmp_path)
         assert code == 0
         assert calls == ["parse_length", "parse_length", "ingest_prior_bounds", "cmd_exclusion"]
+
+
+# argv tokens for the plain-form differential: every exact flag, and
+# abbreviated, "=", help and "--" forms, which argparse alone reads
+EXACT_FLAGS = sorted({"--config", "--out", *(f for _, fs in _COMMANDS.values() for f, *_ in fs)})
+FLAGS = [
+    *EXACT_FLAGS, "--conf", "--o", "--ga", "--lambda", "--lambda-m", "--poi", "--th", "--pri",
+    "--config=x", "--points=5", "--gap=5 um", "-h", "--help", "--",
+]
+PLAIN = ["-", "", " -5", "+7", "1_000", "\u0663", "a=b", "5 um", "3", "x", *_COMMANDS]
+VALUES = [*PLAIN, "-1", "-x", *FLAGS]
+
+
+def parsed(argv):
+    """What the parser reads from argv, without the flags left out."""
+    return {key: value for key, value in vars(_parser().parse_args(argv)).items() if value is not None}
+
+
+@st.composite
+def argvs(draw):
+    """A command (or a bogus one), then flag-value pairs, with a --config
+    pair three times in four and a stray token one time in four.  Three
+    flags in four are the command's own and three values in four plain
+    text, so that many argv are in the plain form."""
+    command = draw(st.sampled_from([*_COMMANDS, "scan"]))
+    own = ["--config", "--out", *(flag for flag, *_ in _COMMANDS.get(command, ("", ()))[1])]
+
+    def pick(likely, anything):
+        return draw(st.sampled_from(likely if draw(st.integers(0, 3)) else anything))
+
+    pairs = [[pick(own, FLAGS), pick(PLAIN, VALUES)] for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.integers(0, 3)):
+        pairs.insert(draw(st.integers(0, len(pairs))), ["--config", pick(PLAIN, VALUES)])
+    tokens = [token for pair in pairs for token in pair]
+    if not draw(st.integers(0, 3)):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(VALUES)))
+    return [command, *tokens]
+
+
+class TestPlainArgv:
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(argv=argvs())
+    @example(argv=["forces", "--gap", "+7", "--config", "-", "--gap", "\u0663", "--out", ""])
+    @example(argv=["exclusion", "--config", "a=b", "--points", "1_000", "--points", " -5"])
+    @example(argv=["budget", "--out", "budget", "--config", "exclusion", "--out", "-"])
+    def test_plain_argv_reads_as_the_parser_does(self, argv):
+        args = _plain(argv)
+        if args is not None:
+            assert args == parsed(argv)
+
+    def test_plain_refuses_what_only_the_parser_reads(self):
+        config = ["--config", BASELINE]
+        for argv in (
+            [], ["--help"], ["scan", *config], ["budget"], ["budget", "--help", *config],
+            ["budget", "--conf", BASELINE], ["budget", f"--config={BASELINE}"],
+            ["budget", *config, "--out"], ["budget", *config, "--", "x"],
+            ["forces", *config, "--gap", "-1"], ["forces", *config, "--points", "5"],
+            ["exclusion", *config, "--points", "x"],
+        ):
+            assert _plain(argv) is None, argv
+
+    def test_plain_reads_every_benchmark_and_readme_argv(self, bench, tmp_path):
+        _, inputs = bench
+        benchmark = [
+            inv.args
+            for workload in inputs.WORKLOADS
+            for inv in inputs.build(workload, 0, str(tmp_path / workload)).invocations
+        ]
+        readme = (REPO_ROOT / "README.md").read_text().splitlines()
+        examples = [shlex.split(line)[1:] for line in readme if line.startswith("plateforces ")]
+        assert len(examples) == len(_COMMANDS)
+        for argv in benchmark + examples:
+            assert _plain(argv) == parsed(argv), argv
 
 
 class TestExclusionCommand:
@@ -983,9 +1073,14 @@ class TestStartup:
     # each costs start-up time on every command and computes no number:
     # numpy about 100 ms, dataclasses with inspect about 25 ms, hashlib
     # with its OpenSSL binding about 5 ms and 3.7 MB of peak memory, decimal
-    # about 2 ms and 0.4 MB
+    # about 2 ms and 0.4 MB, argparse with gettext about 1 ms (argparse is
+    # imported only for an argv the plain reader leaves to it)
     @pytest.mark.parametrize(
-        "module", ["numpy", "dataclasses", "inspect", "hashlib", "_hashlib", "decimal", "_decimal"]
+        "module",
+        [
+            "numpy", "dataclasses", "inspect", "hashlib", "_hashlib", "decimal", "_decimal",
+            "argparse", "gettext",
+        ],
     )
     def test_cli_import_does_not_load(self, module):
         result = subprocess.run(

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from plateforces import (
     ConfigError,
     InvalidParameterError,
+    ResultTable,
     ingest_prior_bounds,
     load_config,
     parse_length,
@@ -28,6 +29,7 @@ from plateforces.casimir import casimir_zero_t
 from plateforces.cli import main
 from plateforces.core import BOX, MaterialLayer, PlateGeometry, PlateStack, box_range
 from plateforces.config import _ABSENT, _KEYS, ExperimentConfig, _number
+from plateforces.exclusion import Curve
 from plateforces.gravity import PlatePairConfig
 from conftest import BASELINE_CONFIG_PATH, REPO_ROOT, with_fields
 from oracles import prior_reference
@@ -546,11 +548,12 @@ class TestExperimentConfigInvariants:
 
     def test_records_take_every_field(self):
         # what an omitted section or key reads as is said only in _ABSENT
-        # and _DERIVED, never by a record's parameter default
+        # and _DERIVED, never by a record's parameter default; a curve's
+        # source and a table's metadata and warnings are always given
         records = {record for record, _ in _KEYS.values() if isinstance(record, type)}
         records -= {float}
-        records |= {MaterialLayer, PlateStack, PlatePairConfig, ExperimentConfig}
-        assert len(records) == 11
+        records |= {MaterialLayer, PlateStack, PlatePairConfig, ExperimentConfig, Curve, ResultTable}
+        assert len(records) == 13
         for record in records:
             parameters = inspect.signature(record).parameters.values()
             assert [p.name for p in parameters if p.default is not p.empty] == [], record

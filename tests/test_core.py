@@ -221,11 +221,16 @@ _RECORDS = [
     ),
     (
         Curve,
-        {"lambdas": array("d", (1e-6, 1e-5)), "alphas": array("d", (10.0, 1.0))},
+        {"lambdas": array("d", (1e-6, 1e-5)), "alphas": array("d", (10.0, 1.0)), "source": ""},
         "source",
         "prior.csv",
     ),
-    (ResultTable, {"columns": ("gap_m",), "rows": ((5e-6,),)}, "warnings", ("note",)),
+    (
+        ResultTable,
+        {"columns": ("gap_m",), "rows": ((5e-6,),), "metadata": (), "warnings": ()},
+        "warnings",
+        ("note",),
+    ),
 ]
 
 

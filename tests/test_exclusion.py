@@ -239,7 +239,7 @@ class TestExclusionScan:
         curves = exclusion_scan(gold_plates(), RESOLUTION, 1e-9, 1e-2, 50, thicknesses)
         assert curves[1].alphas[0] == math.inf
         for curve in curves:
-            checked = Curve(lambdas=curves[0].lambdas, alphas=curve.alphas)
+            checked = Curve(lambdas=curves[0].lambdas, alphas=curve.alphas, source="")
             assert checked.lambdas is curve.lambdas
             assert curve == checked
             with pytest.raises(TypeError):
@@ -585,7 +585,7 @@ class TestCurveInterpolation:
     def test_power_law_is_exact(self):
         lambdas = tuple(1e-6 * 10 ** (i / 4) for i in range(17))
         alphas = tuple(2.5 * (lam / 1e-6) ** -1.7 for lam in lambdas)
-        curve = Curve(lambdas=lambdas, alphas=alphas)
+        curve = Curve(lambdas=lambdas, alphas=alphas, source="")
         mids = [math.sqrt(lambdas[i] * lambdas[i + 1]) for i in range(len(lambdas) - 1)]
         for lam, alpha in zip(mids, curve.alphas_at(mids)):
             assert alpha == pytest.approx(2.5 * (lam / 1e-6) ** -1.7, rel=1e-12)
@@ -602,13 +602,13 @@ class TestCurveInterpolation:
 
     def test_curve_validation(self):
         with pytest.raises(InvalidParameterError, match="1e-06 follows 1e-06"):
-            Curve(lambdas=(1e-6, 1e-6), alphas=(1.0, 2.0))
+            Curve(lambdas=(1e-6, 1e-6), alphas=(1.0, 2.0), source="")
         with pytest.raises(InvalidParameterError, match="2 lambda values but 1 alpha"):
-            Curve(lambdas=(1e-6, 1e-5), alphas=(1.0,))
+            Curve(lambdas=(1e-6, 1e-5), alphas=(1.0,), source="")
         with pytest.raises(InvalidParameterError, match=r"alpha: .* got -2\.0$"):
-            Curve(lambdas=(1e-6, 1e-5), alphas=(1.0, -2.0))
+            Curve(lambdas=(1e-6, 1e-5), alphas=(1.0, -2.0), source="")
         with pytest.raises(InvalidParameterError, match="at least two points"):
-            Curve(lambdas=(1e-6,), alphas=(1.0,))
+            Curve(lambdas=(1e-6,), alphas=(1.0,), source="")
         # alpha may be inf, lambda may not, and nothing may be nan; the
         # message names the first offending value, also mid-grid
         lam_message = "lambda: must be finite and > 0, got "
@@ -629,26 +629,26 @@ class TestCurveInterpolation:
             ((1e-6, 1e-5, 1e-4), (1.0, -0.0, 3.0), alpha_message + "-0.0"),
         ):
             with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
-                Curve(lambdas=lambdas, alphas=alphas)
-        assert Curve(lambdas=(1e-9, 1e-6), alphas=(math.inf, 1.0)).alphas[0] == math.inf
+                Curve(lambdas=lambdas, alphas=alphas, source="")
+        assert Curve(lambdas=(1e-9, 1e-6), alphas=(math.inf, 1.0), source="").alphas[0] == math.inf
 
 
 def test_curve_holds_its_values_as_doubles():
     lambdas, alphas = (1e-6, 1e-5, 1e-4), (10.0, 1.0, math.inf)
     grid = array("d", lambdas)
-    from_tuples = Curve(lambdas=lambdas, alphas=alphas)
-    from_arrays = Curve(lambdas=grid, alphas=array("d", alphas))
+    from_tuples = Curve(lambdas=lambdas, alphas=alphas, source="")
+    from_arrays = Curve(lambdas=grid, alphas=array("d", alphas), source="")
     # an array('d') is kept, anything else copied into one
     assert from_arrays.lambdas is grid
     for field in (from_tuples.lambdas, from_tuples.alphas, from_arrays.alphas):
         assert type(field) is array and field.typecode == "d"
     floats = array("f", (1.0, 2.0))
-    assert Curve(lambdas=floats, alphas=alphas[:2]).lambdas.typecode == "d"
+    assert Curve(lambdas=floats, alphas=alphas[:2], source="").lambdas.typecode == "d"
     assert from_tuples == from_arrays
     with pytest.raises(TypeError):
         hash(from_arrays)
-    assert Curve(lambdas=list(lambdas), alphas=list(alphas)) == from_arrays
-    assert from_tuples != Curve(lambdas=lambdas, alphas=(10.0, 2.0, math.inf))
+    assert Curve(lambdas=list(lambdas), alphas=list(alphas), source="") == from_arrays
+    assert from_tuples != Curve(lambdas=lambdas, alphas=(10.0, 2.0, math.inf), source="")
     expected = (
         "Curve(lambdas=array('d', [1e-06, 1e-05, 0.0001]), "
         "alphas=array('d', [10.0, 1.0, inf]), source='')"
@@ -664,7 +664,7 @@ class TestImprovementFactor:
         (block,) = cmd_exclusion(config, 1e-6, 1e-2, 100, (1e-5,)).rows
         _, lambdas, alphas = block
         if prior is None:
-            prior = Curve(lambdas=lambdas, alphas=tuple(scale * a for a in alphas))
+            prior = Curve(lambdas=lambdas, alphas=tuple(scale * a for a in alphas), source="")
         (block,) = cmd_exclusion(config, 1e-6, 1e-2, 100, (1e-5,), prior).rows
         return dict(zip(lambdas, block[3]))
 
@@ -690,6 +690,6 @@ class TestImprovementFactor:
 
     def test_prior_bounds_validation(self):
         with pytest.raises(InvalidParameterError):
-            Curve(lambdas=(1e-5, 1e-6), alphas=(1.0, 2.0))
+            Curve(lambdas=(1e-5, 1e-6), alphas=(1.0, 2.0), source="")
         with pytest.raises(InvalidParameterError):
-            Curve(lambdas=(1e-6, 1e-5), alphas=(0.0, 2.0))
+            Curve(lambdas=(1e-6, 1e-5), alphas=(0.0, 2.0), source="")

@@ -82,14 +82,14 @@ def test_single_queries_are_the_same_pass(case):
 def test_knots_and_both_ends_take_the_knot_value():
     lambdas = (1e-6, 3e-6, 1e-5, 4e-5)
     alphas = (1e8, 2.5e6, 7e4, 3.3e3)
-    prior = Curve(lambdas=lambdas, alphas=alphas)
+    prior = Curve(lambdas=lambdas, alphas=alphas, source="")
     got = prior.alphas_at(lambdas)
     assert got == [math.exp(math.log(alpha)) for alpha in alphas]
     assert got == [loglog_interp(lam, lambdas, alphas, LIBM_LOG) for lam in lambdas]
 
 
 def test_nan_outside_domain():
-    prior = Curve(lambdas=(1e-6, 1e-5), alphas=(1e8, 1e4))
+    prior = Curve(lambdas=(1e-6, 1e-5), alphas=(1e8, 1e4), source="")
     below, above = math.nextafter(1e-6, 0.0), math.nextafter(1e-5, 1.0)
     got = prior.alphas_at([1e-7, below, 1e-6, 1e-5, above, 1e-3])
     assert [math.isnan(value) for value in got] == [True, True, False, False, True, True]
@@ -100,14 +100,14 @@ def test_unbounded_knot_interpolates_to_inf_like_numpy():
     between such a knot and a finite one numpy.interp retries from the
     other end and gives inf, and so does the pass."""
     lambdas, alphas = (1e-9, 1e-8, 1e-7), (math.inf, math.inf, 1e20)
-    curve = Curve(lambdas=lambdas, alphas=alphas)
+    curve = Curve(lambdas=lambdas, alphas=alphas, source="")
     grid = (1e-9, 3e-9, 1e-8, 5e-8)
     assert curve.alphas_at(grid) == [math.inf] * 4
     for lam in grid:
         assert loglog_interp(lam, lambdas, alphas, LIBM_LOG) == math.inf
     assert curve.alphas_at([1e-7]) == [loglog_interp(1e-7, lambdas, alphas, LIBM_LOG)]
     # on a knot the knot value is served, even with an infinite neighbour
-    curve = Curve(lambdas=lambdas, alphas=alphas[::-1])
+    curve = Curve(lambdas=lambdas, alphas=alphas[::-1], source="")
     (at_knot,) = curve.alphas_at([1e-9])
     assert at_knot == loglog_interp(1e-9, lambdas, alphas[::-1], LIBM_LOG)
     assert math.isfinite(at_knot)

@@ -49,7 +49,8 @@ def sample_table():
 
 def written(value: float) -> str:
     """The text a one-row, one-column table writes for value."""
-    return ResultTable(columns=("x_1",), rows=((value,),)).to_csv().removeprefix("x_1\n")
+    table = ResultTable(columns=("x_1",), rows=((value,),), metadata=(), warnings=())
+    return table.to_csv().removeprefix("x_1\n")
 
 
 class TestFormatting:
@@ -85,11 +86,11 @@ class TestRoundTrip:
 
     def test_metadata_values_read_back_verbatim(self):
         metadata = (("prior_source", "  p9.csv "), ("empty", ""), ("inner", "a = b"))
-        table = ResultTable(columns=("gap_m",), rows=(), metadata=metadata)
+        table = ResultTable(columns=("gap_m",), rows=(), metadata=metadata, warnings=())
         assert ResultTable.from_csv(table.to_csv()).metadata == metadata
 
     def test_empty_rows_allowed(self):
-        table = ResultTable(columns=("gap_m",), rows=())
+        table = ResultTable(columns=("gap_m",), rows=(), metadata=(), warnings=())
         assert ResultTable.from_csv(table.to_csv()) == table
 
 
@@ -110,7 +111,9 @@ plain_rows = st.integers(1, 7).flatmap(
 @given(rows=plain_rows)
 def test_data_lines_are_seventeen_digit_values(rows):
     width = len(rows[0]) if rows else 1
-    table = ResultTable(columns=tuple(f"c{i}" for i in range(width)), rows=rows)
+    table = ResultTable(
+        columns=tuple(f"c{i}" for i in range(width)), rows=rows, metadata=(), warnings=()
+    )
     assert table.to_csv().split("\n")[1:-1] == reference_lines(rows)
 
 
@@ -146,7 +149,9 @@ def long_format_rows(draw):
 @given(long_format_rows())
 def test_long_format_lines_are_seventeen_digit_values(width_rows):
     width, rows = width_rows
-    table = ResultTable(columns=tuple(f"c{i}" for i in range(width)), rows=rows)
+    table = ResultTable(
+        columns=tuple(f"c{i}" for i in range(width)), rows=rows, metadata=(), warnings=()
+    )
     assert table.to_csv().split("\n")[1:-1] == reference_lines(rows)
 
 
@@ -203,7 +208,9 @@ GRID = (0.0, 1.5)
 @given(block_tables())
 def test_block_lines_are_seventeen_digit_values(width_items):
     width, items = width_items
-    table = ResultTable(columns=tuple(f"c{i}" for i in range(width)), rows=items)
+    table = ResultTable(
+        columns=tuple(f"c{i}" for i in range(width)), rows=items, metadata=(), warnings=()
+    )
     assert table.to_csv().split("\n")[1:-1] == reference_lines(expand(items))
 
 
@@ -267,11 +274,12 @@ def as_arrays(items):
 def test_write_in_any_slice_size_matches_to_csv(width_items, slice_lines, parallel_lines):
     width, items = width_items
     columns = tuple(f"c{i}" for i in range(width))
-    table = ResultTable(columns=columns, rows=items)
+    table = ResultTable(columns=columns, rows=items, metadata=(), warnings=())
     # these tables are shorter than a default slice, so to_csv writes one
     expected = table.to_csv()
     # the same blocks with array('d') columns write the same bytes
-    for written in (table, ResultTable(columns=columns, rows=as_arrays(items))):
+    arrays = ResultTable(columns=columns, rows=as_arrays(items), metadata=(), warnings=())
+    for written in (table, arrays):
         handle = io.StringIO()
         with (
             mock.patch.object(core, "_SLICE_LINES", slice_lines),
@@ -283,8 +291,12 @@ def test_write_in_any_slice_size_matches_to_csv(width_items, slice_lines, parall
 
 def test_table_with_array_columns_compares_by_value():
     grid = (0.0, 1.5, math.inf)
-    table = ResultTable(columns=("t", "lambda_m"), rows=((3e-7, array("d", grid)),))
-    assert table == ResultTable(columns=("t", "lambda_m"), rows=((3e-7, array("d", grid)),))
+    table = ResultTable(
+        columns=("t", "lambda_m"), rows=((3e-7, array("d", grid)),), metadata=(), warnings=()
+    )
+    assert table == ResultTable(
+        columns=("t", "lambda_m"), rows=((3e-7, array("d", grid)),), metadata=(), warnings=()
+    )
 
 
 class LengthRecorder:
@@ -303,6 +315,8 @@ class TestStreamingWriter:
         table = ResultTable(
             columns=("thickness_m", "lambda_m", "alpha_1"),
             rows=((3e-7, grid, tuple(reversed(grid))),),
+            metadata=(),
+            warnings=(),
         )
         text = table.to_csv()
         longest = max(map(len, text.splitlines(keepends=True)))
@@ -317,7 +331,7 @@ class TestStreamingWriter:
         n = 3 * core._SLICE_LINES + 5
         assert n < core._PARALLEL_LINES
         rows = [(k / 3, -0.0 if k % 2 else 0.0) for k in range(n)]
-        table = ResultTable(columns=("a", "b"), rows=rows)
+        table = ResultTable(columns=("a", "b"), rows=rows, metadata=(), warnings=())
         handle = LengthRecorder()
         table.write(handle)
         assert sum(handle.lengths) == len(table.to_csv())
@@ -354,6 +368,8 @@ class TestStreamingWriter:
         table = ResultTable(
             columns=("thickness_m", "lambda_m", "alpha_1"),
             rows=tuple((t, grid, tuple(reversed(grid))) for t in (3e-7, 1e-6)),
+            metadata=(),
+            warnings=(),
         )
         strings = list(map("%.17g".__mod__, grid))
         per_value = sys.getsizeof(strings) + sum(map(sys.getsizeof, strings))
@@ -402,6 +418,8 @@ def two_block_table():
     return ResultTable(
         columns=("thickness_m", "lambda_m", "alpha_1"),
         rows=((3e-7, grid, tuple(reversed(grid))), (1e-6, grid, 2.0)),
+        metadata=(),
+        warnings=(),
     )
 
 
@@ -442,6 +460,8 @@ class TestTwoProcessWriter:
         table = ResultTable(
             columns=("thickness_m", "lambda_m", "alpha_1"),
             rows=tuple((t, grid, 2.0) for t in (1e-7, 3e-7, 1e-6, 3e-6)),
+            metadata=(),
+            warnings=(),
         )
         half = len(grid) // 2
         with (
@@ -512,12 +532,12 @@ class TestRunWriter:
     def test_alternating_zero_leads(self):
         grid = (1.0, -0.0)
         rows = [(lead, value) for lead in (0.0, -0.0, 0.0) for value in grid]
-        table = ResultTable(columns=("a", "b"), rows=rows)
+        table = ResultTable(columns=("a", "b"), rows=rows, metadata=(), warnings=())
         assert table.to_csv() == "a,b\n0,1\n0,-0\n-0,1\n-0,-0\n0,1\n0,-0\n"
 
     def test_width_one(self):
         rows = [(3e-7,), (3e-7,), (0.0,), (-0.0,), (math.nan,), (3e-7,)]
-        table = ResultTable(columns=("a",), rows=rows)
+        table = ResultTable(columns=("a",), rows=rows, metadata=(), warnings=())
         assert table.to_csv() == (
             "a\n2.9999999999999999e-07\n2.9999999999999999e-07\n0\n-0\nnan\n"
             "2.9999999999999999e-07\n"
@@ -555,11 +575,13 @@ class TestValidation:
     def test_row_width_checked(self):
         message = "row of 1 values in a table of 2 columns"
         with pytest.raises(InvalidParameterError, match=message):
-            ResultTable(columns=("a", "b"), rows=((1.0,),))
+            ResultTable(columns=("a", "b"), rows=((1.0,),), metadata=(), warnings=())
         with pytest.raises(InvalidParameterError, match=message):
-            ResultTable(columns=("a", "b"), rows=((1.0, 2.0), (1.0,), (1.0, 2.0)))
+            ResultTable(
+                columns=("a", "b"), rows=((1.0, 2.0), (1.0,), (1.0, 2.0)), metadata=(), warnings=()
+            )
         with pytest.raises(InvalidParameterError, match="row of 3 values"):
-            ResultTable(columns=("a", "b"), rows=((1.0, 2.0, 3.0),))
+            ResultTable(columns=("a", "b"), rows=((1.0, 2.0, 3.0),), metadata=(), warnings=())
 
     def test_block_columns_must_match(self):
         # zip would silently drop the lines past the shorter tuple
@@ -567,17 +589,24 @@ class TestValidation:
             ResultTable(
                 columns=("a", "b", "c"),
                 rows=((1.0, 2.0, 3.0), (1.0, (1.0, 2.0), (3.0,)), (1.0, (1.0,), (3.0,))),
+                metadata=(),
+                warnings=(),
             )
         with pytest.raises(InvalidParameterError, match="block 0 holds tuples of different"):
-            ResultTable(columns=("a", "b"), rows=((array("d", (1.0, 2.0)), (3.0,)),))
+            ResultTable(
+                columns=("a", "b"),
+                rows=((array("d", (1.0, 2.0)), (3.0,)),),
+                metadata=(),
+                warnings=(),
+            )
 
     def test_needs_columns(self):
         with pytest.raises(InvalidParameterError):
-            ResultTable(columns=(), rows=())
+            ResultTable(columns=(), rows=(), metadata=(), warnings=())
 
     def test_warning_metadata_key_reserved(self):
         with pytest.raises(InvalidParameterError):
-            ResultTable(columns=("a",), rows=(), metadata=(("warning", "x"),))
+            ResultTable(columns=("a",), rows=(), metadata=(("warning", "x"),), warnings=())
 
     @pytest.mark.parametrize("text", ["two\nlines", "cr\rline", "sep\u2028arator", "trailing\n"])
     def test_line_breaks_refused(self, text):
@@ -605,7 +634,8 @@ class TestValidation:
 
     def test_parse_skips_blank_lines(self):
         parsed = ResultTable.from_csv("a,b\n\n1.0,2.0\n  \n3.0,4.0\n")
-        assert parsed == ResultTable(columns=("a", "b"), rows=((1.0, 2.0), (3.0, 4.0)))
+        expected = ((1.0, 2.0), (3.0, 4.0))
+        assert parsed == ResultTable(columns=("a", "b"), rows=expected, metadata=(), warnings=())
 
     def test_parse_rejects_comment_that_is_neither_metadata_nor_warning(self):
         with pytest.raises(InvalidParameterError, match="line 2: comment line is neither"):
